@@ -12,7 +12,8 @@
 //
 // The full-simulator cross-validation accepts --shards N to run on the
 // parallel conservative engine; the emitted JSON then carries per-shard
-// executed-event counts and barrier-wait time alongside the registry dump.
+// executed-event counts and engine round counts alongside the registry
+// dump.
 // Synchronization results are bit-identical for every shard count.
 #include <algorithm>
 #include <cstring>
@@ -101,14 +102,8 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
       report->metric("full_sim.avg_window_span_ns", er.avg_window_span());
       report->metric("full_sim.horizon_stalls",
                      static_cast<double>(er.horizon_stalls()));
-      std::uint64_t wait_ns = 0;
       std::uint64_t posted = 0;
-      for (const auto& sh : er.shards) {
-        wait_ns += sh.wait_ns;
-        posted += sh.posted;
-      }
-      report->metric("full_sim.sync_wait_ms",
-                     static_cast<double>(wait_ns) / 1e6);
+      for (const auto& sh : er.shards) posted += sh.posted;
       report->metric("full_sim.cross_shard_msgs",
                      static_cast<double>(posted));
     }

@@ -16,22 +16,18 @@
 //     the same sim duration needs ~70x fewer rounds than [fabric]. This is
 //     the scenario the pinned ISSUE ceiling (21,360 = seed/10) gates.
 //
-// The primary tables run Inline mode: every number in them — including
-// the round counts — is a pure function of the scenario, so `rounds`
-// doubles as a machine-independent regression gate (checked in-binary;
-// CI runs the smoke variant). When the host has more than one core (or
-// --threads is given) a Threads-mode pass records wall time and speedup
-// for the same campaigns; its results are checked bit-identical to the
-// Inline/serial runs, but its round counts are scheduling-dependent and
-// only recorded, never gated.
+// Every number in the tables except wall time — including the round
+// counts — is a pure function of the scenario, so `rounds` doubles as a
+// machine-independent regression gate (checked in-binary; CI runs the
+// smoke variant).
 //
 // Checked properties (throughput is only recorded):
-//   * every shard count and mode executes the identical campaign — same
+//   * every shard count executes the identical campaign — same
 //     completed snapshots, same total snapshot value (the engine's
 //     determinism contract, cheap form; speedlight_fuzz --digest --shards N
 //     is the exhaustive oracle),
 //   * the 1-shard configuration is the serial engine (rounds == 0),
-//   * Inline sync rounds stay under the pinned ceilings (regression gate
+//   * sync rounds stay under the pinned ceilings (regression gate
 //     on [fabric], the 10x-reduction gate on [two-site]),
 //   * the two-site partition cut is traffic-aware (the WAN trunk carries
 //     a small fraction of the total flow mass), and
@@ -46,18 +42,14 @@
 // Perfetto, and the profiled runs are checked bit-identical with
 // overhead within a noise-tolerant bound of the 2% budget.
 //
-// Usage: perf_parallel [--smoke] [--threads] [--json-out PATH]
-//   --threads adds the Threads-mode pass even on single-core hosts,
-//   exercising the futex/spin synchronization path (TSan CI uses this).
+// Usage: perf_parallel [--smoke] [--json-out PATH]
 //   --json-out writes the JSON report to PATH even under --smoke (the
 //   benchdiff CI job diffs fresh smoke JSONs against committed baselines).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -202,8 +194,6 @@ struct RunOutcome {
   double avg_window_span_ns = 0;     ///< Mean simulated window width.
   std::uint64_t horizon_stalls = 0;  ///< Pairwise-horizon stalls, all shards.
   std::uint64_t posted = 0;          ///< Cross-shard messages.
-  std::uint64_t spilled = 0;         ///< ... that overflowed a ring.
-  std::uint64_t wait_ns = 0;         ///< Wall ns blocked in sync waits.
   std::size_t shards = 1;            ///< Actual shard count used.
   std::size_t completed = 0;         ///< Snapshots completed.
   std::uint64_t total_value = 0;     ///< Sum over consistent reports.
@@ -215,13 +205,11 @@ struct RunOutcome {
 };
 
 RunOutcome run_campaign(const Scenario& sc, std::size_t shards,
-                        core::NetworkOptions::ExecMode mode,
                         bench::JsonReport* embed_into,
                         ProfileCapture* profile = nullptr) {
   core::NetworkOptions opt;
   opt.seed = 411;
   opt.shards = shards;
-  opt.exec_mode = mode;
   opt.traffic_hints = sc.hints;
   core::Network net(sc.spec, opt);
   if (profile != nullptr) net.enable_engine_profiling();
@@ -271,8 +259,6 @@ RunOutcome run_campaign(const Scenario& sc, std::size_t shards,
     out.horizon_stalls = er.horizon_stalls();
     for (const auto& sh : er.shards) {
       out.posted += sh.posted;
-      out.spilled += sh.spilled;
-      out.wait_ns += sh.wait_ns;
       out.per_shard_stalls.push_back(sh.horizon_stalls);
     }
   }
@@ -332,8 +318,6 @@ void record_run(bench::JsonReport& report, const std::string& prefix,
   report.metric(prefix + "horizon_stalls",
                 static_cast<double>(r.horizon_stalls));
   report.metric(prefix + "cross_shard_msgs", static_cast<double>(r.posted));
-  report.metric(prefix + "spilled", static_cast<double>(r.spilled));
-  report.metric(prefix + "sync_wait_ms", static_cast<double>(r.wait_ns) / 1e6);
   report.metric(prefix + "cut_weight", static_cast<double>(r.cut_weight));
   report.metric(prefix + "cut_fraction",
                 r.total_weight == 0 ? 0.0
@@ -354,34 +338,23 @@ void print_row(std::size_t requested, const RunOutcome& r,
   std::cout << "  " << requested << " (" << r.shards << ")\t" << r.wall_s
             << "\t" << serial_wall_s / r.wall_s << "\t" << r.executed << "\t"
             << r.rounds << "\t" << r.avg_window_span_ns << "\t" << r.posted
-            << "\t" << static_cast<double>(r.wait_ns) / 1e6 << "\n";
+            << "\n";
 }
 
 const char* const kTableHeader =
-    "  shards  wall(s)  speedup  events  rounds  window(ns)"
-    "  xshard-msgs  wait(ms)\n";
+    "  shards  wall(s)  speedup  events  rounds  window(ns)  xshard-msgs\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
-  bool force_threads = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) force_threads = true;
-  }
   bench::JsonReport report("perf_parallel");
   bench::banner("Parallel engine — pairwise lookahead on two scenarios",
                 "dense fat-tree (sync floor = cut latency) and a two-site "
                 "WAN cut (sync collapses with the cut latency); identical "
-                "results at every shard count and mode");
+                "results at every shard count");
 
-  const unsigned cores = std::thread::hardware_concurrency();
-  const bool run_threads_pass = force_threads || cores > 1;
-  report.metric("cores", static_cast<double>(cores));
-  report.metric("mode", run_threads_pass ? std::string("inline+threads")
-                                         : std::string("inline"));
-
-  // Deterministic Inline round-count gates (see file header):
+  // Deterministic round-count gates (see file header):
   //  * [fabric] regression ceiling, pinned just above the measured pairwise
   //    engine (full: ~195k, smoke: ~74k) and below the seed's 213,592 —
   //    dense all-to-all traffic pins conservative sync near the
@@ -397,15 +370,12 @@ int main(int argc, char** argv) {
   const Scenario fabric = make_fabric_scenario();
   const std::size_t shard_counts[] = {1, 2, 4, 8};
   std::vector<RunOutcome> runs;
-  std::cout << "\n  [fabric: k=4 fat-tree, all-to-all — inline]\n"
-            << kTableHeader;
+  std::cout << "\n  [fabric: k=4 fat-tree, all-to-all]\n" << kTableHeader;
   for (const std::size_t n : shard_counts) {
     // The 4-shard artifact carries the merged registries (one pod per
     // shard on a k=4 fat-tree — the canonical configuration).
     const bool embed = n == 4;
-    runs.push_back(run_campaign(fabric, n,
-                                core::NetworkOptions::ExecMode::Inline,
-                                embed ? &report : nullptr));
+    runs.push_back(run_campaign(fabric, n, embed ? &report : nullptr));
     print_row(n, runs.back(), runs.front().wall_s);
     record_run(report, "shards" + std::to_string(n) + ".", runs.back(),
                runs.front().wall_s);
@@ -432,20 +402,18 @@ int main(int argc, char** argv) {
   for (std::size_t i = 1; i < runs.size(); ++i) {
     bench::check(runs[i].rounds <= fabric_ceiling,
                  "fabric shards=" + std::to_string(shard_counts[i]) +
-                     " inline sync rounds " + std::to_string(runs[i].rounds) +
+                     " sync rounds " + std::to_string(runs[i].rounds) +
                      " within regression ceiling " +
                      std::to_string(fabric_ceiling));
   }
 
   // --- Two-site scenario: the pairwise-lookahead headline. ---
   const Scenario twosite = make_two_site_scenario();
-  std::cout << "  [two-site: 2x leaf-spine + 50us WAN trunk — inline]\n"
+  std::cout << "  [two-site: 2x leaf-spine + 50us WAN trunk]\n"
             << kTableHeader;
   std::vector<RunOutcome> ts;
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}}) {
-    ts.push_back(run_campaign(twosite, n,
-                              core::NetworkOptions::ExecMode::Inline,
-                              nullptr));
+    ts.push_back(run_campaign(twosite, n, nullptr));
     print_row(n, ts.back(), ts.front().wall_s);
     record_run(report, "twosite.shards" + std::to_string(n) + ".", ts.back(),
                ts.front().wall_s);
@@ -464,20 +432,20 @@ int main(int argc, char** argv) {
                    std::to_string(ts[1].cut_weight) + " of " +
                    std::to_string(ts[1].total_weight) + " total weight)");
   bench::check(ts[1].rounds > 0 && ts[1].rounds <= twosite_ceiling,
-               "two-site inline sync rounds " + std::to_string(ts[1].rounds) +
+               "two-site sync rounds " + std::to_string(ts[1].rounds) +
                    " within the 10x-reduction ceiling " +
                    std::to_string(twosite_ceiling));
   // Headline metrics: the gated scenario, labeled as such.
   report.metric("rounds", static_cast<double>(ts[1].rounds));
   report.metric("rounds_ceiling", static_cast<double>(twosite_ceiling));
-  report.metric("rounds_scenario", std::string("twosite.shards2.inline"));
+  report.metric("rounds_scenario", std::string("twosite.shards2"));
 
   // --- Profiled reruns: blame matrix, critical path, overhead budget. ---
   // Both canonical configurations rerun with the engine's round profiler
   // on (obs/prof.hpp); the two-site run also exports the per-shard round
   // timeline for Perfetto (EXPERIMENTS.md walkthrough). Profiled runs must
   // stay bit-identical — recording never touches simulation state.
-  std::cout << "  [profiled reruns — inline, round profiler on]\n";
+  std::cout << "  [profiled reruns — round profiler on]\n";
   // Overhead A/B: alternate unprofiled/profiled runs and compare the
   // best of each. Minimums discard scheduler and frequency noise spikes
   // (single pairs here swing tens of percent on a busy host); the runs
@@ -487,19 +455,15 @@ int main(int argc, char** argv) {
   double fabric_off_s = 0;
   double fabric_on_s = 0;
   for (int ab = 0; ab < 3; ++ab) {
-    const RunOutcome off = run_campaign(
-        fabric, 4, core::NetworkOptions::ExecMode::Inline, nullptr);
+    const RunOutcome off = run_campaign(fabric, 4, nullptr);
     fabric_prof = ProfileCapture{};
-    fp = run_campaign(fabric, 4, core::NetworkOptions::ExecMode::Inline,
-                      nullptr, &fabric_prof);
+    fp = run_campaign(fabric, 4, nullptr, &fabric_prof);
     fabric_off_s = ab == 0 ? off.wall_s : std::min(fabric_off_s, off.wall_s);
     fabric_on_s = ab == 0 ? fp.wall_s : std::min(fabric_on_s, fp.wall_s);
   }
   ProfileCapture twosite_prof;
   twosite_prof.trace_path = "perf_parallel_profile.json";
-  const RunOutcome tp = run_campaign(
-      twosite, 2, core::NetworkOptions::ExecMode::Inline, nullptr,
-      &twosite_prof);
+  const RunOutcome tp = run_campaign(twosite, 2, nullptr, &twosite_prof);
   if (obs::EngineProfiler::compiled_in()) {
     bench::check(fp.completed == runs[0].completed &&
                      fp.total_value == runs[0].total_value &&
@@ -564,41 +528,6 @@ int main(int argc, char** argv) {
     std::cout << "    (trace layer compiled out; profiler checks skipped)\n";
   }
   std::cout << "\n";
-
-  if (run_threads_pass) {
-    std::cout << "  [fabric — threads]\n" << kTableHeader;
-    for (const std::size_t n : {std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
-      const RunOutcome r =
-          run_campaign(fabric, n, core::NetworkOptions::ExecMode::Threads,
-                       nullptr);
-      print_row(n, r, runs.front().wall_s);
-      record_run(report, "threads" + std::to_string(n) + ".", r,
-                 runs.front().wall_s);
-      bench::check(r.completed == runs[0].completed &&
-                       r.total_value == runs[0].total_value,
-                   "fabric threads shards=" + std::to_string(n) +
-                       " is bit-identical to serial");
-    }
-    std::cout << "  [two-site — threads]\n" << kTableHeader;
-    // Profiled: each worker records into its own shard's ring, so this
-    // pass (which TSan CI runs via --smoke --threads) watches the
-    // profiler's concurrent recording path too.
-    ProfileCapture thr_prof;
-    const RunOutcome r =
-        run_campaign(twosite, 2, core::NetworkOptions::ExecMode::Threads,
-                     nullptr, &thr_prof);
-    print_row(2, r, ts.front().wall_s);
-    record_run(report, "twosite.threads2.", r, ts.front().wall_s);
-    bench::check(r.completed == ts[0].completed &&
-                     r.total_value == ts[0].total_value,
-                 "two-site threads shards=2 is bit-identical to serial");
-    if (obs::EngineProfiler::compiled_in()) {
-      bench::check(thr_prof.captured && thr_prof.windows > 0,
-                   "threads-mode round profiler captured windows");
-    }
-    std::cout << "\n";
-  }
 
   return bench::finish(report);
 }

@@ -32,8 +32,8 @@
 //                     serial, so every seed becomes a serial-vs-parallel
 //                     equivalence check (the parallel engine's acceptance
 //                     oracle). Tie fingerprints are only compared when both
-//                     runs use the same mode (parallel workers are not
-//                     auditor-instrumented).
+//                     runs use the same shard count (sharding splits
+//                     same-timestamp cohorts across shards and windows).
 //   --inject-bug      Self-test: disable the conservation checker's
 //                     channel-state term, prove the loop finds the
 //                     resulting violation and shrinks it to <= 4 switches,

@@ -9,22 +9,6 @@
 
 namespace speedlight::core {
 
-namespace {
-
-sim::ParallelEngine::Mode to_engine_mode(NetworkOptions::ExecMode m) {
-  switch (m) {
-    case NetworkOptions::ExecMode::Inline:
-      return sim::ParallelEngine::Mode::Inline;
-    case NetworkOptions::ExecMode::Threads:
-      return sim::ParallelEngine::Mode::Threads;
-    case NetworkOptions::ExecMode::Auto:
-      break;
-  }
-  return sim::ParallelEngine::default_mode();
-}
-
-}  // namespace
-
 sim::Endpoint Network::make_endpoint(std::size_t from, std::size_t to,
                                      sim::MergeKey key) {
   if (engine_ != nullptr && from != to) {
@@ -63,8 +47,7 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     std::vector<sim::Simulator*> raw;
     raw.reserve(nsh);
     for (auto& s : sims_) raw.push_back(s.get());
-    engine_ = std::make_unique<sim::ParallelEngine>(
-        std::move(raw), to_engine_mode(options_.exec_mode));
+    engine_ = std::make_unique<sim::ParallelEngine>(std::move(raw));
     // Lookahead: register each channel's own latency floor with the engine
     // so horizons are per shard *pair*, not global. Data-plane trunks
     // contribute their propagation delay on exactly the (from, to) pairs
@@ -342,12 +325,12 @@ void Network::mutate_timing_at(sim::SimTime when,
   // One event per shard, all at `when` under one fresh merge key, so every
   // shard's copy mutates at the same simulated instant and same-time ties
   // resolve identically for any shard count. Call while the network is not
-  // running (scheduling onto other shards' queues is not thread-safe
-  // mid-run); the usual pattern is to lay out the whole fault schedule
-  // before the first run_until(). Under the engine, mutations must not
-  // lower observer_rpc_latency below the floor registered at construction:
-  // the per-channel lookahead already promised the engine that control
-  // RPCs never travel faster than that.
+  // running (scheduling straight onto other shards' queues mid-run would
+  // bypass the engine's lookahead); the usual pattern is to lay out the
+  // whole fault schedule before the first run_until(). Under the engine,
+  // mutations must not lower observer_rpc_latency below the floor
+  // registered at construction: the per-channel lookahead already promised
+  // the engine that control RPCs never travel faster than that.
   auto shared =
       std::make_shared<std::function<void(sim::TimingModel&)>>(std::move(fn));
   const sim::MergeKey key = next_key_++;

@@ -92,24 +92,18 @@ struct NetworkOptions {
   bool start_register_poll = false;
 
   /// Parallel execution: partition the topology into this many shards,
-  /// each driven by its own event queue (and worker thread in Threads
-  /// mode), synchronized conservatively on link-latency lookahead. The
+  /// each driven by its own event queue, advanced in lockstep sweeps
+  /// synchronized conservatively on link-latency lookahead. The
   /// partitioner may use fewer shards than requested (it never splits a
   /// zero-latency trunk). 1 (the default) is plain serial execution.
   /// Any shard count produces bit-identical results: execution order is
-  /// canonical (time, merge key, schedule order) in every mode.
+  /// canonical (time, merge key, schedule order) at every shard count.
   std::size_t shards = 1;
   /// Expected workload flows, used to weight trunks for traffic-aware
   /// partitioning (shards > 1). Empty = uniform weights (the partitioner
   /// minimizes the crossing-trunk count). Purely advisory: hints shape the
   /// shards and the achieved cut (Partition::stats), never the results.
   std::vector<net::FlowHint> traffic_hints;
-  enum class ExecMode {
-    Auto,     ///< Threads on multi-core hosts, Inline otherwise.
-    Inline,   ///< All shards multiplexed on the calling thread.
-    Threads,  ///< One worker thread per shard.
-  };
-  ExecMode exec_mode = ExecMode::Auto;
 
   /// Fabrics up to this many switches register the classic per-instance
   /// "switch.<name>.*" metric series; larger fabrics register only the

@@ -175,14 +175,10 @@ Partition partition_topology(const TopologySpec& spec,
     // the feasible shard it is most attached to. Components with no placed
     // neighbours seed new clusters on the least-loaded shard, largest
     // first. Ties break toward lower component index — fully deterministic.
+    // aff[c * shards + sh] is c's weight to the components already placed
+    // on sh, kept current incrementally as each component lands.
     std::vector<bool> placed(ncomp, false);
-    const auto affinity = [&](std::size_t c, std::uint32_t sh) {
-      std::uint64_t w = 0;
-      for (std::size_t x = 0; x < ncomp; ++x) {
-        if (placed[x] && comp_shard[x] == sh) w += comp_w[c * ncomp + x];
-      }
-      return w;
-    };
+    std::vector<std::uint64_t> aff(ncomp * shards, 0);
     for (std::size_t round = 0; round < ncomp; ++round) {
       const std::size_t remaining = ncomp - round;
       std::size_t empty_shards = 0;
@@ -205,7 +201,7 @@ Partition partition_topology(const TopologySpec& spec,
         for (std::uint32_t sh = 0; sh < shards; ++sh) {
           if (force_empty && shard_comps[sh] != 0) continue;
           if (load[sh] + comp_size[c] > cap && !force_empty) continue;
-          const std::uint64_t a = force_empty ? 0 : affinity(c, sh);
+          const std::uint64_t a = force_empty ? 0 : aff[c * shards + sh];
           if (sh_pick == std::numeric_limits<std::uint32_t>::max() ||
               a > aff_pick ||
               (a == aff_pick && load[sh] < load[sh_pick])) {
@@ -217,7 +213,7 @@ Partition partition_topology(const TopologySpec& spec,
           // Cap squeezed every shard out: least-loaded fallback.
           sh_pick = static_cast<std::uint32_t>(std::distance(
               load.begin(), std::min_element(load.begin(), load.end())));
-          aff_pick = affinity(c, sh_pick);
+          aff_pick = aff[c * shards + sh_pick];
         }
         if (best_c == ncomp || aff_pick > best_aff ||
             (aff_pick == best_aff && comp_size[c] > best_size)) {
@@ -231,6 +227,9 @@ Partition partition_topology(const TopologySpec& spec,
       comp_shard[best_c] = best_sh;
       load[best_sh] += comp_size[best_c];
       ++shard_comps[best_sh];
+      for (std::size_t c = 0; c < ncomp; ++c) {
+        aff[c * shards + best_sh] += comp_w[c * ncomp + best_c];
+      }
     }
 
     // FM-style refinement: move whole components between shards while the

@@ -35,8 +35,8 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer);
 /// per-shard flight recorders are exported on a single time axis. Records
 /// are merged deterministically by (timestamp, tracer index, ring
 /// position), so the same recorded history always serializes to the same
-/// bytes regardless of worker scheduling; duplicate name metadata across
-/// tracers is harmless.
+/// bytes however the shards' windows interleaved; duplicate name metadata
+/// across tracers is harmless.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<const Tracer*>& tracers);
 

@@ -19,15 +19,12 @@ const char* binding_name(Binding b) {
 
 void ShardProfiler::configure(std::uint32_t shard, std::size_t num_shards,
                               std::size_t capacity) {
-  // Single-threaded setup: the configuring thread owns the log until the
-  // engine hands it to the shard's worker.
-  core::ThreadRoleGuard owner(owner_role_);
   shard_ = shard;
   capacity_ = capacity;
   head_ = 0;
   overwritten_ = 0;
   windows_ = stalls_ = self_stalls_ = 0;
-  executed_ = drained_ = wait_ns_ = 0;
+  executed_ = drained_ = 0;
   ring_.clear();
   ring_.reserve(capacity);
   stall_rounds_by_producer_.assign(num_shards, 0);
@@ -47,7 +44,6 @@ void EngineProfiler::enable(std::size_t num_shards,
                          capacity_per_shard);
   }
   crit_events_ = 0;
-  aligned_rounds_ = 0;
   enabled_ = true;
 #endif
 }
@@ -96,14 +92,7 @@ void CriticalPathReport::write_json(std::ostream& os, int indent) const {
   os << pad << "\"executed\": " << executed << ",\n";
   os << pad << "\"deliveries\": " << drained << ",\n";
   os << pad << "\"critical_path_events\": " << critical_path_events << ",\n";
-  os << pad << "\"rounds_aligned\": " << (rounds_aligned ? "true" : "false")
-     << ",\n";
   os << pad << "\"parallelism_bound\": " << parallelism_bound() << ",\n";
-  os << pad << "\"wait_ns\": [";
-  for (std::size_t i = 0; i < wait_ns.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << wait_ns[i];
-  }
-  os << "],\n";
   os << pad << "\"stall_matrix\": ";
   matrix(stall_matrix);
   os << ",\n";
@@ -127,26 +116,18 @@ CriticalPathReport analyze(const EngineProfiler& prof) {
   out.shards = n;
   out.stall_matrix.assign(n * n, 0);
   out.gap_matrix_ns.assign(n * n, 0);
-  out.wait_ns.assign(n, 0);
-  std::uint64_t max_shard_executed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardProfiler& sp = prof.shard(i);
     out.windows += sp.windows();
     out.stalls += sp.stalls();
     out.executed += sp.executed();
     out.drained += sp.drained();
-    out.wait_ns[i] = sp.wait_ns();
-    max_shard_executed = std::max(max_shard_executed, sp.executed());
     for (std::size_t j = 0; j < n; ++j) {
       out.stall_matrix[i * n + j] = sp.stalls_by_producer()[j];
       out.gap_matrix_ns[i * n + j] = sp.gap_by_producer()[j];
     }
   }
-  out.rounds_aligned = prof.aligned_rounds() > 0;
-  // Inline sweeps feed an exact per-round max; Threads-mode plans do not
-  // align across shards, so the busiest shard is the (weaker) lower bound.
-  out.critical_path_events =
-      out.rounds_aligned ? prof.crit_events() : max_shard_executed;
+  out.critical_path_events = prof.crit_events();
   return out;
 }
 

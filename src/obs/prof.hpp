@@ -3,23 +3,22 @@
 // its own bounded ring — shard id, round, horizon, the *binding term* that
 // capped the horizon (a peer clock pushed through the lookahead closure,
 // the shard's own feedback cycle, or the run horizon `until`), the binding
-// producer shard, events executed, deliveries drained, and wall
-// nanoseconds blocked in sync waits.
+// producer shard, events executed, and deliveries drained.
 //
-// The aggregate counters PR 6 added (`horizon_stalls`, `sync_wait_ms`)
-// say *how much* wall-clock the engine loses to synchronization; this
-// module says *who takes it*: a merge pass renders one Perfetto track per
-// shard (execute spans plus stall spans named by their binding constraint)
-// through the existing chrome_trace exporter, and an offline
-// CriticalPathReport folds the round log into a who-throttles-whom
-// shard x shard blame matrix, the top binding channels, and a lower bound
-// on achievable wall-clock (the critical-path event count).
+// The engine's aggregate counter (`horizon_stalls`) says *how much* the
+// engine loses to synchronization; this module says *who takes it*: a
+// merge pass renders one Perfetto track per shard (execute spans plus
+// stall spans named by their binding constraint) through the existing
+// chrome_trace exporter, and an offline CriticalPathReport folds the round
+// log into a who-throttles-whom shard x shard blame matrix, the top
+// binding channels, and a lower bound on achievable wall-clock (the
+// critical-path event count).
 //
 // Design constraints, matching the rest of src/obs:
-//  * recording never allocates and never locks — records are 64-byte PODs
-//    written into a per-shard pre-sized ring owned by that shard's worker
-//    thread, plus a handful of per-shard aggregate adds (the aggregates
-//    make the blame matrix exact even when the ring wraps);
+//  * recording never allocates — records are 64-byte PODs written into a
+//    per-shard pre-sized ring, plus a handful of per-shard aggregate adds
+//    (the aggregates make the blame matrix exact even when the ring
+//    wraps);
 //  * a disabled profiler costs one predictable branch at the engine call
 //    site, and *nothing at all* when the trace layer is compiled out
 //    (-DSPEEDLIGHT_TRACE_DISABLED / SPEEDLIGHT_TRACE=OFF): engine call
@@ -34,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace speedlight::obs {
@@ -57,10 +55,9 @@ enum class Binding : std::uint8_t {
 struct RoundRecord {
   sim::SimTime m = 0;          ///< Shard's next-event clock at planning time.
   sim::SimTime horizon = 0;    ///< H_i computed from the coherent snapshot.
-  std::uint64_t round = 0;     ///< Inline sweep index / worker plan index.
+  std::uint64_t round = 0;     ///< Lockstep sweep index.
   std::uint64_t executed = 0;  ///< Events run in this window (0 on a stall).
   std::uint64_t drained = 0;   ///< Cross-shard deliveries drained this round.
-  std::uint64_t wait_ns = 0;   ///< Wall ns blocked before this plan (Threads).
   std::uint32_t shard = 0;     ///< Recording shard.
   std::uint32_t binding_shard = 0;  ///< Producer shard when binding == Peer.
   /// Consecutive stall rounds this record stands for (ring-side
@@ -73,22 +70,10 @@ struct RoundRecord {
 };
 static_assert(sizeof(RoundRecord) <= 64, "round records must stay compact");
 
-/// One shard's bounded round log plus exact aggregates. Written only by
-/// the shard's own thread while the engine runs; read after it stops.
-/// That single-writer contract is a phantom capability (owner_role):
-/// record_round requires it, writers acquire it via ThreadRoleGuard at the
-/// engine call sites, and the quiescent read accessors opt out of the
-/// analysis with a documented after-the-run contract.
-/// alignas keeps neighbouring shards' hot counters off a shared line.
-class alignas(64) ShardProfiler {
+/// One shard's bounded round log plus exact aggregates. Written by the
+/// engine while it runs; read after it stops.
+class ShardProfiler {
  public:
-  /// Capability of the one thread that feeds this shard's log (the shard's
-  /// worker in Threads mode; the engine thread in Inline mode).
-  [[nodiscard]] const core::ThreadRole& owner_role() const
-      SPEEDLIGHT_RETURN_CAPABILITY(owner_role_) {
-    return owner_role_;
-  }
-
   /// Pre-size the ring and the per-producer attribution arrays.
   void configure(std::uint32_t shard, std::size_t num_shards,
                  std::size_t capacity);
@@ -99,9 +84,8 @@ class alignas(64) ShardProfiler {
   /// binding coalesce into the retained tail record (aggregates still
   /// count every round), keeping dense scenarios' ring traffic — and the
   /// profiling overhead — proportional to *episodes*, not sweeps.
-  void record_round(const RoundRecord& r) SPEEDLIGHT_REQUIRES(owner_role_) {
+  void record_round(const RoundRecord& r) {
     drained_ += r.drained;
-    wait_ns_ += r.wait_ns;
     if (r.ran) {
       ++windows_;
       executed_ += r.executed;
@@ -122,7 +106,6 @@ class alignas(64) ShardProfiler {
         // Same stall episode: the producer only closes in, so the first
         // record already holds the widest (earliest) horizon.
         ++tail.repeats;
-        tail.wait_ns += r.wait_ns;
         tail.drained += r.drained;
         return;
       }
@@ -130,70 +113,42 @@ class alignas(64) ShardProfiler {
     push(r);
   }
 
-  // --- Quiescent reads (after run_until returns; the writer is gone) --------
   [[nodiscard]] std::uint32_t shard() const { return shard_; }
-  [[nodiscard]] std::size_t size() const SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t overwritten() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return overwritten_;
-  }
+  [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
 
-  // --- Exact aggregates (independent of ring wrap; quiescent reads) ---------
-  [[nodiscard]] std::uint64_t windows() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return windows_;
-  }
-  [[nodiscard]] std::uint64_t stalls() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return stalls_;
-  }
-  [[nodiscard]] std::uint64_t self_stalls() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return self_stalls_;
-  }
-  [[nodiscard]] std::uint64_t executed() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return executed_;
-  }
-  [[nodiscard]] std::uint64_t drained() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return drained_;
-  }
-  [[nodiscard]] std::uint64_t wait_ns() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return wait_ns_;
-  }
+  // --- Exact aggregates (independent of ring wrap) ---------------------------
+  [[nodiscard]] std::uint64_t windows() const { return windows_; }
+  [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
+  [[nodiscard]] std::uint64_t self_stalls() const { return self_stalls_; }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t drained() const { return drained_; }
   /// Stall rounds attributed to each producer shard (self index counts the
   /// SelfCycle stalls — i's own echo bound, not a peer).
-  [[nodiscard]] const std::vector<std::uint64_t>& stalls_by_producer() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
+  [[nodiscard]] const std::vector<std::uint64_t>& stalls_by_producer() const {
     return stall_rounds_by_producer_;
   }
   /// Sum of sim-time gaps (m - horizon) per binding producer.
-  [[nodiscard]] const std::vector<std::uint64_t>& gap_by_producer() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
+  [[nodiscard]] const std::vector<std::uint64_t>& gap_by_producer() const {
     return stall_gap_by_producer_;
   }
 
-  /// Visit retained records oldest-to-newest (quiescent read).
+  /// Visit retained records oldest-to-newest.
   template <typename Fn>
-  void for_each(Fn&& fn) const SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
+  void for_each(Fn&& fn) const {
     const std::size_t n = ring_.size();
     for (std::size_t i = 0; i < n; ++i) fn(ring_[(head_ + i) % n]);
   }
 
  private:
   /// Index of the newest retained record (ring_ must be non-empty).
-  [[nodiscard]] std::size_t tail_index() const
-      SPEEDLIGHT_REQUIRES(owner_role_) {
+  [[nodiscard]] std::size_t tail_index() const {
     if (ring_.size() < capacity_) return ring_.size() - 1;
     return head_ == 0 ? capacity_ - 1 : head_ - 1;
   }
 
-  void push(const RoundRecord& r) SPEEDLIGHT_REQUIRES(owner_role_) {
+  void push(const RoundRecord& r) {
     if (ring_.size() < capacity_) {
       ring_.push_back(r);
     } else {
@@ -207,27 +162,21 @@ class alignas(64) ShardProfiler {
 
   std::uint32_t shard_ = 0;
   std::size_t capacity_ = 0;
-  std::size_t head_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t overwritten_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t windows_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t stalls_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t self_stalls_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t executed_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t drained_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::uint64_t wait_ns_ SPEEDLIGHT_GUARDED_BY(owner_role_) = 0;
-  std::vector<RoundRecord> ring_ SPEEDLIGHT_GUARDED_BY(owner_role_);
-  std::vector<std::uint64_t> stall_rounds_by_producer_
-      SPEEDLIGHT_GUARDED_BY(owner_role_);
-  std::vector<std::uint64_t> stall_gap_by_producer_
-      SPEEDLIGHT_GUARDED_BY(owner_role_);
-
-  core::ThreadRole owner_role_;
+  std::size_t head_ = 0;
+  std::uint64_t overwritten_ = 0;
+  std::uint64_t windows_ = 0;
+  std::uint64_t stalls_ = 0;
+  std::uint64_t self_stalls_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t drained_ = 0;
+  std::vector<RoundRecord> ring_;
+  std::vector<std::uint64_t> stall_rounds_by_producer_;
+  std::vector<std::uint64_t> stall_gap_by_producer_;
 };
 
 /// The engine-wide profiler: one ShardProfiler per shard plus the
-/// cross-shard critical-path accumulator the Inline sweep feeds. Enabled
-/// once (single-threaded, before run_until); workers then touch only
-/// their own shard's profiler, so Threads mode needs no synchronization.
+/// cross-shard critical-path accumulator the lockstep sweep feeds. Enabled
+/// once, before run_until.
 class EngineProfiler {
  public:
   /// Default ring size per shard: 4096 records x 64 B = 256 KiB, small
@@ -267,21 +216,18 @@ class EngineProfiler {
     return shards_[i];
   }
 
-  /// Inline mode only: called once per lockstep sweep with the largest
-  /// per-shard executed count of that sweep. The sum over sweeps is an
-  /// exact critical-path event count — no shard schedule can finish the
-  /// run in fewer sequential events than its slowest shard per round.
+  /// Called once per lockstep sweep with the largest per-shard executed
+  /// count of that sweep. The sum over sweeps is an exact critical-path
+  /// event count — no shard schedule can finish the run in fewer
+  /// sequential events than its slowest shard per round.
   void note_inline_round(std::uint64_t max_executed) {
     crit_events_ += max_executed;
-    ++aligned_rounds_;
   }
-  [[nodiscard]] std::uint64_t aligned_rounds() const { return aligned_rounds_; }
   [[nodiscard]] std::uint64_t crit_events() const { return crit_events_; }
 
  private:
   bool enabled_ = false;
   std::uint64_t crit_events_ = 0;
-  std::uint64_t aligned_rounds_ = 0;
   std::vector<ShardProfiler> shards_;
 };
 
@@ -303,18 +249,15 @@ struct CriticalPathReport {
   std::uint64_t stalls = 0;
   std::uint64_t executed = 0;
   std::uint64_t drained = 0;
-  /// Exact when the Inline sweep fed note_inline_round (rounds_aligned);
-  /// otherwise the Threads-mode fallback max_i(executed_i) — both are
-  /// lower bounds on the sequential event work any schedule must serialize
-  /// (achievable wall-clock >= critical_path_events * per-event cost).
+  /// Sum over sweeps of the busiest shard's events: a lower bound on the
+  /// sequential event work any schedule must serialize (achievable
+  /// wall-clock >= critical_path_events * per-event cost).
   std::uint64_t critical_path_events = 0;
-  bool rounds_aligned = false;
   /// Row i, column j: rounds shard i stalled with shard j binding (the
   /// diagonal counts self-cycle stalls — i bound by its own echoes).
   std::vector<std::uint64_t> stall_matrix;
   /// Same shape; sum of sim-time gaps (m_i - H_i) in nanoseconds.
   std::vector<std::uint64_t> gap_matrix_ns;
-  std::vector<std::uint64_t> wait_ns;  ///< Per-shard wall ns in sync waits.
 
   [[nodiscard]] std::uint64_t stall(std::size_t to, std::size_t from) const {
     return stall_matrix[to * shards + from];
@@ -335,7 +278,7 @@ struct CriticalPathReport {
 };
 
 /// Fold the profiler's aggregates into a report. Call after run_until
-/// returns (the engine is quiescent).
+/// returns.
 [[nodiscard]] CriticalPathReport analyze(const EngineProfiler& prof);
 
 // --- Trace export ------------------------------------------------------------

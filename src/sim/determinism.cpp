@@ -6,12 +6,11 @@ namespace speedlight::sim::det {
 
 namespace {
 
-// Violation counters are process-global atomics: the parallel engine's
-// workers each mark their own data-path scopes (the depth counters below
-// stay thread-local), but a violation on any worker must be visible to the
-// main thread that reads datapath_allocs() after the run. Relaxed ordering
-// suffices — the engine's barrier join orders the reads — and the atomics
-// are only touched on an actual violation, never on the hot path.
+// Violation counters are process-global atomics: the allocation guard is a
+// global operator new, so any thread may bump them (the depth counters
+// below stay thread-local). Relaxed ordering suffices — the counter value
+// is the whole payload — and the atomics are only touched on an actual
+// violation, never on the hot path.
 std::atomic<std::uint64_t> g_datapath_allocs{0};
 std::atomic<std::uint64_t> g_datapath_alloc_bytes{0};
 
@@ -36,27 +35,21 @@ thread_local Auditor* current_auditor = nullptr;
 std::uint64_t datapath_allocs() {
   // Independent statistics counters: no reader infers other memory from
   // them, so plain coherence is all the audit needs.
-  // speedlight-lint: allow(bare-memory-order) standalone stats counter
   return g_datapath_allocs.load(std::memory_order_relaxed);
 }
 std::uint64_t datapath_alloc_bytes() {
-  // speedlight-lint: allow(bare-memory-order) standalone stats counter
   return g_datapath_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 void reset_datapath_allocs() {
-  // speedlight-lint: allow(bare-memory-order) standalone stats counter
   g_datapath_allocs.store(0, std::memory_order_relaxed);
-  // speedlight-lint: allow(bare-memory-order) standalone stats counter
   g_datapath_alloc_bytes.store(0, std::memory_order_relaxed);
 }
 
 void note_allocation(std::size_t size) noexcept {
 #ifdef SPEEDLIGHT_CHECK_DETERMINISM
   if (internal::datapath_depth > 0 && internal::allow_depth == 0) {
-    // speedlight-lint: allow(bare-memory-order) standalone stats counter
     g_datapath_allocs.fetch_add(1, std::memory_order_relaxed);
-    // speedlight-lint: allow(bare-memory-order) standalone stats counter
     g_datapath_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
 #else

@@ -1,9 +1,7 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "obs/prof.hpp"
 
@@ -18,122 +16,27 @@ constexpr SimTime sat_add(SimTime a, Duration b) {
   return a > kNever - b ? kNever : a + b;
 }
 
-/// Wall-clock nanoseconds, for sync-wait accounting only — this never
-/// feeds simulation time or any simulated decision.
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // speedlight-lint: allow(wall-clock) sync-wait profiling only
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Condition-variable wake predicate. Runs with ss.mu held (wait()
-/// re-acquires before evaluating), but the analysis cannot see wait()'s
-/// release/re-acquire cycle, so the check is disabled for this one reader.
-bool wake_signal(const ThreadsSyncState& ss, std::uint64_t seen)
-    SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-  // The epoch is a wakeup hint: protocol state is re-read under the mutex
-  // after the wait returns, which is what orders it.
-  // speedlight-lint: allow(bare-memory-order) hint read under ss.mu
-  return ss.epoch.load(std::memory_order_relaxed) != seen || ss.done;
-}
-
 }  // namespace
 
 void ShardChannel::post(SimTime time, MergeKey key, InplaceCallback fn) {
   ++posted_;
-  if (time < window_floor_) window_floor_ = time;
-  ShardMessage msg{time, key, std::move(fn)};
-  // The channel's producer role subsumes the ring's: one shard, one pusher.
-  core::ThreadRoleGuard ring_role(ring_.producer_role());
-  // Once messages have spilled, keep appending to the spill so FIFO post
-  // order survives; the backlog re-enters the ring via flush_spill().
-  if (spill_pos_ >= spill_.size() && ring_.try_push(std::move(msg))) return;
-  ++spilled_;
-  // Producer-owned store; consumers read spill_floor() under the engine
-  // lock and the producer republishes with its next lock acquisition, so
-  // speedlight-lint: allow(bare-memory-order) engine-mutex ordering
-  if (time < spill_floor_.load(std::memory_order_relaxed)) {
-    // speedlight-lint: allow(bare-memory-order) engine-mutex ordering
-    spill_floor_.store(time, std::memory_order_relaxed);
-  }
-  // Spill growth is backpressure handling, amortized like any freelist.
+  // Growth is amortized like any freelist: drains keep the capacity.
   det::DetAllow allow_growth;
-  spill_.push_back(std::move(msg));
-}
-
-std::size_t ShardChannel::drain_ring_into(Simulator& sim) {
-  // The channel's consumer role subsumes the ring's: one shard, one popper.
-  core::ThreadRoleGuard ring_role(ring_.consumer_role());
-  return ring_.drain([&sim](ShardMessage&& msg) {
-    assert(msg.time >= sim.now() && "lookahead violation: message in past");
-    sim.at_keyed(msg.time, msg.key, std::move(msg.fn));
-  });
+  pending_.push_back(ShardMessage{time, key, std::move(fn)});
 }
 
 std::size_t ShardChannel::drain_into(Simulator& sim) {
-  std::size_t drained = drain_ring_into(sim);
-  for (std::size_t i = spill_pos_; i < spill_.size(); ++i) {
-    ShardMessage& m = spill_[i];
-    assert(m.time >= sim.now() && "lookahead violation: message in past");
-    sim.at_keyed(m.time, m.key, std::move(m.fn));
-    ++drained;
+  for (ShardMessage& msg : pending_) {
+    assert(msg.time >= sim.now() && "lookahead violation: message in past");
+    sim.at_keyed(msg.time, msg.key, std::move(msg.fn));
   }
-  spill_.clear();
-  spill_pos_ = 0;
-  // Quiescent caller (no concurrent reader to order against).
-  // speedlight-lint: allow(bare-memory-order) quiescent reset
-  spill_floor_.store(kNever, std::memory_order_relaxed);
+  const std::size_t drained = pending_.size();
+  pending_.clear();
   return drained;
 }
 
-std::size_t ShardChannel::flush_spill() {
-  core::ThreadRoleGuard ring_role(ring_.producer_role());
-  const std::size_t start = spill_pos_;
-  while (spill_pos_ < spill_.size() &&
-         ring_.try_push(std::move(spill_[spill_pos_]))) {
-    ++spill_pos_;
-  }
-  const std::size_t moved = spill_pos_ - start;
-  if (spill_pos_ >= spill_.size()) {
-    spill_.clear();
-    spill_pos_ = 0;
-    // The backlog is gone; flushed entries are ring in-flight now, covered
-    // by the caller's fold of spill_floor() into the locked floor matrix.
-    // Store happens with the engine lock held (see plan_shard), which is
-    // speedlight-lint: allow(bare-memory-order) engine-mutex ordering
-    spill_floor_.store(kNever, std::memory_order_relaxed);
-  }
-  return moved;
-}
-
-SimTime ShardChannel::take_window_floor() {
-  const SimTime f = window_floor_;
-  window_floor_ = kNever;
-  return f;
-}
-
-SimTime ShardChannel::inflight_floor() const {
-  SimTime f = kNever;
-  ring_.peek([&f](const ShardMessage& m) { f = std::min(f, m.time); });
-  for (std::size_t i = spill_pos_; i < spill_.size(); ++i) {
-    f = std::min(f, spill_[i].time);
-  }
-  return f;
-}
-
-ParallelEngine::Mode ParallelEngine::default_mode() {
-  return std::thread::hardware_concurrency() > 1 ? Mode::Threads
-                                                 : Mode::Inline;
-}
-
-ParallelEngine::ParallelEngine(std::vector<Simulator*> shards, Mode mode,
-                               std::size_t channel_capacity)
+ParallelEngine::ParallelEngine(std::vector<Simulator*> shards)
     : shards_(std::move(shards)),
-      mode_(mode),
-      channel_capacity_(channel_capacity),
-      global_floor_(kNever),
       channels_(shards_.size() * shards_.size()),
       incoming_(shards_.size(),
                 std::vector<ShardChannel*>(shards_.size(), nullptr)),
@@ -161,7 +64,7 @@ ShardChannel& ParallelEngine::channel(std::size_t from, std::size_t to) {
   assert(from < shards_.size() && to < shards_.size() && from != to);
   std::unique_ptr<ShardChannel>& slot = channels_[from * shards_.size() + to];
   if (slot == nullptr) {
-    slot = std::make_unique<ShardChannel>(channel_capacity_);
+    slot = std::make_unique<ShardChannel>();
     incoming_[to][from] = slot.get();
     closure_dirty_ = true;
   }
@@ -169,7 +72,7 @@ ShardChannel& ParallelEngine::channel(std::size_t from, std::size_t to) {
 }
 
 Duration ParallelEngine::lookahead() const {
-  Duration min = global_floor_;
+  Duration min = kNever;
   for (const auto& ch : channels_) {
     if (ch != nullptr && ch->latency() < min) min = ch->latency();
   }
@@ -178,14 +81,12 @@ Duration ParallelEngine::lookahead() const {
 
 void ParallelEngine::refresh_closure() {
   const std::size_t n = shards_.size();
-  // Direct edges: a channel's own advertised latency, floored by the
-  // engine-wide back-compat registration. Channels that do not exist carry
-  // no messages and impose no constraint.
+  // Direct edges: a channel's own advertised latency. Channels that do not
+  // exist carry no messages and impose no constraint.
   for (std::size_t f = 0; f < n; ++f) {
     for (std::size_t t = 0; t < n; ++t) {
       const ShardChannel* ch = channels_[f * n + t].get();
-      closure_[f * n + t] =
-          ch == nullptr ? kNever : std::min(ch->latency(), global_floor_);
+      closure_[f * n + t] = ch == nullptr ? kNever : ch->latency();
     }
     closure_[f * n + f] = 0;
   }
@@ -229,29 +130,20 @@ std::size_t ParallelEngine::drain_incoming(std::size_t i) {
   return drained;
 }
 
-void ParallelEngine::prepare_run() {
-  const std::size_t n = shards_.size();
-  last_run_ = EngineRunStats{};
-  last_run_.shards.assign(n, ShardRunStats{});
-  for (ShardRunStats& st : last_run_.shards) {
-    st.stalls_by_producer.assign(n, 0);
-  }
-  if (closure_dirty_) refresh_closure();
-}
-
 std::size_t ParallelEngine::run_until(SimTime until) {
   const std::size_t n = shards_.size();
   std::vector<std::uint64_t> executed_before(n);
   for (std::size_t i = 0; i < n; ++i) {
     executed_before[i] = shards_[i]->stats().executed;
   }
-  prepare_run();
-
-  if (mode_ == Mode::Threads && n > 1) {
-    run_threads(until);
-  } else {
-    run_inline(until);
+  last_run_ = EngineRunStats{};
+  last_run_.shards.assign(n, ShardRunStats{});
+  for (ShardRunStats& st : last_run_.shards) {
+    st.stalls_by_producer.assign(n, 0);
   }
+  if (closure_dirty_) refresh_closure();
+
+  run_sweeps(until);
 
   // Match Simulator::run_until: a finite horizon leaves every clock there,
   // so back-to-back runs behave like one continuous run on every shard.
@@ -268,14 +160,13 @@ std::size_t ParallelEngine::run_until(SimTime until) {
     for (std::size_t to = 0; to < n; ++to) {
       if (const ShardChannel* ch = channels_[i * n + to].get()) {
         st.posted += ch->posted();
-        st.spilled += ch->spilled();
       }
     }
   }
   return static_cast<std::size_t>(last_run_.executed);
 }
 
-void ParallelEngine::run_inline(SimTime until) {
+void ParallelEngine::run_sweeps(SimTime until) {
   const std::size_t n = shards_.size();
   std::vector<SimTime> m(n, kNever);
   std::vector<SimTime> horizon(n, kNever);
@@ -290,9 +181,9 @@ void ParallelEngine::run_inline(SimTime until) {
   std::vector<obs::Binding> prof_kind(profile ? n : 0);
 #endif
   for (;;) {
-    // Lockstep sweep: full drain (rings are empty afterwards, so the m's
-    // alone bound all future traffic), publish, plan, run. Deliveries are
-    // batched per window — one drain per sweep, never one per event.
+    // Lockstep sweep: full drain (channels are empty afterwards, so the
+    // m's alone bound all future traffic), publish, plan, run. Deliveries
+    // are batched per window — one drain per sweep, never one per event.
     for (std::size_t i = 0; i < n; ++i) {
       SimContext::Scoped ctx(*contexts_[i]);
       const std::size_t drained = drain_incoming(i);
@@ -348,9 +239,7 @@ void ParallelEngine::run_inline(SimTime until) {
           r.binding_shard = static_cast<std::uint32_t>(binding);
           r.binding = kind;
           r.ran = false;
-          obs::ShardProfiler& sp = prof_->shard(i);
-          core::ThreadRoleGuard prof_role(sp.owner_role());
-          sp.record_round(r);
+          prof_->shard(i).record_round(r);
         }
       }
 #endif
@@ -376,308 +265,19 @@ void ParallelEngine::run_inline(SimTime until) {
         r.binding = prof_kind[i];
         r.ran = true;
         max_executed = std::max(max_executed, r.executed);
-        obs::ShardProfiler& sp = prof_->shard(i);
-        core::ThreadRoleGuard prof_role(sp.owner_role());
-        sp.record_round(r);
+        prof_->shard(i).record_round(r);
         continue;
       }
 #endif
       shards_[i]->run_before(horizon[i]);
     }
 #ifndef SPEEDLIGHT_TRACE_DISABLED
-    // Aligned critical-path accumulator: the sweep's cost is its busiest
-    // shard's work (all others overlap it in a perfectly parallel run).
+    // Critical-path accumulator: the sweep's cost is its busiest shard's
+    // work (all others overlap it in a perfectly parallel run).
     if (profile) prof_->note_inline_round(max_executed);
 #endif
     ++last_run_.rounds;
   }
-}
-
-bool ParallelEngine::init_threads_state(ThreadsSyncState& ss, SimTime until) {
-  const std::size_t n = shards_.size();
-  // Uncontended (workers have not started); held so the analysis sees the
-  // guarded members initialized under their capability.
-  core::SyncLock lk(ss.mu);
-  ss.clock.assign(n, kNever);
-  ss.floor.assign(n * n, kNever);
-  ss.plans.assign(n, 0);
-  ss.done = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    SimContext::Scoped ctx(*contexts_[i]);
-    drain_incoming(i);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ss.clock[i] = shards_[i]->next_event_time();
-    for (std::size_t t = 0; t < n; ++t) {
-      if (ShardChannel* ch = channels_[i * n + t].get()) {
-        core::ThreadRoleGuard role(ch->producer_role());
-        (void)ch->take_window_floor();  // Consumed by the drain above.
-      }
-    }
-  }
-  return *std::min_element(ss.clock.begin(), ss.clock.end()) <= until;
-}
-
-PlanDecision ParallelEngine::plan_shard(std::size_t i, ThreadsSyncState& ss,
-                                        SimTime until) {
-  const std::size_t n = shards_.size();
-  PlanDecision d;
-  // Publish last window's output bounds: flush the spill backlog and fold
-  // the window's min post times into the in-flight floors. Doing this
-  // before raising our clock keeps min(clock, floor) a coherent lower
-  // bound on our undrained output at every locked instant.
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t == i) continue;
-    if (ShardChannel* ch = channels_[i * n + t].get()) {
-      // This worker is the unique producer on its outbound channels.
-      core::ThreadRoleGuard role(ch->producer_role());
-      const std::size_t moved = ch->flush_spill();
-      // A successful flush puts new traffic in the consumer's ring without
-      // touching any clock or floor — it must still bump the epoch, or a
-      // consumer stalled below the folded floor waits forever for messages
-      // that are already sitting in its ring. (`--inject-bug silent-flush`
-      // re-creates exactly that PR 6 stall.)
-      if (moved > 0 && !faults_.silent_flush) d.changed = true;
-      const SimTime wf = std::min(ch->take_window_floor(), ch->spill_floor());
-      if (wf < ss.floor[i * n + t]) {
-        ss.floor[i * n + t] = wf;
-        d.changed = true;
-      }
-    }
-  }
-  // Drain our own rings (concurrent-safe SPSC side) and reset their floors
-  // to the producer's residual spill floor — NOT kNever: a full ring
-  // leaves messages in the producer-local spill backlog, and wiping their
-  // bound here would let termination fire with work still in flight
-  // (`--inject-bug floor-reset` re-creates exactly that PR 6 event loss).
-  // Anything pushed (or spilled) after this instant is covered by that
-  // producer's still-unraised clock, and the producer only raises
-  // spill_floor_ under this same mutex, so the relaxed read cannot miss a
-  // pending backlog.
-  for (std::size_t f = 0; f < n; ++f) {
-    if (f == i) continue;
-    if (ShardChannel* ch = channels_[f * n + i].get()) {
-      // This worker is the unique consumer on its inbound channels.
-      core::ThreadRoleGuard role(ch->consumer_role());
-      const std::size_t got = ch->drain_ring_into(*shards_[i]);
-      if (got > 0) d.changed = true;
-      d.drained += got;
-      const SimTime residual = faults_.floor_reset ? kNever : ch->spill_floor();
-      if (ss.floor[f * n + i] != residual) {
-        ss.floor[f * n + i] = residual;
-        d.changed = true;
-      }
-    }
-  }
-  const SimTime next = shards_[i]->next_event_time();
-  if (next != ss.clock[i]) {
-    ss.clock[i] = next;
-    d.changed = true;
-  }
-  ++ss.plans[i];
-
-  // Pairwise horizon from the coherent snapshot: published clocks plus
-  // in-flight floors, both pushed through the closure (a message parked
-  // en route to shard t can still cascade onward into us), plus the
-  // self-feedback bound clock_i + C[i] on our own future echoes.
-  SimTime h = std::min(sat_add(until, 1), sat_add(ss.clock[i], cycle_[i]));
-  std::size_t binding = i;
-  SimTime global_min = kNever;
-  for (std::size_t j = 0; j < n; ++j) {
-    global_min = std::min(global_min, ss.clock[j]);
-    if (j != i) {
-      const SimTime bound = sat_add(ss.clock[j], closure(j, i));
-      if (bound < h) {
-        h = bound;
-        binding = j;
-      }
-    }
-    for (std::size_t t = 0; t < n; ++t) {
-      const SimTime fl = ss.floor[j * n + t];
-      if (fl == kNever) continue;
-      global_min = std::min(global_min, fl);
-      const SimTime bound = sat_add(fl, closure(t, i));
-      if (bound < h) {
-        h = bound;
-        binding = j;
-      }
-    }
-  }
-
-  if (!ss.done && global_min > until) {
-    // Nothing anywhere (queue or channel) at or before `until`, and —
-    // since any shard mid-window keeps its clock at the window start —
-    // nobody is still executing. Phase one of termination.
-    ss.done = true;
-    d.changed = true;
-  }
-  if (d.changed) {
-    // The epoch is a wakeup hint, not a publication channel: every reader
-    // that acts on protocol state re-reads it under ss.mu, which this
-    // thread holds across the whole plan, so the mutex provides the
-    // happens-before and the RMW itself only needs coherence (spinners
-    // eventually observe the new value). Downgraded from release after
-    // the interleaving explorer validated the hint-only semantics
-    // (DESIGN.md section 15).
-    // speedlight-lint: allow(bare-memory-order) hint bumped under ss.mu
-    ss.epoch.fetch_add(1, std::memory_order_relaxed);
-    ss.cv.notify_all();
-  }
-
-  d.m = ss.clock[i];
-  d.horizon = h;
-  d.binding = binding;
-  d.done = ss.done;
-  d.runnable = ss.clock[i] < h;
-  d.stalled = !d.runnable && ss.clock[i] <= until;
-  if (!d.done) {
-    ShardRunStats& st = last_run_.shards[i];
-    if (d.runnable) {
-      ++st.windows;
-      st.window_span_sum += h - ss.clock[i];
-    } else if (d.stalled) {
-      ++st.horizon_stalls;
-      if (binding != i) ++st.stalls_by_producer[binding];
-    }
-  }
-  return d;
-}
-
-void ParallelEngine::collect_stragglers(std::size_t i) {
-  const std::size_t n = shards_.size();
-  for (std::size_t f = 0; f < n; ++f) {
-    if (f == i) continue;
-    if (ShardChannel* ch = channels_[f * n + i].get()) {
-      core::ThreadRoleGuard role(ch->consumer_role());
-      ch->drain_ring_into(*shards_[i]);
-    }
-  }
-}
-
-void ParallelEngine::threads_worker(std::size_t i, ThreadsSyncState& ss,
-                                    SimTime until) {
-  SimContext::Scoped ctx(*contexts_[i]);
-  ShardRunStats& st = last_run_.shards[i];
-#ifndef SPEEDLIGHT_TRACE_DISABLED
-  // Each worker feeds only its own shard's sub-profiler, so recording
-  // needs no lock beyond what the plan already holds. `pending_wait_ns`
-  // carries the wall time of the wait that preceded the current plan;
-  // `drained_acc` accumulates drains across unrecorded (idle) plans.
-  obs::ShardProfiler* prof =
-      prof_ != nullptr && prof_->enabled() ? &prof_->shard(i) : nullptr;
-  std::uint64_t pending_wait_ns = 0;
-  std::uint64_t drained_acc = 0;
-#endif
-  core::SyncLock lk(ss.mu);
-  for (;;) {
-    const PlanDecision d = plan_shard(i, ss, until);
-    if (d.done) {
-      collect_stragglers(i);
-      break;
-    }
-
-#ifndef SPEEDLIGHT_TRACE_DISABLED
-    obs::RoundRecord rec;
-    if (prof != nullptr) {
-      drained_acc += d.drained;
-      rec.m = d.m;
-      rec.horizon = d.horizon;
-      rec.round = ss.plans[i];
-      rec.drained = drained_acc;
-      rec.wait_ns = pending_wait_ns;
-      rec.shard = static_cast<std::uint32_t>(i);
-      rec.binding_shard = static_cast<std::uint32_t>(d.binding);
-      rec.binding = d.binding != i              ? obs::Binding::Peer
-                    : d.horizon == sat_add(until, 1) ? obs::Binding::Until
-                                                     : obs::Binding::SelfCycle;
-      if (d.runnable || d.stalled) {
-        drained_acc = 0;
-        pending_wait_ns = 0;
-      }
-    }
-#endif
-
-    if (d.runnable) {
-      lk.unlock();
-#ifndef SPEEDLIGHT_TRACE_DISABLED
-      if (prof != nullptr) {
-        const std::uint64_t before = shards_[i]->stats().executed;
-        shards_[i]->run_before(d.horizon);
-        rec.executed = shards_[i]->stats().executed - before;
-        rec.ran = true;
-        // Unlocked: the record ring is worker-owned.
-        core::ThreadRoleGuard prof_role(prof->owner_role());
-        prof->record_round(rec);
-        lk.lock();
-        continue;
-      }
-#endif
-      shards_[i]->run_before(d.horizon);
-      lk.lock();
-      continue;
-    }
-
-#ifndef SPEEDLIGHT_TRACE_DISABLED
-    if (prof != nullptr && d.stalled) {
-      rec.ran = false;
-      core::ThreadRoleGuard prof_role(prof->owner_role());
-      prof->record_round(rec);
-    }
-#endif
-    // Futex/spin hybrid wait: spin briefly on the epoch counter (cheap
-    // when a peer publishes within microseconds), then block on the
-    // condition variable (futex) so oversubscribed hosts stay polite.
-    // speedlight-lint: allow(bare-memory-order) hint read under ss.mu
-    const std::uint64_t seen = ss.epoch.load(std::memory_order_relaxed);
-    const std::uint64_t t0 = mono_ns();
-    lk.unlock();
-    constexpr int kSpinIters = 4096;
-    bool advanced = false;
-    for (int spin = 0; spin < kSpinIters; ++spin) {
-      // Hint-only spin: a hit sends us back to lk.lock(), which is what
-      // orders the protocol state we then read (DESIGN.md section 15).
-      // speedlight-lint: allow(bare-memory-order) spin on wakeup hint
-      if (ss.epoch.load(std::memory_order_relaxed) != seen) {
-        advanced = true;
-        break;
-      }
-    }
-    lk.lock();
-    if (!advanced) {
-      ss.cv.wait(lk.native(), [&ss, seen] { return wake_signal(ss, seen); });
-    }
-    const std::uint64_t waited = mono_ns() - t0;
-    st.wait_ns += waited;
-#ifndef SPEEDLIGHT_TRACE_DISABLED
-    pending_wait_ns += waited;
-#endif
-  }
-}
-
-void ParallelEngine::run_threads(SimTime until) {
-  ThreadsSyncState ss;
-  if (!init_threads_state(ss, until)) return;
-
-  const std::size_t n = shards_.size();
-  std::vector<std::thread> threads;
-  threads.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    threads.emplace_back(
-        [this, &ss, until, i] { threads_worker(i, ss, until); });
-  }
-  threads_worker(0, ss, until);  // The calling thread drives shard 0.
-  for (std::thread& t : threads) t.join();
-
-  // Workers drained their rings on exit, but spill backlogs (producer-side)
-  // can survive a full ring; everything is quiescent now, so a final
-  // single-threaded sweep parks any leftovers in their destination queues.
-  for (std::size_t i = 0; i < n; ++i) {
-    SimContext::Scoped ctx(*contexts_[i]);
-    drain_incoming(i);
-  }
-  // Workers have joined — the lock is uncontended, held for the analysis.
-  core::SyncLock lk(ss.mu);
-  last_run_.rounds = *std::max_element(ss.plans.begin(), ss.plans.end());
 }
 
 }  // namespace speedlight::sim

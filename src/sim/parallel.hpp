@@ -31,60 +31,31 @@
 //   slack (large m_j) let their neighbours run far ahead; only genuinely
 //   coupled shards synchronize tightly.
 //
-// Inline mode advances all shards in lockstep sweeps: drain every channel,
-// publish every m_i, compute every H_i from the same coherent snapshot, run
-// every shard to its own horizon. Rings are drained once per sweep (batched
-// windows), never per event, and are empty whenever horizons are computed,
-// so the published m's alone bound all future traffic.
-//
-// Threads mode runs one worker per shard with no per-round barrier at all.
-// The entire locked protocol step — flush spills, fold window floors, drain
-// inbound rings, refresh the clock, compute the pairwise horizon, decide
-// termination, bump the wakeup epoch — is a single function, plan_shard(),
-// shared verbatim between the real worker threads and the deterministic
-// interleaving explorer (sim/modelcheck.hpp), which replays it under a
-// virtual-thread scheduler and asserts the protocol's invariants across
-// thousands of adversarial schedules. ThreadsSyncState is the shared state
-// it operates on, machine-checked by clang's thread-safety analysis:
-// clock/floor/done/plans are GUARDED_BY the engine mutex, plan_shard
-// REQUIRES it, and window execution happens outside it. A worker that
-// cannot run (its horizon has not passed its next event) waits on a
-// futex/spin hybrid: a bounded spin on the atomic epoch counter — bumped
-// whenever any worker publishes a new clock, folds a floor, or drains a
-// channel — followed by a condition-variable sleep, so a "round" only ever
-// involves the shards whose horizons actually moved.
-// Safety under asynchrony: while a worker executes a window its published
-// m is its window start, which lower-bounds every post it makes; when it
-// next takes the lock it atomically folds the window's per-channel minimum
-// post times into F and only then raises m, so min(m_j, F[j][*]) is a
-// coherent lower bound on shard j's undrained output at every instant the
-// lock is held. Consumers reset a channel's floor when they drain it — to
-// the producer's residual spill floor, never blindly to "no bound".
+// The engine advances all shards on the calling thread in lockstep sweeps:
+// drain every channel, publish every m_i, compute every H_i from the same
+// coherent snapshot, run every shard to its own horizon. Channels are
+// drained once per sweep (batched windows), never per event, and are empty
+// whenever horizons are computed, so the published m's alone bound all
+// future traffic.
 //
 // Determinism: execution order within a shard is (time, merge key, seq) —
 // the same canonical order the serial engine uses — and cross-shard
 // messages carry their channel's intrinsic key, so the same-timestamp merge
-// order at any destination is independent of how many shards exist, which
-// thread ran what, or how events were batched into windows. A sharded run
-// is digest-identical to the serial run of the same scenario (verified by
-// speedlight_fuzz --digest --shards N; see DESIGN.md section 12 for the
-// full argument, and section 15 for the happens-before invariants, the
-// lock/role discipline table, and the memory-order audit).
+// order at any destination is independent of how many shards exist or how
+// events were batched into windows. A sharded run is digest-identical to
+// the serial run of the same scenario (verified by speedlight_fuzz --digest
+// --shards N; see DESIGN.md section 12 for the full argument).
 #pragma once
 
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/simulator.hpp"
-#include "sim/spsc_ring.hpp"
 #include "sim/time.hpp"
 
 namespace speedlight::obs {
@@ -92,10 +63,6 @@ class EngineProfiler;
 }  // namespace speedlight::obs
 
 namespace speedlight::sim {
-
-namespace mc {
-class VirtualRun;
-}  // namespace mc
 
 /// A cross-shard delivery: run `fn` on the destination shard at `time`,
 /// merged into that shard's queue under the channel's `key`.
@@ -106,81 +73,24 @@ struct ShardMessage {
 };
 
 /// One direction of cross-shard traffic between a fixed (producer shard,
-/// consumer shard) pair. All links and RPC paths from shard A to shard B
-/// share the channel; each message still carries its own merge key. The
-/// channel also advertises the minimum latency of the edges it multiplexes
-/// (trunk propagation, RPC floors) — the engine's lookahead matrix entry.
-///
-/// Ownership discipline (clang-checked via phantom ThreadRole capabilities):
-/// the spill backlog, window floor, and counters belong to the producer
-/// shard's thread; ring consumption belongs to the consumer shard's thread;
-/// the ring itself hands slots across under its own acquire/release index
-/// protocol. Quiescent helpers (drain_into, inflight_floor, posted,
-/// spilled) opt out of the analysis and document their single-threaded
-/// contract instead.
+/// consumer shard) pair: a plain FIFO the engine drains once per sweep. All
+/// links and RPC paths from shard A to shard B share the channel; each
+/// message still carries its own merge key. The channel also advertises the
+/// minimum latency of the edges it multiplexes (trunk propagation, RPC
+/// floors) — the engine's lookahead matrix entry.
 class ShardChannel {
  public:
-  explicit ShardChannel(std::size_t capacity) : ring_(capacity) {}
+  ShardChannel() = default;
+  // Endpoints hold the channel's address.
+  ShardChannel(const ShardChannel&) = delete;
+  ShardChannel& operator=(const ShardChannel&) = delete;
 
-  /// Capability of the (unique) producing shard's thread.
-  [[nodiscard]] const core::ThreadRole& producer_role() const
-      SPEEDLIGHT_RETURN_CAPABILITY(producer_role_) {
-    return producer_role_;
-  }
-  /// Capability of the (unique) consuming shard's thread.
-  [[nodiscard]] const core::ThreadRole& consumer_role() const
-      SPEEDLIGHT_RETURN_CAPABILITY(consumer_role_) {
-    return consumer_role_;
-  }
+  /// Queue a delivery; drain order is post order.
+  void post(SimTime time, MergeKey key, InplaceCallback fn);
 
-  /// Producer side; never blocks. Ring overflow goes to a producer-local
-  /// spill vector (FIFO order preserved: once spilled, later posts spill
-  /// too until the producer flushes the backlog into the ring).
-  void post(SimTime time, MergeKey key, InplaceCallback fn)
-      SPEEDLIGHT_REQUIRES(producer_role_);
-
-  /// Consumer side: move every ring message into `sim`'s queue, in FIFO
-  /// post order. Safe to call concurrently with the producer (SPSC).
-  /// Returns the number of messages drained.
-  std::size_t drain_ring_into(Simulator& sim)
-      SPEEDLIGHT_REQUIRES(consumer_role_);
-
-  /// Quiescent full drain: ring, then spill. Only valid when the producer
-  /// is not concurrently posting (inline mode, engine setup, tests).
-  std::size_t drain_into(Simulator& sim) SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Producer side: move as much of the spill backlog into the ring as
-  /// fits. Called with the engine lock held in Threads mode so the fold of
-  /// `spill_floor()` into the locked floor matrix is atomic with the move.
-  /// Returns the number of messages moved — a nonzero return means the
-  /// consumer has new ring traffic and must be woken (the move itself
-  /// changes no clock or floor, so the caller would otherwise stay silent
-  /// and the consumer could stall forever below the folded floor).
-  std::size_t flush_spill() SPEEDLIGHT_REQUIRES(producer_role_);
-
-  /// Producer side: minimum timestamp posted since the last call, then
-  /// reset. The engine folds this into the channel's in-flight floor when
-  /// the producer publishes a new clock.
-  [[nodiscard]] SimTime take_window_floor()
-      SPEEDLIGHT_REQUIRES(producer_role_);
-
-  /// Lower bound on timestamps still sitting in the spill backlog (SimTime
-  /// max when the spill is empty). Producer-maintained; readers take the
-  /// engine lock, the producer publishes with its next lock acquisition —
-  /// stale reads are covered by the producer's published clock.
-  [[nodiscard]] SimTime spill_floor() const {
-    // speedlight-lint: allow(bare-memory-order) engine-mutex protocol:
-    // the producer stores under the engine lock before raising its clock,
-    // and readers hold the same lock, so the mutex orders the accesses.
-    return spill_floor_.load(std::memory_order_relaxed);
-  }
-
-  /// Ground truth for the model checker's floor-soundness invariant: the
-  /// minimum timestamp of every message currently in flight on this
-  /// channel (ring plus spill backlog), SimTime max when none. Quiescent
-  /// only — the virtual-thread explorer is single-threaded by construction.
-  [[nodiscard]] SimTime inflight_floor() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Move every queued message into `sim`'s queue, in FIFO post order, and
+  /// empty the channel. Returns the number of messages drained.
+  std::size_t drain_into(Simulator& sim);
 
   /// Advertise a minimum latency for an edge multiplexed onto this channel;
   /// the channel's lookahead is the minimum over all advertisements.
@@ -192,37 +102,13 @@ class ShardChannel {
   /// Min advertised latency (SimTime max when never advertised).
   [[nodiscard]] Duration latency() const { return latency_; }
 
-  /// Lifetime counters; read quiescently (after runs) for stats reporting.
-  [[nodiscard]] std::uint64_t posted() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return posted_;
-  }
-  [[nodiscard]] std::uint64_t spilled() const
-      SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS {
-    return spilled_;
-  }
+  /// Lifetime count of posted messages.
+  [[nodiscard]] std::uint64_t posted() const { return posted_; }
 
  private:
-  // speedlight-lint: allow(unannotated-shared-member) slots cross the
-  // producer/consumer roles under the ring's own acquire-release index
-  // handoff (DESIGN.md section 15).
-  SpscRing<ShardMessage> ring_;
-  // Producer-owned backlog (ring overflow). `spill_pos_` is the index of
-  // the first unflushed entry; the vector is compacted when fully flushed.
-  std::vector<ShardMessage> spill_ SPEEDLIGHT_GUARDED_BY(producer_role_);
-  std::size_t spill_pos_ SPEEDLIGHT_GUARDED_BY(producer_role_) = 0;
-  // speedlight-lint: allow(unannotated-shared-member) written only during
-  // single-threaded topology construction, immutable while workers run.
+  std::vector<ShardMessage> pending_;
   Duration latency_ = std::numeric_limits<SimTime>::max();
-  SimTime window_floor_ SPEEDLIGHT_GUARDED_BY(producer_role_) =
-      std::numeric_limits<SimTime>::max();
-  std::atomic<SimTime> spill_floor_{std::numeric_limits<SimTime>::max()};
-  /// Producer-owned lifetime counters.
-  std::uint64_t posted_ SPEEDLIGHT_GUARDED_BY(producer_role_) = 0;
-  std::uint64_t spilled_ SPEEDLIGHT_GUARDED_BY(producer_role_) = 0;
-
-  core::ThreadRole producer_role_;
-  core::ThreadRole consumer_role_;
+  std::uint64_t posted_ = 0;
 };
 
 /// A keyed posting handle to a fixed destination shard: local (straight
@@ -252,17 +138,12 @@ class Endpoint {
   [[nodiscard]] bool wired() const { return sim_ != nullptr || ch_ != nullptr; }
   [[nodiscard]] MergeKey key() const { return key_; }
 
-  /// Schedule `fn` at absolute time `when` on the destination shard. Must
-  /// only be called from the producing shard's thread (or during
-  /// single-threaded setup) — that contract is what the role assumption
-  /// below states: every Endpoint into a given channel is wired to
-  /// components of the one shard that produces on it.
+  /// Schedule `fn` at absolute time `when` on the destination shard.
   void post(SimTime when, InplaceCallback fn) {
     if (sim_ != nullptr) {
       sim_->at_keyed(when, key_, std::move(fn));
     } else {
       assert(ch_ != nullptr && "posting through an unwired Endpoint");
-      core::ThreadRoleGuard role(ch_->producer_role());
       ch_->post(when, key_, std::move(fn));
     }
   }
@@ -273,14 +154,12 @@ class Endpoint {
   MergeKey key_ = 0;
 };
 
-/// Per-shard engine accounting. `executed`, `windows`, `window_span_sum`,
-/// `horizon_stalls`, and `wait_ns` cover the most recent run_until() call;
-/// `posted`/`spilled` are engine-lifetime channel totals (runs are almost
-/// always one-shot).
+/// Per-shard engine accounting. `executed`, `windows`, `window_span_sum`
+/// and `horizon_stalls` cover the most recent run_until() call; `posted` is
+/// an engine-lifetime channel total (runs are almost always one-shot).
 struct ShardRunStats {
   std::uint64_t executed = 0;  ///< Events run on this shard.
   std::uint64_t posted = 0;    ///< Cross-shard messages sent.
-  std::uint64_t spilled = 0;   ///< ... of which overflowed the ring.
   /// Execution windows this shard actually ran (had an event before its
   /// horizon) and the total simulated width `horizon - first_event` of
   /// those windows — avg_window_span = window_span_sum / windows.
@@ -289,18 +168,13 @@ struct ShardRunStats {
   /// Times this shard had a pending event within the run but its pairwise
   /// horizon forbade running it (another shard's clock was binding).
   std::uint64_t horizon_stalls = 0;
-  /// horizon_stalls attributed to the producer shard whose clock/floor was
-  /// the binding constraint (size = shard count; self-index unused).
+  /// horizon_stalls attributed to the producer shard whose clock was the
+  /// binding constraint (size = shard count; self-index unused).
   std::vector<std::uint64_t> stalls_by_producer;
-  /// Wall time blocked waiting for peer horizon advances (Threads mode
-  /// futex/spin waits; 0 inline).
-  std::uint64_t wait_ns = 0;
 };
 
 struct EngineRunStats {
-  /// Synchronization rounds: lockstep sweeps in Inline mode; the maximum
-  /// per-worker plan count (lock-acquire/replan iterations) in Threads
-  /// mode. Inline counts are fully deterministic for a given scenario.
+  /// Lockstep sweeps; fully deterministic for a given scenario.
   std::uint64_t rounds = 0;
   std::uint64_t executed = 0;  ///< Total events across shards.
   std::vector<ShardRunStats> shards;
@@ -330,82 +204,19 @@ struct EngineRunStats {
   }
 };
 
-/// The Threads-mode shared synchronization state — everything the workers
-/// coordinate through, in one place so the real worker loop and the
-/// interleaving explorer (sim/modelcheck.hpp) operate on the same object.
-/// All protocol state is guarded by `mu`; `epoch` is a pure wakeup hint
-/// (see DESIGN.md section 15 for why its accesses may be relaxed).
-struct ThreadsSyncState {
-  core::AnnotatedMutex mu;
-  std::condition_variable cv;
-  /// Bumped (under `mu`) whenever any worker changes protocol state;
-  /// sleeping workers spin on it before falling back to `cv`.
-  std::atomic<std::uint64_t> epoch{0};
-
-  /// Published per-shard clocks m_j (next_event_time at last plan;
-  /// a mid-window worker's entry is its window start).
-  std::vector<SimTime> clock SPEEDLIGHT_GUARDED_BY(mu);
-  /// Per-channel in-flight floors F[from * n + to]: lower bound on
-  /// messages posted into the channel but not yet drained.
-  std::vector<SimTime> floor SPEEDLIGHT_GUARDED_BY(mu);
-  /// Termination phase one: nothing anywhere at or before `until`.
-  bool done SPEEDLIGHT_GUARDED_BY(mu) = false;
-  /// Per-shard plan counts (rounds = max over shards).
-  std::vector<std::uint64_t> plans SPEEDLIGHT_GUARDED_BY(mu);
-};
-
-/// Outcome of one locked protocol step (plan_shard) for one shard.
-struct PlanDecision {
-  SimTime m = 0;             ///< The shard's published clock at plan time.
-  SimTime horizon = 0;       ///< Events strictly before this may run.
-  std::size_t binding = 0;   ///< Peer whose clock/floor bound the horizon
-                             ///< (self when until/self-cycle bound).
-  std::size_t drained = 0;   ///< Inbound messages moved into the queue.
-  bool changed = false;      ///< Any clock/floor/drain/termination change.
-  bool done = false;         ///< Termination decided (drain stragglers, exit).
-  bool runnable = false;     ///< m < horizon: a window is ready to execute.
-  bool stalled = false;      ///< Pending work exists but the horizon forbids
-                             ///< it (counted in horizon_stalls).
-};
-
-/// Re-injectable regressions of the two real Threads-mode protocol bugs
-/// PR 6 fixed, behind flags so the interleaving explorer (and its CI
-/// self-test) can prove it still catches them. Never set in production —
-/// this is the same pattern as speedlight_fuzz --inject-bug.
-struct ProtocolFaults {
-  /// Consumers reset a drained channel's floor to "no bound" instead of
-  /// the producer's residual spill floor — termination can then fire with
-  /// spilled events <= until still parked in the backlog (lost events).
-  bool floor_reset = false;
-  /// A successful flush_spill no longer bumps the epoch — the consumer,
-  /// stalled below the folded floor, waits forever for ring traffic that
-  /// is already there (deadlock).
-  bool silent_flush = false;
-};
-
 class ParallelEngine {
  public:
-  enum class Mode {
-    Inline,   ///< All shards multiplexed on the calling thread.
-    Threads,  ///< One worker thread per shard.
-  };
-
-  /// Threads when the host has more than one core, otherwise Inline.
-  [[nodiscard]] static Mode default_mode();
-
   /// `shards[i]` must outlive the engine. Shard count is fixed for life.
-  ParallelEngine(std::vector<Simulator*> shards, Mode mode,
-                 std::size_t channel_capacity = 1024);
+  explicit ParallelEngine(std::vector<Simulator*> shards);
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
   ~ParallelEngine();
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] Mode mode() const { return mode_; }
 
   /// The channel carrying messages from shard `from` to shard `to`,
-  /// created on first use. Topology construction only (single-threaded).
+  /// created on first use.
   ShardChannel& channel(std::size_t from, std::size_t to);
 
   /// Advertise the min latency of one cross-shard edge on its own channel
@@ -418,23 +229,9 @@ class ParallelEngine {
     closure_dirty_ = true;
   }
 
-  /// Back-compat global floor: applies to *every* channel, existing and
-  /// future, as if advertised on each. Latency must be positive.
-  void note_cross_latency(Duration latency) {
-    assert(latency > 0 && "zero-latency edges must not cross shards");
-    if (latency < global_floor_) global_floor_ = latency;
-    closure_dirty_ = true;
-  }
-
-  /// The tightest single-hop lookahead over all channels (the global floor
-  /// when no per-channel latency beats it). Sizing hint only — horizons use
-  /// the full pairwise closure, not this scalar.
+  /// The tightest single-hop lookahead over all channels. Sizing hint only
+  /// — horizons use the full pairwise closure, not this scalar.
   [[nodiscard]] Duration lookahead() const;
-
-  /// The context to install while executing shard `i` (the engine does this
-  /// itself during run_until; exposed for harnesses that pre-populate
-  /// per-shard state).
-  [[nodiscard]] SimContext& context(std::size_t i) { return *contexts_[i]; }
 
   /// Run every shard up to and including `until` (same contract as
   /// Simulator::run_until, including leaving now() == until on every shard
@@ -444,17 +241,11 @@ class ParallelEngine {
   /// Accounting for the most recent run_until() call.
   [[nodiscard]] const EngineRunStats& last_run() const { return last_run_; }
 
-  /// Re-inject one of the PR 6 protocol bugs (model-checker self-test
-  /// only). Call single-threaded before run_until / exploration.
-  void inject_protocol_faults(const ProtocolFaults& faults) {
-    faults_ = faults;
-  }
-
   /// Allocate the per-shard round profiler (obs/prof.hpp) and start
   /// recording: one RoundRecord per planned window or stall, per shard.
-  /// Call single-threaded before run_until; records accumulate across runs
-  /// (call again to reset). No-op when the trace layer is compiled out
-  /// (profiler() stays null), so run_until's hot loops stay untouched.
+  /// Call before run_until; records accumulate across runs (call again to
+  /// reset). No-op when the trace layer is compiled out (profiler() stays
+  /// null), so run_until's hot loops stay untouched.
   /// `capacity_per_shard == 0` means EngineProfiler::kDefaultCapacity.
   void enable_profiling(std::size_t capacity_per_shard = 0);
 
@@ -465,40 +256,10 @@ class ParallelEngine {
   }
 
  private:
-  /// The interleaving explorer replays the Threads-mode protocol (init,
-  /// plan_shard, straggler collection) under a virtual scheduler.
-  friend class mc::VirtualRun;
-
-  void run_inline(SimTime until);
-  void run_threads(SimTime until);
-  /// Reset last_run_ accounting and refresh the closure if dirty; shared
-  /// by run_until and the explorer.
-  void prepare_run();
-  /// Build the coherent Threads-mode starting state single-threaded:
-  /// every ring and spill drained (messages can be parked in channels
-  /// between runs — snapshot requests are posted through endpoints while
-  /// the engine is stopped), every clock published, every floor clear.
-  /// Returns false when no shard has work at or before `until` (the run
-  /// is a no-op and no workers need to start).
-  bool init_threads_state(ThreadsSyncState& ss, SimTime until);
-  /// One locked protocol step for shard `i`: flush + fold output bounds,
-  /// drain inbound rings, refresh the published clock, compute the
-  /// pairwise horizon, decide termination, and bump the epoch / notify if
-  /// anything changed. Window/stall accounting lands in last_run_. This is
-  /// the protocol the model checker explores — keep every state change
-  /// inside it or in the straggler drain below.
-  PlanDecision plan_shard(std::size_t i, ThreadsSyncState& ss, SimTime until)
-      SPEEDLIGHT_REQUIRES(ss.mu);
-  /// Termination phase two for shard `i`: collect stragglers posted after
-  /// its last drain (all strictly beyond `until`) so nothing stays parked
-  /// in a ring across runs. Producers are quiescent once `done` is set.
-  void collect_stragglers(std::size_t i);
-  /// The Threads-mode worker loop for shard `i` (runs on its own thread;
-  /// shard 0's runs on the caller).
-  void threads_worker(std::size_t i, ThreadsSyncState& ss, SimTime until);
-  /// Quiescent full drain of every channel inbound to shard `i`, in
-  /// producer-index order (single-threaded contexts only). Returns the
-  /// number of messages moved into the shard's queue.
+  /// Lockstep sweeps until nothing is left at or before `until`.
+  void run_sweeps(SimTime until);
+  /// Drain every channel inbound to shard `i`, in producer-index order.
+  /// Returns the number of messages moved into the shard's queue.
   std::size_t drain_incoming(std::size_t i);
   /// Recompute the min-plus closure of the channel latency matrix.
   void refresh_closure();
@@ -508,9 +269,6 @@ class ParallelEngine {
   }
 
   std::vector<Simulator*> shards_;
-  Mode mode_;
-  std::size_t channel_capacity_;
-  Duration global_floor_;
   /// Dense [from * n + to] channel matrix; entries created on demand.
   std::vector<std::unique_ptr<ShardChannel>> channels_;
   /// Per-destination drain lists (channel pointers in producer order).
@@ -523,9 +281,7 @@ class ParallelEngine {
   bool closure_dirty_ = true;
   std::vector<std::unique_ptr<SimContext>> contexts_;
   EngineRunStats last_run_;
-  ProtocolFaults faults_;
-  /// Round profiler; null until enable_profiling. Workers touch only their
-  /// own shard's sub-profiler, so Threads mode needs no extra locking.
+  /// Round profiler; null until enable_profiling.
   std::unique_ptr<obs::EngineProfiler> prof_;
 };
 

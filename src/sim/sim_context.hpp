@@ -1,16 +1,15 @@
-// Per-worker simulation context.
+// Per-shard simulation context.
 //
-// The event core used to be single-threaded, so cross-cutting state —
-// notably the packet pool freelist — lived in thread-local singletons
-// reached from anywhere. The parallel engine (sim/parallel.hpp) runs one
-// shard per worker thread *and* can multiplex several shards onto one
-// thread in inline mode, so "per thread" is no longer the right ownership:
-// each shard needs its own pool and counters no matter which OS thread
-// happens to execute it. SimContext is that explicit home. Exactly one
-// context is active per thread at a time; the engine installs a shard's
-// context (Scoped) around every slice of that shard's execution, and
-// threads that never install one (the serial simulator, unit tests) get a
-// lazily created thread-local default, preserving the old behaviour.
+// The event core used to have one simulator per thread, so cross-cutting
+// state — notably the packet pool freelist — lived in thread-local
+// singletons reached from anywhere. The parallel engine (sim/parallel.hpp)
+// multiplexes several shards onto one thread, so "per thread" is no longer
+// the right ownership: each shard needs its own pool and counters. SimContext
+// is that explicit home. Exactly one context is active per thread at a
+// time; the engine installs a shard's context (Scoped) around every slice
+// of that shard's execution, and threads that never install one (the serial
+// simulator, unit tests) get a lazily created thread-local default,
+// preserving the old behaviour.
 //
 // State lives in type-erased per-context slots so lower layers stay
 // dependency-clean: net::PacketPool registers itself from src/net without
@@ -53,9 +52,8 @@ class SimContext {
   }
 
   /// RAII installer: makes `ctx` the calling thread's current context for
-  /// the enclosed extent, restoring the previous one on exit. Worker
-  /// threads hold one for their lifetime; the inline engine swaps one per
-  /// shard slice.
+  /// the enclosed extent, restoring the previous one on exit. The engine
+  /// swaps one per shard slice.
   class Scoped {
    public:
     explicit Scoped(SimContext& ctx) noexcept;
@@ -79,7 +77,6 @@ class SimContext {
     // Unique-id allocation: the value is the payload, nothing else is
     // published through it, so the RMW's atomicity alone suffices.
     static const std::size_t idx =
-        // speedlight-lint: allow(bare-memory-order) id allocation only
         next_slot_.fetch_add(1, std::memory_order_relaxed);
     assert(idx < kMaxSlots && "raise SimContext::kMaxSlots");
     return idx;

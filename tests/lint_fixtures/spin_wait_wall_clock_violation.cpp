@@ -1,10 +1,8 @@
-// Spin-wait profiling is the one sanctioned use of wall-clock time in the
-// engine: the parallel engine's futex/spin hybrid wait measures how long
-// workers stall (sync_wait_ms in the bench JSON), which is meaningless in
-// sim time. That use must still be explicit — a justified allow(wall-clock)
-// pragma on the clock read — so every wall-clock source in the tree stays
-// auditable. This fixture pins both sides: the bare reads are violations,
-// the justified ones lint clean.
+// Measuring how long a spin-wait stalls is a legitimate use of wall-clock
+// time (it is meaningless in sim time), but it must still be explicit — a
+// justified allow(wall-clock) pragma on the clock read — so every
+// wall-clock source in the tree stays auditable. This fixture pins both
+// sides: the bare reads are violations, the justified ones lint clean.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,8 +17,8 @@ std::uint64_t spin_wait_unjustified(std::atomic<std::uint64_t>& epoch) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-// The engine's actual idiom (sim/parallel.cpp mono_ns): clock read wrapped
-// once, pragma and justification on the read itself.
+// The sanctioned idiom: clock read wrapped once, pragma and justification
+// on the read itself.
 std::uint64_t mono_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -61,11 +61,9 @@ std::set<std::pair<std::size_t, std::string>> actual(
   return out;
 }
 
-/// Fixtures named datapath_* are scanned as if they lived on the data
-/// path; sim_* as if under src/sim/ (the concurrency-rule scope).
+/// Fixtures named datapath_* are scanned as if they lived on the data path.
 std::string synthetic_path(const std::string& basename) {
   if (basename.rfind("datapath_", 0) == 0) return "src/switchlib/" + basename;
-  if (basename.rfind("sim_", 0) == 0) return "src/sim/" + basename;
   return "src/check/" + basename;
 }
 
@@ -87,7 +85,7 @@ TEST(LintTool, FixturesProduceExactlyTheMarkedDiagnostics) {
           << name << ": clean fixtures must not carry LINT-EXPECT markers";
     }
   }
-  EXPECT_GE(fixtures, 11u) << "fixture directory looks incomplete";
+  EXPECT_GE(fixtures, 10u) << "fixture directory looks incomplete";
   EXPECT_GE(seeded, 24u) << "seeded violations went missing";
 }
 
@@ -131,33 +129,13 @@ TEST(LintTool, ProfilerRuleRelaxesOutsideItsScope) {
   EXPECT_TRUE(lint::scan_content("src/obs/moved.cpp", content).empty());
 }
 
-TEST(LintTool, ConcurrencyScopeClassification) {
-  EXPECT_TRUE(lint::is_concurrency_scope("src/sim/spsc_ring.hpp"));
-  EXPECT_TRUE(lint::is_concurrency_scope("/abs/repo/src/sim/parallel.cpp"));
-  EXPECT_TRUE(lint::is_concurrency_scope("src/obs/prof.hpp"));
-  EXPECT_TRUE(lint::is_concurrency_scope("src/net/link.hpp"));
-  EXPECT_FALSE(lint::is_concurrency_scope("src/check/fuzzer.cpp"));
-  EXPECT_FALSE(lint::is_concurrency_scope("src/stats/histogram.cpp"));
-}
-
-TEST(LintTool, ConcurrencyRulesRelaxOutsideTheirScope) {
-  const fs::path dir = SPEEDLIGHT_LINT_FIXTURE_DIR;
-  for (const char* name :
-       {"sim_memory_order_violation.cpp", "sim_shared_member_violation.cpp"}) {
-    const std::string content = read_file(dir / name);
-    // Same bytes under src/check (no threads there): nothing to report.
-    EXPECT_TRUE(lint::scan_content("src/check/moved.cpp", content).empty())
-        << name;
-  }
-}
-
 TEST(LintTool, RuleTableIsConsistent) {
   std::set<std::string> names;
   for (const auto& r : lint::rules()) {
     EXPECT_TRUE(names.insert(r.name).second) << "duplicate rule " << r.name;
     EXPECT_NE(std::string(r.summary), "");
   }
-  EXPECT_GE(names.size(), 11u);
+  EXPECT_GE(names.size(), 9u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Parallel engine: channel FIFO + spill semantics, endpoint routing,
-// inline and threaded round execution, the run_until contract, and —
-// the load-bearing property — digest equality between serial and sharded
-// runs of every corpus scenario.
+// Parallel engine: channel FIFO semantics, endpoint routing, lockstep
+// round execution, the run_until contract, and — the load-bearing
+// property — digest equality between serial and sharded runs of every
+// corpus scenario.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,15 +23,14 @@
 namespace speedlight {
 namespace {
 
-TEST(ShardChannel, DrainPreservesPostOrderThroughSpill) {
+TEST(ShardChannel, DrainPreservesPostOrder) {
   sim::Simulator sim(1);
-  sim::ShardChannel ch(2);  // Ring holds 2: most posts spill.
+  sim::ShardChannel ch;
   std::vector<int> ran;
   for (int i = 0; i < 10; ++i) {
     ch.post(100 + i, 1, [&ran, i]() { ran.push_back(i); });
   }
   EXPECT_EQ(ch.posted(), 10u);
-  EXPECT_GT(ch.spilled(), 0u);
 
   EXPECT_EQ(ch.drain_into(sim), 10u);
   EXPECT_EQ(ch.drain_into(sim), 0u);  // Idempotent once empty.
@@ -42,7 +41,7 @@ TEST(ShardChannel, DrainPreservesPostOrderThroughSpill) {
 
 TEST(ShardChannel, SameTimestampMessagesKeepPostOrder) {
   sim::Simulator sim(1);
-  sim::ShardChannel ch(64);
+  sim::ShardChannel ch;
   std::vector<int> ran;
   for (int i = 0; i < 5; ++i) {
     ch.post(50, 3, [&ran, i]() { ran.push_back(i); });
@@ -66,23 +65,21 @@ TEST(Endpoint, LocalAndRemoteRouting) {
   sim.run_until(10);
   EXPECT_TRUE(local_ran);
 
-  sim::ShardChannel ch(4);
+  sim::ShardChannel ch;
   sim::Endpoint rem = sim::Endpoint::remote(ch, 9);
   EXPECT_TRUE(rem.wired());
   rem.post(20, []() {});
   EXPECT_EQ(ch.posted(), 1u);
 }
 
-class ParallelEngineModes
-    : public ::testing::TestWithParam<sim::ParallelEngine::Mode> {};
-
-TEST_P(ParallelEngineModes, CrossShardPingPongRunsInTimestampOrder) {
+TEST(ParallelEngine, CrossShardPingPongRunsInTimestampOrder) {
   sim::Simulator a(1);
   sim::Simulator b(1);
-  sim::ParallelEngine eng({&a, &b}, GetParam(), /*channel_capacity=*/4);
+  sim::ParallelEngine eng({&a, &b});
   sim::ShardChannel& ab = eng.channel(0, 1);
   sim::ShardChannel& ba = eng.channel(1, 0);
-  eng.note_cross_latency(10);
+  eng.note_channel_latency(0, 1, 10);
+  eng.note_channel_latency(1, 0, 10);
   EXPECT_EQ(eng.lookahead(), 10);
 
   // a(t) -> b(t+10) -> a(t+20) -> ... : each hop records (side, time).
@@ -121,25 +118,26 @@ TEST_P(ParallelEngineModes, CrossShardPingPongRunsInTimestampOrder) {
   EXPECT_EQ(eng.last_run().executed, 7u);
 }
 
-TEST_P(ParallelEngineModes, IdleShardsAdvanceToUntil) {
+TEST(ParallelEngine, IdleShardsAdvanceToUntil) {
   sim::Simulator a(1);
   sim::Simulator b(1);
-  sim::ParallelEngine eng({&a, &b}, GetParam());
-  eng.note_cross_latency(5);
+  sim::ParallelEngine eng({&a, &b});
+  eng.note_channel_latency(0, 1, 5);
+  eng.note_channel_latency(1, 0, 5);
   EXPECT_EQ(eng.run_until(123), 0u);
   EXPECT_EQ(a.now(), 123);
   EXPECT_EQ(b.now(), 123);
 }
 
-TEST_P(ParallelEngineModes, AsymmetricChannelLatenciesDeliverInOrder) {
+TEST(ParallelEngine, AsymmetricChannelLatenciesDeliverInOrder) {
   // Fast channel 0->1 (10 ticks), slow channel 1->0 (1000 ticks): shard 1
   // must follow shard 0 closely, while shard 0 may run far ahead of 1.
   sim::Simulator a(1);
   sim::Simulator b(1);
-  sim::ParallelEngine eng({&a, &b}, GetParam(), /*channel_capacity=*/8);
+  sim::ParallelEngine eng({&a, &b});
   eng.note_channel_latency(0, 1, 10);
   eng.note_channel_latency(1, 0, 1000);
-  EXPECT_EQ(eng.lookahead(), 10);  // Global floor = tightest channel.
+  EXPECT_EQ(eng.lookahead(), 10);  // Tightest channel.
 
   // Shard 0 posts into the fast channel every 50 ticks; shard 1 records
   // the times at which the deliveries execute.
@@ -171,12 +169,13 @@ TEST_P(ParallelEngineModes, AsymmetricChannelLatenciesDeliverInOrder) {
 }
 
 // The batched-window property: with wide lookahead, one sync round covers
-// many events. Inline rounds are deterministic, so the bound is exact-ish.
+// many events. Rounds are deterministic, so the bound is exact-ish.
 TEST(ParallelEngine, WideLookaheadBatchesManyEventsPerRound) {
   sim::Simulator a(1);
   sim::Simulator b(1);
-  sim::ParallelEngine eng({&a, &b}, sim::ParallelEngine::Mode::Inline);
-  eng.note_cross_latency(1000);
+  sim::ParallelEngine eng({&a, &b});
+  eng.note_channel_latency(0, 1, 1000);
+  eng.note_channel_latency(1, 0, 1000);
 
   std::uint64_t count = 0;
   struct Ticker {
@@ -200,39 +199,17 @@ TEST(ParallelEngine, WideLookaheadBatchesManyEventsPerRound) {
   EXPECT_GE(eng.last_run().avg_window_span(), 250.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, ParallelEngineModes,
-                         ::testing::Values(sim::ParallelEngine::Mode::Inline,
-                                           sim::ParallelEngine::Mode::Threads),
-                         [](const auto& info) {
-                           return info.param ==
-                                          sim::ParallelEngine::Mode::Inline
-                                      ? "Inline"
-                                      : "Threads";
-                         });
-
 // The acceptance property: a sharded network produces the exact snapshot
-// campaign of the serial one. Exercised through the real Network facade in
-// both execution modes.
-TEST(ParallelNetwork, CampaignBitIdenticalAcrossShardCountsAndModes) {
-  struct Config {
-    std::size_t shards;
-    core::NetworkOptions::ExecMode mode;
-  };
-  const Config configs[] = {
-      {1, core::NetworkOptions::ExecMode::Auto},
-      {2, core::NetworkOptions::ExecMode::Inline},
-      {4, core::NetworkOptions::ExecMode::Inline},
-      {4, core::NetworkOptions::ExecMode::Threads},
-  };
+// campaign of the serial one. Exercised through the real Network facade.
+TEST(ParallelNetwork, CampaignBitIdenticalAcrossShardCounts) {
   std::vector<std::uint64_t> totals;
   std::vector<std::size_t> completed;
-  for (const Config& cfg : configs) {
+  for (const std::size_t shards : {1, 2, 4}) {
     core::NetworkOptions opt;
     opt.seed = 77;
-    opt.shards = cfg.shards;
-    opt.exec_mode = cfg.mode;
+    opt.shards = shards;
     core::Network net(net::make_ring(4), opt);
-    EXPECT_EQ(net.num_shards(), cfg.shards);
+    EXPECT_EQ(net.num_shards(), shards);
     const auto campaign = core::run_snapshot_campaign(net, 3, sim::msec(2));
     std::uint64_t total = 0;
     std::size_t done = 0;
@@ -256,35 +233,21 @@ TEST(ParallelNetwork, CampaignBitIdenticalAcrossShardCountsAndModes) {
 // Deliberately skewed link latencies: one WAN-slow trunk and one merely
 // sluggish one among fast 500ns trunks, so the lookahead matrix rows are
 // genuinely asymmetric at every shard count. The campaign must still be
-// bit-identical across {1,2,4,8} shards in both execution modes.
+// bit-identical across {1,2,4,8} shards.
 TEST(ParallelNetwork, SkewedTrunkLatenciesCampaignBitIdentical) {
   net::TopologySpec spec = net::make_ring(8);
   ASSERT_GE(spec.trunks.size(), 8u);
   spec.trunks[3].propagation = sim::usec(50);  // Cut at every shard count.
   spec.trunks[7].propagation = sim::usec(5);
 
-  struct Config {
-    std::size_t shards;
-    core::NetworkOptions::ExecMode mode;
-  };
-  const Config configs[] = {
-      {1, core::NetworkOptions::ExecMode::Auto},
-      {2, core::NetworkOptions::ExecMode::Inline},
-      {2, core::NetworkOptions::ExecMode::Threads},
-      {4, core::NetworkOptions::ExecMode::Inline},
-      {4, core::NetworkOptions::ExecMode::Threads},
-      {8, core::NetworkOptions::ExecMode::Inline},
-      {8, core::NetworkOptions::ExecMode::Threads},
-  };
   std::vector<std::uint64_t> totals;
   std::vector<std::size_t> completed;
-  for (const Config& cfg : configs) {
+  for (const std::size_t shards : {1, 2, 4, 8}) {
     core::NetworkOptions opt;
     opt.seed = 501;
-    opt.shards = cfg.shards;
-    opt.exec_mode = cfg.mode;
+    opt.shards = shards;
     core::Network net(spec, opt);
-    EXPECT_EQ(net.num_shards(), cfg.shards);
+    EXPECT_EQ(net.num_shards(), shards);
     const auto campaign = core::run_snapshot_campaign(net, 3, sim::msec(2));
     std::uint64_t total = 0;
     std::size_t done = 0;

@@ -120,6 +120,19 @@ TEST(Partition, BalancedPacking) {
   for (const int l : load) EXPECT_EQ(l, 2);
 }
 
+TEST(Partition, FatTree16AtFourShardsIsPinned) {
+  // Pins the packing + refinement result on a production-sized fabric, so
+  // any change to the packing loop's bookkeeping that alters a placement
+  // shows up here, not only as a round-count drift in the benches.
+  const Partition p = partition_topology(make_fat_tree(16), 4);
+  ASSERT_EQ(p.num_shards, 4u);
+  EXPECT_EQ(p.stats.cut_weight, 759u);
+  EXPECT_EQ(p.stats.refine_moves, 4u);
+  std::vector<std::size_t> switches(4, 0);
+  for (const auto sh : p.switch_shard) ++switches[sh];
+  EXPECT_EQ(switches, (std::vector<std::size_t>{100, 100, 20, 100}));
+}
+
 TEST(Partition, Deterministic) {
   const TopologySpec spec = make_fat_tree(4);
   const Partition a = partition_topology(spec, 5);

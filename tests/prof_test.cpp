@@ -1,7 +1,7 @@
 // Engine round profiler (obs/prof.hpp): ring semantics, exact blame
-// attribution against the engine's own counters, report folding, and a
-// Threads-mode recording smoke. Suite names start with ParallelProfiler so
-// the TSan CI job (-R '(Parallel|...)') picks up the concurrent tests.
+// attribution against the engine's own counters, and report folding. Suite
+// names start with ParallelProfiler so the CI parallel job's
+// -R '(...|Parallel)' filter picks them up.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -125,7 +125,6 @@ TEST(ParallelProfilerReport, AnalyzeFoldsShardsAndRanksChannels) {
   EXPECT_EQ(rep.windows, 3u);
   EXPECT_EQ(rep.stalls, 4u);
   EXPECT_EQ(rep.executed, 13u);
-  EXPECT_TRUE(rep.rounds_aligned);
   EXPECT_EQ(rep.critical_path_events, 8u);
   EXPECT_NEAR(rep.parallelism_bound(), 13.0 / 8.0, 1e-12);
   EXPECT_EQ(rep.stall(0, 2), 2u);
@@ -187,7 +186,6 @@ TEST(ParallelProfilerGolden, TwoSiteInlineAttributionMatchesEngineStats) {
   core::NetworkOptions opt;
   opt.seed = 901;
   opt.shards = 2;
-  opt.exec_mode = core::NetworkOptions::ExecMode::Inline;
   core::Network net(make_two_site_spec(), opt);
   ASSERT_EQ(net.num_shards(), 2u);
   net.enable_engine_profiling();
@@ -220,8 +218,7 @@ TEST(ParallelProfilerGolden, TwoSiteInlineAttributionMatchesEngineStats) {
   const obs::CriticalPathReport rep = obs::analyze(*prof);
   EXPECT_EQ(rep.executed, total_executed);
   EXPECT_EQ(rep.stalls, er.horizon_stalls());
-  EXPECT_TRUE(rep.rounds_aligned);
-  // The inline sweeps' per-round maxima sum to at least the busiest
+  // The lockstep sweeps' per-round maxima sum to at least the busiest
   // shard's events and at most the whole run.
   EXPECT_GE(rep.critical_path_events,
             std::max(er.shards[0].executed, er.shards[1].executed));
@@ -238,7 +235,7 @@ TEST(ParallelProfilerGolden, TwoSiteInlineAttributionMatchesEngineStats) {
   EXPECT_GT(top[0].stalls, 0u);
 }
 
-/// Profiled inline runs must replay the exact event schedule of
+/// Profiled runs must replay the exact event schedule of
 /// unprofiled ones: recording is observation, never perturbation.
 TEST(ParallelProfilerGolden, ProfiledRunIsBitIdenticalToUnprofiled) {
   if (!obs::EngineProfiler::compiled_in()) {
@@ -249,7 +246,6 @@ TEST(ParallelProfilerGolden, ProfiledRunIsBitIdenticalToUnprofiled) {
     core::NetworkOptions opt;
     opt.seed = 902;
     opt.shards = 2;
-    opt.exec_mode = core::NetworkOptions::ExecMode::Inline;
     core::Network net(make_two_site_spec(), opt);
     if (profiled) net.enable_engine_profiling();
     const auto campaign = core::run_snapshot_campaign(net, 3, sim::msec(2));
@@ -263,36 +259,6 @@ TEST(ParallelProfilerGolden, ProfiledRunIsBitIdenticalToUnprofiled) {
     totals.push_back(total);
   }
   EXPECT_EQ(totals[0], totals[1]);
-}
-
-/// Threads-mode smoke: per-worker recording into shard-owned rings while
-/// the engine runs — the TSan CI job runs this suite to prove the
-/// profiler adds no races. Counters are nondeterministic across runs
-/// (plan counts depend on scheduling), so only shapes are asserted.
-TEST(ParallelProfilerThreads, RecordsConcurrentlyWithoutRaces) {
-  if (!obs::EngineProfiler::compiled_in()) {
-    GTEST_SKIP() << "trace layer compiled out";
-  }
-  core::NetworkOptions opt;
-  opt.seed = 903;
-  opt.shards = 4;
-  opt.exec_mode = core::NetworkOptions::ExecMode::Threads;
-  core::Network net(net::make_ring(8), opt);
-  ASSERT_EQ(net.num_shards(), 4u);
-  net.enable_engine_profiling(/*capacity_per_shard=*/512);
-  const auto campaign = core::run_snapshot_campaign(net, 2, sim::msec(2));
-  EXPECT_FALSE(campaign.results(net).empty());
-
-  const obs::EngineProfiler* prof = net.engine_profiler();
-  ASSERT_NE(prof, nullptr);
-  const obs::CriticalPathReport rep = obs::analyze(*prof);
-  EXPECT_GT(rep.windows, 0u);
-  EXPECT_GT(rep.executed, 0u);
-  EXPECT_FALSE(rep.rounds_aligned);  // Threads mode: fallback bound.
-  EXPECT_GT(rep.critical_path_events, 0u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LE(prof->shard(i).size(), 512u) << "shard " << i;
-  }
 }
 
 }  // namespace

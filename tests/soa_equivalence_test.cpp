@@ -54,11 +54,18 @@ TEST(SoaEquivalence, CorpusDigestsShardInvariant) {
   }
 }
 
-TEST(SoaEquivalence, FreshSeedsShardInvariant) {
-  // 100 generated scenarios, the full spread of topologies, faults, and
-  // protocol variants. Every one must digest identically at 1 and 4 shards.
+// 100 generated scenarios (seeds 1..100), the full spread of topologies,
+// faults, and protocol variants, split into four 25-seed ranges so ctest
+// runs them in parallel. The parameter is the range's first seed. Every
+// scenario must digest identically at 1 and 4 shards.
+constexpr std::uint64_t kSeedsPerRange = 25;
+
+class FreshSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FreshSeeds, ShardInvariant) {
   std::size_t checked = 0;
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+  for (std::uint64_t seed = GetParam(); seed < GetParam() + kSeedsPerRange;
+       ++seed) {
     const check::Scenario s = check::generate_scenario(seed);
     const auto serial = run_at(s, 1);
     const auto sharded = run_at(s, 4);
@@ -66,8 +73,11 @@ TEST(SoaEquivalence, FreshSeedsShardInvariant) {
     ASSERT_EQ(serial.completed, sharded.completed) << s.label();
     ++checked;
   }
-  EXPECT_EQ(checked, 100u);
+  EXPECT_EQ(checked, kSeedsPerRange);
 }
+
+INSTANTIATE_TEST_SUITE_P(SoaEquivalence, FreshSeeds,
+                         ::testing::Values(1, 26, 51, 76));
 
 TEST(SoaEquivalence, SerialRunsAreReproducible) {
   // Same scenario, same engine, twice in one process: the digest is a pure

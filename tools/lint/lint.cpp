@@ -40,15 +40,6 @@ const std::vector<RuleInfo> kRules = {
      "profiler hot call outside an #ifndef SPEEDLIGHT_TRACE_DISABLED region; "
      "the kill switch must compile recording out of the data path",
      true},
-    {"bare-memory-order",
-     "weak atomic ordering (relaxed/consume) without an adjacent "
-     "speedlight-lint allow pragma stating why it is safe (DESIGN.md "
-     "section 15 audit)",
-     false},
-    {"unannotated-shared-member",
-     "mutable member of a class that owns synchronization (mutex/atomic) "
-     "without a capability annotation (GUARDED_BY / thread role)",
-     false},
 };
 
 bool known_rule(const std::string& name) {
@@ -373,21 +364,10 @@ bool is_profiler_scope(const std::string& path) {
          p.rfind("src/sim/", 0) == 0;
 }
 
-bool is_concurrency_scope(const std::string& path) {
-  if (is_datapath(path)) return true;
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  const auto in_dir = [&](const std::string& dir) {
-    return p.find(dir) != std::string::npos || p.rfind(dir.substr(1), 0) == 0;
-  };
-  return in_dir("/src/sim/") || in_dir("/src/obs/");
-}
-
 std::vector<Diagnostic> scan_content(const std::string& path,
                                      const std::string& content) {
   const bool datapath = is_datapath(path);
   const bool profiler_scope = is_profiler_scope(path);
-  const bool concurrency = is_concurrency_scope(path);
   const std::vector<std::string> raw = split_lines(content);
   const Pragmas pragmas = parse_pragmas(path, raw);
   const std::vector<std::string> code = strip_comments_and_strings(content);
@@ -468,18 +448,6 @@ std::vector<Diagnostic> scan_content(const std::string& path,
         }
       }
     }
-    // Weak orderings are correct only under a happens-before argument the
-    // compiler cannot check; concurrency-scope files must state it next to
-    // the load/store (acquire/release and seq_cst need no pragma — they
-    // are the safe defaults).
-    if (concurrency) {
-      for (const char* tok : {"memory_order_relaxed", "memory_order_consume"}) {
-        if (find_word(s, tok) != std::string::npos) {
-          report(l, "bare-memory-order", std::string("'") + tok + "'");
-          break;
-        }
-      }
-    }
     // Raw new/delete applies everywhere (pools/slabs carry pragmas).
     // `= delete`d functions are not deletions; skip a match whose previous
     // non-space character is '='.
@@ -519,119 +487,6 @@ std::vector<Diagnostic> scan_content(const std::string& path,
           (eq == std::string::npos || paren < eq);
       if (!guarded && !function_like) {
         report(l, "mutable-static", "'static'");
-      }
-    }
-  }
-
-  // unannotated-shared-member: inside any class that owns a non-static
-  // synchronization primitive (mutex / condition_variable / atomic), every
-  // plain mutable data member must carry a capability annotation
-  // (GUARDED_BY, PT_GUARDED_BY, or a ThreadRole contract) — unguarded
-  // members next to a lock are where data races hide. Line-based
-  // heuristic: members are single-line declarations at the class's body
-  // brace depth; inline method bodies sit deeper and are ignored.
-  if (concurrency) {
-    struct Scope {
-      int body_depth = 0;
-      bool has_sync = false;
-      std::vector<std::pair<std::size_t, std::string>> members;
-    };
-    static const std::vector<std::string> kSyncTokens = {
-        "std::mutex", "std::shared_mutex", "std::condition_variable",
-        "std::atomic", "AnnotatedMutex"};
-    static const std::vector<std::string> kAnnotTokens = {
-        "SPEEDLIGHT_GUARDED_BY", "SPEEDLIGHT_PT_GUARDED_BY", "GUARDED_BY(",
-        "PT_GUARDED_BY(", "ThreadRole"};
-    std::vector<Scope> stack;
-    int depth = 0;
-    bool pending_head = false;
-    for (std::size_t l = 0; l < code.size(); ++l) {
-      const std::string& s = code[l];
-      const bool head_kw =
-          (find_word(s, "class") != std::string::npos ||
-           find_word(s, "struct") != std::string::npos) &&
-          find_word(s, "enum") == std::string::npos &&
-          find_word(s, "friend") == std::string::npos;
-      // Classify this line as a member of the innermost open class before
-      // walking its braces (the declaration lives at the body depth).
-      if (!stack.empty() && depth == stack.back().body_depth && !head_kw &&
-          !pending_head) {
-        Scope& sc = stack.back();
-        const std::string t = trim(s);
-        // `};` of a nested scope and wrapped function-declaration tails
-        // (`... SPEEDLIGHT_REQUIRES(mu);` on its own line) are not member
-        // declarations.
-        const bool decl_tail =
-            !t.empty() && (t.front() == '}' || t.front() == ')' ||
-                           s.find("SPEEDLIGHT_NO_THREAD_SAFETY_ANALYSIS") !=
-                               std::string::npos ||
-                           s.find("SPEEDLIGHT_REQUIRES") != std::string::npos ||
-                           s.find("SPEEDLIGHT_ACQUIRE") != std::string::npos ||
-                           s.find("SPEEDLIGHT_RELEASE") != std::string::npos ||
-                           s.find("SPEEDLIGHT_RETURN_CAPABILITY") !=
-                               std::string::npos);
-        if (!t.empty() && t.back() == ';' && !decl_tail) {
-          bool sync = false;
-          for (const std::string& tok : kSyncTokens) {
-            if (find_word(s, tok) != std::string::npos) {
-              sync = true;
-              break;
-            }
-          }
-          const bool is_static = find_word(s, "static") != std::string::npos;
-          if (sync && !is_static) {
-            // The primitive itself needs no guard — it IS the guard.
-            sc.has_sync = true;
-          } else {
-            bool skip = is_static;
-            for (const std::string& tok : kAnnotTokens) {
-              if (s.find(tok) != std::string::npos) skip = true;
-            }
-            for (const char* q : {"const", "constexpr", "using", "typedef",
-                                  "friend", "enum", "operator"}) {
-              if (find_word(s, q) != std::string::npos) skip = true;
-            }
-            // A '(' before any '=' is a parameter list: function
-            // declaration, not a data member.
-            const std::size_t paren = s.find('(');
-            const std::size_t eq = s.find('=');
-            if (paren != std::string::npos &&
-                (eq == std::string::npos || paren < eq)) {
-              skip = true;
-            }
-            if (!skip) {
-              sc.members.emplace_back(
-                  l, t.size() > 40 ? t.substr(0, 40) + "..." : t);
-            }
-          }
-        }
-      }
-      bool head_open = pending_head || head_kw;
-      for (const char c : s) {
-        if (c == '{') {
-          ++depth;
-          if (head_open) {
-            stack.push_back({depth, false, {}});
-            head_open = false;
-            pending_head = false;
-          }
-        } else if (c == '}') {
-          if (!stack.empty() && depth == stack.back().body_depth) {
-            const Scope& sc = stack.back();
-            if (sc.has_sync) {
-              for (const auto& [ml, what] : sc.members) {
-                report(ml, "unannotated-shared-member", "'" + what + "'");
-              }
-            }
-            stack.pop_back();
-          }
-          --depth;
-        }
-      }
-      if (head_open && s.find(';') == std::string::npos) {
-        pending_head = true;  // `class Foo` with its '{' on the next line.
-      } else if (s.find(';') != std::string::npos) {
-        pending_head = false;  // Forward declaration.
       }
     }
   }

@@ -16,12 +16,6 @@
 //      its hot calls (record_round, note_inline_round) on the data path and
 //      in src/sim must sit inside #ifndef SPEEDLIGHT_TRACE_DISABLED regions
 //      (the linter tracks the preprocessor conditional stack).
-//   4. Audited concurrency discipline (DESIGN.md section 15) — in
-//      concurrency-scope files (src/sim, src/obs, the data path) every
-//      relaxed/consume atomic access must carry an adjacent allow pragma
-//      stating its happens-before argument, and every mutable member of a
-//      class that owns a mutex or atomic must carry a capability
-//      annotation (GUARDED_BY / thread role).
 //
 // The linter scans source text (comments and string literals stripped),
 // emits file:line diagnostics, and exits nonzero on any hit. Legitimate
@@ -68,11 +62,6 @@ struct RuleInfo {
 /// True where the unguarded-profiler rule applies: data-path files plus
 /// everything under src/sim/ (the engines own the profiler call sites).
 [[nodiscard]] bool is_profiler_scope(const std::string& path);
-
-/// True where the concurrency-discipline rules (bare-memory-order,
-/// unannotated-shared-member) apply: data-path files plus src/sim/ and
-/// src/obs/ — everywhere threads and atomics legitimately live.
-[[nodiscard]] bool is_concurrency_scope(const std::string& path);
 
 /// Scan one file's contents. `path` is used for diagnostics and for
 /// data-path classification (the contents need not come from disk — the
