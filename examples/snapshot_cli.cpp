@@ -53,7 +53,8 @@ void usage() {
   --workload SPEC       poisson:PPS | hadoop | graphx | memcache | none
   --lb NAME             ecmp | flowlet                  (default ecmp)
   --channel-state       record in-flight packets (Chandy-Lamport channel state)
-  --wire-modulus N      bounded wire id space (0 = 32-bit, default)
+  --wire-modulus N      bounded wire id space, a power of two
+                        (0 = 32-bit, default)
   --snapshots N         how many snapshots to take      (default 5)
   --interval-ms X       spacing between snapshots       (default 5)
   --warmup-ms X         workload warmup before snapshotting (default 10)

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/random.hpp"
+#include "snapshot/ids.hpp"
 
 namespace speedlight::check {
 
@@ -405,6 +406,9 @@ Scenario read_scenario(std::istream& is) {
       s.channel_state = v != 0;
     } else if (key == "modulus") {
       if (!(ls >> s.modulus)) fail(lineno, "bad modulus");
+      if (!snap::SidSpace::valid_modulus(s.modulus)) {
+        fail(lineno, "modulus must be 0 or a power of two >= 2");
+      }
     } else if (key == "drift_ppm") {
       if (!(ls >> s.drift_ppm)) fail(lineno, "bad drift_ppm");
     } else if (key == "ptp_stddev_ns") {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/chrome_trace.hpp"
+#include "snapshot/ids.hpp"
 
 namespace speedlight::core {
 
@@ -20,6 +21,12 @@ sim::Endpoint Network::make_endpoint(std::size_t from, std::size_t to,
 Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     : options_(std::move(options)), spec_(spec) {
   spec_.validate();
+  if (!snap::SidSpace::valid_modulus(options_.snapshot.wire_id_modulus)) {
+    throw std::invalid_argument(
+        "wire_id_modulus " +
+        std::to_string(options_.snapshot.wire_id_modulus) +
+        " is not 0 or a power of two >= 2");
+  }
 
   // Struct-of-arrays topology core: the CSR index and the shared interned
   // route base are built once and consumed by the partitioner, the

@@ -21,7 +21,9 @@ class LinkFlapper {
         link_(link),
         up_mean_(static_cast<double>(up_mean)),
         down_mean_(static_cast<double>(down_mean)),
-        rng_(rng) {}
+        rng_(rng) {
+    link_.mark_dynamic_loss();
+  }
 
   LinkFlapper(const LinkFlapper&) = delete;
   LinkFlapper& operator=(const LinkFlapper&) = delete;

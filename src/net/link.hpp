@@ -46,24 +46,40 @@ class Link {
   /// the link rate, then propagates. May drop (loss model).
   void send(PooledPacket pkt);
 
-  /// Hand over a packet whose serialization the sender already paced (a
-  /// switch egress port drains its queue at the link rate and calls this at
-  /// serialization-complete time). Applies only the loss model, taps, and
+  /// Hand over a packet whose serialization the sender already paced: a
+  /// switch egress port calls this as it dequeues the packet, with the
+  /// serialization-complete time. Applies only the loss model, taps, and
   /// propagation delay; FIFO as long as callers pass non-decreasing times.
   void deliver(PooledPacket pkt, sim::SimTime departed);
 
-  /// Random per-packet loss probability in [0, 1].
-  void set_loss_probability(double p) { loss_probability_ = p; }
+  /// Random per-packet loss probability in [0, 1]. Marks the loss dynamic.
+  void set_loss_probability(double p) {
+    loss_probability_ = p;
+    dynamic_loss_ = true;
+  }
   [[nodiscard]] double loss_probability() const { return loss_probability_; }
 
   /// Force the next `n` packets to be dropped (deterministic fault
-  /// injection for tests).
-  void drop_next(std::uint64_t n) { forced_drops_ += n; }
+  /// injection for tests). Marks the loss dynamic.
+  void drop_next(std::uint64_t n) {
+    forced_drops_ += n;
+    dynamic_loss_ = true;
+  }
+
+  /// Declare that this link's loss may change while a packet serializes (a
+  /// LinkFlapper drives it; setting a loss rate or forced drops also
+  /// declares it). A switch port then hands packets over when their
+  /// serialization completes instead of at dequeue, so the loss decision
+  /// sees the link state at departure.
+  void mark_dynamic_loss() { dynamic_loss_ = true; }
+  [[nodiscard]] bool dynamic_loss() const { return dynamic_loss_; }
 
   /// Audit hooks: departure is when serialization completes (the packet has
-  /// fully left the sender); arrival is delivery at the far end. Under the
-  /// parallel engine the arrive tap fires on the *destination* shard (it
-  /// observes the delivery event); install taps before the run starts.
+  /// fully left the sender); arrival is delivery at the far end. The depart
+  /// tap fires at hand-over with the departure time, which for a switch
+  /// port is the dequeue. Under the parallel engine the arrive tap fires on
+  /// the *destination* shard (it observes the delivery event); install
+  /// taps before the run starts.
   void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
@@ -95,6 +111,7 @@ class Link {
 
   sim::SimTime busy_until_ = 0;
   double loss_probability_ = 0.0;
+  bool dynamic_loss_ = false;
   std::uint64_t forced_drops_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;

@@ -14,40 +14,37 @@ std::uint32_t EventQueue::acquire_slot() {
     free_.pop_back();
     return idx;
   }
-  assert(slots_.size() < 0xffffffffu && "event slab exhausted");
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventQueue::release_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.fn.reset();
-  ++s.generation;
-  if (s.generation == 0) ++s.generation;  // Skip 0: ids stay non-zero.
-  free_.push_back(idx);
-}
-
-EventId EventQueue::schedule_keyed(SimTime when, MergeKey key, Callback fn) {
-  assert(fn && "cannot schedule an empty callback");
-  // Slab/heap/freelist growth is amortized infrastructure: steady state
-  // recycles slots and the vectors stop growing. Exempt from the data-path
-  // allocation guard.
+  assert(generations_.size() < 0xffffffffu && "event slab exhausted");
+  // Slab growth is amortized infrastructure: steady state recycles slots
+  // and stops growing. Exempt from the data-path allocation guard.
   det::DetAllow allow_growth;
-  const std::uint32_t idx = acquire_slot();
-  Slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  heap_.push_back(HeapEntry{when, next_seq_++, idx, s.generation, key});
+  const auto idx = static_cast<std::uint32_t>(generations_.size());
+  if ((idx & (kChunkSlots - 1)) == 0) {
+    chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
+    free_.reserve(chunks_.size() * kChunkSlots);
+  }
+  generations_.push_back(1);
+  return idx;
+}
+
+EventId EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
+                         std::uint32_t idx) {
+  assert(callback(idx) && "cannot schedule an empty callback");
+  // Heap growth is amortized infrastructure, like the slab.
+  det::DetAllow allow_growth;
+  const std::uint32_t gen = generations_[idx];
+  heap_.push_back(HeapEntry{when, seq, idx, gen, key});
   sift_up(heap_.size() - 1);
   ++live_count_;
-  return (static_cast<EventId>(s.generation) << 32) | idx;
+  return (static_cast<EventId>(gen) << 32) | idx;
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto idx = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (idx >= slots_.size() || slots_[idx].generation != gen) return false;
-  det::DetAllow allow_growth;  // Freelist growth: amortized infrastructure.
-  release_slot(idx);  // O(1); the heap entry goes stale.
+  if (idx >= generations_.size() || generations_[idx] != gen) return false;
+  retire(idx);  // O(1); the heap entry goes stale.
+  recycle(idx);
   --live_count_;
   // Keep stale entries at no more than half the heap: compaction is O(n)
   // but amortizes to O(1) per cancel, and bounds the heap at 2x live.
@@ -116,13 +113,10 @@ EventQueue::Popped EventQueue::pop() {
   purge_stale_top();
   assert(!heap_.empty());
   const HeapEntry top = heap_.front();
-  Popped popped{top.time, top.seq, std::move(slots_[top.slot].fn)};
-  // Freelist growth (release_slot push_back) is amortized infrastructure.
-  det::DetAllow allow_growth;
-  release_slot(top.slot);
+  retire(top.slot);
   remove_top();
   --live_count_;
-  return popped;
+  return Popped(*this, top.time, top.key, top.seq, top.slot);
 }
 
 }  // namespace speedlight::sim

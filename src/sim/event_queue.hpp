@@ -11,10 +11,16 @@
 // engines then interleave identically (see DESIGN.md section 12).
 //
 // Design (allocation-free in steady state):
-//  - Callbacks live in a slab of recycled slots; freed slot indices are kept
+//  - Callbacks are constructed directly in a slab slot and run there: pop()
+//    hands out the slot, and the slot is recycled once the callback has
+//    returned. Slots live in fixed 64-slot chunks, so a running callback
+//    never moves when it schedules more events. Freed slot indices are kept
 //    on a freelist, so steady-state schedule/pop touches no allocator.
 //  - The heap orders lightweight (time, seq, slot, generation) entries; no
 //    hashing anywhere on the hot path.
+//  - A sequence number can be reserved without scheduling anything and used
+//    later (schedule_reserved): an event that may turn out to be unneeded
+//    keeps the exact place in the order it would have had.
 //  - cancel() is O(1): it destroys the callback, bumps the slot generation
 //    (invalidating the heap entry and the EventId), and recycles the slot.
 //    Stale heap entries are removed lazily at the top, and the whole heap is
@@ -23,7 +29,10 @@
 //    the schedule/cancel churn is (e.g. periodic snapshot re-arms).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inplace_callback.hpp"
@@ -46,17 +55,44 @@ class EventQueue {
  public:
   using Callback = InplaceCallback;
 
+  EventQueue() = default;
+  // Popped handles and running callbacks point into the slab.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedule `fn` to run at absolute time `when`. Returns a handle that can
   /// be passed to cancel(). `when` may not be in the past relative to the
   /// last popped event.
-  EventId schedule(SimTime when, Callback fn) {
-    return schedule_keyed(when, 0, std::move(fn));
+  template <typename F>
+  EventId schedule(SimTime when, F&& fn) {
+    return schedule_reserved(when, 0, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule with an explicit same-timestamp merge key: events at equal
   /// times run in (key, schedule order). Cross-shard channels use their
   /// channel id so delivery interleaving is independent of sharding.
-  EventId schedule_keyed(SimTime when, MergeKey key, Callback fn);
+  template <typename F>
+  EventId schedule_keyed(SimTime when, MergeKey key, F&& fn) {
+    return schedule_reserved(when, key, next_seq_++, std::forward<F>(fn));
+  }
+
+  /// Take the next sequence number without scheduling anything.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule at (when, key, seq) with a `seq` from reserve_seq(). Each
+  /// reserved number may be used at most once.
+  template <typename F>
+  EventId schedule_reserved(SimTime when, MergeKey key, std::uint64_t seq,
+                            F&& fn) {
+    assert(seq < next_seq_ && "sequence number was never reserved");
+    const std::uint32_t idx = acquire_slot();
+    callback(idx).emplace(std::forward<F>(fn));
+    return push(when, key, seq, idx);
+  }
+
+  /// The sequence number the next schedule or reservation will take. Every
+  /// number below it has been handed out.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// Cancel a previously scheduled event. Cancelling an already-executed or
   /// unknown event is a no-op; returns whether anything was cancelled.
@@ -71,15 +107,34 @@ class EventQueue {
   /// Timestamp of the next runnable event. Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
 
-  /// Pop and return the next runnable event. Precondition: !empty().
-  /// `seq` is the event's schedule-order sequence number — the tie-break
-  /// key for same-timestamp events, exposed so the determinism auditor can
-  /// fingerprint tie pairs.
-  struct Popped {
+  /// The event pop() took off the heap. Its id is already retired (cancel()
+  /// on it is a no-op), and its callback `fn` stays in its slab slot, where
+  /// it is run; the slot is recycled when this handle is destroyed. `seq`
+  /// is the schedule-order tie-break, exposed so the determinism auditor
+  /// can fingerprint tie pairs.
+  class Popped {
+   public:
     SimTime time;
+    MergeKey key;
     std::uint64_t seq;
-    Callback fn;
+    Callback& fn;
+
+    Popped(const Popped&) = delete;
+    Popped& operator=(const Popped&) = delete;
+    ~Popped() { queue_.recycle(slot_); }
+
+   private:
+    friend class EventQueue;
+    Popped(EventQueue& q, SimTime t, MergeKey k, std::uint64_t s,
+           std::uint32_t slot)
+        : time(t), key(k), seq(s), fn(q.callback(slot)), queue_(q),
+          slot_(slot) {}
+
+    EventQueue& queue_;
+    std::uint32_t slot_;
   };
+
+  /// Pop the next runnable event. Precondition: !empty().
   Popped pop();
 
   // --- Introspection (tests and the perf harness) ---------------------------
@@ -87,16 +142,11 @@ class EventQueue {
   /// 2 * size() through lazy compaction (the stale-entry leak regression).
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
   /// Slots ever allocated in the slab (high-water mark of concurrent events).
-  [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slab_slots() const { return generations_.size(); }
   /// Number of full-heap compactions triggered by cancellation churn.
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
  private:
-  struct Slot {
-    std::uint32_t generation = 1;  ///< Bumped on every release; never 0.
-    Callback fn;
-  };
-
   /// Heap entries carry their own ordering key so a cancelled slot can be
   /// recycled immediately: the stale entry keeps comparing with the key it
   /// was scheduled with until lazy removal gets rid of it.
@@ -115,13 +165,32 @@ class EventQueue {
   };
 
   static constexpr std::size_t kArity = 4;
+  /// 64 slots per chunk: the fuzzer builds thousands of short-lived
+  /// simulators that never fill a larger chunk.
+  static constexpr std::uint32_t kChunkShift = 6;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
+  [[nodiscard]] Callback& callback(std::uint32_t idx) {
+    return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
+  }
   [[nodiscard]] bool stale(const HeapEntry& e) const {
-    return slots_[e.slot].generation != e.generation;
+    return generations_[e.slot] != e.generation;
   }
 
   [[nodiscard]] std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx);
+  /// Enter slot `idx` (callback already built) into the heap.
+  EventId push(SimTime when, MergeKey key, std::uint64_t seq,
+               std::uint32_t idx);
+  /// Invalidate the slot's id and any heap entry still naming it.
+  void retire(std::uint32_t idx) {
+    if (++generations_[idx] == 0) ++generations_[idx];  // Ids stay non-zero.
+  }
+  /// Destroy the slot's callback and return the slot to the freelist. The
+  /// freelist's capacity follows the slab, so this never allocates.
+  void recycle(std::uint32_t idx) noexcept {
+    callback(idx).reset();
+    free_.push_back(idx);
+  }
   void sift_up(std::size_t i) const;
   void sift_down(std::size_t i) const;
   /// Remove the root entry (stale or live) and restore the heap property.
@@ -131,7 +200,9 @@ class EventQueue {
   /// Filter out every stale entry and re-heapify; O(heap size).
   void compact();
 
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
+  /// Per-slot generation, dense so stale checks stay cache-friendly.
+  std::vector<std::uint32_t> generations_;
   std::vector<std::uint32_t> free_;
   // `mutable` because next_time() lazily sheds stale top entries, exactly
   // like the old implementation's drop_cancelled().

@@ -14,6 +14,7 @@
 // heap-fallback pair for oversized callables.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -46,14 +47,7 @@ class InplaceFunction<R(Args...)> {
     requires(!std::is_same_v<std::decay_t<F>, InplaceFunction> &&
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   InplaceFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-    }
+    emplace(std::forward<F>(fn));
   }
 
   InplaceFunction(InplaceFunction&& other) noexcept { steal(other); }
@@ -84,6 +78,29 @@ class InplaceFunction<R(Args...)> {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
       ops_ = nullptr;
+    }
+  }
+
+  /// Build `fn` directly in this empty function's storage. The event queue
+  /// constructs each callback in its slab slot this way, so scheduling
+  /// never relocates a temporary; an InplaceFunction rvalue is moved in.
+  template <typename F>
+  void emplace(F&& fn) {
+    assert(ops_ == nullptr && "emplace into a non-empty function");
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InplaceFunction>) {
+      static_assert(std::is_rvalue_reference_v<F&&>,
+                    "move an InplaceFunction in; it is not copyable");
+      steal(fn);
+    } else {
+      static_assert(std::is_invocable_r_v<R, D&, Args...>);
+      if constexpr (fits_inline<D>) {
+        ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+        ops_ = &kInlineOps<D>;
+      } else {
+        ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
+        ops_ = &kHeapOps<D>;
+      }
     }
   }
 

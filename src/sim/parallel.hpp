@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -138,13 +139,15 @@ class Endpoint {
   [[nodiscard]] bool wired() const { return sim_ != nullptr || ch_ != nullptr; }
   [[nodiscard]] MergeKey key() const { return key_; }
 
-  /// Schedule `fn` at absolute time `when` on the destination shard.
-  void post(SimTime when, InplaceCallback fn) {
+  /// Schedule `fn` at absolute time `when` on the destination shard. A
+  /// local post builds the callable directly in its event slot.
+  template <typename F>
+  void post(SimTime when, F&& fn) {
     if (sim_ != nullptr) {
-      sim_->at_keyed(when, key_, std::move(fn));
+      sim_->at_keyed(when, key_, std::forward<F>(fn));
     } else {
       assert(ch_ != nullptr && "posting through an unwired Endpoint");
-      ch_->post(when, key_, std::move(fn));
+      ch_->post(when, key_, std::forward<F>(fn));
     }
   }
 

@@ -4,15 +4,21 @@
 
 namespace speedlight::sim {
 
+void Simulator::run_next() {
+  const EventQueue::Popped ev = queue_.pop();
+  now_ = ev.time;
+  running_ = Running{ev.key, ev.seq, queue_.next_seq()};
+  det::EventScope audit(ev.time, ev.seq);
+  ev.fn();
+}  // `ev` recycles the slot once the callback has returned.
+
 std::size_t Simulator::run_until(SimTime until) {
   std::size_t executed = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [time, seq, fn] = queue_.pop();
-    now_ = time;
-    det::EventScope audit(time, seq);
-    fn();
+    run_next();
     ++executed;
   }
+  running_ = kBetweenRuns;
   stats_.executed += executed;
   // Even when nothing remains to execute, time advances to the horizon so
   // back-to-back run_until() calls behave like one continuous run.
@@ -25,22 +31,18 @@ std::size_t Simulator::run_until(SimTime until) {
 std::size_t Simulator::run_before(SimTime horizon) {
   std::size_t executed = 0;
   while (!queue_.empty() && queue_.next_time() < horizon) {
-    auto [time, seq, fn] = queue_.pop();
-    now_ = time;
-    det::EventScope audit(time, seq);
-    fn();
+    run_next();
     ++executed;
   }
+  running_ = kBetweenRuns;
   stats_.executed += executed;
   return executed;
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto [time, seq, fn] = queue_.pop();
-  now_ = time;
-  det::EventScope audit(time, seq);
-  fn();
+  run_next();
+  running_ = kBetweenRuns;
   ++stats_.executed;
   return true;
 }

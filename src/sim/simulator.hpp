@@ -4,8 +4,10 @@
 // component reaches through its `sim::Simulator&`.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,6 +17,13 @@
 #include "sim/time.hpp"
 
 namespace speedlight::sim {
+
+/// A place in the canonical (time, merge key 0, seq) event order, taken
+/// with Simulator::reserve(). The default value lies before every event.
+struct Reservation {
+  SimTime time = std::numeric_limits<SimTime>::min();
+  std::uint64_t seq = 0;
+};
 
 /// Event accounting, exposed so harnesses can surface silent behaviours
 /// (e.g. past-time schedules being clamped to now) in their output.
@@ -62,24 +71,27 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `when` (clamped to now if in the past).
-  EventId at(SimTime when, EventQueue::Callback fn) {
+  /// The callable is constructed directly in its event slot.
+  template <typename F>
+  EventId at(SimTime when, F&& fn) {
     ++stats_.scheduled;
     if (when < now_) {
       ++stats_.clamped_schedules;
       when = now_;
     }
-    return queue_.schedule(when, std::move(fn));
+    return queue_.schedule(when, std::forward<F>(fn));
   }
 
   /// Schedule `fn` after a relative delay. Negative delays clamp to now and
   /// count as clamped_schedules, same as a past-time at().
-  EventId after(Duration delay, EventQueue::Callback fn) {
+  template <typename F>
+  EventId after(Duration delay, F&& fn) {
     if (delay < 0) {
       ++stats_.scheduled;
       ++stats_.clamped_schedules;
-      return queue_.schedule(now_, std::move(fn));
+      return queue_.schedule(now_, std::forward<F>(fn));
     }
-    return at(now_ + delay, std::move(fn));
+    return at(now_ + delay, std::forward<F>(fn));
   }
 
   /// at() with an explicit same-timestamp merge key (see
@@ -87,13 +99,42 @@ class Simulator {
   /// with their channel id so equal-time interleaving at the destination is
   /// a property of the channel, not of scheduling order — which is what
   /// makes serial and sharded execution interleave identically.
-  EventId at_keyed(SimTime when, MergeKey key, EventQueue::Callback fn) {
+  template <typename F>
+  EventId at_keyed(SimTime when, MergeKey key, F&& fn) {
     ++stats_.scheduled;
     if (when < now_) {
       ++stats_.clamped_schedules;
       when = now_;
     }
-    return queue_.schedule_keyed(when, key, std::move(fn));
+    return queue_.schedule_keyed(when, key, std::forward<F>(fn));
+  }
+
+  /// Take the place in the (time, key 0, seq) order that at(`when`, ...)
+  /// would take right now, without scheduling anything. An event that may
+  /// turn out to be unneeded (a switch port's wake-up) is then scheduled
+  /// there only when needed, and runs exactly where it would have run.
+  [[nodiscard]] Reservation reserve(SimTime when) {
+    assert(when >= now_ && "reservations cannot be in the past");
+    return Reservation{when, queue_.reserve_seq()};
+  }
+
+  /// Schedule `fn` at a reserved place. Precondition: !passed(r), and `r`
+  /// is used at most once.
+  template <typename F>
+  EventId at_reserved(const Reservation& r, F&& fn) {
+    assert(!passed(r) && "the reserved place has already gone by");
+    ++stats_.scheduled;
+    return queue_.schedule_reserved(r.time, 0, r.seq, std::forward<F>(fn));
+  }
+
+  /// Whether execution has gone past reservation `r`: an event scheduled
+  /// there would already have run. Inside an event this compares with the
+  /// running event's place (a reservation the running event took itself is
+  /// still ahead); between runs everything at or before now() has run.
+  [[nodiscard]] bool passed(const Reservation& r) const {
+    if (r.time != now_) return r.time < now_;
+    if (r.seq >= running_.seq_floor) return false;
+    return running_.key != 0 || r.seq < running_.seq;
   }
 
   /// Cancel a pending event.
@@ -153,8 +194,26 @@ class Simulator {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// The running event's place in the order, for passed(). `seq_floor` is
+  /// the first sequence number handed out after it started.
+  struct Running {
+    MergeKey key = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t seq_floor = 0;
+  };
+  /// Between runs: after everything, so every place up to now() has passed.
+  static constexpr Running kBetweenRuns{
+      std::numeric_limits<MergeKey>::max(),
+      std::numeric_limits<std::uint64_t>::max(),
+      std::numeric_limits<std::uint64_t>::max()};
+
+  /// Pop the next event and run its callback in place; the one pop path
+  /// shared by run_until(), run_before() and step().
+  void run_next();
+
   EventQueue queue_;
   SimTime now_ = 0;
+  Running running_ = kBetweenRuns;
   Rng rng_;
   SimulatorStats stats_;
   obs::Tracer tracer_;

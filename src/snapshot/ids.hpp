@@ -17,6 +17,7 @@
 //    bounded by modulus/2 - 1, enforced by the observer out-of-band).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 namespace speedlight::snap {
@@ -29,16 +30,28 @@ using WireSid = std::uint32_t;
 
 class SidSpace {
  public:
+  /// Whether `modulus` can size a wire id space: 0 (the full 2^32 space) or
+  /// a power of two >= 2. Wire ids are then the low bits of the virtual id,
+  /// so every pass through a unit masks instead of dividing.
+  [[nodiscard]] static constexpr bool valid_modulus(
+      std::uint32_t modulus) noexcept {
+    return modulus == 0 || (modulus >= 2 && (modulus & (modulus - 1)) == 0);
+  }
+
   /// `modulus` = size of the wire id space; 0 means the full 2^32 space.
+  /// Precondition: valid_modulus(modulus). Configuration entry points
+  /// (core::Network, check::load_scenario) reject anything else.
   explicit constexpr SidSpace(std::uint32_t modulus = 0) noexcept
-      : modulus_(modulus == 0 ? (std::uint64_t{1} << 32) : modulus) {}
+      : mask_(modulus == 0 ? std::uint64_t{0xffffffffu} : modulus - 1u) {
+    assert(valid_modulus(modulus) && "wire id modulus must be a power of two");
+  }
 
   [[nodiscard]] constexpr std::uint64_t modulus() const noexcept {
-    return modulus_;
+    return mask_ + 1;
   }
 
   [[nodiscard]] constexpr WireSid to_wire(VirtualSid v) const noexcept {
-    return static_cast<WireSid>(v % modulus_);
+    return static_cast<WireSid>(v & mask_);
   }
 
   /// Smallest virtual id >= `reference` whose wire form is `w`.
@@ -46,9 +59,7 @@ class SidSpace {
   /// and have advanced by < modulus since `reference` was recorded.
   [[nodiscard]] constexpr VirtualSid unroll_monotonic(VirtualSid reference,
                                                       WireSid w) const noexcept {
-    const std::uint64_t ref_wire = reference % modulus_;
-    const std::uint64_t delta = (w + modulus_ - ref_wire) % modulus_;
-    return reference + delta;
+    return reference + ((w - reference) & mask_);
   }
 
   /// Virtual id congruent to `w` nearest to `reference` (serial number
@@ -57,21 +68,20 @@ class SidSpace {
   /// their small absolute values).
   [[nodiscard]] constexpr VirtualSid unroll_serial(VirtualSid reference,
                                                    WireSid w) const noexcept {
-    const std::uint64_t ref_wire = reference % modulus_;
-    const std::uint64_t ahead = (w + modulus_ - ref_wire) % modulus_;
-    if (ahead <= modulus_ / 2) return reference + ahead;
-    const std::uint64_t behind = modulus_ - ahead;
+    const std::uint64_t ahead = (w - reference) & mask_;
+    if (ahead <= modulus() / 2) return reference + ahead;
+    const std::uint64_t behind = modulus() - ahead;
     return reference >= behind ? reference - behind : reference + ahead;
   }
 
   /// Largest in-system id spread the variant tolerates (used by the
   /// observer's out-of-band rollover enforcement).
   [[nodiscard]] constexpr std::uint64_t max_spread(bool channel_state) const noexcept {
-    return channel_state ? modulus_ - 1 : modulus_ / 2 - 1;
+    return channel_state ? mask_ : modulus() / 2 - 1;
   }
 
  private:
-  std::uint64_t modulus_;
+  std::uint64_t mask_;  ///< modulus - 1.
 };
 
 }  // namespace speedlight::snap

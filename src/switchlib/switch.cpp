@@ -128,7 +128,11 @@ struct Switch::Port {
   net::Link* link = nullptr;
   bool to_host = false;
   bool ingress_neighbor_enabled = true;
-  bool transmitting = false;
+  /// Where the last dequeued packet finishes serializing, as a place in
+  /// the event order. The port is busy until the simulator has passed it.
+  sim::Reservation serialized;
+  /// An event is scheduled at `serialized` and will dequeue the next packet.
+  bool wake_pending = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -353,18 +357,19 @@ void Switch::enqueue(net::PortId out, net::PooledPacket pkt,
     }
     return;
   }
-  if (!port.transmitting) start_transmission(out);
+  if (port.wake_pending) return;  // The wake-up dequeues it.
+  if (sim_.passed(port.serialized)) {
+    start_transmission(out);
+  } else {
+    wake_at_departure(out, {});
+  }
 }
 
 void Switch::start_transmission(net::PortId out) {
   sim::det::DataPathScope datapath;  // Dequeue + egress unit: no allocations.
   Port& port = ports_.at(out);
   auto popped = port.queue.pop();
-  if (!popped) {
-    port.transmitting = false;
-    return;
-  }
-  port.transmitting = true;
+  if (!popped) return;
   auto& [pkt, cls] = *popped;
 
   // Egress processing happens as the packet leaves the queue (Figure 5).
@@ -373,13 +378,30 @@ void Switch::start_transmission(net::PortId out) {
   const sim::Duration ser =
       port.link ? port.link->serialization_delay(pkt->size_bytes)
                 : sim::nsec(100);
-  auto done = [this, out, pkt = std::move(pkt)]() mutable {
-    transmit(out, std::move(pkt));
+  port.serialized = sim_.reserve(sim_.now() + ser);
+  if (port.link != nullptr && port.link->dynamic_loss()) {
+    // The link's loss may change mid-serialization: decide it at departure.
+    wake_at_departure(out, std::move(pkt));
+    return;
+  }
+  // The wire after the egress unit is a FIFO channel, so the packet is
+  // handed over now with its departure time; the port only needs waking
+  // when another packet is already waiting.
+  transmit(out, std::move(pkt), port.serialized.time);
+  if (!port.queue.empty()) wake_at_departure(out, {});
+}
+
+void Switch::wake_at_departure(net::PortId out, net::PooledPacket pkt) {
+  Port& port = ports_.at(out);
+  port.wake_pending = true;
+  auto wake = [this, out, pkt = std::move(pkt)]() mutable {
+    ports_.at(out).wake_pending = false;
+    if (pkt) transmit(out, std::move(pkt), sim_.now());
     start_transmission(out);
   };
-  static_assert(sim::InplaceCallback::fits_inline<decltype(done)>,
-                "serialization event must not heap-allocate");
-  sim_.after(ser, std::move(done));
+  static_assert(sim::InplaceCallback::fits_inline<decltype(wake)>,
+                "egress wake-up must not heap-allocate");
+  sim_.at_reserved(port.serialized, std::move(wake));
 }
 
 void Switch::process_egress(net::PortId out, net::Packet& pkt,
@@ -417,7 +439,8 @@ void Switch::process_egress(net::PortId out, net::Packet& pkt,
   }
 }
 
-void Switch::transmit(net::PortId out, net::PooledPacket pkt) {
+void Switch::transmit(net::PortId out, net::PooledPacket pkt,
+                      sim::SimTime departed) {
   sim::det::DataPathScope datapath;  // Wire handoff: no allocations.
   Port& port = ports_.at(out);
   if (!port.link) return;  // Unconnected port: blackhole (packet recycled).
@@ -430,7 +453,7 @@ void Switch::transmit(net::PortId out, net::PooledPacket pkt) {
     audit_->on_external_send(id(), out, pkt->audit_virtual_sid,
                              pkt->counts_for_metrics());
   }
-  port.link->deliver(std::move(pkt), sim_.now());
+  port.link->deliver(std::move(pkt), departed);
 }
 
 void Switch::do_inject_initiation(net::PortId port_id, snap::WireSid sid) {

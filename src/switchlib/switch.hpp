@@ -201,9 +201,14 @@ class Switch final : public net::Node {
   void enqueue(net::PortId out, net::PooledPacket pkt,
                std::size_t forced_class = kClassifyByPacket);
   static constexpr std::size_t kClassifyByPacket = ~std::size_t{0};
+  /// Dequeue the next packet, run egress processing and hand it to the
+  /// link. The port must be idle.
   void start_transmission(net::PortId out);
+  /// Schedule the port's next dequeue where the current packet finishes
+  /// serializing, delivering `pkt` (if any) there first.
+  void wake_at_departure(net::PortId out, net::PooledPacket pkt);
   void process_egress(net::PortId out, net::Packet& pkt, std::size_t cls);
-  void transmit(net::PortId out, net::PooledPacket pkt);
+  void transmit(net::PortId out, net::PooledPacket pkt, sim::SimTime departed);
   [[nodiscard]] std::size_t classify(const net::Packet& pkt) const;
   void do_inject_initiation(net::PortId port, snap::WireSid sid);
   void do_inject_probe(net::PortId port);

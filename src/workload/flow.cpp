@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 namespace speedlight::wl {
 
@@ -17,9 +18,10 @@ struct FlowState {
   std::uint32_t sent_in_window = 0;
 };
 
-// The pending event is the only owner of the flow state: when the chain
-// finishes, the state is released.
-void send_next(const std::shared_ptr<FlowState>& st) {
+// The pending event is the only owner of the flow state: each event moves
+// it into the next, so the chain never touches the reference count, and
+// when the chain finishes the state is released.
+void send_next(std::shared_ptr<FlowState> st) {
   const auto size = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(st->remaining, st->spec.packet_size));
   st->src.send(st->spec.dst, st->spec.flow, size);
@@ -34,7 +36,8 @@ void send_next(const std::shared_ptr<FlowState>& st) {
     st->sent_in_window = 0;
     gap += st->spec.burst_pause;
   }
-  st->sim.after(gap, [st]() { send_next(st); });
+  sim::Simulator& sim = st->sim;
+  sim.after(gap, [st = std::move(st)]() mutable { send_next(std::move(st)); });
 }
 
 }  // namespace
@@ -53,7 +56,9 @@ void launch_flow(sim::Simulator& sim, net::Host& src, const FlowSpec& spec,
       FlowState{sim, src, spec, spec.bytes,
                 std::max<sim::Duration>(1, static_cast<sim::Duration>(gap_ns)),
                 std::move(on_done)});
-  sim.at(start, [state]() { send_next(state); });
+  sim.at(start, [state = std::move(state)]() mutable {
+    send_next(std::move(state));
+  });
 }
 
 }  // namespace speedlight::wl

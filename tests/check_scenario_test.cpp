@@ -2,6 +2,8 @@
 // and parser diagnostics for the fuzzer's .scenario text format.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -66,6 +68,25 @@ TEST(Scenario, ParserRejectsMalformedFault) {
   EXPECT_THROW(
       (void)check::scenario_from_string("scenario v1\nfault link_flap oops\n"),
       std::invalid_argument);
+}
+
+TEST(Scenario, ParserRejectsNonPowerOfTwoModulus) {
+  // Wire ids are masked, so only 0 (2^32) and powers of two >= 2 load.
+  EXPECT_THROW((void)check::scenario_from_string("scenario v1\nmodulus 12\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)check::scenario_from_string("scenario v1\nmodulus 1\n"),
+               std::invalid_argument);
+  EXPECT_EQ(check::scenario_from_string("scenario v1\nmodulus 16\n").modulus,
+            16u);
+  // load_scenario reads files through the same parser.
+  const auto path = std::filesystem::temp_directory_path() /
+                    "speedlight_modulus_12.scenario";
+  {
+    std::ofstream(path) << "scenario v1\nmodulus 12\n";
+  }
+  EXPECT_THROW((void)check::load_scenario(path.string()),
+               std::invalid_argument);
+  std::filesystem::remove(path);
 }
 
 TEST(Scenario, ParserAcceptsCommentsAndBlankLines) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "core/network.hpp"
@@ -26,6 +27,19 @@ TEST(Network, RejectsInvalidSpec) {
   net::TopologySpec bad = net::make_star(2);
   bad.hosts.push_back({"dup", 0, 0});
   EXPECT_THROW(Network(bad, NetworkOptions{}), std::invalid_argument);
+}
+
+TEST(Network, RejectsNonPowerOfTwoWireModulus) {
+  // Wire ids are masked, so a modulus that is not a power of two would
+  // silently alias ids; the builder refuses it instead.
+  for (const std::uint32_t m : {1u, 3u, 12u, 100u}) {
+    NetworkOptions opt;
+    opt.snapshot.wire_id_modulus = m;
+    EXPECT_THROW(Network(net::make_star(2), opt), std::invalid_argument) << m;
+  }
+  NetworkOptions ok;
+  ok.snapshot.wire_id_modulus = 64;
+  EXPECT_NO_THROW(Network(net::make_star(2), ok));
 }
 
 TEST(Network, DeterministicAcrossRuns) {

@@ -100,5 +100,36 @@ TEST(SidSpace, RolloverRoundTripLongRun) {
   }
 }
 
+TEST(SidSpace, ModulusMustBeAPowerOfTwo) {
+  for (const std::uint32_t m : {0u, 2u, 4u, 8u, 16u, 32u, 64u, 1u << 31}) {
+    EXPECT_TRUE(SidSpace::valid_modulus(m)) << m;
+  }
+  for (const std::uint32_t m : {1u, 3u, 6u, 12u, 100u, 0xffffffffu}) {
+    EXPECT_FALSE(SidSpace::valid_modulus(m)) << m;
+  }
+}
+
+TEST(SidSpace, MaskedArithmeticMatchesModuloDefinition) {
+  // The masks must reproduce the division-based definitions exactly for
+  // every modulus in use, across wraps and early-run references.
+  for (const std::uint32_t m : {4u, 8u, 16u, 32u, 64u, 0u}) {
+    const SidSpace s(m);
+    const std::uint64_t mod = s.modulus();
+    for (VirtualSid ref = 0; ref < 300; ref += 7) {
+      for (std::uint64_t step = 0; step < 3 * 64; ++step) {
+        const auto w = static_cast<WireSid>((ref * 13 + step) % mod);
+        EXPECT_EQ(s.to_wire(ref + step), (ref + step) % mod);
+        const std::uint64_t ahead = (w + mod - ref % mod) % mod;
+        EXPECT_EQ(s.unroll_monotonic(ref, w), ref + ahead);
+        const VirtualSid serial =
+            ahead <= mod / 2 ? ref + ahead
+            : ref >= mod - ahead ? ref - (mod - ahead)
+                                 : ref + ahead;
+        EXPECT_EQ(s.unroll_serial(ref, w), serial);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace speedlight::snap

@@ -205,6 +205,73 @@ TEST(Simulator, StepExecutesOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
+TEST(Simulator, CallbacksRunInPlaceWhileTheSlabGrows) {
+  // A running callback stays in its slab slot. Scheduling hundreds of
+  // events from inside it grows the slab by many chunks, and its captures
+  // must stay valid throughout (slots never move).
+  Simulator sim;
+  int fired = 0;
+  const std::array<std::uint64_t, 6> payload{1, 2, 3, 4, 5, 6};
+  sim.at(0, [&sim, &fired, payload] {
+    for (int i = 0; i < 1000; ++i) sim.at(1, [&fired] { ++fired; });
+    EXPECT_EQ(payload[5], 6u);
+  });
+  sim.run_until();
+  EXPECT_EQ(fired, 1000);
+  EXPECT_GE(sim.queue().slab_slots(), 1000u);
+}
+
+TEST(Simulator, CancellingTheRunningEventIsANoOp) {
+  Simulator sim;
+  EventId self = kInvalidEvent;
+  bool cancelled = true;
+  self = sim.at(5, [&] { cancelled = sim.cancel(self); });
+  sim.run_until();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.stats().cancelled, 0u);
+}
+
+TEST(Simulator, ReservedEventRunsAtItsReservedPlace) {
+  // An event scheduled at a reservation runs where at() would have put it
+  // at the time of reserve(), not where it would go when scheduled.
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(10, [&] { order.push_back(1); });
+  const Reservation r = sim.reserve(10);
+  sim.at(10, [&] { order.push_back(3); });
+  sim.at(5, [&] { sim.at_reserved(r, [&] { order.push_back(2); }); });
+  sim.run_until();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.stats().scheduled, 4u);  // reserve() schedules nothing.
+}
+
+TEST(Simulator, PassedComparesWithTheRunningEvent) {
+  Simulator sim;
+  Reservation r;
+  EXPECT_TRUE(sim.passed(r));  // The default lies before every event.
+  std::vector<bool> seen;
+  auto probe = [&] { seen.push_back(sim.passed(r)); };
+  sim.at(5, probe);        // Earlier time.
+  sim.at(10, probe);       // Same time, scheduled before the reservation.
+  r = sim.reserve(10);
+  EXPECT_FALSE(sim.passed(r));
+  sim.at(10, probe);       // Same time, scheduled after it.
+  sim.at_keyed(10, 3, probe);  // Keyed: after every key-0 event.
+  sim.at(20, probe);       // Later time.
+  sim.at_keyed(10, 4, [&] {
+    // A place the running (keyed) event reserves for now is still ahead.
+    const Reservation mine = sim.reserve(10);
+    seen.push_back(sim.passed(mine));
+  });
+  sim.run_until(10);
+  // Between runs, everything at or before now() has run.
+  EXPECT_TRUE(sim.passed(r));
+  EXPECT_TRUE(sim.passed(Reservation{10, sim.queue().next_seq()}));
+  EXPECT_FALSE(sim.passed(Reservation{11, 0}));
+  sim.run_until();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true, false, true}));
+}
+
 TEST(Rng, Deterministic) {
   Rng a(12345);
   Rng b(12345);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/network.hpp"
+#include "net/faults.hpp"
 #include "net/topology.hpp"
 #include "switchlib/load_balancer.hpp"
 #include "switchlib/queue.hpp"
@@ -216,6 +218,157 @@ TEST(SwitchCos, ClassifierSeparatesTraffic) {
   net.host(0).send(net.host_id(1), 0, 800);
   net.run_for(sim::msec(1));
   EXPECT_EQ(net.host(1).packets_received(), 1u);
+}
+
+// --- Egress: hand-over at dequeue ------------------------------------------
+// A switch port hands each packet to its link as it leaves the queue, with
+// the serialization-complete time, and is woken at that time only when
+// another packet is waiting.
+
+/// When a 1500 B packet sent by a host at time 0 reaches the egress queue
+/// of the host's switch: uplink serialization, propagation, fabric hop.
+sim::SimTime first_enqueue(Network& net, sim::Duration fabric_delay) {
+  return net.host_uplink(0).serialization_delay(1500) +
+         net.spec().host_link_propagation + fabric_delay;
+}
+
+TEST(SwitchEgress, IdleHopSchedulesTwoEventsAtTheSwitch) {
+  // One packet across an idle switch costs three events: the uplink's
+  // arrival, the fabric hop and the downlink's arrival. The last two are
+  // the switch's; serialization completes without an event of its own.
+  auto executed = [](bool send) {
+    Network net(net::make_star(2), NetworkOptions{});
+    if (send) net.host(0).send(net.host_id(1), 1, 1500);
+    net.run_for(sim::msec(1));
+    EXPECT_EQ(net.host(1).packets_received(), send ? 1u : 0u);
+    return net.simulator().stats().executed;
+  };
+  EXPECT_EQ(executed(true) - executed(false), 3u);
+}
+
+TEST(SwitchEgress, BurstStillDequeuesAtEachDeparture) {
+  // Two hosts blast four packets each at one host: the egress queue backs
+  // up, and each packet leaves the queue exactly when the one before it
+  // finishes serializing, alternating between the two senders.
+  Network net(net::make_star(3), NetworkOptions{});
+  struct Hop {
+    net::FlowId flow;
+    sim::SimTime dequeued;
+    sim::SimTime departed;
+  };
+  std::vector<Hop> hops;
+  std::vector<sim::SimTime> arrivals;
+  sim::Simulator& sim = net.simulator();
+  net.host_downlink(2).set_depart_tap(
+      [&hops, &sim](const net::Packet& p, sim::SimTime departed) {
+        hops.push_back({p.flow, sim.now(), departed});
+      });
+  net.host_downlink(2).set_arrive_tap(
+      [&arrivals](const net::Packet&, sim::SimTime t) {
+        arrivals.push_back(t);
+      });
+  for (int i = 0; i < 4; ++i) {
+    net.host(0).send(net.host_id(2), 1, 1500);
+    net.host(1).send(net.host_id(2), 2, 1500);
+  }
+  net.run_for(sim::msec(1));
+  ASSERT_EQ(hops.size(), 8u);
+  ASSERT_EQ(arrivals.size(), 8u);
+  const sim::Duration ser = net.host_downlink(2).serialization_delay(1500);
+  const sim::SimTime first = first_enqueue(net, sim::nsec(400));
+  for (std::size_t k = 0; k < hops.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(hops[k].flow, k % 2 == 0 ? 1u : 2u);
+    EXPECT_EQ(hops[k].dequeued, first + static_cast<sim::SimTime>(k) * ser);
+    EXPECT_EQ(hops[k].departed, hops[k].dequeued + ser);
+    EXPECT_EQ(arrivals[k],
+              hops[k].departed + net.spec().host_link_propagation);
+  }
+}
+
+TEST(SwitchEgress, FlapperGoingDownMidSerializationDropsThatPacket) {
+  // h0 -> s0 -> s1 -> h1. The packet leaves s0's queue and serializes onto
+  // the trunk for ~120 ns. A flapper taking the trunk down inside that
+  // window drops it, as a wire failing mid-frame would; one going down
+  // right after departure does not.
+  enum class Down { MidFrame, AfterDeparture };
+  auto delivered = [](Down when) {
+    Network net(net::make_line(2), NetworkOptions{});
+    net::Link& trunk = net.trunk_link(0, /*a_to_b=*/true);
+    const sim::SimTime dequeued = first_enqueue(net, sim::nsec(400));
+    const sim::Duration ser = trunk.serialization_delay(1500);
+    net::LinkFlapper flapper(net.simulator(), trunk, sim::sec(1),
+                             sim::sec(1), sim::Rng(3));
+    flapper.start(when == Down::MidFrame ? dequeued + ser / 2
+                                         : dequeued + ser + 1);
+    net.host(0).send(net.host_id(1), 1, 1500);
+    net.run_for(sim::msec(1));
+    EXPECT_EQ(trunk.packets_dropped() + trunk.packets_sent(), 1u);
+    return net.host(1).packets_received();
+  };
+  EXPECT_EQ(delivered(Down::MidFrame), 0u);
+  EXPECT_EQ(delivered(Down::AfterDeparture), 1u);
+}
+
+/// Hosts 0 and 1 send low-priority flows 1 and 2, host 2 sends flow 7 in
+/// the high class, all to host 3 and all 1500 B. Flow 1 is sent at 0 and
+/// leaves the egress queue first. Flow 7 is sent one serialization time
+/// later, so its fabric hop lands exactly when flow 1 finishes serializing
+/// (the reserved place). Flow 2 is sent at `flow2_at`, a number of
+/// serialization times. Returns the flows in arrival order.
+std::vector<net::FlowId> cos_arrival_order(sim::Duration fabric_delay,
+                                           double flow2_at) {
+  NetworkOptions opt;
+  opt.cos_classes = 2;
+  opt.classifier = [](const net::Packet& p) -> std::size_t {
+    return p.flow == 7 ? 0 : 1;
+  };
+  opt.fabric_delay = fabric_delay;
+  Network net(net::make_star(4), opt);
+  std::vector<net::FlowId> order;
+  net.host_downlink(3).set_arrive_tap(
+      [&order](const net::Packet& p, sim::SimTime) {
+        order.push_back(p.flow);
+      });
+  const sim::Duration ser = net.host_uplink(0).serialization_delay(1500);
+  net.host(0).send(net.host_id(3), 1, 1500);
+  net.simulator().at(static_cast<sim::SimTime>(flow2_at * ser), [&net] {
+    net.host(1).send(net.host_id(3), 2, 1500);
+  });
+  net.simulator().at(ser, [&net] {
+    net.host(2).send(net.host_id(3), 7, 1500);
+  });
+  net.run_for(sim::msec(1));
+  return order;
+}
+
+TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
+  // With a 5 us fabric hop, flows 2 and 7 (both sent at one serialization
+  // time) enter the fabric before flow 1 is dequeued, so their hops precede
+  // flow 1's serialization-complete place in the event order: the port is
+  // still busy when they enqueue, and the wake-up at that place picks the
+  // high class first.
+  EXPECT_EQ(cos_arrival_order(sim::usec(5), 1.0),
+            (std::vector<net::FlowId>{1, 7, 2}));
+}
+
+TEST(SwitchEgress, EnqueueAtDepartureAfterTheReservedSeqLeavesAtOnce) {
+  // With the default 400 ns hop, flows 2 and 7 enter the fabric after flow
+  // 1 is dequeued, so their hops follow its serialization-complete place:
+  // the port is idle, flow 2 leaves in the event that enqueued it, and
+  // flow 7 waits behind it despite its higher class.
+  EXPECT_EQ(cos_arrival_order(sim::nsec(400), 1.0),
+            (std::vector<net::FlowId>{1, 2, 7}));
+}
+
+TEST(SwitchEgress, WaitingPacketLeavesAtTheReservedPlace) {
+  // Flow 2 reaches the queue while flow 1 is still serializing, and flow
+  // 7's hop lands at flow 1's departure but was scheduled after flow 1 was
+  // dequeued. The wake-up runs at the place reserved at that dequeue, so
+  // it sends flow 2 before flow 7 enqueues; a wake-up scheduled only when
+  // flow 2 arrived would run after flow 7's hop and send flow 7 first.
+  EXPECT_EQ(cos_arrival_order(sim::nsec(400), 0.5),
+            (std::vector<net::FlowId>{1, 2, 7}));
 }
 
 }  // namespace
