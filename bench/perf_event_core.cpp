@@ -9,7 +9,12 @@
 //                 over (the snapshot re-initiation pattern that leaked
 //                 stale heap entries in the seed queue);
 //   3. simulator — end-to-end Simulator::after() self-rescheduling timers,
-//                 exercising InplaceCallback and the stats counters.
+//                 exercising InplaceCallback and the stats counters;
+//   4. hold     — the queue shape of the Hadoop testbed: a few dozen
+//                 far-future timers under packet chains whose next hop is
+//                 0.5-8 us ahead, so nearly every new event lands among the
+//                 earliest pending ones (the near tier's case; workloads 1
+//                 and 3 insert deep).
 //
 // speedlight-lint: allow-file(wall-clock) throughput harness: events/second
 // needs real elapsed time.
@@ -194,6 +199,107 @@ std::pair<double, std::size_t> run_rearm(std::size_t rearms) {
   return {seconds_since(t0), peak_heap};
 }
 
+/// One event of the hold workload: tells the workload loop which event ran.
+struct HoldEvent {
+  int* ran;
+  int kind;  ///< kHop, or the index of a far timer.
+  std::uint64_t pad[3];
+  void operator()() const { *ran = kind; }
+};
+
+struct HoldResult {
+  double wall_s = 0.0;
+  double events_per_sec = 0.0;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+  std::size_t peak_depth = 0;
+  std::uint64_t depth_sum = 0;  ///< Queue depth summed after every event.
+};
+
+/// The recorded testbed queue, in miniature: 32 far timers re-armed 20 us
+/// to 1 ms ahead (every fourth firing also cancels and re-arms another
+/// timer, like a protocol timeout), under 4-88 packet chains that hop
+/// 0.5-8 us ahead; a firing timer starts 0-3 chains (a flow's burst), and a
+/// hop ends its chain with odds 1/8 or forks a new one with odds 1/16.
+/// Pending events average ~41 (peak 69), near the testbed's median of 37.
+template <typename Queue>
+HoldResult run_hold(std::size_t events) {
+  constexpr int kHop = -1;
+  constexpr int kTimers = 32;
+  constexpr std::size_t kMinChains = 4;
+  constexpr std::size_t kMaxChains = 88;
+  Queue q;
+  int ran = 0;
+  std::uint64_t x = 0x2545F4914F6CDD1Dull;  // xorshift64 state
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  auto hop = [&ran] { return HoldEvent{&ran, kHop, {0, 0, 0}}; };
+  std::vector<std::uint64_t> timers(kTimers);  // EventId is uint64
+
+  HoldResult res;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int t = 0; t < kTimers; ++t) {
+    timers[t] = q.schedule(20'000 + static_cast<sim::SimTime>(next() % 980'000),
+                           HoldEvent{&ran, t, {0, 0, 0}});
+  }
+  std::size_t chains = kMinChains;
+  for (std::size_t c = 0; c < chains; ++c) {
+    q.schedule(static_cast<sim::SimTime>(500 + next() % 7'500), hop());
+  }
+  while (res.executed < events) {
+    auto popped = q.pop();
+    const sim::SimTime now = popped.time;
+    popped.fn();
+    ++res.executed;
+    if (ran == kHop) {
+      const std::uint64_t r = next();
+      const bool end = (r & 15) < 2 && chains > kMinChains;
+      const bool fork = (r & 15) == 2 && chains < kMaxChains;
+      if (end) {
+        --chains;
+      } else {
+        q.schedule(now + 500 + static_cast<sim::SimTime>((r >> 8) % 7'500),
+                   hop());
+      }
+      if (fork) {
+        ++chains;
+        q.schedule(now + 500 + static_cast<sim::SimTime>((r >> 24) % 7'500),
+                   hop());
+      }
+    } else {
+      const int t = ran;
+      timers[t] = q.schedule(now + 20'000 + static_cast<sim::SimTime>(next() %
+                                                                       980'000),
+                             HoldEvent{&ran, t, {0, 0, 0}});
+      if ((res.executed & 3) == 0) {
+        const int other = static_cast<int>(next() % kTimers);
+        if (other != t && q.cancel(timers[other])) {
+          ++res.cancelled;
+          timers[other] =
+              q.schedule(now + 20'000 + static_cast<sim::SimTime>(
+                                            next() % 980'000),
+                         HoldEvent{&ran, other, {0, 0, 0}});
+        }
+      }
+      for (std::uint64_t burst = next() % 4; burst > 0; --burst) {
+        if (chains >= kMaxChains) break;
+        ++chains;
+        q.schedule(now + 500 + static_cast<sim::SimTime>(next() % 7'500),
+                   hop());
+      }
+    }
+    if (q.size() > res.peak_depth) res.peak_depth = q.size();
+    res.depth_sum += q.size();
+  }
+  res.wall_s = seconds_since(t0);
+  res.events_per_sec = static_cast<double>(res.executed) / res.wall_s;
+  return res;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -294,6 +400,34 @@ int main(int argc, char** argv) {
   bench::check(s.stats().executed >= kSimEvents,
                "simulator executed the full event budget");
 
+  // --- Workload 4: the testbed's queue shape ------------------------------
+  const std::size_t kHoldEvents =
+      bench::scaled<std::size_t>(4'000'000, 400'000);
+  const HoldResult hold_legacy = run_hold<LegacyEventQueue>(kHoldEvents);
+  const HoldResult hold_fresh = run_hold<sim::EventQueue>(kHoldEvents);
+  const double hold_speedup =
+      hold_fresh.events_per_sec / hold_legacy.events_per_sec;
+
+  std::cout << "\nhold workload (" << kHoldEvents
+            << " events, far timers under packet chains):\n"
+            << "  legacy: " << hold_legacy.events_per_sec / 1e6
+            << " M events/s (" << hold_legacy.wall_s << " s)\n"
+            << "  new:    " << hold_fresh.events_per_sec / 1e6
+            << " M events/s (" << hold_fresh.wall_s << " s, peak depth "
+            << hold_fresh.peak_depth << ", mean depth "
+            << static_cast<double>(hold_fresh.depth_sum) /
+                   static_cast<double>(hold_fresh.executed)
+            << ", " << hold_fresh.cancelled
+            << " timer re-arms)\n"
+            << "  speedup: " << hold_speedup << "x\n";
+
+  bench::check(hold_legacy.executed == hold_fresh.executed &&
+                   hold_legacy.cancelled == hold_fresh.cancelled,
+               "hold: identical events and re-arms in both implementations");
+  bench::check(hold_legacy.peak_depth == hold_fresh.peak_depth &&
+                   hold_legacy.depth_sum == hold_fresh.depth_sum,
+               "hold: identical queue depths (same pending-set evolution)");
+
   report.metric("mixed_lifecycles", static_cast<double>(2 * kIters));
   report.metric("mixed_events_per_sec_legacy", legacy.events_per_sec);
   report.metric("mixed_events_per_sec_new", fresh.events_per_sec);
@@ -311,6 +445,15 @@ int main(int argc, char** argv) {
   report.metric("sim_clamped_schedules",
                 static_cast<double>(s.stats().clamped_schedules));
   report.metric("sim_cancelled", static_cast<double>(s.stats().cancelled));
+  report.metric("hold_events", static_cast<double>(hold_fresh.executed));
+  report.metric("hold_rearms", static_cast<double>(hold_fresh.cancelled));
+  report.metric("hold_peak_depth", static_cast<double>(hold_fresh.peak_depth));
+  report.metric("hold_mean_depth",
+                static_cast<double>(hold_fresh.depth_sum) /
+                    static_cast<double>(hold_fresh.executed));
+  report.metric("hold_events_per_sec_legacy", hold_legacy.events_per_sec);
+  report.metric("hold_events_per_sec_new", hold_fresh.events_per_sec);
+  report.metric("hold_speedup", hold_speedup);
   report.embed_registry(s.metrics());
   return bench::finish(report);
 }

@@ -1,23 +1,25 @@
 #include "sim/simulator.hpp"
 
+#include <limits>
+#include <optional>
+
 #include "sim/determinism.hpp"
 
 namespace speedlight::sim {
 
-void Simulator::run_next() {
-  const EventQueue::Popped ev = queue_.pop();
-  now_ = ev.time;
-  running_ = Running{ev.key, ev.seq, queue_.next_seq()};
-  det::EventScope audit(ev.time, ev.seq);
-  ev.fn();
+bool Simulator::run_next(SimTime last) {
+  const std::optional<EventQueue::Popped> ev = queue_.pop_until(last);
+  if (!ev) return false;
+  now_ = ev->time;
+  running_ = Running{ev->key, ev->seq, queue_.next_seq()};
+  det::EventScope audit(ev->time, ev->seq);
+  ev->fn();
+  return true;
 }  // `ev` recycles the slot once the callback has returned.
 
 std::size_t Simulator::run_until(SimTime until) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    run_next();
-    ++executed;
-  }
+  while (run_next(until)) ++executed;
   running_ = kBetweenRuns;
   stats_.executed += executed;
   // Even when nothing remains to execute, time advances to the horizon so
@@ -30,9 +32,8 @@ std::size_t Simulator::run_until(SimTime until) {
 
 std::size_t Simulator::run_before(SimTime horizon) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    run_next();
-    ++executed;
+  if (horizon != std::numeric_limits<SimTime>::min()) {
+    while (run_next(horizon - 1)) ++executed;
   }
   running_ = kBetweenRuns;
   stats_.executed += executed;
@@ -40,8 +41,7 @@ std::size_t Simulator::run_before(SimTime horizon) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  run_next();
+  if (!run_next(std::numeric_limits<SimTime>::max())) return false;
   running_ = kBetweenRuns;
   ++stats_.executed;
   return true;

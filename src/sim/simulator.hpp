@@ -50,6 +50,9 @@ class Simulator {
                              [this] { return stats_.clamped_schedules; });
     metrics_.register_reader("sim.events.pending", obs::MetricKind::Gauge,
                              [this] { return std::uint64_t{queue_.size()}; });
+    metrics_.register_reader(
+        "sim.events.peak_pending", obs::MetricKind::Gauge,
+        [this] { return std::uint64_t{queue_.peak_size()}; });
     if constexpr (det::kEnabled) {
       // Determinism-audit surface (zero unless an auditor is installed /
       // a data-path scope ever allocated).
@@ -207,9 +210,10 @@ class Simulator {
       std::numeric_limits<std::uint64_t>::max(),
       std::numeric_limits<std::uint64_t>::max()};
 
-  /// Pop the next event and run its callback in place; the one pop path
-  /// shared by run_until(), run_before() and step().
-  void run_next();
+  /// Pop the next event if it is due at or before `last` and run its
+  /// callback in place; returns whether one ran. The one pop path shared by
+  /// run_until(), run_before() and step().
+  bool run_next(SimTime last);
 
   EventQueue queue_;
   SimTime now_ = 0;

@@ -90,6 +90,8 @@ TEST(SimulatorStats, SurfacedThroughMetricsRegistry) {
   EXPECT_EQ(value_of("sim.events.cancelled"), 1u);
   EXPECT_EQ(value_of("sim.events.clamped_schedules"), 0u);
   EXPECT_EQ(value_of("sim.events.pending"), 0u);
+  // The high-water mark remembers both events, pending before the cancel.
+  EXPECT_EQ(value_of("sim.events.peak_pending"), 2u);
 }
 
 }  // namespace
