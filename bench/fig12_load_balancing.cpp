@@ -156,15 +156,16 @@ int main(int argc, char** argv) {
 
   struct Config {
     Workload w;
+    const char* key;  // metric-name prefix
     std::size_t samples;
     sim::Duration interval;
     double scale;  // ns -> printed unit
     const char* unit;
   };
   const Config configs[] = {
-      {Workload::Hadoop, 120, sim::msec(8), 1e-6, "ms"},
-      {Workload::GraphX, 120, sim::msec(6), 1e-6, "ms"},
-      {Workload::Memcache, 120, sim::msec(2), 1e-3, "us"},
+      {Workload::Hadoop, "hadoop", 120, sim::msec(8), 1e-6, "ms"},
+      {Workload::GraphX, "graphx", 120, sim::msec(6), 1e-6, "ms"},
+      {Workload::Memcache, "memcache", 120, sim::msec(2), 1e-3, "us"},
   };
 
   double ecmp_median[3];
@@ -194,6 +195,16 @@ int main(int argc, char** argv) {
     flowlet_median[idx] = flowlet.snapshots.median();
     ecmp_poll_median[idx] = ecmp.polling.median();
     flowlet_poll_median[idx] = flowlet.polling.median();
+    // e.g. hadoop_ecmp_snap_median_ms, in the unit the table prints.
+    const auto emit = [&](const char* series, double median_ns) {
+      report.metric(std::string(cfg.key) + "_" + series + "_median_" +
+                        cfg.unit,
+                    median_ns * cfg.scale);
+    };
+    emit("ecmp_snap", ecmp_median[idx]);
+    emit("flowlet_snap", flowlet_median[idx]);
+    emit("ecmp_poll", ecmp_poll_median[idx]);
+    emit("flowlet_poll", flowlet_poll_median[idx]);
     ++idx;
   }
 

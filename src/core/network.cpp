@@ -58,12 +58,13 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     // Lookahead: register each channel's own latency floor with the engine
     // so horizons are per shard *pair*, not global. Data-plane trunks
     // contribute their propagation delay on exactly the (from, to) pairs
-    // they connect; observer RPCs (requests out, reports and notifications
-    // back) contribute observer_rpc_latency on the control shard's pairs
-    // (registered below, with the devices). The engine requires every
-    // registered latency to be strictly positive — the partitioner
-    // guarantees it for trunks; a zero observer_rpc_latency is not
-    // supported with shards > 1. Polling legs register their much smaller
+    // they connect (a frame arrives a pipeline latency later still, so the
+    // floor is conservative); observer RPCs (requests out, reports and
+    // notifications back) contribute observer_rpc_latency on the control
+    // shard's pairs (registered below, with the devices). The engine
+    // requires every registered latency to be strictly positive — the
+    // partitioner guarantees it for trunks; a zero observer_rpc_latency is
+    // not supported with shards > 1. Polling legs register their much smaller
     // kMinPollHop floor lazily in register_all_units_for_polling(), so
     // snapshot-only runs keep the wide RPC-scale control horizons.
     for (const auto& t : spec_.trunks) {

@@ -53,6 +53,8 @@ struct NetworkOptions {
   /// Maps packets to CoS classes (null = class 0); applied on every switch.
   std::function<std::size_t(const net::Packet&)> classifier;
   std::size_t queue_capacity = 4096;
+  /// Every switch's SwitchOptions::fabric_delay: pipeline latency, charged
+  /// on the inbound wire before the ingress unit.
   sim::Duration fabric_delay = sim::nsec(400);
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 

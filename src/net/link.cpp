@@ -29,7 +29,7 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
   }
 
   ++packets_sent_;
-  const sim::SimTime arrives = departed + propagation_;
+  const sim::SimTime arrives = departed + arrival_delay_;
   if (on_depart_) on_depart_(*pkt, departed);
 
   auto arrival = [this, pkt = std::move(pkt), arrives]() mutable {

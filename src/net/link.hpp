@@ -36,10 +36,12 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Attach the receiving end. Must be called before send().
+  /// Attach the receiving end. Must be called before send(). Frames reach
+  /// it propagation plus its pipeline latency after they depart.
   void connect(Node* dst, PortId dst_port) {
     dst_ = dst;
     dst_port_ = dst_port;
+    arrival_delay_ = propagation_ + dst->pipeline_latency();
   }
 
   /// Transmit a packet: waits for the transmitter to be idle, serializes at
@@ -75,7 +77,8 @@ class Link {
   [[nodiscard]] bool dynamic_loss() const { return dynamic_loss_; }
 
   /// Audit hooks: departure is when serialization completes (the packet has
-  /// fully left the sender); arrival is delivery at the far end. The depart
+  /// fully left the sender); arrival is delivery at the far end, after the
+  /// receiver's pipeline latency (see Node::pipeline_latency). The depart
   /// tap fires at hand-over with the departure time, which for a switch
   /// port is the dequeue. Under the parallel engine the arrive tap fires on
   /// the *destination* shard (it observes the delivery event); install
@@ -108,6 +111,7 @@ class Link {
 
   Node* dst_ = nullptr;
   PortId dst_port_ = kInvalidPort;
+  sim::Duration arrival_delay_ = 0;  ///< Departure to receive(); connect().
 
   sim::SimTime busy_until_ = 0;
   double loss_probability_ = 0.0;

@@ -11,6 +11,7 @@
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 #include "net/types.hpp"
+#include "sim/time.hpp"
 
 namespace speedlight::net {
 
@@ -31,6 +32,11 @@ class Node {
 
   /// Hosts never participate in the snapshot protocol.
   [[nodiscard]] virtual bool is_host() const = 0;
+
+  /// Latency between a frame's arrival on the wire and receive(). A link
+  /// reads it once, at connect(), and charges it on every frame it carries
+  /// into this node.
+  [[nodiscard]] virtual sim::Duration pipeline_latency() const { return 0; }
 
  private:
   NodeId id_;

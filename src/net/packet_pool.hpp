@@ -1,6 +1,6 @@
 // Freelist recycling for simulated packets.
 //
-// A packet crosses many events during its life (fabric hop, egress queue,
+// A packet crosses many events during its life (switch pipeline, egress queue,
 // serialization, propagation); without pooling every one of those event
 // captures either copied the ~120-byte Packet or heap-allocated it, and an
 // INT-marked packet reallocated its int_stack at every hop of every packet.

@@ -336,12 +336,7 @@ void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
     audit_->on_internal_send(id(), in_port, out, pkt->audit_virtual_sid,
                              pkt->counts_for_metrics());
   }
-  auto fabric_hop = [this, out, pkt = std::move(pkt)]() mutable {
-    enqueue(out, std::move(pkt));
-  };
-  static_assert(sim::InplaceCallback::fits_inline<decltype(fabric_hop)>,
-                "fabric-hop event must not heap-allocate");
-  sim_.after(options_.fabric_delay, std::move(fabric_hop));
+  enqueue(out, std::move(pkt));
 }
 
 void Switch::enqueue(net::PortId out, net::PooledPacket pkt,
@@ -476,8 +471,11 @@ void Switch::do_inject_initiation(net::PortId port_id, snap::WireSid sid) {
 void Switch::do_inject_probe(net::PortId port_id) {
   // A probe picks up the ingress unit's current id and floods every egress
   // port, refreshing markers on all internal sub-channels and on the links
-  // to direct neighbors (Section 6, liveness without traffic).
-  sim_.after(timing_.cpu_to_dataplane_latency, [this, port_id]() {
+  // to direct neighbors (Section 6, liveness without traffic). Like data on
+  // its sub-channels, it pays the pipeline latency before the ingress unit.
+  const sim::Duration latency =
+      timing_.cpu_to_dataplane_latency + options_.fabric_delay;
+  sim_.after(latency, [this, port_id]() {
     if (!options_.snapshot_enabled) return;
     Port& port = ports_.at(port_id);
     snap::PacketView view;
@@ -505,12 +503,7 @@ void Switch::do_inject_probe(net::PortId port_id) {
     // happen to carry no traffic.
     for (net::PortId out = 0; out < options_.num_ports; ++out) {
       for (std::size_t cls = 0; cls < options_.cos_classes; ++cls) {
-        auto flood = [this, out, cls, copy = probe.clone()]() mutable {
-          enqueue(out, std::move(copy), cls);
-        };
-        static_assert(sim::InplaceCallback::fits_inline<decltype(flood)>,
-                      "probe-flood event must not heap-allocate");
-        sim_.after(options_.fabric_delay, std::move(flood));
+        enqueue(out, probe.clone(), cls);
       }
     }
   });

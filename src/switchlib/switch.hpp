@@ -84,6 +84,9 @@ struct SwitchOptions {
   std::function<std::size_t(const net::Packet&)> classifier;
 
   std::size_t queue_capacity = 1024;       ///< Packets per class per port.
+  /// Pipeline latency, charged before the ingress unit (on inbound links
+  /// and after probes' CPU path) or, for initiations, which skip the
+  /// queue, between the ingress and egress units.
   sim::Duration fabric_delay = sim::nsec(400);
 
   /// ASIC->CPU notification path: raw-socket DMA (the paper's choice) or
@@ -142,6 +145,9 @@ class Switch final : public net::Node {
   // --- Data path ------------------------------------------------------------
   void receive(net::PooledPacket pkt, net::PortId port) override;
   [[nodiscard]] bool is_host() const override { return false; }
+  [[nodiscard]] sim::Duration pipeline_latency() const override {
+    return options_.fabric_delay;
+  }
 
   // --- Access ----------------------------------------------------------------
   [[nodiscard]] snap::ControlPlane& control_plane() { return *cp_; }

@@ -10,7 +10,7 @@
 namespace speedlight::net {
 namespace {
 
-class SinkNode final : public Node {
+class SinkNode : public Node {
  public:
   SinkNode(NodeId id) : Node(id, "sink") {}
   void receive(PooledPacket pkt, PortId port) override {
@@ -18,6 +18,15 @@ class SinkNode final : public Node {
   }
   [[nodiscard]] bool is_host() const override { return false; }
   std::vector<std::pair<Packet, PortId>> received;
+};
+
+/// A sink with a switch-like pipeline between the wire and receive().
+class PipelinedSink final : public SinkNode {
+ public:
+  using SinkNode::SinkNode;
+  [[nodiscard]] sim::Duration pipeline_latency() const override {
+    return sim::nsec(400);
+  }
 };
 
 Packet make_packet(std::uint32_t size) {
@@ -48,6 +57,25 @@ TEST(Link, ArrivalTimeExact) {
   link.send(make_packet(1250));
   sim.run_until(sim::sec(1));
   EXPECT_EQ(arrival, sim::usec(11));  // 10us serialize + 1us propagate.
+}
+
+TEST(Link, ArrivalChargesTheReceiversPipelineLatency) {
+  sim::Simulator sim;
+  PipelinedSink sink(1);
+  Link link(sim, 1e9, sim::usec(1), sim::Rng(1));
+  link.connect(&sink, 0);
+  sim::SimTime arrival = -1;
+  sim::SimTime received = -1;
+  link.set_arrive_tap([&](const Packet&, sim::SimTime t) {
+    arrival = t;
+    received = sim.now();
+  });
+  link.send(make_packet(1250));
+  sim.run_until(sim::sec(1));
+  ASSERT_EQ(sink.received.size(), 1u);
+  // 10us serialize + 1us propagate + 400ns pipeline, in one event.
+  EXPECT_EQ(arrival, sim::usec(11) + sim::nsec(400));
+  EXPECT_EQ(received, arrival);
 }
 
 TEST(Link, BackToBackPacketsQueueOnSerialization) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/network.hpp"
@@ -226,16 +227,19 @@ TEST(SwitchCos, ClassifierSeparatesTraffic) {
 // another packet is waiting.
 
 /// When a 1500 B packet sent by a host at time 0 reaches the egress queue
-/// of the host's switch: uplink serialization, propagation, fabric hop.
-sim::SimTime first_enqueue(Network& net, sim::Duration fabric_delay) {
+/// of the host's switch: uplink serialization, propagation and the
+/// switch's pipeline latency, after which one event runs the ingress unit
+/// and enqueues it.
+sim::SimTime first_enqueue(Network& net) {
   return net.host_uplink(0).serialization_delay(1500) +
-         net.spec().host_link_propagation + fabric_delay;
+         net.spec().host_link_propagation + net.options().fabric_delay;
 }
 
-TEST(SwitchEgress, IdleHopSchedulesTwoEventsAtTheSwitch) {
-  // One packet across an idle switch costs three events: the uplink's
-  // arrival, the fabric hop and the downlink's arrival. The last two are
-  // the switch's; serialization completes without an event of its own.
+TEST(SwitchEgress, IdleHopSchedulesOneEventAtTheSwitch) {
+  // One packet across an idle switch costs two events: the uplink's
+  // arrival, which runs the ingress unit, the queue and the egress unit,
+  // and the downlink's arrival, the only event the switch schedules.
+  // Serialization completes without an event of its own.
   auto executed = [](bool send) {
     Network net(net::make_star(2), NetworkOptions{});
     if (send) net.host(0).send(net.host_id(1), 1, 1500);
@@ -243,7 +247,7 @@ TEST(SwitchEgress, IdleHopSchedulesTwoEventsAtTheSwitch) {
     EXPECT_EQ(net.host(1).packets_received(), send ? 1u : 0u);
     return net.simulator().stats().executed;
   };
-  EXPECT_EQ(executed(true) - executed(false), 3u);
+  EXPECT_EQ(executed(true) - executed(false), 2u);
 }
 
 TEST(SwitchEgress, BurstStillDequeuesAtEachDeparture) {
@@ -275,7 +279,7 @@ TEST(SwitchEgress, BurstStillDequeuesAtEachDeparture) {
   ASSERT_EQ(hops.size(), 8u);
   ASSERT_EQ(arrivals.size(), 8u);
   const sim::Duration ser = net.host_downlink(2).serialization_delay(1500);
-  const sim::SimTime first = first_enqueue(net, sim::nsec(400));
+  const sim::SimTime first = first_enqueue(net);
   for (std::size_t k = 0; k < hops.size(); ++k) {
     SCOPED_TRACE(k);
     EXPECT_EQ(hops[k].flow, k % 2 == 0 ? 1u : 2u);
@@ -295,7 +299,7 @@ TEST(SwitchEgress, FlapperGoingDownMidSerializationDropsThatPacket) {
   auto delivered = [](Down when) {
     Network net(net::make_line(2), NetworkOptions{});
     net::Link& trunk = net.trunk_link(0, /*a_to_b=*/true);
-    const sim::SimTime dequeued = first_enqueue(net, sim::nsec(400));
+    const sim::SimTime dequeued = first_enqueue(net);
     const sim::Duration ser = trunk.serialization_delay(1500);
     net::LinkFlapper flapper(net.simulator(), trunk, sim::sec(1),
                              sim::sec(1), sim::Rng(3));
@@ -313,17 +317,15 @@ TEST(SwitchEgress, FlapperGoingDownMidSerializationDropsThatPacket) {
 /// Hosts 0 and 1 send low-priority flows 1 and 2, host 2 sends flow 7 in
 /// the high class, all to host 3 and all 1500 B. Flow 1 is sent at 0 and
 /// leaves the egress queue first. Flow 7 is sent one serialization time
-/// later, so its fabric hop lands exactly when flow 1 finishes serializing
-/// (the reserved place). Flow 2 is sent at `flow2_at`, a number of
-/// serialization times. Returns the flows in arrival order.
-std::vector<net::FlowId> cos_arrival_order(sim::Duration fabric_delay,
-                                           double flow2_at) {
+/// later, so it reaches the switch's queue exactly when flow 1 finishes
+/// serializing (the reserved place). Flow 2 is sent at `flow2_at`, a
+/// number of serialization times. Returns the flows in arrival order.
+std::vector<net::FlowId> cos_arrival_order(double flow2_at) {
   NetworkOptions opt;
   opt.cos_classes = 2;
   opt.classifier = [](const net::Packet& p) -> std::size_t {
     return p.flow == 7 ? 0 : 1;
   };
-  opt.fabric_delay = fabric_delay;
   Network net(net::make_star(4), opt);
   std::vector<net::FlowId> order;
   net.host_downlink(3).set_arrive_tap(
@@ -343,32 +345,119 @@ std::vector<net::FlowId> cos_arrival_order(sim::Duration fabric_delay,
 }
 
 TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
-  // With a 5 us fabric hop, flows 2 and 7 (both sent at one serialization
-  // time) enter the fabric before flow 1 is dequeued, so their hops precede
-  // flow 1's serialization-complete place in the event order: the port is
-  // still busy when they enqueue, and the wake-up at that place picks the
-  // high class first.
-  EXPECT_EQ(cos_arrival_order(sim::usec(5), 1.0),
-            (std::vector<net::FlowId>{1, 7, 2}));
+  // h0 -> s0 -> s1 -> h1. A packet leaves s0's idle trunk port at D and
+  // finishes serializing at D + ser. A probe injected before D floods at
+  // exactly D + ser, in an event ranked before the place reserved at D:
+  // its copy finds the port still busy and waits for the wake-up there,
+  // which a check ranked between the two sees.
+  Network net(net::make_line(2), NetworkOptions{});
+  sw::Switch& s0 = net.switch_at(0);
+  const net::PortId trunk_port = net.spec().trunks[0].port_a;
+  net::Link& trunk = net.trunk_link(0, /*a_to_b=*/true);
+  const sim::SimTime sent = sim::usec(10);
+  const sim::SimTime dequeued = sent + first_enqueue(net);
+  const sim::SimTime departure = dequeued + trunk.serialization_delay(1500);
+  const sim::SimTime inject = departure -
+                              net.options().timing.cpu_to_dataplane_latency -
+                              net.options().fabric_delay;
+  ASSERT_GT(inject, 0);
+  ASSERT_LT(inject, dequeued);
+  sim::Simulator& sim = net.simulator();
+  std::size_t waiting = 0;
+  sim.at(inject, [&] {
+    s0.unit(0, net::Direction::Ingress)->inject_probe();
+    sim.at(departure, [&] { waiting = s0.queue_depth(trunk_port); });
+  });
+  sim.at(sent, [&net] { net.host(0).send(net.host_id(1), 1, 1500); });
+  std::vector<std::pair<bool, sim::SimTime>> handed_over;  // (probe, when)
+  trunk.set_depart_tap([&](const net::Packet& p, sim::SimTime) {
+    handed_over.emplace_back(p.is_probe(), sim.now());
+  });
+  net.run_for(sim::msec(1));
+  EXPECT_EQ(waiting, 1u);
+  ASSERT_EQ(handed_over.size(), 2u);
+  EXPECT_EQ(handed_over[0], std::make_pair(false, dequeued));
+  EXPECT_EQ(handed_over[1], std::make_pair(true, departure));
 }
 
 TEST(SwitchEgress, EnqueueAtDepartureAfterTheReservedSeqLeavesAtOnce) {
-  // With the default 400 ns hop, flows 2 and 7 enter the fabric after flow
-  // 1 is dequeued, so their hops follow its serialization-complete place:
-  // the port is idle, flow 2 leaves in the event that enqueued it, and
-  // flow 7 waits behind it despite its higher class.
-  EXPECT_EQ(cos_arrival_order(sim::nsec(400), 1.0),
-            (std::vector<net::FlowId>{1, 2, 7}));
+  // Flows 2 and 7 reach the queue in their arrival events, which follow
+  // flow 1's serialization-complete place: the port is idle, flow 2 leaves
+  // in the event that enqueued it, and flow 7 waits behind it despite its
+  // higher class.
+  EXPECT_EQ(cos_arrival_order(1.0), (std::vector<net::FlowId>{1, 2, 7}));
 }
 
 TEST(SwitchEgress, WaitingPacketLeavesAtTheReservedPlace) {
   // Flow 2 reaches the queue while flow 1 is still serializing, and flow
-  // 7's hop lands at flow 1's departure but was scheduled after flow 1 was
-  // dequeued. The wake-up runs at the place reserved at that dequeue, so
-  // it sends flow 2 before flow 7 enqueues; a wake-up scheduled only when
-  // flow 2 arrived would run after flow 7's hop and send flow 7 first.
-  EXPECT_EQ(cos_arrival_order(sim::nsec(400), 0.5),
-            (std::vector<net::FlowId>{1, 2, 7}));
+  // 7 arrives at flow 1's departure. The wake-up runs at the place reserved
+  // at flow 1's dequeue, so it sends flow 2 before flow 7 enqueues; a
+  // wake-up scheduled only when flow 2 arrived would run after flow 7's
+  // arrival and send flow 7 first.
+  EXPECT_EQ(cos_arrival_order(0.5), (std::vector<net::FlowId>{1, 2, 7}));
+}
+
+TEST(SwitchEgress, ProbeAndDataLeaveInIngressOrder) {
+  // A probe shares its ingress port's sub-channels with data, so the
+  // egress must see them in the order the ingress unit stamped them. With
+  // channel state, an id lower than the channel's last seen reads as a
+  // wraparound of the 16-id wire space, so an overtaken probe would push
+  // the egress past the initiations below. h0 -> s0 -> s1 -> h1; all of
+  // it at s0, whose ingress unit on port 0 runs at wire arrival plus
+  // pipeline latency:
+  //   T - 200 ns  initiation 1 reaches the ingress unit (id 1);
+  //   T - 100 ns  data packet 1 reaches the ingress unit (stamped 1);
+  //   T           the probe reaches the ingress unit;
+  //   T + 50 ns   initiation 2 reaches the ingress unit (id 2);
+  //   T + 100 ns  data packet 2 reaches the ingress unit (stamped 2).
+  // A probe stamped before its pipeline latency carries id 0 behind data
+  // packet 1; one flooded in a later event leaves behind data packet 2.
+  NetworkOptions opt;
+  opt.snapshot.channel_state = true;
+  opt.snapshot.wire_id_modulus = 16;
+  Network net(net::make_line(2), opt);
+  sw::Switch& s0 = net.switch_at(0);
+  snap::UnitHandle* ingress = s0.unit(0, net::Direction::Ingress);
+  const sim::Duration cpu = opt.timing.cpu_to_dataplane_latency;
+  const sim::Duration pipeline = opt.fabric_delay;
+  const sim::SimTime T = sim::usec(20);
+  const sim::Duration to_ingress = net.host_uplink(0).serialization_delay(64) +
+                                   net.spec().host_link_propagation +
+                                   pipeline;
+  sim::Simulator& sim = net.simulator();
+  sim.at(T - 200 - cpu, [ingress] { ingress->inject_initiation(1); });
+  sim.at(T - 100 - to_ingress,
+         [&net] { net.host(0).send(net.host_id(1), 1, 64); });
+  sim.at(T - cpu - pipeline, [ingress] { ingress->inject_probe(); });
+  sim.at(T + 50 - cpu, [ingress] { ingress->inject_initiation(2); });
+  sim.at(T + 100 - to_ingress,
+         [&net] { net.host(0).send(net.host_id(1), 2, 64); });
+
+  std::vector<sim::SimTime> ingress_at;
+  net.host_uplink(0).set_arrive_tap(
+      [&ingress_at](const net::Packet&, sim::SimTime t) {
+        ingress_at.push_back(t);
+      });
+  struct Departure {
+    net::FlowId flow;  ///< 0 for the probe.
+    std::uint64_t vsid;
+  };
+  std::vector<Departure> departures;
+  net.trunk_link(0, /*a_to_b=*/true)
+      .set_depart_tap([&departures](const net::Packet& p, sim::SimTime) {
+        departures.push_back({p.is_probe() ? 0 : p.flow, p.audit_virtual_sid});
+      });
+  net.run_for(sim::msec(1));
+
+  EXPECT_EQ(ingress_at, (std::vector<sim::SimTime>{T - 100, T + 100}));
+  ASSERT_EQ(departures.size(), 3u);
+  EXPECT_EQ(departures[0].flow, 1u);
+  EXPECT_EQ(departures[1].flow, 0u);
+  EXPECT_EQ(departures[2].flow, 2u);
+  EXPECT_EQ(departures[0].vsid, 1u);
+  EXPECT_EQ(departures[1].vsid, 1u);
+  EXPECT_EQ(departures[2].vsid, 2u);
+  EXPECT_EQ(net.host(1).packets_received(), 2u);
 }
 
 }  // namespace
