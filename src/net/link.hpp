@@ -93,9 +93,17 @@ class Link {
   /// event, the pre-sharding behaviour standalone tests rely on.
   void set_arrival_endpoint(sim::Endpoint ep) { arrival_ = ep; }
 
+  /// Time to put `bytes` on the wire. Most frames repeat the previous
+  /// frame's size, so the last (bytes, delay) pair is kept and the division
+  /// runs only when the size changes, with the same expression.
   [[nodiscard]] sim::Duration serialization_delay(std::uint32_t bytes) const {
-    return static_cast<sim::Duration>(static_cast<double>(bytes) * 8.0 /
-                                      bandwidth_bps_ * sim::kSecond);
+    if (bytes != last_bytes_) {
+      last_bytes_ = bytes;
+      last_delay_ = static_cast<sim::Duration>(static_cast<double>(bytes) *
+                                               8.0 / bandwidth_bps_ *
+                                               sim::kSecond);
+    }
+    return last_delay_;
   }
 
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
@@ -111,11 +119,15 @@ class Link {
 
   Node* dst_ = nullptr;
   PortId dst_port_ = kInvalidPort;
+  bool dynamic_loss_ = false;
+  /// serialization_delay()'s last result: 0 bytes take 0 ns. Packed with
+  /// the two fields above, so the cache does not grow the link.
+  mutable std::uint32_t last_bytes_ = 0;
+  mutable sim::Duration last_delay_ = 0;
   sim::Duration arrival_delay_ = 0;  ///< Departure to receive(); connect().
 
   sim::SimTime busy_until_ = 0;
   double loss_probability_ = 0.0;
-  bool dynamic_loss_ = false;
   std::uint64_t forced_drops_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;

@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <set>
@@ -43,6 +44,22 @@ void TopologySpec::validate() const {
                                   switches[sw].name);
     }
   };
+  // A link must take positive, finite time per byte and never deliver
+  // before it sends: a zero bandwidth would divide by zero when a frame
+  // serializes, and a negative propagation would schedule arrivals in the
+  // past.
+  auto check_link = [](double bandwidth_bps, sim::Duration propagation,
+                       const char* what) {
+    if (!std::isfinite(bandwidth_bps) || bandwidth_bps <= 0.0) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": bandwidth must be finite and positive");
+    }
+    if (propagation < 0) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": propagation must not be negative");
+    }
+  };
+  check_link(host_link_bandwidth_bps, host_link_propagation, "host links");
   for (const auto& h : hosts) claim(h.attached_switch, h.switch_port, "host");
   for (const auto& t : trunks) {
     if (t.switch_a == t.switch_b) {
@@ -50,6 +67,7 @@ void TopologySpec::validate() const {
     }
     claim(t.switch_a, t.port_a, "trunk");
     claim(t.switch_b, t.port_b, "trunk");
+    check_link(t.bandwidth_bps, t.propagation, "trunk");
   }
 }
 

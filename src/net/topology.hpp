@@ -44,7 +44,9 @@ struct TopologySpec {
   sim::Duration host_link_propagation = sim::nsec(500);
 
   /// Basic structural validation; throws std::invalid_argument on
-  /// out-of-range indices, duplicate port usage, or self-loops.
+  /// out-of-range indices, duplicate port usage, self-loops, or a host link
+  /// or trunk whose bandwidth is not finite and positive or whose
+  /// propagation is negative.
   void validate() const;
 };
 

@@ -65,7 +65,7 @@ TopologySpec read_topology(std::istream& is) {
     if (directive == "host_links") {
       double gbps = 0.0;
       sim::Duration prop = 0;
-      if (!(ls >> gbps >> prop) || gbps <= 0.0 || prop < 0) {
+      if (!(ls >> gbps >> prop)) {
         fail(line_no, "host_links needs <gbps> <propagation_ns>");
       }
       spec.host_link_bandwidth_bps = gbps * 1e9;
@@ -112,7 +112,6 @@ TopologySpec read_topology(std::istream& is) {
       t.port_b = static_cast<PortId>(pb);
       double gbps = 0.0;
       if (ls >> gbps) {
-        if (gbps <= 0.0) fail(line_no, "trunk bandwidth must be positive");
         t.bandwidth_bps = gbps * 1e9;
         sim::Duration prop = 0;
         if (ls >> prop) t.propagation = prop;

@@ -29,8 +29,9 @@ std::uint32_t EventQueue::acquire_slot() {
 }
 
 // `inline`, like take() below, so the heap path keeps the call depth of a
-// heap-only queue: nearly every entry of a k=32 round takes it.
-inline void EventQueue::push_heap(const Entry& e) {
+// heap-only queue: nearly every entry of a k=32 round takes it. By value,
+// so that push() never takes the address of the entry it builds.
+inline void EventQueue::push_heap(Entry e) {
   // Heap growth is amortized infrastructure, like the slab.
   det::DetAllow allow_growth;
   heap_.push_back(e);
@@ -41,32 +42,36 @@ EventId EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
                          std::uint32_t idx) {
   assert(callback(idx) && "cannot schedule an empty callback");
   const std::uint32_t gen = generations_[idx];
+  // Form the id before the insert, and keep the entry in registers until
+  // it is stored into its slot: a value stored narrow and read back wide
+  // (an entry staged on the stack and copied with 16-byte loads, a 32-bit
+  // generation spilled across the insert and reloaded as 64 bits) stalls
+  // store-to-load forwarding.
+  const EventId id = (static_cast<EventId>(gen) << 32) | idx;
   const Entry e{when, seq, idx, gen, key};
-  if (heap_.empty() || e.before(heap_.front())) {
-    push_near(e);
-  } else {
-    push_heap(e);
-  }
   if (++live_count_ > peak_size_) peak_size_ = live_count_;
-  return (static_cast<EventId>(gen) << 32) | idx;
-}
-
-void EventQueue::push_near(const Entry& e) {
+  if (!heap_.empty() && !e.before(heap_.front())) {
+    push_heap(e);
+    return id;
+  }
   if (near_.size() == kNearCapacity) {
-    // Full: the latest of the tier's entries and `e` goes to the heap. It
-    // precedes every heap entry, so the heap takes it as its new top.
+    // Full: the latest of the near tier's entries and `e` goes to the heap.
+    // It precedes every heap entry, so the heap takes it as its new top.
     if (!e.before(near_.front())) {
       push_heap(e);
-      return;
+      return id;
     }
     push_heap(near_.front());
     near_.erase(near_.begin());
   }
-  // Insertion from the earliest end: a packet's next hop passes few entries.
-  near_.push_back(e);
-  std::size_t i = near_.size() - 1;
+  // Insertion from the earliest end: a packet's next hop passes few
+  // entries. Those due before `e` move up one slot, and `e` is written
+  // into the slot they leave.
+  std::size_t i = near_.size();
+  near_.emplace_back();
   for (; i > 0 && near_[i - 1].before(e); --i) near_[i] = near_[i - 1];
   near_[i] = e;
+  return id;
 }
 
 bool EventQueue::cancel(EventId id) {

@@ -213,13 +213,12 @@ class EventQueue {
   }
 
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Enter slot `idx` (callback already built) into the order.
+  /// Enter slot `idx` (callback already built) into the order: into the
+  /// near tier if it precedes the heap's top, else into the heap. The one
+  /// insert path.
   EventId push(SimTime when, MergeKey key, std::uint64_t seq,
                std::uint32_t idx);
-  /// Insert `e` into the near tier. Precondition: `e` precedes every heap
-  /// entry.
-  void push_near(const Entry& e);
-  void push_heap(const Entry& e);
+  void push_heap(Entry e);
   /// Take the earliest live entry off its tier into `out` and retire its
   /// slot, if that entry is due at or before `last`. The one pop path.
   bool take(SimTime last, Entry& out);

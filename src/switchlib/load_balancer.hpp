@@ -64,16 +64,20 @@ class EcmpBalancer final : public LoadBalancer {
 /// different paths without reordering.
 class FlowletBalancer final : public LoadBalancer {
  public:
-  FlowletBalancer(std::uint64_t salt, sim::Duration gap, sim::Rng rng,
-                  std::size_t table_size = 4096)
-      : ecmp_(salt), gap_(gap), rng_(rng), table_(table_size) {}
+  /// Flowlet table entries; a power of two, so a mask picks the entry.
+  static constexpr std::size_t kTableSize = 4096;
+  static_assert((kTableSize & (kTableSize - 1)) == 0,
+                "the flowlet table is indexed with a mask");
+
+  FlowletBalancer(std::uint64_t salt, sim::Duration gap, sim::Rng rng)
+      : ecmp_(salt), gap_(gap), rng_(rng), table_(kTableSize) {}
 
   net::PortId choose(const net::Packet& pkt,
                      std::span<const net::PortId> candidates,
                      sim::SimTime now) override {
     const std::size_t idx =
-        (static_cast<std::size_t>(pkt.flow) * 0x9E3779B97f4A7C15ULL) %
-        table_.size();
+        (static_cast<std::size_t>(pkt.flow) * 0x9E3779B97f4A7C15ULL) &
+        (kTableSize - 1);
     Entry& e = table_[idx];
     if (!e.valid || now - e.last_seen > gap_ ||
         e.port_index >= candidates.size()) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -52,6 +53,20 @@ class FifoQueue {
     ring_[(head_ + size_) % ring_.size()] = std::move(pkt);
     ++size_;
     if (size_ > max_depth_) max_depth_ = size_;
+    return true;
+  }
+
+  /// Admit a packet that leaves in the instant it arrives at this empty
+  /// queue, without storing it: the same admission, drop count, depth
+  /// high-water mark and ring materialization as push() then pop().
+  bool pass() {
+    assert(size_ == 0 && "only an empty queue lets a packet pass");
+    if (capacity_ == 0) {
+      ++drops_;
+      return false;
+    }
+    if (ring_.empty()) grow();
+    if (max_depth_ == 0) max_depth_ = 1;
     return true;
   }
 
@@ -109,10 +124,19 @@ class CosQueueSet {
     }
   }
 
-  bool push(net::PooledPacket pkt, std::size_t cls) {
-    return queues_[cls < queues_.size() ? cls : queues_.size() - 1].push(
-        std::move(pkt));
+  /// The class a packet of class `cls` joins: out-of-range classes join
+  /// the last (lowest-priority) one.
+  [[nodiscard]] std::size_t clamp(std::size_t cls) const {
+    return cls < queues_.size() ? cls : queues_.size() - 1;
   }
+
+  bool push(net::PooledPacket pkt, std::size_t cls) {
+    return queues_[clamp(cls)].push(std::move(pkt));
+  }
+
+  /// FifoQueue::pass() on class `cls`, clamped like push(). Precondition:
+  /// the set is empty.
+  bool pass(std::size_t cls) { return queues_[clamp(cls)].pass(); }
 
   /// Strict priority: lowest class index first. Returns the packet and its
   /// class.

@@ -266,9 +266,8 @@ void Switch::finalize() {
 }
 
 std::size_t Switch::classify(const net::Packet& pkt) const {
-  if (!options_.classifier) return 0;
-  const std::size_t cls = options_.classifier(pkt);
-  return cls < options_.cos_classes ? cls : options_.cos_classes - 1;
+  // Out-of-range classes are clamped in enqueue() (CosQueueSet::clamp).
+  return options_.classifier ? options_.classifier(pkt) : 0;
 }
 
 void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
@@ -343,20 +342,26 @@ void Switch::enqueue(net::PortId out, net::PooledPacket pkt,
                      std::size_t forced_class) {
   sim::det::DataPathScope datapath;  // Queue admission: no allocations.
   Port& port = ports_.at(out);
-  const std::size_t cls =
-      forced_class == kClassifyByPacket ? classify(*pkt) : forced_class;
-  if (!port.queue.push(std::move(pkt), cls)) {
-    if (audit_) {
-      sim::det::DetAllow allow_audit;  // Test-only hook; may buffer.
-      audit_->on_queue_drop(id(), out);
+  const std::size_t cls = port.queue.clamp(
+      forced_class == kClassifyByPacket ? classify(*pkt) : forced_class);
+  if (!port.wake_pending && sim_.passed(port.serialized)) {
+    // Idle port: the packet would be pushed and popped straight back in
+    // this call, so it departs without entering the queue. Between events
+    // a non-empty queue always has a wake-up pending.
+    assert(port.queue.empty() && "idle port with a backlog");
+    if (port.queue.pass(cls)) {
+      depart(out, std::move(pkt), cls);
+      return;
     }
+  } else if (port.queue.push(std::move(pkt), cls)) {
+    // Busy port: the wake-up at its departure dequeues the packet.
+    if (!port.wake_pending) wake_at_departure(out, {});
     return;
   }
-  if (port.wake_pending) return;  // The wake-up dequeues it.
-  if (sim_.passed(port.serialized)) {
-    start_transmission(out);
-  } else {
-    wake_at_departure(out, {});
+  // The packet's class had no room for it: dropped.
+  if (audit_) {
+    sim::det::DetAllow allow_audit;  // Test-only hook; may buffer.
+    audit_->on_queue_drop(id(), out);
   }
 }
 
@@ -366,7 +371,13 @@ void Switch::start_transmission(net::PortId out) {
   auto popped = port.queue.pop();
   if (!popped) return;
   auto& [pkt, cls] = *popped;
+  depart(out, std::move(pkt), cls);
+  // The port only needs waking when another packet is already waiting.
+  if (!port.wake_pending && !port.queue.empty()) wake_at_departure(out, {});
+}
 
+void Switch::depart(net::PortId out, net::PooledPacket pkt, std::size_t cls) {
+  Port& port = ports_.at(out);
   // Egress processing happens as the packet leaves the queue (Figure 5).
   process_egress(out, *pkt, cls);
 
@@ -380,10 +391,8 @@ void Switch::start_transmission(net::PortId out) {
     return;
   }
   // The wire after the egress unit is a FIFO channel, so the packet is
-  // handed over now with its departure time; the port only needs waking
-  // when another packet is already waiting.
+  // handed over now with its departure time.
   transmit(out, std::move(pkt), port.serialized.time);
-  if (!port.queue.empty()) wake_at_departure(out, {});
 }
 
 void Switch::wake_at_departure(net::PortId out, net::PooledPacket pkt) {
@@ -523,6 +532,10 @@ const CounterSet& Switch::counters(net::PortId port, net::Direction dir) const {
 
 std::size_t Switch::queue_depth(net::PortId port) const {
   return ports_.at(port).queue.size();
+}
+
+const CosQueueSet& Switch::egress_queue(net::PortId port) const {
+  return ports_.at(port).queue;
 }
 
 std::uint64_t Switch::queue_drops() const {

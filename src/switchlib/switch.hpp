@@ -158,6 +158,9 @@ class Switch final : public net::Node {
   [[nodiscard]] const CounterSet& counters(net::PortId port,
                                            net::Direction dir) const;
   [[nodiscard]] std::size_t queue_depth(net::PortId port) const;
+  /// The egress port's class-of-service queues: per-class occupancy, drops
+  /// and depth high-water marks.
+  [[nodiscard]] const CosQueueSet& egress_queue(net::PortId port) const;
   [[nodiscard]] std::uint64_t queue_drops() const;
   [[nodiscard]] std::uint64_t forwarding_drops() const { return fwd_drops_; }
   [[nodiscard]] std::uint64_t ttl_drops() const { return ttl_drops_; }
@@ -207,9 +210,12 @@ class Switch final : public net::Node {
   void enqueue(net::PortId out, net::PooledPacket pkt,
                std::size_t forced_class = kClassifyByPacket);
   static constexpr std::size_t kClassifyByPacket = ~std::size_t{0};
-  /// Dequeue the next packet, run egress processing and hand it to the
-  /// link. The port must be idle.
+  /// Dequeue the next packet and depart() it. The port must be idle.
   void start_transmission(net::PortId out);
+  /// Run egress processing on `pkt` of class `cls` and hand it to the link:
+  /// the one egress path, for dequeued packets and for packets passing
+  /// straight through an idle port. The port must be idle.
+  void depart(net::PortId out, net::PooledPacket pkt, std::size_t cls);
   /// Schedule the port's next dequeue where the current packet finishes
   /// serializing, delivering `pkt` (if any) there first.
   void wake_at_departure(net::PortId out, net::PooledPacket pkt);

@@ -460,5 +460,145 @@ TEST(SwitchEgress, ProbeAndDataLeaveInIngressOrder) {
   EXPECT_EQ(net.host(1).packets_received(), 2u);
 }
 
+// --- Egress: idle ports pass packets straight through ----------------------
+// A packet that reaches an idle port with an empty queue departs without
+// entering the queue. Admission, drop counting, the class's depth
+// high-water mark and ring materialization read exactly as if it had been
+// pushed and popped back out.
+
+/// Counts queue drops and wire hand-overs at one switch.
+struct DropAudit final : sw::SwitchAudit {
+  int queue_drops = 0;
+  int external_sends = 0;
+  void on_queue_drop(net::NodeId, net::PortId) override { ++queue_drops; }
+  void on_external_send(net::NodeId, net::PortId, std::uint64_t,
+                        bool) override {
+    ++external_sends;
+  }
+};
+
+TEST(SwitchPassThrough, ZeroCapacityDropsAtAnIdlePort) {
+  // A class with no room at all cannot admit the packet, idle port or not:
+  // it is dropped, the drop hook fires once, and the link sees nothing.
+  NetworkOptions opt;
+  opt.queue_capacity = 0;
+  Network net(net::make_star(2), opt);
+  DropAudit audit;
+  net.switch_at(0).set_audit(&audit);
+  int handed_over = 0;
+  net.host_downlink(1).set_depart_tap(
+      [&handed_over](const net::Packet&, sim::SimTime) { ++handed_over; });
+  net.host(0).send(net.host_id(1), 1, 1500);
+  net.run_for(sim::msec(1));
+  EXPECT_EQ(audit.queue_drops, 1);
+  EXPECT_EQ(audit.external_sends, 0);
+  EXPECT_EQ(handed_over, 0);
+  EXPECT_EQ(net.switch_at(0).queue_drops(), 1u);
+  EXPECT_EQ(net.host_downlink(1).packets_sent(), 0u);
+  EXPECT_EQ(net.host(1).packets_received(), 0u);
+}
+
+TEST(SwitchPassThrough, IdleHopCountsAsPushedAndPopped) {
+  // On a snapshot-disabled switch nothing but the queue ring can
+  // materialize a port, so the one hop's bookkeeping shows alone: the
+  // queue is empty, its class saw a depth of one, and the port counts as
+  // materialized.
+  net::TopologySpec spec = net::make_star(2);
+  spec.switches[0].snapshot_enabled = false;
+  Network net(spec, NetworkOptions{});
+  const net::PortId out = spec.hosts[1].switch_port;
+  const sw::Switch& s0 = net.switch_at(0);
+  EXPECT_EQ(net.materialized_ports(), 0u);
+  net.host(0).send(net.host_id(1), 1, 1500);
+  net.run_for(sim::msec(1));
+  EXPECT_EQ(net.host(1).packets_received(), 1u);
+  EXPECT_EQ(s0.queue_depth(out), 0u);
+  EXPECT_EQ(s0.egress_queue(out).class_queue(0).max_depth(), 1u);
+  EXPECT_EQ(s0.egress_queue(out).max_depth(), 1u);
+  EXPECT_EQ(net.materialized_ports(), 1u);
+}
+
+TEST(SwitchPassThrough, ProbeFloodClassOneWaitsForTheWakeUp) {
+  // h0 -> s0 -> s1 -> h1 with two classes. A probe flood reaches s0's idle
+  // trunk port with one copy per class: the class-0 copy leaves in the
+  // flood's own event, and the class-1 copy waits for the wake-up at the
+  // place the first one reserved. Each copy is processed on its own
+  // egress sub-channel, egress_channel(ingress port, class).
+  NetworkOptions opt;
+  opt.cos_classes = 2;
+  opt.snapshot.channel_state = true;
+  Network net(net::make_line(2), opt);
+  sw::Switch& s0 = net.switch_at(0);
+  const net::PortId trunk_port = net.spec().trunks[0].port_a;
+  net::Link& trunk = net.trunk_link(0, /*a_to_b=*/true);
+  snap::UnitHandle* ingress = s0.unit(0, net::Direction::Ingress);
+  sim::Simulator& sim = net.simulator();
+  const sim::SimTime inject = sim::usec(10);
+  const sim::SimTime flood =
+      inject + opt.timing.cpu_to_dataplane_latency + opt.fabric_delay;
+  const sim::Duration ser = trunk.serialization_delay(64);
+  // Snapshot 1 first, so the probe carries id 1 onto the sub-channels.
+  sim.at(sim::usec(1), [ingress] { ingress->inject_initiation(1); });
+  sim.at(inject, [ingress] { ingress->inject_probe(); });
+  std::vector<std::pair<sim::SimTime, sim::SimTime>> handed_over;
+  trunk.set_depart_tap([&](const net::Packet& p, sim::SimTime departed) {
+    if (p.is_probe()) handed_over.emplace_back(sim.now(), departed);
+  });
+  net.run_for(sim::msec(1));
+  ASSERT_EQ(handed_over.size(), 2u);
+  EXPECT_EQ(handed_over[0], std::make_pair(flood, flood + ser));
+  EXPECT_EQ(handed_over[1], std::make_pair(flood + ser, flood + 2 * ser));
+  snap::UnitHandle* egress = s0.unit(trunk_port, net::Direction::Egress);
+  EXPECT_EQ(s0.egress_channel(0, 0), 0u);
+  EXPECT_EQ(s0.egress_channel(0, 1), 1u);
+  EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(0, 0)), 1u);
+  EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(0, 1)), 1u);
+  EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(1, 0)), 0u);
+  EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(1, 1)), 0u);
+}
+
+TEST(SwitchPassThrough, OutOfRangeClassJoinsTheLastClassOnBothPaths) {
+  // Hosts 0 and 1 send one packet each to host 2 in the same instant, and
+  // the classifier answers class 5 of 2. The first packet passes through
+  // the idle port and the second waits in the queue; both travel as class
+  // 1, on their ingress port's class-1 sub-channel.
+  NetworkOptions opt;
+  opt.cos_classes = 2;
+  opt.classifier = [](const net::Packet&) -> std::size_t { return 5; };
+  opt.snapshot.channel_state = true;
+  Network net(net::make_star(3), opt);
+  sw::Switch& s0 = net.switch_at(0);
+  const net::PortId out = net.spec().hosts[2].switch_port;
+  sim::Simulator& sim = net.simulator();
+  for (net::PortId in : {net.spec().hosts[0].switch_port,
+                         net.spec().hosts[1].switch_port}) {
+    snap::UnitHandle* ingress = s0.unit(in, net::Direction::Ingress);
+    sim.at(sim::usec(1), [ingress] { ingress->inject_initiation(1); });
+  }
+  sim.at(sim::usec(10), [&net] {
+    net.host(0).send(net.host_id(2), 1, 1500);
+    net.host(1).send(net.host_id(2), 2, 1500);
+  });
+  std::vector<sim::SimTime> handed_over;
+  net.host_downlink(2).set_depart_tap([&](const net::Packet&, sim::SimTime) {
+    handed_over.push_back(sim.now());
+  });
+  net.run_for(sim::msec(1));
+  EXPECT_EQ(net.host(2).packets_received(), 2u);
+  ASSERT_EQ(handed_over.size(), 2u);
+  EXPECT_EQ(handed_over[1] - handed_over[0],
+            net.host_downlink(2).serialization_delay(1500));
+  const sw::CosQueueSet& queue = s0.egress_queue(out);
+  EXPECT_EQ(queue.class_queue(0).max_depth(), 0u);
+  EXPECT_EQ(queue.class_queue(1).max_depth(), 1u);
+  snap::UnitHandle* egress = s0.unit(out, net::Direction::Egress);
+  for (net::PortId in : {net.spec().hosts[0].switch_port,
+                         net.spec().hosts[1].switch_port}) {
+    SCOPED_TRACE(in);
+    EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(in, 1)), 1u);
+    EXPECT_EQ(egress->read_last_seen_register(s0.egress_channel(in, 0)), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace speedlight

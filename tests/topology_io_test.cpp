@@ -100,6 +100,24 @@ TEST(TopologyIo, RejectsMalformedDirectives) {
                std::invalid_argument);
 }
 
+TEST(TopologyIo, RejectsImpossibleLinkParameters) {
+  // Negative propagation would deliver frames before they are sent; zero
+  // bandwidth would divide by zero when a frame serializes.
+  const std::string two = "switch s0 2\nswitch s1 2\n";
+  EXPECT_THROW(topology_from_string(two + "trunk s0 1 s1 1 100 -5000\n"),
+               std::invalid_argument);
+  EXPECT_THROW(topology_from_string(two + "trunk s0 1 s1 1 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(topology_from_string("host_links 0 500\n" + two),
+               std::invalid_argument);
+  EXPECT_THROW(topology_from_string("host_links 25 -1\n" + two),
+               std::invalid_argument);
+  // Zero propagation is a valid (co-located) link.
+  const TopologySpec spec =
+      topology_from_string(two + "trunk s0 1 s1 1 100 0\n");
+  EXPECT_EQ(spec.trunks[0].propagation, 0);
+}
+
 TEST(TopologyIo, ValidatesResult) {
   // Structurally parseable but semantically invalid (port reuse).
   EXPECT_THROW(topology_from_string(

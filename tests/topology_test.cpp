@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -34,6 +35,30 @@ TEST(Topology, ValidateCatchesOutOfRange) {
   TopologySpec spec2 = make_star(2);
   spec2.trunks.push_back({0, 0, 0, 1, 1e9, 1});
   EXPECT_THROW(spec2.validate(), std::invalid_argument);  // Self loop.
+}
+
+TEST(Topology, ValidateRejectsImpossibleLinkParameters) {
+  // Programmatic specs fail like parsed ones: every host link and trunk
+  // needs a finite, positive bandwidth and a non-negative propagation.
+  auto rejects = [](auto&& mutate) {
+    TopologySpec spec = make_line(2);
+    mutate(spec);
+    EXPECT_THROW(spec.validate(), std::invalid_argument);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bw : {0.0, -1e9, nan, inf}) {
+    SCOPED_TRACE(bw);
+    rejects([bw](TopologySpec& s) { s.trunks[0].bandwidth_bps = bw; });
+    rejects([bw](TopologySpec& s) { s.host_link_bandwidth_bps = bw; });
+  }
+  rejects([](TopologySpec& s) { s.trunks[0].propagation = -5000; });
+  rejects([](TopologySpec& s) { s.host_link_propagation = -1; });
+
+  TopologySpec zero = make_line(2);
+  zero.trunks[0].propagation = 0;
+  zero.host_link_propagation = 0;
+  EXPECT_NO_THROW(zero.validate());
 }
 
 TEST(Topology, EcmpRoutesLeafSpine) {
