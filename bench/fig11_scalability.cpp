@@ -10,11 +10,13 @@
 // (max - min) of the instants over every unit in the network; we report
 // the average over many trials.
 //
-// The full-simulator cross-validation accepts --shards N to run on the
-// parallel conservative engine; the emitted JSON then carries per-shard
-// executed-event counts and engine round counts alongside the registry
-// dump.
-// Synchronization results are bit-identical for every shard count.
+// Usage: fig11_scalability [--smoke] [--large] [--json-out PATH]
+//   --large adds the k=16 (and, without --smoke, k=32) fat-tree sweep
+//   points. Any other flag exits 2.
+//
+// The full-simulator runs emit the events they executed
+// (`full_sim.events`, `fat_tree.k<k>.events`): deterministic work counts
+// that CI gates exactly.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -75,11 +77,9 @@ double average_sync_us(std::size_t routers, int trials, sim::Rng& rng,
 // (every packet, clock, and control-plane event) on a ring of
 // 3-port routers, vs the sampled model at matched parameters.
 double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
-                        std::size_t shards,
-                        bench::JsonReport* report = nullptr) {
+                        bench::JsonReport& report) {
   core::NetworkOptions opt;
   opt.seed = 818;
-  opt.shards = shards;
   core::Network net(net::make_ring(routers), opt);
   const auto campaign = core::run_snapshot_campaign(
       net, snapshots, sim::msec(5));
@@ -87,32 +87,9 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
   for (const auto* snap : campaign.results(net)) {
     sync.add(sim::to_usec(snap->advance_span()));
   }
-  if (report != nullptr) {
-    report->metric("full_sim.shards", static_cast<double>(net.num_shards()));
-    for (std::size_t i = 0; i < net.num_shards(); ++i) {
-      report->metric(
-          "full_sim.shard" + std::to_string(i) + "_events",
-          static_cast<double>(net.shard_simulator(i).stats().executed));
-    }
-    if (const sim::ParallelEngine* eng = net.engine()) {
-      const sim::EngineRunStats& er = eng->last_run();
-      report->metric("full_sim.rounds", static_cast<double>(er.rounds));
-      report->metric("full_sim.rounds_per_1k_events",
-                     er.rounds_per_1k_events());
-      report->metric("full_sim.avg_window_span_ns", er.avg_window_span());
-      report->metric("full_sim.horizon_stalls",
-                     static_cast<double>(er.horizon_stalls()));
-      std::uint64_t posted = 0;
-      for (const auto& sh : er.shards) posted += sh.posted;
-      report->metric("full_sim.cross_shard_msgs",
-                     static_cast<double>(posted));
-    }
-    std::vector<const obs::MetricsRegistry*> regs;
-    for (std::size_t i = 0; i < net.num_shards(); ++i) {
-      regs.push_back(&net.shard_simulator(i).metrics());
-    }
-    bench::embed_registries(*report, regs);
-  }
+  report.metric("full_sim.events",
+                static_cast<double>(net.simulator().stats().executed));
+  report.embed_registry(net.metrics());
   return sync.mean();
 }
 
@@ -139,20 +116,18 @@ struct FatTreeRound {
 };
 
 FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
-                            std::size_t shards, bench::JsonReport& report) {
+                            bench::JsonReport& report) {
   const std::string prefix = "fat_tree.k" + std::to_string(k);
   const std::uint64_t rss_before = obs::current_rss_kb();
 
   core::NetworkOptions opt;
   opt.seed = 818;
-  opt.shards = shards;
   // Production posture (DESIGN.md section 16): wire fast path + streaming
   // digest-only assembly. A round's observer state is O(devices) — the raw
   // unit reports are never retained — and every aggregate below reads the
   // digests.
   opt.wire_fast_path = true;
   opt.observer.retain_unit_reports = false;
-  opt.observer.assembly_shards = static_cast<std::uint32_t>(shards);
   core::Network net(net::make_fat_tree(k), opt);
 
   const std::uint64_t rss_built = obs::current_rss_kb();
@@ -207,10 +182,8 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
                     ? 0.0
                     : static_cast<double>(assembly_entries) /
                           static_cast<double>(out.completed));
-  if (const sim::ParallelEngine* eng = net.engine()) {
-    report.metric(prefix + ".rounds",
-                  static_cast<double>(eng->last_run().rounds));
-  }
+  report.metric(prefix + ".events",
+                static_cast<double>(net.simulator().stats().executed));
 
   std::cout << "  k=" << k << "\t" << net.spec().switches.size()
             << " switches\t" << out.completed << "/" << snapshots
@@ -222,14 +195,16 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
 
 int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
-  std::size_t shards = 1;
   bool large = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
-      if (shards == 0) shards = 1;
+    if (std::strcmp(argv[i], "--large") == 0) {
+      large = true;
+    } else if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
+      ++i;  // Handled by bench::parse_args.
+    } else if (std::strcmp(argv[i], "--smoke") != 0) {
+      std::cerr << "unknown flag: " << argv[i] << "\n";
+      return 2;
     }
-    if (std::strcmp(argv[i], "--large") == 0) large = true;
   }
   bench::JsonReport report("fig11_scalability");
   bench::banner(
@@ -264,8 +239,8 @@ int main(int argc, char** argv) {
   // the simulator can run exhaustively (12 x 3-port routers).
   const double model = average_sync_us(12, bench::scaled(200, 40), rng,
                                        /*ports=*/3);
-  const double simulated = full_sim_sync_us(
-      12, bench::scaled<std::size_t>(60, 15), shards, &report);
+  const double simulated =
+      full_sim_sync_us(12, bench::scaled<std::size_t>(60, 15), report);
   std::cout << "\nCross-validation @ 12 routers x 3 ports:\n"
             << "  sampled model:  " << model << " us\n"
             << "  full simulator: " << simulated << " us\n";
@@ -281,11 +256,9 @@ int main(int argc, char** argv) {
   if (large && !bench::g_smoke) ks.push_back(32);
   const std::size_t rounds = bench::scaled<std::size_t>(3, 2);
 
-  std::cout << "\nFull-fabric fat-tree sweep (" << shards << " shard(s)):\n";
+  std::cout << "\nFull-fabric fat-tree sweep:\n";
   std::vector<FatTreeRound> ft;
-  for (const auto k : ks) {
-    ft.push_back(fat_tree_round(k, rounds, shards, report));
-  }
+  for (const auto k : ks) ft.push_back(fat_tree_round(k, rounds, report));
   for (std::size_t i = 0; i < ft.size(); ++i) {
     bench::check(ft[i].completed == rounds,
                  "k=" + std::to_string(ks[i]) +

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   speedlight_fuzz [--seed S] [--runs N] [--time-budget SECONDS]
-//                   [--replay FILE] [--no-oracle] [--digest] [--shards N]
+//                   [--replay FILE] [--no-oracle] [--digest]
 //                   [--inject-bug] [--out DIR] [--smoke]
 //
 //   --seed S          Base seed; run i uses seed S+i (default 1).
@@ -27,13 +27,6 @@
 //                     whole fault schedule. Any divergence or guarded
 //                     data-path allocation fails the whole run. Doubles the
 //                     cost.
-//   --shards N        Run scenarios on an N-shard parallel network. With
-//                     --digest the twin run keeps N while the primary runs
-//                     serial, so every seed becomes a serial-vs-parallel
-//                     equivalence check (the parallel engine's acceptance
-//                     oracle). Tie fingerprints are only compared when both
-//                     runs use the same shard count (sharding splits
-//                     same-timestamp cohorts across shards and windows).
 //   --inject-bug      Self-test: disable the conservation checker's
 //                     channel-state term, prove the loop finds the
 //                     resulting violation and shrinks it to <= 4 switches,
@@ -41,7 +34,8 @@
 //                     failure. Exits nonzero if any of that fails.
 //   --out DIR         Directory for failing .scenario files (default ".").
 //
-// Exit status: 0 clean, 1 invariant violations found (or self-test failed).
+// Exit status: 0 clean, 1 invariant violations found (or self-test failed),
+// 2 on an unknown flag or a missing flag value.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -63,7 +57,6 @@ struct Args {
   bool with_oracle = true;
   bool digest = false;
   bool inject_bug = false;
-  std::size_t shards = 1;
 };
 
 Args parse(int argc, char** argv) {
@@ -90,9 +83,6 @@ Args parse(int argc, char** argv) {
       a.with_oracle = false;
     } else if (std::strcmp(argv[i], "--digest") == 0) {
       a.digest = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      a.shards = std::strtoull(next("--shards"), nullptr, 10);
-      if (a.shards == 0) a.shards = 1;
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {
       a.inject_bug = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -210,16 +200,10 @@ int main(int argc, char** argv) {
         break;
       }
       const check::Scenario s = check::generate_scenario(args.seed + i);
-      // With --digest --shards N the primary run is serial and the twin is
-      // N-shard: every seed checks the parallel engine against the serial
-      // reference. Without --digest, --shards applies to every run.
-      const std::size_t primary_shards =
-          (args.digest && args.shards > 1) ? 1 : args.shards;
       const check::RunResult r = check::run_scenario(
           s, {.with_oracle = args.with_oracle,
               .wire = args.digest ? check::WireMode::DeltaCompact
-                                  : check::WireMode::Legacy,
-              .shards = primary_shards});
+                                  : check::WireMode::Legacy});
       stats.account(r);
 
       if (args.digest) {
@@ -231,12 +215,10 @@ int main(int argc, char** argv) {
         // a divergence also convicts a lossy codec round-trip.
         const check::RunResult twin = check::run_scenario(
             s, {.with_oracle = args.with_oracle,
-                .wire = check::WireMode::FullV2,
-                .shards = args.shards});
+                .wire = check::WireMode::FullV2});
         ++stats.digest_runs;
-        const bool same_mode = primary_shards == args.shards;
         if (twin.digest != r.digest ||
-            (same_mode && twin.tie_fingerprint != r.tie_fingerprint)) {
+            twin.tie_fingerprint != r.tie_fingerprint) {
           ++stats.digest_divergences;
           std::cout << "DIGEST DIVERGENCE seed " << s.seed << " ("
                     << s.label() << "): digest " << std::hex << r.digest
@@ -254,7 +236,7 @@ int main(int argc, char** argv) {
                 << r.violations.size() << " violation(s):\n";
       print_violations(r);
       const check::ShrinkResult shrunk = check::shrink_scenario(
-          s, {.with_oracle = args.with_oracle, .shards = primary_shards});
+          s, {.with_oracle = args.with_oracle});
       stats.shrink_attempts += shrunk.attempts;
       stats.shrink_steps += shrunk.steps;
       const std::string path = fail_path(args, s.seed);

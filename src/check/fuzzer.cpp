@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/faults.hpp"
@@ -58,7 +60,6 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
 
   core::NetworkOptions nopt = s.network_options();
   nopt.snapshot.hardware_faithful = hardware_faithful;
-  nopt.shards = opts.shards;
   if (opts.wire != WireMode::Legacy) {
     // Wire modes are uncharged: the codecs must be behaviorally invisible,
     // so the digest doubles as a byte-exact encode/decode round-trip check
@@ -72,11 +73,10 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
   }
   const sim::TimingModel base_timing = nopt.timing;
   core::Network net(s.topology(), nopt);
+  sim::Simulator& sim = net.simulator();
 
   // Workload: one generator per source host (round-robin over hosts), the
-  // shape picked by s.workload.mix. Every generator runs on the shard that
-  // owns its source host (with 1 shard this is net.simulator(), the
-  // pre-sharding wiring), so mixes are valid at any shard count.
+  // shape picked by s.workload.mix.
   std::vector<net::NodeId> all;
   for (std::size_t h = 0; h < net.num_hosts(); ++h) {
     all.push_back(net.host_id(h));
@@ -86,7 +86,6 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
       std::max<std::size_t>(1, std::min(s.workload.generators, net.num_hosts()));
   for (std::size_t g = 0; g < n_gens; ++g) {
     const std::size_t h = g % net.num_hosts();
-    sim::Simulator& host_sim = net.shard_simulator(net.host_shard(h));
     sim::Rng rng(s.seed * 977 + g);
     std::unique_ptr<wl::Generator> gen;
     switch (s.workload.mix) {
@@ -97,7 +96,7 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         }
         if (dsts.empty()) break;  // Single-host topology: nothing to send to.
         gen = std::make_unique<wl::PoissonGenerator>(
-            host_sim, net.host(h), std::move(dsts), s.workload.rate_pps,
+            sim, net.host(h), std::move(dsts), s.workload.rate_pps,
             s.workload.packet_size, rng);
         break;
       }
@@ -109,7 +108,7 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         io.packet_size = s.workload.packet_size;
         io.period = sim::usec(500);
         io.burst_packets = 32;
-        gen = std::make_unique<wl::IncastGenerator>(host_sim, net.host(h),
+        gen = std::make_unique<wl::IncastGenerator>(sim, net.host(h),
                                                     all.back(), io, rng);
         break;
       }
@@ -123,7 +122,7 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         so.packet_size = s.workload.packet_size;
         so.chunk_bytes = 32 * 1024;
         gen = std::make_unique<wl::ShuffleGenerator>(
-            host_sim, net.host(h), std::move(peers), h, so, rng);
+            sim, net.host(h), std::move(peers), h, so, rng);
         break;
       }
       case MixKind::MixedTenant: {
@@ -133,8 +132,8 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         // Cap batch packets at the scenario's packet size: the checker's
         // per-drop conservation slack is sized from it.
         mo.batch_packet_size = s.workload.packet_size;
-        gen = std::make_unique<wl::MixedTenantGenerator>(host_sim, net.host(h),
-                                                         h, all, mo, rng);
+        gen = std::make_unique<wl::MixedTenantGenerator>(sim, net.host(h), h,
+                                                         all, mo, rng);
         break;
       }
     }
@@ -159,21 +158,15 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         if (num_trunks == 0) break;
         const std::size_t trunk = f.trunk % num_trunks;
         net::Link& link = net.trunk_link(trunk, f.a_to_b);
-        // A link (and therefore its flapper's up/down events) lives on the
-        // shard of its source switch.
-        const auto& tspec = net.spec().trunks[trunk];
-        sim::Simulator& link_sim = net.shard_simulator(
-            net.switch_shard(f.a_to_b ? tspec.switch_a : tspec.switch_b));
         auto fl = std::make_unique<net::LinkFlapper>(
-            link_sim, link, f.up_mean, f.down_mean,
+            sim, link, f.up_mean, f.down_mean,
             sim::Rng(s.seed ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
         fl->start(start);
-        link_sim.at(end, [p = fl.get()]() { p->stop(); });
+        sim.at(end, [p = fl.get()]() { p->stop(); });
         flappers.push_back(std::move(fl));
         break;
       }
       case FaultKind::NotifDropBurst:
-        // Timing faults mutate every shard's copy at the same instant.
         net.mutate_timing_at(start, [m = f.magnitude](sim::TimingModel& tm) {
           tm.notification_drop_probability = m;
         });
@@ -197,8 +190,8 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
         break;
       }
       case FaultKind::ObserverRestart:
-        net.simulator().at(start, [&net]() { net.observer().set_down(true); });
-        net.simulator().at(end, [&net]() { net.observer().set_down(false); });
+        sim.at(start, [&net]() { net.observer().set_down(true); });
+        sim.at(end, [&net]() { net.observer().set_down(false); });
         break;
     }
   }
@@ -268,6 +261,10 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
 }  // namespace
 
 RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
+  if (opts.shards != 1) {
+    throw std::invalid_argument("RunOptions::shards " +
+                                std::to_string(opts.shards) + " is not 1");
+  }
   SingleRun hw = run_once(s, opts, /*hardware_faithful=*/true);
   RunResult result = std::move(hw.result);
   if (opts.with_oracle) {

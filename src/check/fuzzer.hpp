@@ -45,11 +45,8 @@ struct RunOptions {
   /// channel-state term) to prove the find-and-shrink loop works.
   bool break_conservation = false;
 
-  /// Shard count for the network under test (1 = serial engine). The
-  /// workload generators and fault injectors are wired onto each
-  /// component's owning shard, so the same scenario must produce the same
-  /// digest for every value — `speedlight_fuzz --digest --shards N`
-  /// twin-runs serial vs N-shard and enforces exactly that.
+  /// Must be 1: run_scenario() throws std::invalid_argument for any other
+  /// value. Kept, last, so callers that still set it keep compiling.
   std::size_t shards = 1;
 };
 
@@ -80,6 +77,7 @@ struct RunResult {
 };
 
 /// Run one scenario (deterministic: equal scenarios yield equal results).
+/// Throws std::invalid_argument if opts.shards != 1.
 [[nodiscard]] RunResult run_scenario(const Scenario& s,
                                      const RunOptions& opts = {});
 

@@ -12,8 +12,8 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
+#include "sim/endpoint.hpp"
 #include "sim/inplace_callback.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -80,17 +80,13 @@ class Link {
   /// fully left the sender); arrival is delivery at the far end, after the
   /// receiver's pipeline latency (see Node::pipeline_latency). The depart
   /// tap fires at hand-over with the departure time, which for a switch
-  /// port is the dequeue. Under the parallel engine the arrive tap fires on
-  /// the *destination* shard (it observes the delivery event); install
-  /// taps before the run starts.
+  /// port is the dequeue.
   void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
   /// Route arrivals through a keyed endpoint: gives the link an intrinsic
-  /// same-timestamp merge rank (the link id), and — when the destination
-  /// node lives on another shard — carries the delivery through that
-  /// shard's channel. Unwired (the default) falls back to an unkeyed local
-  /// event, the pre-sharding behaviour standalone tests rely on.
+  /// same-timestamp merge rank (the link id). Unwired (the default) falls
+  /// back to an unkeyed local event, which standalone tests rely on.
   void set_arrival_endpoint(sim::Endpoint ep) { arrival_ = ep; }
 
   /// Time to put `bytes` on the wire. Most frames repeat the previous

@@ -1,12 +1,12 @@
 #include "net/packet_pool.hpp"
 
 #include "sim/determinism.hpp"
-#include "sim/sim_context.hpp"
 
 namespace speedlight::net {
 
 PacketPool& PacketPool::instance() {
-  return sim::SimContext::current().get<PacketPool>();
+  thread_local PacketPool pool;
+  return pool;
 }
 
 Packet* PacketPool::acquire() {

@@ -9,13 +9,9 @@
 // travels through links, switch queues, and event callbacks, returning the
 // slot to the pool when the packet dies (delivery, drop, or probe sink).
 //
-// The pool lives in the active sim::SimContext: one pool per shard under
-// the parallel engine, one per thread otherwise. Each pool is only ever
-// touched by the thread currently executing its context, so the freelist
-// needs no locking. Packets that cross shards (via a ShardChannel) are
-// released into the destination shard's pool — freelist capacity migrates
-// with traffic, which is harmless and keeps release() O(1) and lock-free.
-// Routing through the context instead of threading a pool reference
+// There is one pool per thread: a simulator runs on its caller's thread and
+// only that thread touches the pool, so the freelist needs no locking.
+// Reaching the pool through instance() instead of threading a reference
 // through every Node/Link constructor keeps construction signatures flat.
 #pragma once
 

@@ -10,9 +10,6 @@ TopologyIndex build_topology_index(const TopologySpec& spec) {
   TopologyIndex idx;
   idx.num_switches = spec.switches.size();
   idx.num_hosts = spec.hosts.size();
-  for (const auto& sw : spec.switches) {
-    idx.max_ports = std::max<std::size_t>(idx.max_ports, sw.num_ports);
-  }
 
   // CSR adjacency: count degrees, prefix-sum, then fill in trunk order so
   // each switch's entries appear exactly as compute_ecmp_routes() pushes
@@ -29,28 +26,15 @@ TopologyIndex build_topology_index(const TopologySpec& spec) {
   const std::size_t edges = idx.adj_offset[idx.num_switches];
   idx.adj_peer.resize(edges);
   idx.adj_port.resize(edges);
-  idx.adj_trunk.resize(edges);
   std::vector<std::uint32_t> cursor(idx.adj_offset.begin(),
                                     idx.adj_offset.end() - 1);
-  for (std::size_t t = 0; t < spec.trunks.size(); ++t) {
-    const TrunkSpec& tr = spec.trunks[t];
+  for (const TrunkSpec& tr : spec.trunks) {
     const std::uint32_t ea = cursor[tr.switch_a]++;
     idx.adj_peer[ea] = static_cast<std::uint32_t>(tr.switch_b);
     idx.adj_port[ea] = tr.port_a;
-    idx.adj_trunk[ea] = static_cast<std::uint32_t>(t);
     const std::uint32_t eb = cursor[tr.switch_b]++;
     idx.adj_peer[eb] = static_cast<std::uint32_t>(tr.switch_a);
     idx.adj_port[eb] = tr.port_b;
-    idx.adj_trunk[eb] = static_cast<std::uint32_t>(t);
-  }
-
-  idx.port_trunk.assign(idx.num_switches * idx.max_ports, -1);
-  for (std::size_t t = 0; t < spec.trunks.size(); ++t) {
-    const TrunkSpec& tr = spec.trunks[t];
-    idx.port_trunk[tr.switch_a * idx.max_ports + tr.port_a] =
-        static_cast<std::int32_t>(t);
-    idx.port_trunk[tr.switch_b * idx.max_ports + tr.port_b] =
-        static_cast<std::int32_t>(t);
   }
 
   idx.host_attach.reserve(idx.num_hosts);

@@ -15,8 +15,8 @@
 //
 // TopologyIndex is the CSR (compressed sparse row) form of the trunk graph
 // plus flat host-attachment arrays — the struct-of-arrays view consumed by
-// the route computation, the partitioner, and anything else that walks the
-// topology without wanting per-entity objects.
+// the route computation and anything else that walks the topology without
+// wanting per-entity objects.
 //
 // Equivalence contract (load-bearing for the twin-run digest oracle): for
 // every (switch, host), CompactRoutes::lookup() returns exactly the ports,
@@ -39,7 +39,6 @@ namespace speedlight::net {
 struct TopologyIndex {
   std::size_t num_switches = 0;
   std::size_t num_hosts = 0;
-  std::size_t max_ports = 0;  ///< max over switches of num_ports.
 
   /// CSR adjacency over trunks, both directions, per-switch entries in
   /// trunk construction order (the order compute_ecmp_routes() builds its
@@ -47,11 +46,6 @@ struct TopologyIndex {
   std::vector<std::uint32_t> adj_offset;  ///< size num_switches + 1.
   std::vector<std::uint32_t> adj_peer;    ///< neighbor switch index.
   std::vector<PortId> adj_port;           ///< local out-port toward peer.
-  std::vector<std::uint32_t> adj_trunk;   ///< trunk index of this edge.
-
-  /// (switch * max_ports + port) -> trunk index, or -1 for host access /
-  /// unwired ports. The flow-mass walk in trunk_traffic() consumes this.
-  std::vector<std::int32_t> port_trunk;
 
   /// Per host: attached switch and access port (flat copies of HostSpec).
   std::vector<std::uint32_t> host_attach;

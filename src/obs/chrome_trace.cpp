@@ -30,18 +30,11 @@ void write_escaped(std::ostream& os, const std::string& s) {
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
-  write_chrome_trace(os, std::vector<const Tracer*>{&tracer});
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<const Tracer*>& tracers) {
-  std::uint64_t overwritten = 0;
-  for (const Tracer* t : tracers) overwritten += t->overwritten();
   os << "{\n"
      << "  \"displayTimeUnit\": \"ns\",\n"
      << "  \"otherData\": {\"tool\": \"speedlight\", "
         "\"schema\": \"chrome-trace-v1\", \"overwritten\": "
-     << overwritten << "},\n"
+     << tracer.overwritten() << "},\n"
      << "  \"traceEvents\": [";
 
   bool first = true;
@@ -51,50 +44,34 @@ void write_chrome_trace(std::ostream& os,
     return os;
   };
 
-  // Metadata first: process and thread names, from every tracer.
-  for (const Tracer* tracer : tracers) {
-    for (const auto& [pid, name] : tracer->process_names()) {
-      sep() << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
-            << ", \"tid\": 0, \"args\": {\"name\": \"";
-      write_escaped(os, name);
-      os << "\"}}";
-    }
-    for (const auto& [track, name] : tracer->track_names()) {
-      sep() << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": "
-            << track_pid(track) << ", \"tid\": " << track_tid(track)
-            << ", \"args\": {\"name\": \"";
-      write_escaped(os, name);
-      os << "\"}}";
-    }
+  // Metadata first: process and thread names.
+  for (const auto& [pid, name] : tracer.process_names()) {
+    sep() << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
+          << ", \"tid\": 0, \"args\": {\"name\": \"";
+    write_escaped(os, name);
+    os << "\"}}";
+  }
+  for (const auto& [track, name] : tracer.track_names()) {
+    sep() << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": "
+          << track_pid(track) << ", \"tid\": " << track_tid(track)
+          << ", \"args\": {\"name\": \"";
+    write_escaped(os, name);
+    os << "\"}}";
   }
 
-  // Merge the rings deterministically: sort by (ts, tracer index, ring
-  // position). Per-ring order is already chronological, so the tracer index
-  // and position are a total tie-break — a sharded run with per-shard
-  // rings exports the same byte stream no matter how its windows were
-  // batched.
-  struct Ref {
-    const TraceEvent* e;
-    std::size_t tracer;
-    std::size_t seq;
-  };
-  std::vector<Ref> refs;
-  std::size_t total = 0;
-  for (const Tracer* t : tracers) total += t->size();
-  refs.reserve(total);
-  for (std::size_t ti = 0; ti < tracers.size(); ++ti) {
-    std::size_t seq = 0;
-    tracers[ti]->for_each(
-        [&](const TraceEvent& e) { refs.push_back({&e, ti, seq++}); });
-  }
-  std::stable_sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.e->ts != b.e->ts) return a.e->ts < b.e->ts;
-    if (a.tracer != b.tracer) return a.tracer < b.tracer;
-    return a.seq < b.seq;
-  });
+  // A span is recorded when it ends but stamped with its start, so the
+  // ring is not in timestamp order. A stable sort by timestamp keeps ring
+  // order among equal timestamps.
+  std::vector<const TraceEvent*> events;
+  events.reserve(tracer.size());
+  tracer.for_each([&](const TraceEvent& e) { events.push_back(&e); });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->ts < b->ts;
+                   });
 
-  for (const Ref& ref : refs) {
-    const TraceEvent& e = *ref.e;
+  for (const TraceEvent* ev : events) {
+    const TraceEvent& e = *ev;
     sep() << "{\"name\": \"" << event_name(e.name) << "\", \"cat\": \""
           << category_name(e.cat) << "\", \"ph\": \""
           << (e.dur > 0 ? 'X' : 'i') << "\", \"ts\": ";
@@ -114,14 +91,9 @@ void write_chrome_trace(std::ostream& os,
 }
 
 bool export_chrome_trace(const std::string& path, const Tracer& tracer) {
-  return export_chrome_trace(path, std::vector<const Tracer*>{&tracer});
-}
-
-bool export_chrome_trace(const std::string& path,
-                         const std::vector<const Tracer*>& tracers) {
   std::ofstream out(path);
   if (!out) return false;
-  write_chrome_trace(out, tracers);
+  write_chrome_trace(out, tracer);
   return out.good();
 }
 

@@ -21,29 +21,19 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "obs/trace.hpp"
 
 namespace speedlight::obs {
 
 /// Serialize the tracer's ring (plus its track/process name metadata) as
-/// Chrome trace-event JSON.
+/// Chrome trace-event JSON. Records are written in (timestamp, ring
+/// position) order: the ring itself is not in timestamp order, because a
+/// span is recorded when it ends but stamped with its start.
 void write_chrome_trace(std::ostream& os, const Tracer& tracer);
-
-/// Merge several tracers' rings into one trace — how a sharded network's
-/// per-shard flight recorders are exported on a single time axis. Records
-/// are merged deterministically by (timestamp, tracer index, ring
-/// position), so the same recorded history always serializes to the same
-/// bytes however the shards' windows interleaved; duplicate name metadata
-/// across tracers is harmless.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<const Tracer*>& tracers);
 
 /// Convenience: write to `path`; returns false if the file cannot be
 /// opened.
 bool export_chrome_trace(const std::string& path, const Tracer& tracer);
-bool export_chrome_trace(const std::string& path,
-                         const std::vector<const Tracer*>& tracers);
 
 }  // namespace speedlight::obs

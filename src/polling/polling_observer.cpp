@@ -48,24 +48,22 @@ void PollingObserver::poll_next(
     });
     return;
   }
-  // Sharded path: the round-trip is split at the agent. The read executes
-  // on the unit's shard mid-flight, the sample is recorded back on the
-  // poller's shard a half-RTT later. Clamping the RTT keeps both legs
-  // above the engine's cross-shard lookahead; the clamp is far below the
-  // sampled latency's support, so the distribution is effectively
-  // unchanged. Identical arithmetic runs in single-shard networks, so
-  // shard count never changes what a sweep observes.
+  // Keyed path: the round-trip is split at the agent. The read executes at
+  // the unit mid-flight, the sample is recorded back at the poller a
+  // half-RTT later. Each leg takes at least the modelled floor kMinPollHop;
+  // the clamp is far below the sampled latency's support, so the
+  // distribution is effectively unchanged.
   const sim::Duration rtt =
       std::max(timing_.sample_poll_latency(rng_), 2 * kMinPollHop);
   const sim::SimTime t_read = sim_.now() + rtt / 2;
   const sim::SimTime t_record = sim_.now() + rtt;
   pu.read.post(t_read, [this, sweep, index, done, t_read, t_record]() {
-    // Runs on the unit's shard; units_ is construction-time constant.
+    // At the unit; units_ is construction-time constant.
     PolledUnit& u = units_[index];
     const std::uint64_t value = u.unit->read_live_counter();
     const sim::SimTime read_at = t_read;
     u.record.post(t_record, [this, sweep, index, done, value, read_at]() {
-      // Back on the poller's shard.
+      // Back at the poller.
       PolledUnit& pu2 = units_[index];
       sweep->samples.push_back({pu2.unit->unit_id(), value, read_at});
       ++samples_;

@@ -102,11 +102,8 @@ class DetAllow {
 /// Collects same-timestamp event cohorts and fingerprints the pairs that
 /// touched a common scope. Installation is per thread (the pointer is
 /// thread-local): one auditor audits the thread it was installed on,
-/// which for the serial engine is the whole simulation. Sharded runs
-/// split same-timestamp cohorts across shards and windows, so their
-/// fingerprints are not comparable with serial ones — serial-vs-sharded
-/// verification compares end-state digests instead (see DESIGN.md
-/// section 12). install() also resets the statistics.
+/// which is the whole simulation of every Network that thread runs.
+/// install() also resets the statistics.
 class Auditor {
  public:
   Auditor() = default;

@@ -5,11 +5,10 @@
 // Events at the same timestamp run in (merge key, schedule order): an
 // explicit 32-bit merge key ranks first and a monotonically increasing
 // sequence number breaks the remaining ties. Plain schedule() uses key 0,
-// which reproduces pure schedule order. Keys exist for the parallel engine:
-// cross-shard deliveries carry an intrinsic channel key so that the
-// same-timestamp merge order at a destination is a property of the event
-// itself, not of which shard scheduled it first — the serial and sharded
-// engines then interleave identically (see DESIGN.md section 12).
+// which reproduces pure schedule order. Cross-component deliveries (link
+// arrivals, observer RPCs, poll legs) carry an intrinsic channel key, so
+// the same-timestamp merge order at a destination is a property of the
+// channel, not of which component scheduled first (sim/endpoint.hpp).
 //
 // Design (allocation-free in steady state):
 //  - Callbacks are constructed directly in a slab slot and run there: pop()
@@ -87,8 +86,8 @@ class EventQueue {
   }
 
   /// Schedule with an explicit same-timestamp merge key: events at equal
-  /// times run in (key, schedule order). Cross-shard channels use their
-  /// channel id so delivery interleaving is independent of sharding.
+  /// times run in (key, schedule order). Cross-component channels use their
+  /// channel id so delivery interleaving is a property of the channel.
   template <typename F>
   EventId schedule_keyed(SimTime when, MergeKey key, F&& fn) {
     return schedule_reserved(when, key, next_seq_++, std::forward<F>(fn));

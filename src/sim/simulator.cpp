@@ -30,16 +30,6 @@ std::size_t Simulator::run_until(SimTime until) {
   return executed;
 }
 
-std::size_t Simulator::run_before(SimTime horizon) {
-  std::size_t executed = 0;
-  if (horizon != std::numeric_limits<SimTime>::min()) {
-    while (run_next(horizon - 1)) ++executed;
-  }
-  running_ = kBetweenRuns;
-  stats_.executed += executed;
-  return executed;
-}
-
 bool Simulator::step() {
   if (!run_next(std::numeric_limits<SimTime>::max())) return false;
   running_ = kBetweenRuns;

@@ -100,8 +100,7 @@ class Simulator {
   /// at() with an explicit same-timestamp merge key (see
   /// EventQueue::schedule_keyed). Cross-node channels schedule deliveries
   /// with their channel id so equal-time interleaving at the destination is
-  /// a property of the channel, not of scheduling order — which is what
-  /// makes serial and sharded execution interleave identically.
+  /// a property of the channel, not of scheduling order.
   template <typename F>
   EventId at_keyed(SimTime when, MergeKey key, F&& fn) {
     ++stats_.scheduled;
@@ -151,29 +150,8 @@ class Simulator {
   /// Returns the number of events executed.
   std::size_t run_until(SimTime until = std::numeric_limits<SimTime>::max());
 
-  /// Run every event with timestamp strictly less than `horizon` — the
-  /// parallel engine's inner loop: a shard may execute exactly the events
-  /// the lookahead window proves no other shard can still affect.
-  /// Does NOT advance now() to the horizon (see advance_now()).
-  std::size_t run_before(SimTime horizon);
-
   /// Run exactly one event if available; returns whether one ran.
   bool step();
-
-  /// Timestamp of the next pending event, or SimTime max if none — the
-  /// shard's contribution to the engine's global minimum.
-  [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? std::numeric_limits<SimTime>::max()
-                          : queue_.next_time();
-  }
-
-  /// Advance now() without executing anything (monotonic; earlier times are
-  /// ignored). The engine moves every shard's clock to the committed window
-  /// edge so clamped at() calls and now()-relative sampling agree across
-  /// shards regardless of which shard had events in the window.
-  void advance_now(SimTime t) {
-    if (t > now_) now_ = t;
-  }
 
   /// Pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -212,7 +190,7 @@ class Simulator {
 
   /// Pop the next event if it is due at or before `last` and run its
   /// callback in place; returns whether one ran. The one pop path shared by
-  /// run_until(), run_before() and step().
+  /// run_until() and step().
   bool run_next(SimTime last);
 
   EventQueue queue_;

@@ -378,9 +378,6 @@ void ControlPlane::ship(const UnitReport& r) {
   }
   if (!report_) return;
   if (report_ep_.wired()) {
-    // The sink closure runs on the observer's shard; `report_` itself is
-    // written once at wiring time and only read here, so the cross-shard
-    // call is race-free.
     report_ep_.post(sim_.now() + timing_.observer_rpc_latency,
                     [this, r]() { report_(r); });
   } else {

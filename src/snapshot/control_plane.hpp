@@ -21,7 +21,7 @@
 
 #include "net/types.hpp"
 #include "sim/clock.hpp"
-#include "sim/parallel.hpp"
+#include "sim/endpoint.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
@@ -98,11 +98,10 @@ class ControlPlane {
   /// re-keyframe every unit (the restarted decoder starts empty).
   void on_observer_session(std::uint8_t session);
 
-  /// Route shipped reports through a keyed endpoint to the observer's
-  /// shard (the report RPC). Unwired (default): the report event stays an
-  /// unkeyed local event, the pre-sharding behaviour. Either way the sink
-  /// runs observer_rpc_latency after ship time — on the observer's shard
-  /// when wired.
+  /// Route shipped reports through a keyed endpoint to the observer (the
+  /// report RPC). Unwired (default): the report event stays an unkeyed
+  /// local event. Either way the sink runs observer_rpc_latency after ship
+  /// time.
   void set_report_endpoint(sim::Endpoint ep) { report_ep_ = ep; }
 
   /// Wire the notification transport's in_flight() so the proactive

@@ -127,8 +127,7 @@ void Observer::report_frame_thunk(void* ctx, std::uint16_t dev_index,
   static_cast<Observer*>(ctx)->on_report_frame(dev_index, {bytes, len});
 }
 
-void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc,
-                               WireStats* link_stats) {
+void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   Device dev;
   dev.cp = cp;
   dev.units = cp->unit_ids();
@@ -143,9 +142,7 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc,
     for (const auto& u : dev.units) dev.decoder.add_unit(u);
     dev.decoder.begin_session(session_);
     cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
-                        options_.wire,
-                        link_stats != nullptr ? link_stats
-                                              : options_.wire_stats);
+                        options_.wire, options_.wire_stats);
   } else {
     cp->set_report_sink([this](const UnitReport& r) { on_report(r); });
   }

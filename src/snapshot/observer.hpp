@@ -22,7 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/parallel.hpp"
+#include "sim/endpoint.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
 #include "snapshot/config.hpp"
@@ -134,13 +134,9 @@ class Observer {
   /// next request on.
   ///
   /// `rpc` is the keyed endpoint request RPCs travel through to reach the
-  /// device's shard; unwired (the default) keeps the pre-sharding local
-  /// scheduling. `link_stats` is the wire accounting sink for the
-  /// device-side report encoder (it runs on the device's shard, so sharded
-  /// builds pass that shard's instance); null falls back to the observer's
-  /// own `wire_stats`.
-  void register_device(ControlPlane* cp, sim::Endpoint rpc = {},
-                       WireStats* link_stats = nullptr);
+  /// device; unwired (the default) schedules them as unkeyed local events.
+  /// The device-side report encoder accounts into `wire_stats`.
+  void register_device(ControlPlane* cp, sim::Endpoint rpc = {});
 
   /// Request a network-wide snapshot at true time `when` (the observer's
   /// clock is the reference). Returns the assigned id, or nullopt if the
@@ -189,7 +185,7 @@ class Observer {
   struct Device {
     ControlPlane* cp = nullptr;
     std::vector<net::UnitId> units;
-    sim::Endpoint rpc;  ///< Observer shard -> device shard request path.
+    sim::Endpoint rpc;  ///< Observer -> device request path.
     std::size_t first_unit_index = 0;  ///< Global index of units[0].
     std::size_t relevant_units = 0;    ///< In-scope units (== units.size()
                                        ///< without a sync-group filter).

@@ -68,7 +68,7 @@ struct WireOptions {
 };
 
 /// Fabric-wide wire accounting, registered as `wire.*` in the metrics
-/// registry (one instance per shard; readers sum across shards).
+/// registry.
 struct WireStats {
   std::uint64_t notification_bytes = 0;
   std::uint64_t report_bytes = 0;

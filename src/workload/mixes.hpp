@@ -5,13 +5,11 @@
 // (every trunk loaded, heavy ECMP churn), and mixed-tenant traffic
 // (partitioned host sets with asymmetric service/batch behaviour).
 //
-// Shard discipline: like wl::PoissonGenerator, each generator instance
-// drives exactly ONE source host and must be constructed on the simulator
-// of the shard that owns that host. Fabric-wide structure (everyone bursts
-// at the same instant, everyone walks the same shuffle schedule) comes from
-// shared *parameters* — a common epoch and period — not from shared event
-// queues, so the same mix is valid at any shard count and keeps the
-// twin-run digest oracle intact.
+// Like wl::PoissonGenerator, each generator instance drives exactly ONE
+// source host. Fabric-wide structure (everyone bursts at the same instant,
+// everyone walks the same shuffle schedule) comes from shared *parameters*
+// — a common epoch and period — not from shared state, so each generator's
+// events depend only on its own host and seed.
 #pragma once
 
 #include <cstdint>

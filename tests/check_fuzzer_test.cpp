@@ -4,6 +4,8 @@
 // lossy-link scenarios stay clean via the audited-drop slack.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "check/fuzzer.hpp"
 
 namespace speedlight {
@@ -74,6 +76,16 @@ TEST(Fuzzer, InjectedBugIsCaughtAndShrunk) {
     return;
   }
   FAIL() << "injected conservation bug was never caught in 30 seeds";
+}
+
+TEST(Fuzzer, RejectsShardsOtherThanOne) {
+  // A stale shard count fails closed before anything runs.
+  const auto s = check::generate_scenario(2);
+  for (const std::size_t n : {0u, 2u, 4u}) {
+    const check::RunOptions opts{.with_oracle = false, .shards = n};
+    EXPECT_THROW((void)check::run_scenario(s, opts), std::invalid_argument)
+        << n;
+  }
 }
 
 TEST(Fuzzer, StatsAccountRuns) {

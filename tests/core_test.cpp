@@ -42,6 +42,17 @@ TEST(Network, RejectsNonPowerOfTwoWireModulus) {
   EXPECT_NO_THROW(Network(net::make_star(2), ok));
 }
 
+TEST(Network, RejectsShardsOtherThanOne) {
+  // A Network runs on one simulator; a stale shard count fails closed
+  // instead of silently running serially.
+  for (const std::size_t n : {0u, 2u, 4u}) {
+    NetworkOptions opt;
+    opt.shards = n;
+    EXPECT_THROW(Network(net::make_line(3), opt), std::invalid_argument) << n;
+  }
+  EXPECT_NO_THROW(Network(net::make_line(3), NetworkOptions{}));
+}
+
 TEST(Network, DeterministicAcrossRuns) {
   auto run = []() {
     NetworkOptions opt;

@@ -1,5 +1,5 @@
 // Absolute digest pins. Every other digest oracle compares two runs of the
-// same build (wire twins, serial vs sharded, hardware vs ideal), so a change
+// same build (wire twins, hardware vs ideal), so a change
 // that reorders events identically in both twins passes all of them. The
 // digests fold in snapshot ids and values, so they move when a switch's
 // ingress unit runs at another instant. The constants were last re-derived
@@ -8,8 +8,8 @@
 // testbed moved then.
 //
 // Each scenario runs twice: with default RunOptions (Legacy wire, with the
-// idealized oracle folded in) and with DeltaCompact frames on 4 shards
-// without the oracle. Seeds 12, 74 and 137 are generated `link_flap`
+// idealized oracle folded in) and with DeltaCompact frames without the
+// oracle. Seeds 12, 74 and 137 are generated `link_flap`
 // scenarios whose digests depend on loss being decided when serialization
 // completes, not at dequeue.
 #include <gtest/gtest.h>
@@ -34,8 +34,8 @@ namespace {
 struct Pin {
   const char* name;  ///< Corpus file name, or "" for a generated seed.
   std::uint64_t seed;
-  std::uint64_t serial;   ///< Default RunOptions.
-  std::uint64_t sharded;  ///< DeltaCompact, 4 shards, no oracle.
+  std::uint64_t legacy;  ///< Default RunOptions.
+  std::uint64_t delta;   ///< DeltaCompact, serial, no oracle.
 };
 
 constexpr Pin kCorpusPins[] = {
@@ -71,13 +71,11 @@ void PrintTo(const Pin& pin, std::ostream* os) {
 }
 
 void expect_pinned(const check::Scenario& s, const Pin& pin) {
-  const auto serial = check::run_scenario(s, {});
-  EXPECT_EQ(serial.digest, pin.serial) << s.label();
-  const auto sharded = check::run_scenario(
-      s, {.with_oracle = false,
-          .wire = check::WireMode::DeltaCompact,
-          .shards = 4});
-  EXPECT_EQ(sharded.digest, pin.sharded) << s.label();
+  const auto legacy = check::run_scenario(s, {});
+  EXPECT_EQ(legacy.digest, pin.legacy) << s.label();
+  const auto delta = check::run_scenario(
+      s, {.with_oracle = false, .wire = check::WireMode::DeltaCompact});
+  EXPECT_EQ(delta.digest, pin.delta) << s.label();
 }
 
 class CorpusDigest : public ::testing::TestWithParam<Pin> {};

@@ -255,44 +255,36 @@ TEST(ChromeTrace, EmptyTracerExportsValidJson) {
   EXPECT_NE(out.find("\"displayTimeUnit\": \"ns\""), std::string::npos);
 }
 
-TEST(ChromeTrace, MultiTracerMergeIsSortedAndDeterministic) {
+TEST(ChromeTrace, RingExportsInTimestampOrderKeepingRingOrderOnTies) {
   if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "trace layer compiled out";
-  // Two tracers with interleaved, partially-equal timestamps. The export
-  // must order events by (ts, tracer index, ring position) — a total,
-  // input-order-independent key — so threaded runs produce one canonical
-  // byte stream.
-  obs::Tracer a;
-  obs::Tracer b;
-  a.enable(8);
-  b.enable(8);
-  a.instant(obs::Category::Engine, obs::EventName::EngWindow, 1, 30, 0, 0);
-  a.instant(obs::Category::Engine, obs::EventName::EngWindow, 1, 10, 1, 0);
-  b.instant(obs::Category::Engine, obs::EventName::EngStallPeer, 2, 10, 3, 0);
-  b.instant(obs::Category::Engine, obs::EventName::EngStallPeer, 2, 10, 2, 0);
+  // A span is recorded when it ends but stamped with its start, so the
+  // ring is not in timestamp order. The export sorts by timestamp and
+  // keeps ring order among equal timestamps.
+  obs::Tracer tr;
+  tr.enable(8);
+  tr.instant(obs::Category::Observer, obs::EventName::ObsRequest, 1, 30, 0);
+  // Recorded after the instant at 30, but starts at 10.
+  tr.complete(obs::Category::NotifChannel, obs::EventName::NotifService, 2, 10,
+              25, 1);
+  tr.instant(obs::Category::ControlPlane, obs::EventName::CpProcess, 3, 20, 2);
+  tr.instant(obs::Category::ControlPlane, obs::EventName::CpReport, 3, 20, 3);
 
   std::ostringstream os;
-  obs::write_chrome_trace(os, {&a, &b});
+  obs::write_chrome_trace(os, tr);
   const std::string out = os.str();
   ASSERT_TRUE(JsonChecker(out).valid()) << out;
-  // Expected order by (ts, tracer, seq): a@10, b@10(first), b@10(second),
-  // a@30 — readable off the a0 payloads (1, 3, 2, 0). Tracer index breaks
-  // the a/b tie at ts=10; ring position orders b's equal-ts pair.
+  // Expected order, readable off the a0 payloads: the span at 10, the two
+  // instants at 20 in ring order, then the instant at 30.
   std::vector<std::uint64_t> a0s;
   for (std::size_t p = out.find("\"a0\": "); p != std::string::npos;
        p = out.find("\"a0\": ", p + 1)) {
     a0s.push_back(std::strtoull(out.c_str() + p + 6, nullptr, 10));
   }
-  EXPECT_EQ(a0s, (std::vector<std::uint64_t>{1, 3, 2, 0}));
+  EXPECT_EQ(a0s, (std::vector<std::uint64_t>{1, 2, 3, 0}));
 
-  // Listing the tracers in the other order moves b's pair ahead of a's
-  // equal-ts event — the tracer index is part of the key, so the stream
-  // is a function of (events, tracer order), nothing else.
-  std::ostringstream os2;
-  obs::write_chrome_trace(os2, {&b, &a});
-  EXPECT_NE(os2.str(), out);
-  std::ostringstream os3;
-  obs::write_chrome_trace(os3, {&a, &b});
-  EXPECT_EQ(os3.str(), out);  // Re-export is bit-stable.
+  std::ostringstream again;
+  obs::write_chrome_trace(again, tr);
+  EXPECT_EQ(again.str(), out);  // Re-export is bit-stable.
 }
 
 TEST(ChromeTrace, LiveNetworkExportMatchesSchema) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/clock.hpp"
+#include "sim/endpoint.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -270,6 +271,24 @@ TEST(Simulator, PassedComparesWithTheRunningEvent) {
   EXPECT_FALSE(sim.passed(Reservation{11, 0}));
   sim.run_until();
   EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true, false, true}));
+}
+
+TEST(Endpoint, PostsAtOneInstantRunInKeyOrder) {
+  // An endpoint carries its channel's merge key: posts that land at the
+  // same instant run in key order, whatever order they were posted in, and
+  // after unkeyed (key 0) events.
+  Simulator sim;
+  EXPECT_FALSE(Endpoint{}.wired());
+  Endpoint low = Endpoint::local(sim, 3);
+  Endpoint high = Endpoint::local(sim, 9);
+  EXPECT_TRUE(low.wired());
+  EXPECT_EQ(high.key(), 9u);
+  std::vector<int> order;
+  high.post(10, [&] { order.push_back(9); });
+  low.post(10, [&] { order.push_back(3); });
+  sim.at(10, [&] { order.push_back(0); });
+  sim.run_until();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 9}));
 }
 
 TEST(Rng, Deterministic) {

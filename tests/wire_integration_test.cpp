@@ -43,8 +43,8 @@ std::vector<std::unique_ptr<wl::Generator>> start_all_to_all(
       if (d != h) dsts.push_back(net.host_id(d));
     }
     gens.push_back(std::make_unique<wl::PoissonGenerator>(
-        net.shard_simulator(net.host_shard(h)), net.host(h), dsts, rate_pps,
-        1000, sim::Rng(1000 + h)));
+        net.simulator(), net.host(h), dsts, rate_pps, 1000,
+        sim::Rng(1000 + h)));
     gens.back()->start(net.now());
   }
   return gens;

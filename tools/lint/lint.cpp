@@ -274,10 +274,10 @@ const std::vector<Matcher> kDatapathTokens = {
     {"virtual-in-datapath", {"virtual"}},
 };
 
-/// Engine-profiler hot calls (obs/prof.hpp). Zero compiled-out overhead is
-/// part of the profiler's contract, so every call site on the hot path must
-/// sit inside a region the SPEEDLIGHT_TRACE=OFF build removes. Member-call
-/// syntax only: a declaration of the same name is not a call.
+/// Round-profiler hot calls. Zero compiled-out overhead is part of a
+/// profiler's contract, so every call site on the hot path must sit inside
+/// a region the SPEEDLIGHT_TRACE=OFF build removes. Member-call syntax
+/// only: a declaration of the same name is not a call.
 const std::vector<std::string> kProfilerTokens = {
     ".record_round(", "->record_round(", ".note_inline_round(",
     "->note_inline_round("};
