@@ -33,6 +33,8 @@ Result run(bool probe_on_initiate, bool probe_on_reinitiate,
   opt.control.probe_on_initiate = probe_on_initiate;
   opt.control.probe_on_reinitiate = probe_on_reinitiate;
   opt.observer.completion_timeout = sim::msec(60);
+  // Fixed-cost notification service, the paper's calibration.
+  opt.wire.charge_bytes = false;
   core::Network net(net::make_leaf_spine(2, 2, 3), opt);
   // NO traffic at all: the hard case for channel-state completion.
   const auto campaign = core::run_snapshot_campaign(

@@ -23,6 +23,8 @@ double completion_latency_ms(snap::NotificationMode mode,
   core::NetworkOptions opt;
   opt.seed = 99;
   opt.notification_mode = mode;
+  // Fixed-cost notification service, the paper's calibration.
+  opt.wire.charge_bytes = false;
   core::Network net(net::make_leaf_spine(2, 2, 3), opt);
   const auto campaign = core::run_snapshot_campaign(
       net, bench::scaled<std::size_t>(30, 10), sim::msec(10));
@@ -38,6 +40,7 @@ bool sustains(snap::NotificationMode mode, int ports, double rate_hz) {
   core::NetworkOptions opt;
   opt.seed = 7;
   opt.notification_mode = mode;
+  opt.wire.charge_bytes = false;
   opt.observer.completion_timeout = sim::sec(5.0);
   core::Network net(net::make_star(static_cast<std::size_t>(ports)), opt);
   core::run_snapshot_campaign(

@@ -54,7 +54,6 @@ struct Result {
 Result run_config(const Config& cfg, bench::JsonReport& report) {
   core::NetworkOptions opt;
   opt.seed = 424;
-  opt.wire_fast_path = true;
   opt.wire.encoding = cfg.encoding;
   opt.wire.compact_timestamps = cfg.compact_ts;
   core::Network net(net::make_leaf_spine(2, 2, 3), opt);

@@ -28,6 +28,8 @@ Result run(std::uint32_t modulus, bench::JsonReport* report = nullptr) {
   opt.seed = 12;
   opt.snapshot.channel_state = true;
   opt.snapshot.wire_id_modulus = modulus;
+  // Fixed-cost notification service, the paper's calibration.
+  opt.wire.charge_bytes = false;
   core::Network net(net::make_leaf_spine(2, 2, 3), opt);
   std::vector<std::unique_ptr<wl::Generator>> gens;
   for (std::size_t h = 0; h < net.num_hosts(); ++h) {

@@ -3,9 +3,9 @@
 // the control plane's per-notification service time; the paper sustains
 // >70 snapshots/s at 64 ports (a full linecard).
 //
-// Runs on the wire fast path (DESIGN.md section 16): notifications ship as
-// delta-encoded compact-timestamp frames whose service time scales with
-// frame size, so the sustained rate is >=3x the v1 struct-shipping
+// Runs on the default wire format (DESIGN.md section 16): notifications
+// ship as delta-encoded compact-timestamp frames whose service time scales
+// with frame size, so the sustained rate is >=3x the fixed-cost service
 // baseline (71.1 Hz at 64 ports) and notification bytes drop >=5x against
 // the 29-byte full frames.
 #include <cmath>
@@ -33,8 +33,8 @@ bool sustains(int ports, double rate_hz, std::size_t count,
   core::NetworkOptions opt;
   opt.seed = 7;
   opt.timing.notification_buffer_capacity = 4096;
+  // The default wire format: delta + compact ts, byte-charged service.
   opt.observer.completion_timeout = sim::sec(5.0);
-  opt.wire_fast_path = true;  // Delta + compact ts, byte-charged service.
   core::Network net(net::make_star(static_cast<std::size_t>(ports)), opt);
 
   const auto interval =
@@ -86,8 +86,9 @@ int main(int argc, char** argv) {
 
   bench::check(rates[4] > 70.0,
                "64-port router sustains >70 snapshots/s (paper's claim)");
-  // The v1 struct-shipping path sustained 71.1 Hz at 64 ports; the wire
-  // fast path's smaller frames must buy at least 3x.
+  // Fixed-cost service (ablation_notification_transport's raw socket)
+  // sustains 71.1 Hz at 64 ports; byte-charged delta frames must buy at
+  // least 3x.
   bench::check(rates[4] > 213.0,
                "wire fast path sustains >=3x the v1 64-port rate");
   bench::check(rates[0] > 500.0, "4-port router sustains hundreds of Hz");

@@ -122,11 +122,10 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
 
   core::NetworkOptions opt;
   opt.seed = 818;
-  // Production posture (DESIGN.md section 16): wire fast path + streaming
-  // digest-only assembly. A round's observer state is O(devices) — the raw
-  // unit reports are never retained — and every aggregate below reads the
-  // digests.
-  opt.wire_fast_path = true;
+  // Production posture (DESIGN.md section 16): the default wire format +
+  // streaming digest-only assembly. A round's observer state is
+  // O(devices) — the raw unit reports are never retained — and every
+  // aggregate below reads the digests.
   opt.observer.retain_unit_reports = false;
   core::Network net(net::make_fat_tree(k), opt);
 

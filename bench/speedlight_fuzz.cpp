@@ -3,7 +3,9 @@
 // quality, fault schedule — from one 64-bit seed, executes it end-to-end,
 // and checks every completed snapshot with check::ConsistencyChecker plus
 // the hardware-vs-ideal oracle. Failures are delta-debugged to a minimal
-// reproducer and saved as a replayable `.scenario` file.
+// reproducer and saved as a replayable `.scenario` file. Control-plane
+// traffic ships as delta-encoded compact-timestamp v2 frames with uncharged
+// (fixed-cost) service, check::RunOptions' default.
 //
 // Usage:
 //   speedlight_fuzz [--seed S] [--runs N] [--time-budget SECONDS]
@@ -20,11 +22,10 @@
 //   --digest          Determinism + codec backstop: run every seed twice and
 //                     demand bit-identical end-state digests and (under
 //                     SPEEDLIGHT_CHECK_DETERMINISM) tie-break fingerprints.
-//                     The primary run ships control-plane traffic as
-//                     delta-encoded compact-timestamp v2 frames and the twin
-//                     as full v2 frames (both uncharged), so every seed is
-//                     also an encode/decode equivalence check across the
-//                     whole fault schedule. Any divergence or guarded
+//                     The twin ships full v2 frames instead of delta
+//                     frames (both uncharged), so every seed is also an
+//                     encode/decode equivalence check across the whole
+//                     fault schedule. Any divergence or guarded
 //                     data-path allocation fails the whole run. Doubles the
 //                     cost.
 //   --inject-bug      Self-test: disable the conservation checker's
@@ -200,10 +201,8 @@ int main(int argc, char** argv) {
         break;
       }
       const check::Scenario s = check::generate_scenario(args.seed + i);
-      const check::RunResult r = check::run_scenario(
-          s, {.with_oracle = args.with_oracle,
-              .wire = args.digest ? check::WireMode::DeltaCompact
-                                  : check::WireMode::Legacy});
+      const check::RunResult r =
+          check::run_scenario(s, {.with_oracle = args.with_oracle});
       stats.account(r);
 
       if (args.digest) {

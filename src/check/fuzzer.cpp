@@ -60,17 +60,14 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
 
   core::NetworkOptions nopt = s.network_options();
   nopt.snapshot.hardware_faithful = hardware_faithful;
-  if (opts.wire != WireMode::Legacy) {
-    // Wire modes are uncharged: the codecs must be behaviorally invisible,
-    // so the digest doubles as a byte-exact encode/decode round-trip check
-    // over the whole fault schedule.
-    nopt.wire_fast_path = true;
-    nopt.wire.encoding = opts.wire == WireMode::FullV2
-                             ? snap::WireEncoding::FullV2
-                             : snap::WireEncoding::DeltaV2;
-    nopt.wire.compact_timestamps = opts.wire == WireMode::DeltaCompact;
-    nopt.wire.charge_bytes = false;
-  }
+  // Uncharged service: the codecs must be behaviorally invisible, so the
+  // digest doubles as a byte-exact encode/decode round-trip check over the
+  // whole fault schedule.
+  nopt.wire.encoding = opts.wire == WireMode::FullV2
+                           ? snap::WireEncoding::FullV2
+                           : snap::WireEncoding::DeltaV2;
+  nopt.wire.compact_timestamps = opts.wire == WireMode::DeltaCompact;
+  nopt.wire.charge_bytes = false;
   const sim::TimingModel base_timing = nopt.timing;
   core::Network net(s.topology(), nopt);
   sim::Simulator& sim = net.simulator();

@@ -17,19 +17,17 @@
 
 namespace speedlight::check {
 
-/// Control-plane report/notification shipping model for a scenario run.
-/// `Legacy` is the v1 struct-shipping path (the pinned-corpus default).
-/// The wire modes enable the v2 fast path (DESIGN.md section 16) with
-/// byte-charging *off*, so the event timeline — and therefore the run
-/// digest — must be identical to Legacy except around observer restarts,
-/// where the wire session protocol drops stale in-flight frames that the
-/// legacy path would still accept. The two wire modes always agree with
-/// each other: `speedlight_fuzz --digest` twin-runs DeltaCompact against
-/// FullV2 as the codec-equivalence oracle.
+/// Control-plane wire encoding for a scenario run (DESIGN.md section 16).
+/// Every mode runs with byte-charging *off*: each frame costs the fixed
+/// notification service time, so the event timeline — and therefore the
+/// run digest — is the same under both encodings, and matches the retired
+/// v1 struct-shipping model except across observer restarts, where the
+/// wire session protocol drops stale in-flight frames.
+/// `speedlight_fuzz --digest` twin-runs DeltaCompact against FullV2 as the
+/// codec-equivalence oracle.
 enum class WireMode : std::uint8_t {
-  Legacy,        ///< v1 struct shipping.
-  DeltaCompact,  ///< v2 DeltaV2 + compact timestamps, uncharged.
-  FullV2,        ///< v2 fixed-size frames, full timestamps, uncharged.
+  DeltaCompact,  ///< DeltaV2 + compact timestamps (the default).
+  FullV2,        ///< Fixed-size frames, full timestamps.
 };
 
 struct RunOptions {
@@ -38,8 +36,8 @@ struct RunOptions {
   /// Doubles the cost of a run.
   bool with_oracle = true;
 
-  /// Shipping model for the network under test (see WireMode).
-  WireMode wire = WireMode::Legacy;
+  /// Wire encoding for the network under test (see WireMode).
+  WireMode wire = WireMode::DeltaCompact;
 
   /// Self-test: deliberately break the conservation checker (drop the
   /// channel-state term) to prove the find-and-shrink loop works.

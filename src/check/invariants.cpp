@@ -18,6 +18,11 @@ bool flow_metric(sw::MetricKind m) {
   return m == sw::MetricKind::PacketCount || m == sw::MetricKind::ByteCount;
 }
 
+/// Metrics that only ever count up; gauges and EWMAs legitimately fall.
+bool counter_metric(sw::MetricKind m) {
+  return flow_metric(m) || m == sw::MetricKind::EcnMarkCount;
+}
+
 }  // namespace
 
 sim::Duration sync_span_bound(sim::Duration ptp_residual_stddev,
@@ -50,13 +55,14 @@ std::vector<Violation> ConsistencyChecker::check_all(
     }
   }
 
+  const bool counts_up = counter_metric(net_.options().metric);
   const snap::GlobalSnapshot* prev = nullptr;
   for (const auto* s : results) {
     check_structure(*s, out);
     check_conservation(*s, out);
     check_sync_span(*s, out);
     if (prev != nullptr) {
-      check_monotonicity(*prev, *s, out);
+      if (counts_up) check_monotonicity(*prev, *s, out);
       check_advance_order(*prev, *s, out);
     }
     prev = s;

@@ -19,6 +19,10 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     throw std::invalid_argument("shards " + std::to_string(options_.shards) +
                                 " is not 1: a Network runs on one simulator");
   }
+  if (!options_.wire_fast_path) {
+    throw std::invalid_argument(
+        "wire_fast_path is false: the control plane has one wire path");
+  }
   spec_.validate();
   if (!snap::SidSpace::valid_modulus(options_.snapshot.wire_id_modulus)) {
     throw std::invalid_argument(
@@ -67,11 +71,8 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.ecn_threshold = options_.ecn_threshold;
     so.per_instance_metrics = s <= options_.per_instance_metrics_limit;
     so.control = options_.control;
-    if (options_.wire_fast_path) {
-      so.wire_enabled = true;
-      so.wire = options_.wire;
-      so.wire_stats = &wire_stats_;
-    }
+    so.wire = options_.wire;
+    so.wire_stats = &wire_stats_;
     switches_.emplace_back(sim_, static_cast<net::NodeId>(i),
                            spec_.switches[i].name, timing_, so,
                            master.fork("switch" + std::to_string(i)));
@@ -173,17 +174,13 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
 
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
-  // The observer's snapshot config always mirrors the data plane's, and
-  // its wire setup mirrors the network-level fast-path switches; the rest
-  // (completion timeout, report retention, assembly shards) is taken from
-  // the caller's observer options.
+  // The observer's snapshot config and wire format always mirror the data
+  // plane's; the rest (completion timeout, report retention, assembly
+  // shards) is taken from the caller's observer options.
   snap::Observer::Options obs_options = options_.observer;
   obs_options.snapshot = options_.snapshot;
-  if (options_.wire_fast_path) {
-    obs_options.wire_reports = true;
-    obs_options.wire = options_.wire;
-    obs_options.wire_stats = &wire_stats_;
-  }
+  obs_options.wire = options_.wire;
+  obs_options.wire_stats = &wire_stats_;
   observer_ = std::make_unique<snap::Observer>(sim_, timing_,
                                                std::move(obs_options));
   poller_ = std::make_unique<poll::PollingObserver>(sim_, timing_,
@@ -203,32 +200,24 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
   }
   if (options_.start_ptp) ptp_->start();
 
-  if (options_.wire_fast_path) {
-    // Fabric-wide wire accounting (satellite of the v2 fast path): byte
-    // counters split by frame family plus the fallback/drop diagnostics.
-    using obs::MetricKind;
-    auto& reg = sim_.metrics();
-    const auto field = [this](std::uint64_t snap::WireStats::* f) {
-      return [this, f] { return wire_stats_.*f; };
-    };
-    reg.register_reader("wire.notification_bytes", MetricKind::Counter,
-                        field(&snap::WireStats::notification_bytes));
-    reg.register_reader("wire.report_bytes", MetricKind::Counter,
-                        field(&snap::WireStats::report_bytes));
-    reg.register_reader("wire.keyframe_bytes", MetricKind::Counter,
-                        field(&snap::WireStats::keyframe_bytes));
-    reg.register_reader("wire.delta_bytes", MetricKind::Counter,
-                        field(&snap::WireStats::delta_bytes));
-    reg.register_reader("wire.notifications_encoded", MetricKind::Counter,
-                        field(&snap::WireStats::notifications_encoded));
-    reg.register_reader("wire.reports_encoded", MetricKind::Counter,
-                        field(&snap::WireStats::reports_encoded));
-    reg.register_reader("wire.ts_fallbacks", MetricKind::Counter,
-                        field(&snap::WireStats::ts_fallbacks));
-    reg.register_reader("wire.stale_session_drops", MetricKind::Counter,
-                        field(&snap::WireStats::stale_session_drops));
-    reg.register_reader("wire.decode_failures", MetricKind::Counter,
-                        field(&snap::WireStats::decode_failures));
+  // Fabric-wide wire accounting: byte counters split by frame family plus
+  // the fallback/drop diagnostics.
+  using W = snap::WireStats;
+  constexpr std::pair<const char*, std::uint64_t W::*> kWireSeries[] = {
+      {"wire.notification_bytes", &W::notification_bytes},
+      {"wire.report_bytes", &W::report_bytes},
+      {"wire.keyframe_bytes", &W::keyframe_bytes},
+      {"wire.delta_bytes", &W::delta_bytes},
+      {"wire.notifications_encoded", &W::notifications_encoded},
+      {"wire.reports_encoded", &W::reports_encoded},
+      {"wire.ts_fallbacks", &W::ts_fallbacks},
+      {"wire.stale_session_drops", &W::stale_session_drops},
+      {"wire.decode_failures", &W::decode_failures},
+  };
+  for (const auto& [name, field] : kWireSeries) {
+    sim_.metrics().register_reader(
+        name, obs::MetricKind::Counter,
+        [this, f = field] { return wire_stats_.*f; });
   }
 }
 

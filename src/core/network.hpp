@@ -56,14 +56,14 @@ struct NetworkOptions {
   sim::Duration fabric_delay = sim::nsec(400);
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
-  /// Control-plane wire fast path (DESIGN.md section 16): notifications and
-  /// unit reports cross process boundaries as v2-encoded frames, service
-  /// time scales with frame size, and the observer assembles from per-link
-  /// decoders. Off (default) preserves the exact v1 struct-shipping model.
-  bool wire_fast_path = false;
-  /// Wire encoding knobs, meaningful with wire_fast_path. The `wire.*`
-  /// metrics series (notification/report/keyframe/delta bytes, fallback and
-  /// drop counters) register when the fast path is on.
+  /// Must be true: notifications and unit reports always cross process
+  /// boundaries as v2 wire frames. false makes the constructor throw
+  /// std::invalid_argument. Kept so callers that still set it keep
+  /// compiling.
+  bool wire_fast_path = true;
+  /// Control-plane wire format (DESIGN.md section 16) of every
+  /// notification transport and report link. Its `wire.*` metrics series
+  /// (frame bytes, fallback and drop counters) register on every network.
   snap::WireOptions wire;
 
   /// Enable In-band Network Telemetry on all switches.
@@ -170,7 +170,7 @@ class Network {
   [[nodiscard]] snap::PtpService& ptp() { return *ptp_; }
   [[nodiscard]] const NetworkOptions& options() const { return options_; }
 
-  /// Fabric-wide wire accounting (all zeros unless wire_fast_path).
+  /// Fabric-wide wire accounting.
   [[nodiscard]] snap::WireStats wire_stats_total() const { return wire_stats_; }
 
   /// Mutable view of the live timing model. Every component holds a
@@ -243,8 +243,7 @@ class Network {
   /// Fabric-wide O(1)-memory metric accumulators (large fabrics).
   obs::StreamingMetrics streaming_;
 
-  /// Wire accounting, written by every encoder and decoder when
-  /// wire_fast_path is on.
+  /// Wire accounting, written by every encoder and decoder.
   snap::WireStats wire_stats_;
 
   std::unique_ptr<snap::PtpService> ptp_;

@@ -38,11 +38,7 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
   };
   static_assert(sim::InplaceCallback::fits_inline<decltype(arrival)>,
                 "propagation event must not heap-allocate");
-  if (arrival_.wired()) {
-    arrival_.post(arrives, std::move(arrival));
-  } else {
-    sim_.at(arrives, std::move(arrival));
-  }
+  arrival_.post(arrives, std::move(arrival));
 }
 
 }  // namespace speedlight::net

@@ -31,7 +31,8 @@ class Link {
       : sim_(sim),
         bandwidth_bps_(bandwidth_bps),
         propagation_(propagation),
-        rng_(rng) {}
+        rng_(rng),
+        arrival_(sim::Endpoint::local(sim, 0)) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -85,8 +86,8 @@ class Link {
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
   /// Route arrivals through a keyed endpoint: gives the link an intrinsic
-  /// same-timestamp merge rank (the link id). Unwired (the default) falls
-  /// back to an unkeyed local event, which standalone tests rely on.
+  /// same-timestamp merge rank (the link id). The default endpoint posts at
+  /// key 0, in plain schedule order, which standalone tests rely on.
   void set_arrival_endpoint(sim::Endpoint ep) { arrival_ = ep; }
 
   /// Time to put `bytes` on the wire. Most frames repeat the previous

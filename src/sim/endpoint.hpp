@@ -17,9 +17,10 @@
 namespace speedlight::sim {
 
 /// A keyed posting handle to a fixed simulator. Cheap value type wired
-/// during topology construction. A default-constructed Endpoint is unwired:
-/// callers treat that as "use the unkeyed local path", so standalone
-/// component tests keep their plain schedule order.
+/// during topology construction. Components default to key 0 on their own
+/// simulator, which is exactly Simulator::at()'s place in the (time, key,
+/// seq) order, so standalone component tests keep their plain schedule
+/// order. A default-constructed Endpoint is unwired and must not post.
 class Endpoint {
  public:
   Endpoint() = default;

@@ -17,6 +17,7 @@ ControlPlane::ControlPlane(sim::Simulator& sim, net::NodeId device,
       options_(options),
       rng_(rng),
       space_(options.snapshot.sid_space()),
+      report_ep_(sim::Endpoint::local(sim, 0)),
       track_(obs::cpu_track(device)) {
   if (!options_.per_instance_metrics) return;
   using obs::MetricKind;
@@ -42,7 +43,9 @@ void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask)
   state.completion_mask = std::move(completion_mask);
   unit_index_[unit->unit_id()] = units_.size();
   units_.push_back(std::move(state));
-  if (frame_fn_ != nullptr) report_enc_.add_unit(unit->unit_id());
+  // The baseline slot exists before the first ship: encoding never
+  // allocates (the data-path allocation guard watches it).
+  report_enc_.add_unit(unit->unit_id());
 }
 
 std::vector<net::UnitId> ControlPlane::unit_ids() const {
@@ -322,9 +325,6 @@ void ControlPlane::set_report_link(void* ctx, ReportFrameFn fn,
   frame_fn_ = fn;
   frame_dev_index_ = dev_index;
   report_enc_.configure(opts, timing_.observer_rpc_latency, stats);
-  // Pre-create every baseline slot so encoding never allocates on the ship
-  // path (the data-path allocation guard watches it).
-  for (const auto& u : units_) report_enc_.add_unit(u.handle->unit_id());
 }
 
 void ControlPlane::set_report_scope(std::vector<bool> relevant) {
@@ -351,38 +351,25 @@ void ControlPlane::ship(const UnitReport& r) {
   ++reports_sent_;
   sim_.tracer().instant(obs::Category::ControlPlane, obs::EventName::CpReport,
                         track_, sim_.now(), r.sid, obs::pack_unit(r.unit));
-  if (frame_fn_ != nullptr) {
-    // v2 link: encode here (the encoder is stateful per link), ship bytes.
-    // The closure is sized to the inline event capture: fn(8) + ctx(8) +
-    // dev(2) + len(1) + frame(45) = 64 bytes.
-    struct Shipment {
-      ReportFrameFn fn;
-      void* ctx;
-      std::uint16_t dev;
-      std::uint8_t len;
-      std::array<std::uint8_t, kMaxReportFrameBytes> bytes;
-      void operator()() const { fn(ctx, dev, bytes.data(), len); }
-    };
-    Shipment s;
-    s.fn = frame_fn_;
-    s.ctx = frame_ctx_;
-    s.dev = frame_dev_index_;
-    s.len = static_cast<std::uint8_t>(
-        report_enc_.encode(r, sim_.now(), s.bytes.data()));
-    if (report_ep_.wired()) {
-      report_ep_.post(sim_.now() + timing_.observer_rpc_latency, s);
-    } else {
-      sim_.after(timing_.observer_rpc_latency, s);
-    }
-    return;
-  }
-  if (!report_) return;
-  if (report_ep_.wired()) {
-    report_ep_.post(sim_.now() + timing_.observer_rpc_latency,
-                    [this, r]() { report_(r); });
-  } else {
-    sim_.after(timing_.observer_rpc_latency, [this, r]() { report_(r); });
-  }
+  if (frame_fn_ == nullptr) return;
+  // Encode here (the encoder is stateful per link), ship bytes. The closure
+  // is sized to the inline event capture: fn(8) + ctx(8) + dev(2) + len(1)
+  // + frame(45) = 64 bytes.
+  struct Shipment {
+    ReportFrameFn fn;
+    void* ctx;
+    std::uint16_t dev;
+    std::uint8_t len;
+    std::array<std::uint8_t, kMaxReportFrameBytes> bytes;
+    void operator()() const { fn(ctx, dev, bytes.data(), len); }
+  };
+  Shipment s;
+  s.fn = frame_fn_;
+  s.ctx = frame_ctx_;
+  s.dev = frame_dev_index_;
+  s.len = static_cast<std::uint8_t>(
+      report_enc_.encode(r, sim_.now(), s.bytes.data()));
+  report_ep_.post(sim_.now() + timing_.observer_rpc_latency, s);
 }
 
 void ControlPlane::start_register_poll() {

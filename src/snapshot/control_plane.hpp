@@ -72,19 +72,17 @@ class ControlPlane {
   /// removal of non-utilized upstream neighbors").
   void add_unit(UnitHandle* unit, std::vector<bool> completion_mask);
 
-  void set_report_sink(ReportSink sink) { report_ = std::move(sink); }
-
   /// Receiver of encoded report frames (the observer side of the report
   /// RPC). A plain function pointer + context keeps the shipped closure
   /// within the inline event capture.
   using ReportFrameFn = void (*)(void* ctx, std::uint16_t dev_index,
                                  const std::uint8_t* bytes, std::uint8_t len);
 
-  /// Wire-format v2 report link (DESIGN.md section 16): ship() encodes each
-  /// report through a stateful per-link delta encoder and posts the byte
-  /// frame to `fn` instead of the legacy struct sink. `dev_index` is the
-  /// observer's dense index for this device (frames do not carry node ids).
-  /// Replaces the set_report_sink() path entirely once set.
+  /// The report link to the observer (DESIGN.md section 16): ship()
+  /// encodes each report through a stateful per-link delta encoder and
+  /// posts the byte frame to `fn`. `dev_index` is the observer's dense index
+  /// for this device (frames do not carry node ids). Until a link is set,
+  /// reports are counted and dropped.
   void set_report_link(void* ctx, ReportFrameFn fn, std::uint16_t dev_index,
                        const WireOptions& opts, WireStats* stats);
 
@@ -99,9 +97,9 @@ class ControlPlane {
   void on_observer_session(std::uint8_t session);
 
   /// Route shipped reports through a keyed endpoint to the observer (the
-  /// report RPC). Unwired (default): the report event stays an unkeyed
-  /// local event. Either way the sink runs observer_rpc_latency after ship
-  /// time.
+  /// report RPC). The default endpoint posts at key 0 on this control
+  /// plane's simulator, in plain schedule order. Either way the frame lands
+  /// observer_rpc_latency after ship time.
   void set_report_endpoint(sim::Endpoint ep) { report_ep_ = ep; }
 
   /// Wire the notification transport's in_flight() so the proactive
@@ -177,10 +175,9 @@ class ControlPlane {
 
   std::vector<UnitState> units_;
   std::unordered_map<net::UnitId, std::size_t> unit_index_;
-  ReportSink report_;
   sim::Endpoint report_ep_;
 
-  // --- v2 report link (null fn = legacy struct sink) -----------------------
+  // --- Report link (null fn = no observer yet) -----------------------------
   ReportFrameFn frame_fn_ = nullptr;
   void* frame_ctx_ = nullptr;
   std::uint16_t frame_dev_index_ = 0;

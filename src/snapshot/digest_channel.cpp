@@ -13,26 +13,10 @@ std::size_t DigestChannel::backlog() const {
   return total;
 }
 
-void DigestChannel::configure_wire(net::NodeId device, const WireOptions& opts,
-                                   WireStats* stats) {
-  wire_on_ = true;
-  wire_device_ = device;
-  wire_opts_ = opts;
-  wire_stats_ = stats;
-  // Digest entries are timestamped at accumulation time, so the compact
-  // recovery reference has zero transit skew.
-  codec_ = NotificationCodec(opts, /*transit_latency=*/0);
-}
-
 sim::Duration DigestChannel::cost_of(const Digest& digest) const {
   sim::Duration cost = timing_.digest_batch_overhead;
-  if (wire_on_ && wire_opts_.charge_bytes) {
-    for (const auto& e : digest) {
-      cost += wire_service_cost(timing_.digest_per_entry_cost, e.len);
-    }
-  } else {
-    cost += static_cast<sim::Duration>(digest.size()) *
-            timing_.digest_per_entry_cost;
+  for (const auto& e : digest) {
+    cost += wire_.service(timing_.digest_per_entry_cost, e.len);
   }
   return cost;
 }
@@ -54,26 +38,15 @@ void DigestChannel::push(const Notification& n) {
     accumulating_.reserve(std::max<std::size_t>(
         accumulating_.capacity() * 2, timing_.digest_batch_size));
   }
+  // Round-trip through the wire codec so what the control plane sees is
+  // what the bytes carry (the digest stream batches frames that were
+  // already stamped on accumulation, so recovery reference = now).
+  std::uint8_t frame[kMaxNotificationFrameBytes];
   Entry e;
-  if (wire_on_) {
-    // Round-trip through the wire codec so what the control plane sees is
-    // what the bytes carry (the digest stream batches frames that were
-    // already stamped on accumulation, so recovery reference = now).
-    std::uint8_t frame[kMaxNotificationFrameBytes];
-    e.len = static_cast<std::uint8_t>(codec_.encode(n, frame));
-    if (wire_stats_) {
-      wire_stats_->notification_bytes += e.len;
-      ++wire_stats_->notifications_encoded;
-    }
-    const auto decoded = codec_.decode({frame, e.len}, wire_device_, sim_.now());
-    if (!decoded) {
-      if (wire_stats_) ++wire_stats_->decode_failures;
-      return;
-    }
-    e.n = *decoded;
-  } else {
-    e.n = n;
-  }
+  e.len = wire_.encode(n, frame);
+  const auto decoded = wire_.decode({frame, e.len}, sim_.now());
+  if (!decoded) return;
+  e.n = *decoded;
   accumulating_.push_back(e);
   ++pending_;
   max_backlog_ = std::max(max_backlog_, backlog());

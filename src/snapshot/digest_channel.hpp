@@ -8,6 +8,11 @@
 // paper's observation that this path performed significantly *worse* than
 // the raw-socket DMA: the driver/RPC overhead dominates, and batching adds
 // flush-timeout latency to every notification.
+//
+// Each entry crosses as a v2 wire frame (DESIGN.md section 16): encoded at
+// push (bytes counted), reconstructed through the codec, and — when
+// charging bytes — its share of the per-entry driver cost scales with the
+// encoded size.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +29,17 @@ namespace speedlight::snap {
 
 class DigestChannel final : public NotificationTransport {
  public:
+  /// `device` owns the stream; see NotificationTransport for the wire
+  /// arguments. Entries are timestamped at accumulation, so the compact
+  /// recovery reference has zero transit skew.
   DigestChannel(sim::Simulator& sim, const sim::TimingModel& timing,
-                sim::Rng rng, Sink sink)
-      : sim_(sim), timing_(timing), rng_(rng), sink_(std::move(sink)) {}
+                sim::Rng rng, Sink sink, net::NodeId device,
+                const WireOptions& wire, WireStats* wire_stats)
+      : NotificationTransport(device, wire, wire_stats, /*transit_latency=*/0),
+        sim_(sim),
+        timing_(timing),
+        rng_(rng),
+        sink_(std::move(sink)) {}
 
   DigestChannel(const DigestChannel&) = delete;
   DigestChannel& operator=(const DigestChannel&) = delete;
@@ -57,18 +70,10 @@ class DigestChannel final : public NotificationTransport {
   void register_metrics(obs::MetricsRegistry& reg,
                         const std::string& prefix) override;
 
-  /// Wire format v2 on the digest stream: each entry is encoded at push
-  /// (bytes counted against `stats`), reconstructed through the codec, and
-  /// — when charging bytes — its share of the per-entry driver cost scales
-  /// with the encoded size.
-  void configure_wire(net::NodeId device, const WireOptions& opts,
-                      WireStats* stats) override;
-
   [[nodiscard]] std::uint64_t digests_flushed() const { return digests_; }
 
  private:
-  /// One accumulated notification; `len` is its encoded v2 frame size
-  /// (0 in the legacy fixed-cost model).
+  /// One accumulated notification; `len` is its encoded v2 frame size.
   struct Entry {
     Notification n;
     std::uint8_t len = 0;
@@ -83,12 +88,6 @@ class DigestChannel final : public NotificationTransport {
   const sim::TimingModel& timing_;
   sim::Rng rng_;
   Sink sink_;
-
-  bool wire_on_ = false;
-  net::NodeId wire_device_ = net::kInvalidNode;
-  WireOptions wire_opts_;
-  WireStats* wire_stats_ = nullptr;
-  NotificationCodec codec_;
 
   Digest accumulating_;
   /// Storage recycled from drained digests: flush() hands accumulating_'s

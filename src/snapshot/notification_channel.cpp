@@ -4,23 +4,6 @@
 
 namespace speedlight::snap {
 
-void NotificationChannel::configure_wire(net::NodeId device,
-                                         const WireOptions& opts,
-                                         WireStats* stats) {
-  wire_on_ = true;
-  wire_device_ = device;
-  wire_opts_ = opts;
-  wire_stats_ = stats;
-  codec_ = NotificationCodec(opts, timing_.notification_pcie_latency);
-}
-
-sim::Duration NotificationChannel::service_of(const Queued& q) const {
-  if (wire_on_ && wire_opts_.charge_bytes) {
-    return wire_service_cost(timing_.notification_service_time, q.len);
-  }
-  return timing_.notification_service_time;
-}
-
 void NotificationChannel::push(const Notification& n) {
   if (timing_.notification_drop_probability > 0.0 &&
       rng_.chance(timing_.notification_drop_probability)) {
@@ -32,60 +15,25 @@ void NotificationChannel::push(const Notification& n) {
     return;
   }
   ++pending_;
-  if (wire_on_) {
-    Frame f;
-    f.len = static_cast<std::uint8_t>(codec_.encode(n, f.bytes.data()));
-    if (wire_stats_) {
-      wire_stats_->notification_bytes += f.len;
-      ++wire_stats_->notifications_encoded;
-    }
-    sim_.after(timing_.notification_pcie_latency,
-               [this, f]() { arrive_frame(f); });
-  } else {
-    sim_.after(timing_.notification_pcie_latency,
-               [this, n]() { arrive(n); });
-  }
+  Frame f;
+  f.len = wire_.encode(n, f.bytes.data());
+  sim_.after(timing_.notification_pcie_latency, [this, f]() { arrive(f); });
 }
 
-void NotificationChannel::arrive(const Notification& n) {
+void NotificationChannel::arrive(Frame f) {
   if (buffer_.size() >= timing_.notification_buffer_capacity) {
     --pending_;
     ++dropped_overflow_;
     if (tracer_) {
-      tracer_->instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                       track_, sim_.now(), /*a0=*/0, obs::pack_unit(n.unit));
-    }
-    return;
-  }
-  Queued q;
-  q.n = n;
-  q.arrived = sim_.now();
-  buffer_.push_back(q);
-  max_backlog_ = std::max(max_backlog_, buffer_.size());
-  if (!draining_) {
-    draining_ = true;
-    sim_.after(service_of(buffer_.front()), [this]() { drain(); });
-  }
-}
-
-void NotificationChannel::arrive_frame(const Frame& f) {
-  if (buffer_.size() >= timing_.notification_buffer_capacity) {
-    --pending_;
-    ++dropped_overflow_;
-    if (tracer_) {
-      const auto n = codec_.decode({f.bytes.data(), f.len}, wire_device_,
-                                   sim_.now());
+      const auto n = wire_.decode({f.bytes.data(), f.len}, sim_.now());
       tracer_->instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
                        track_, sim_.now(), /*a0=*/0,
                        n ? obs::pack_unit(n->unit) : 0);
     }
     return;
   }
-  Queued q;
-  q.arrived = sim_.now();
-  q.len = f.len;
-  q.frame = f.bytes;
-  buffer_.push_back(q);
+  f.arrived = sim_.now();
+  buffer_.push_back(f);
   max_backlog_ = std::max(max_backlog_, buffer_.size());
   if (!draining_) {
     draining_ = true;
@@ -96,40 +44,26 @@ void NotificationChannel::arrive_frame(const Frame& f) {
 void NotificationChannel::drain() {
   // One notification finishes service now.
   if (!buffer_.empty()) {
-    const Queued q = buffer_.front();
+    const Frame f = buffer_.front();
     buffer_.pop_front();
     --pending_;
     ++delivered_;
     const sim::SimTime now = sim_.now();
-    const sim::Duration service = service_of(q);
+    const sim::Duration service = service_of(f);
     if (queue_delay_) {
-      queue_delay_->record(static_cast<std::uint64_t>(now - q.arrived));
+      queue_delay_->record(static_cast<std::uint64_t>(now - f.arrived));
     }
-    if (wire_on_) {
-      // Decode against the socket arrival timestamp (the compact-timestamp
-      // recovery reference; see snapshot/wire.hpp).
-      const auto n =
-          codec_.decode({q.frame.data(), q.len}, wire_device_, q.arrived);
-      if (tracer_) {
-        tracer_->complete(obs::Category::NotifChannel,
-                          obs::EventName::NotifService, track_, now - service,
-                          service, n ? n->new_sid : 0,
-                          n ? obs::pack_unit(n->unit) : 0);
-      }
-      if (n) {
-        sink_(*n);
-      } else if (wire_stats_) {
-        ++wire_stats_->decode_failures;
-      }
-    } else {
-      if (tracer_) {
-        // The span covers this notification's service slot.
-        tracer_->complete(obs::Category::NotifChannel,
-                          obs::EventName::NotifService, track_, now - service,
-                          service, q.n.new_sid, obs::pack_unit(q.n.unit));
-      }
-      sink_(q.n);
+    // Decode against the socket arrival timestamp (the compact-timestamp
+    // recovery reference; see snapshot/wire.hpp).
+    const auto n = wire_.decode({f.bytes.data(), f.len}, f.arrived);
+    if (tracer_) {
+      // The span covers this notification's service slot.
+      tracer_->complete(obs::Category::NotifChannel,
+                        obs::EventName::NotifService, track_, now - service,
+                        service, n ? n->new_sid : 0,
+                        n ? obs::pack_unit(n->unit) : 0);
     }
+    if (n) sink_(*n);
   }
   if (!buffer_.empty()) {
     sim_.after(service_of(buffer_.front()), [this]() { drain(); });

@@ -7,18 +7,18 @@
 // (the bottleneck behind Figure 10). Overflow and random loss drop
 // notifications — the protocol must tolerate this (Section 6, liveness).
 //
-// With configure_wire() the channel additionally models the v2 wire format
-// (DESIGN.md section 16): push() encodes the notification into a byte frame,
-// the frame crosses PCIe and queues in the socket buffer, drain() decodes it
-// (compact timestamps recover against the buffered arrival time), and — when
-// charging bytes — the per-notification service cost scales with the frame
-// size, which is where the delta encoding's Figure 10 rate win comes from.
+// Notifications travel in the v2 wire format (DESIGN.md section 16): push()
+// encodes the notification into a byte frame, the frame crosses PCIe and
+// queues in the socket buffer, drain() decodes it (compact timestamps
+// recover against the buffered arrival time), and — when charging bytes —
+// the per-notification service cost scales with the frame size, which is
+// where the delta encoding's Figure 10 rate win comes from. Uncharged, every
+// frame costs the fixed notification_service_time.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -31,9 +31,17 @@ namespace speedlight::snap {
 
 class NotificationChannel final : public NotificationTransport {
  public:
+  /// `device` owns the channel; see NotificationTransport for the wire
+  /// arguments.
   NotificationChannel(sim::Simulator& sim, const sim::TimingModel& timing,
-                      sim::Rng rng, Sink sink)
-      : sim_(sim), timing_(timing), rng_(rng), sink_(std::move(sink)) {}
+                      sim::Rng rng, Sink sink, net::NodeId device,
+                      const WireOptions& wire, WireStats* wire_stats)
+      : NotificationTransport(device, wire, wire_stats,
+                              timing.notification_pcie_latency),
+        sim_(sim),
+        timing_(timing),
+        rng_(rng),
+        sink_(std::move(sink)) {}
 
   NotificationChannel(const NotificationChannel&) = delete;
   NotificationChannel& operator=(const NotificationChannel&) = delete;
@@ -65,45 +73,29 @@ class NotificationChannel final : public NotificationTransport {
   void register_metrics(obs::MetricsRegistry& reg,
                         const std::string& prefix) override;
 
-  void configure_wire(net::NodeId device, const WireOptions& opts,
-                      WireStats* stats) override;
-
  private:
-  /// A buffered notification plus its socket-buffer arrival time, so
-  /// delivery can record how long it waited (queue delay + service). Wire
-  /// mode buffers the encoded frame instead of the struct; `arrived` doubles
-  /// as the compact-timestamp recovery reference (the kernel's arrival
-  /// timestamp on the raw socket).
-  struct Queued {
-    Notification n;
+  /// An encoded frame (fits the inline event capture). `arrived` is its
+  /// socket-buffer arrival time, so delivery can record how long it waited
+  /// (queue delay + service); it doubles as the compact-timestamp recovery
+  /// reference (the kernel's arrival timestamp on the raw socket).
+  struct Frame {
     sim::SimTime arrived = 0;
     std::uint8_t len = 0;
-    std::array<std::uint8_t, kMaxNotificationFrameBytes> frame;
-  };
-
-  /// An encoded frame in PCIe flight (fits the inline event capture).
-  struct Frame {
     std::array<std::uint8_t, kMaxNotificationFrameBytes> bytes;
-    std::uint8_t len = 0;
   };
 
-  void arrive(const Notification& n);
-  void arrive_frame(const Frame& f);
+  void arrive(Frame f);
   void drain();
-  [[nodiscard]] sim::Duration service_of(const Queued& q) const;
+  [[nodiscard]] sim::Duration service_of(const Frame& f) const {
+    return wire_.service(timing_.notification_service_time, f.len);
+  }
 
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
   sim::Rng rng_;
   Sink sink_;
 
-  bool wire_on_ = false;
-  net::NodeId wire_device_ = net::kInvalidNode;
-  WireOptions wire_opts_;
-  WireStats* wire_stats_ = nullptr;
-  NotificationCodec codec_;
-
-  std::deque<Queued> buffer_;
+  std::deque<Frame> buffer_;
   std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.
   bool draining_ = false;
   obs::Histogram* queue_delay_ = nullptr;  // set by register_metrics()

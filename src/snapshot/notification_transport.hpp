@@ -6,12 +6,15 @@
 // implementation straightforward and offered significantly better
 // performance." Both paths are implemented here (notification_channel.hpp
 // models the raw-socket DMA path; digest_channel.hpp the batched digest
-// stream) behind this interface, so the choice can be ablated.
+// stream) behind this interface, so the choice can be ablated. Both carry
+// notifications as v2 wire frames (DESIGN.md section 16).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "net/types.hpp"
@@ -83,20 +86,52 @@ class NotificationTransport {
     track_ = track;
   }
 
-  /// Switch the transport to the v2 wire model (DESIGN.md section 16):
-  /// notifications are encoded at push, cross as byte frames, are decoded
-  /// on delivery, and — when `opts.charge_bytes` — service time scales with
-  /// frame size. Unconfigured transports keep the exact v1 fixed-cost
-  /// behaviour (unit-test fixtures rely on it). `device` owns the channel
-  /// (frames do not carry the node id); `stats` may be null.
-  virtual void configure_wire(net::NodeId device, const WireOptions& opts,
-                              WireStats* stats) {
-    (void)device;
-    (void)opts;
-    (void)stats;
-  }
-
  protected:
+  /// The v2 wire model (DESIGN.md section 16): notifications are encoded at
+  /// push, cross as byte frames, and are decoded on delivery; when
+  /// `opts.charge_bytes`, service time scales with frame size. `device`
+  /// owns the transport (frames do not carry the node id);
+  /// `transit_latency` is the fixed encode-to-recovery delay the compact
+  /// timestamps must clear; `stats` may be null.
+  NotificationTransport(net::NodeId device, const WireOptions& opts,
+                        WireStats* stats, sim::Duration transit_latency)
+      : wire_{device, opts.charge_bytes, stats,
+              NotificationCodec(opts, transit_latency)} {}
+
+  struct Wire {
+    net::NodeId device;
+    bool charge_bytes;
+    WireStats* stats;
+    NotificationCodec codec;
+
+    /// Encode `n` into `out` (>= kMaxNotificationFrameBytes) and account
+    /// its bytes. Returns the frame length.
+    std::uint8_t encode(const Notification& n, std::uint8_t* out) const {
+      const auto len = static_cast<std::uint8_t>(codec.encode(n, out));
+      if (stats != nullptr) {
+        stats->notification_bytes += len;
+        ++stats->notifications_encoded;
+      }
+      return len;
+    }
+
+    /// Decode a frame against the receiver-side `arrival` time; a frame
+    /// that does not decode counts as a decode failure.
+    [[nodiscard]] std::optional<Notification> decode(
+        std::span<const std::uint8_t> frame, sim::SimTime arrival) const {
+      auto n = codec.decode(frame, device, arrival);
+      if (!n && stats != nullptr) ++stats->decode_failures;
+      return n;
+    }
+
+    /// Service cost of a `len`-byte frame whose fixed-cost price is `full`.
+    [[nodiscard]] sim::Duration service(sim::Duration full,
+                                        std::size_t len) const {
+      return charge_bytes ? wire_service_cost(full, len) : full;
+    }
+  };
+
+  Wire wire_;
   obs::Tracer* tracer_ = nullptr;  // null until attach_observability()
   std::uint64_t track_ = 0;
 };

@@ -131,21 +131,19 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   Device dev;
   dev.cp = cp;
   dev.units = cp->unit_ids();
-  dev.rpc = rpc;
+  dev.rpc = rpc.wired() ? rpc : sim::Endpoint::local(sim_, 0);
   dev.first_unit_index = total_units_;
   dev.relevant_units = dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
   device_index_[cp->device()] = dev_index;
-  for (const auto& u : dev.units) unit_index_[u] = total_units_++;
-  if (options_.wire_reports) {
-    dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
-    for (const auto& u : dev.units) dev.decoder.add_unit(u);
-    dev.decoder.begin_session(session_);
-    cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
-                        options_.wire, options_.wire_stats);
-  } else {
-    cp->set_report_sink([this](const UnitReport& r) { on_report(r); });
+  dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
+  for (const auto& u : dev.units) {
+    unit_index_[u] = total_units_++;
+    dev.decoder.add_unit(u);
   }
+  dev.decoder.begin_session(session_);
+  cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
+                      options_.wire, options_.wire_stats);
   devices_.push_back(std::move(dev));
 }
 
@@ -188,13 +186,8 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Register the event with every device control plane (one RPC each).
   for (auto& dev : devices_) {
     ControlPlane* cp = dev.cp;
-    if (dev.rpc.wired()) {
-      dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                   [cp, id, when]() { cp->schedule_snapshot(id, when); });
-    } else {
-      sim_.after(timing_.observer_rpc_latency,
+    dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
                  [cp, id, when]() { cp->schedule_snapshot(id, when); });
-    }
   }
   const sim::SimTime deadline = when + options_.completion_timeout;
   sim_.at(deadline, [this, id]() { timeout_snapshot(id); });
@@ -225,13 +218,8 @@ void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
     // The mask rides the same keyed channel as snapshot requests, so any
     // request made after this call is ordered behind it on every device.
     ControlPlane* cp = dev.cp;
-    if (dev.rpc.wired()) {
-      dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                   [cp, mask]() { cp->set_report_scope(mask); });
-    } else {
-      sim_.after(timing_.observer_rpc_latency,
+    dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
                  [cp, mask]() { cp->set_report_scope(mask); });
-    }
   }
 }
 
@@ -242,19 +230,11 @@ void Observer::set_down(bool down) {
     // In-flight frames from the old session are self-identifying and get
     // dropped at decode — under every encoding alike.
     ++session_;
-    if (options_.wire_reports) {
-      for (auto& dev : devices_) {
-        dev.decoder.begin_session(session_);
-        ControlPlane* cp = dev.cp;
-        const std::uint8_t s = session_;
-        if (dev.rpc.wired()) {
-          dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                       [cp, s]() { cp->on_observer_session(s); });
-        } else {
-          sim_.after(timing_.observer_rpc_latency,
-                     [cp, s]() { cp->on_observer_session(s); });
-        }
-      }
+    for (auto& dev : devices_) {
+      dev.decoder.begin_session(session_);
+      dev.rpc.post(
+          sim_.now() + timing_.observer_rpc_latency,
+          [cp = dev.cp, s = session_]() { cp->on_observer_session(s); });
     }
   }
   down_ = down;
@@ -275,10 +255,6 @@ void Observer::on_report_frame(std::uint16_t dev_index,
 }
 
 void Observer::on_report(const UnitReport& r) {
-  if (down_) {
-    ++reports_dropped_while_down_;
-    return;
-  }
   const auto gi = unit_index_.find(r.unit);
   if (gi == unit_index_.end()) return;
   if (!relevant_.empty() &&

@@ -107,10 +107,8 @@ class Observer {
     /// Devices missing reports this long after the scheduled fire time are
     /// excluded from the global snapshot.
     sim::Duration completion_timeout = sim::msec(100);
-    /// Ship reports over the v2 wire link (encoded frames + per-link
-    /// decoder) instead of the legacy struct sink.
-    bool wire_reports = false;
-    /// Wire format for the report links (meaningful with wire_reports).
+    /// Wire format for the report links (encoded frames + per-link decoder,
+    /// DESIGN.md section 16).
     WireOptions wire;
     /// Fabric-wide wire accounting sink shared by the report links; may be
     /// null.
@@ -127,15 +125,15 @@ class Observer {
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
 
-  /// Register a device; wires the control plane's report path (wire link or
-  /// legacy struct sink) to this observer. May be called at any time
-  /// (Section 6, "Node attachment"): snapshots already outstanding keep
-  /// their original device set, and the new device participates from the
-  /// next request on.
+  /// Register a device; wires the control plane's report link to this
+  /// observer. May be called at any time (Section 6, "Node attachment"):
+  /// snapshots already outstanding keep their original device set, and the
+  /// new device participates from the next request on.
   ///
   /// `rpc` is the keyed endpoint request RPCs travel through to reach the
-  /// device; unwired (the default) schedules them as unkeyed local events.
-  /// The device-side report encoder accounts into `wire_stats`.
+  /// device; unwired (the default) posts them at key 0 on the observer's
+  /// simulator, in plain schedule order. The device-side report encoder
+  /// accounts into `wire_stats`.
   void register_device(ControlPlane* cp, sim::Endpoint rpc = {});
 
   /// Request a network-wide snapshot at true time `when` (the observer's
@@ -189,7 +187,7 @@ class Observer {
     std::size_t first_unit_index = 0;  ///< Global index of units[0].
     std::size_t relevant_units = 0;    ///< In-scope units (== units.size()
                                        ///< without a sync-group filter).
-    ReportDecoder decoder;             ///< v2 report-link state (wire mode).
+    ReportDecoder decoder;             ///< Report-link state.
   };
 
   static void report_frame_thunk(void* ctx, std::uint16_t dev_index,

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/types.hpp"
 #include "sim/time.hpp"
@@ -36,7 +35,5 @@ struct UnitReport {
   /// state: all upstream neighbors caught up — Figure 9's longer tail).
   sim::SimTime finalize_time = 0;
 };
-
-using ReportSink = std::function<void(const UnitReport&)>;
 
 }  // namespace speedlight::snap

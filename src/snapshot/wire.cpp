@@ -87,6 +87,12 @@ constexpr std::uint8_t kRfAdvanceAbs = 1u << 7;
 /// absolute 8-byte form (keeps the keyframe worst case at 45 bytes).
 constexpr std::size_t kMaxAdvanceDeltaVarint = 7;
 
+/// Dense index of a unit's codec baseline: a report link carries one
+/// device, so port and direction name the unit.
+std::size_t unit_slot(net::PortId port, net::Direction dir) {
+  return std::size_t{port} * 2 + (dir == net::Direction::Egress ? 1 : 0);
+}
+
 bool ts_fits(sim::SimTime value, sim::SimTime ref, unsigned bits) {
   const std::int64_t half = std::int64_t{1} << (bits - 1);
   const std::int64_t diff = value - ref;
@@ -230,19 +236,22 @@ void ReportEncoder::configure(const WireOptions& opts,
   stats_ = stats;
 }
 
-void ReportEncoder::add_unit(const net::UnitId& unit) { base_[unit]; }
+void ReportEncoder::add_unit(const net::UnitId& unit) {
+  const std::size_t slot = unit_slot(unit.port, unit.direction);
+  if (slot >= base_.size()) base_.resize(slot + 1);
+}
 
 void ReportEncoder::begin_session(std::uint8_t session) {
   session_ = session;
   have_last_sid_ = false;
-  for (auto& [unit, base] : base_) {
+  for (auto& base : base_) {
     base.valid = false;
     base.since_keyframe = 0;
   }
 }
 
 void ReportEncoder::force_keyframes() {
-  for (auto& [unit, base] : base_) base.valid = false;
+  for (auto& base : base_) base.valid = false;
 }
 
 std::size_t ReportEncoder::encode_keyframe(const UnitReport& r,
@@ -318,9 +327,9 @@ std::size_t ReportEncoder::encode(const UnitReport& r, sim::SimTime now,
     put_fixed(static_cast<std::uint64_t>(r.advance_time), out + 36, 8);
     len = kFullReportBytes;
   } else {
-    auto it = base_.find(r.unit);
-    if (it == base_.end()) it = base_.emplace(r.unit, Base{}).first;
-    Base& base = it->second;
+    const std::size_t slot = unit_slot(r.unit.port, r.unit.direction);
+    Base unregistered;  // Never valid: an unregistered unit ships keyframes.
+    Base& base = slot < base_.size() ? base_[slot] : unregistered;
 
     if (!base.valid || !have_last_sid_ ||
         base.since_keyframe + 1 >= kReportKeyframeInterval) {
@@ -418,12 +427,15 @@ void ReportDecoder::configure(const WireOptions& opts, net::NodeId device,
   stats_ = stats;
 }
 
-void ReportDecoder::add_unit(const net::UnitId& unit) { base_[unit]; }
+void ReportDecoder::add_unit(const net::UnitId& unit) {
+  const std::size_t slot = unit_slot(unit.port, unit.direction);
+  if (slot >= base_.size()) base_.resize(slot + 1);
+}
 
 void ReportDecoder::begin_session(std::uint8_t session) {
   session_ = session;
   have_last_sid_ = false;
-  for (auto& [unit, base] : base_) base.valid = false;
+  for (auto& base : base_) base.valid = false;
 }
 
 std::optional<UnitReport> ReportDecoder::decode(
@@ -451,8 +463,17 @@ std::optional<UnitReport> ReportDecoder::decode(
   r.consistent = (flags & kRfConsistent) != 0;
   r.inferred = (flags & kRfInferred) != 0;
 
-  if (opts_.encoding == WireEncoding::FullV2) {
-    r.unit.port = static_cast<net::PortId>(rd.fixed(2));
+  const bool full = opts_.encoding == WireEncoding::FullV2;
+  r.unit.port = static_cast<net::PortId>(full ? rd.fixed(2) : rd.varint());
+  const std::size_t slot = unit_slot(r.unit.port, r.unit.direction);
+  if (!rd.ok || slot >= base_.size()) {
+    // Truncated, or a port this link never registered: no baseline to
+    // decode against, and no report the observer expects.
+    if (stats_ != nullptr) ++stats_->decode_failures;
+    return std::nullopt;
+  }
+
+  if (full) {
     r.sid = rd.fixed(8);
     r.local_value = rd.fixed(8);
     r.channel_value = rd.fixed(8);
@@ -465,12 +486,8 @@ std::optional<UnitReport> ReportDecoder::decode(
     return r;
   }
 
-  r.unit.port = static_cast<net::PortId>(rd.varint());
   const bool keyframe = (flags & kRfKeyframe) != 0;
-
-  auto it = base_.find(r.unit);
-  if (it == base_.end()) it = base_.emplace(r.unit, Base{}).first;
-  Base& base = it->second;
+  Base& base = base_[slot];
 
   if (keyframe) {
     r.sid = rd.fixed(8);

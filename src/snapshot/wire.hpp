@@ -37,7 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "net/snapshot_wire.hpp"
 #include "net/types.hpp"
@@ -49,11 +49,14 @@ namespace speedlight::snap {
 
 enum class WireEncoding : std::uint8_t {
   FullV2,   ///< Fixed-layout frames, 64-bit timestamps. Reference encoding.
-  DeltaV2,  ///< Delta/varint frames (the fast path).
+  DeltaV2,  ///< Delta/varint frames (the default).
 };
 
 /// Control-plane wire configuration, plumbed NetworkOptions -> SwitchOptions
 /// -> notification transport, and NetworkOptions -> Observer -> report links.
+/// The defaults are the production posture; uncharged service is the
+/// fixed-cost compatibility baseline the fuzzer and the calibrated ablations
+/// run.
 struct WireOptions {
   WireEncoding encoding = WireEncoding::DeltaV2;
   /// Truncated timestamps (16-bit notifications / 24-bit reports) with
@@ -61,9 +64,9 @@ struct WireOptions {
   bool compact_timestamps = true;
   /// Scale notification service time with the encoded frame size (the
   /// honest model behind the Figure 10 rate win). Off = every frame costs
-  /// the full notification_service_time regardless of encoding, which makes
-  /// runs with different encodings event-for-event comparable (the twin
-  /// oracle mode).
+  /// the full notification_service_time regardless of encoding: the paper's
+  /// fixed-cost calibration, under which runs with different encodings are
+  /// event-for-event comparable (the twin oracle mode).
   bool charge_bytes = true;
 };
 
@@ -149,8 +152,9 @@ class ReportEncoder {
   void configure(const WireOptions& opts, sim::Duration rpc_latency,
                  WireStats* stats);
 
-  /// Pre-create the baseline slot for `unit` so encoding never allocates on
-  /// the ship path (the data-path allocation guard watches it).
+  /// Grow the baseline table to cover `unit`, so encoding never allocates
+  /// on the ship path (the data-path allocation guard watches it). A report
+  /// for a unit outside the table ships as a keyframe.
   void add_unit(const net::UnitId& unit);
 
   /// Observer restart announcement: adopt the new session, invalidate every
@@ -181,7 +185,7 @@ class ReportEncoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;  ///< Chain base: previous frame's sid on this link.
   bool have_last_sid_ = false;
-  std::unordered_map<net::UnitId, Base> base_;
+  std::vector<Base> base_;  ///< Indexed by port * 2 + direction.
 };
 
 class ReportDecoder {
@@ -189,14 +193,16 @@ class ReportDecoder {
   void configure(const WireOptions& opts, net::NodeId device,
                  WireStats* stats);
 
+  /// Grow the baseline table to cover `unit`. Frames naming a port outside
+  /// the table decode to nullopt.
   void add_unit(const net::UnitId& unit);
 
   /// Restart: expect `session`, drop all reconstruction state.
   void begin_session(std::uint8_t session);
 
   /// Decode a frame arriving now. Returns nullopt (and counts why) for
-  /// stale-session frames, baseline-less delta frames, or malformed input —
-  /// never a wrong report.
+  /// stale-session frames, baseline-less delta frames, frames for a port
+  /// outside the table, or malformed input — never a wrong report.
   [[nodiscard]] std::optional<UnitReport> decode(
       std::span<const std::uint8_t> bytes, sim::SimTime arrival);
 
@@ -213,7 +219,7 @@ class ReportDecoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;
   bool have_last_sid_ = false;
-  std::unordered_map<net::UnitId, Base> base_;
+  std::vector<Base> base_;  ///< Indexed by port * 2 + direction.
 };
 
 }  // namespace speedlight::snap

@@ -193,17 +193,16 @@ void Switch::finalize() {
   auto sink = [this](const snap::Notification& n) { cp_->on_notification(n); };
   if (options_.notification_mode == snap::NotificationMode::Digest) {
     // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
-    notif_ = std::make_unique<snap::DigestChannel>(sim_, timing_,
-                                                   rng_.fork("notif"), sink);
+    notif_ = std::make_unique<snap::DigestChannel>(
+        sim_, timing_, rng_.fork("notif"), sink, id(), options_.wire,
+        options_.wire_stats);
   } else {
     // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
     notif_ = std::make_unique<snap::NotificationChannel>(
-        sim_, timing_, rng_.fork("notif"), sink);
+        sim_, timing_, rng_.fork("notif"), sink, id(), options_.wire,
+        options_.wire_stats);
   }
   cp_->set_in_flight_probe([this]() { return notif_->in_flight(); });
-  if (options_.wire_enabled) {
-    notif_->configure_wire(id(), options_.wire, options_.wire_stats);
-  }
 
   // Register this switch with the flight recorder: drop counters plus the
   // notification transport's surface, all under "switch.<name>". Past the

@@ -93,11 +93,10 @@ struct SwitchOptions {
   /// the batched digest stream it rejected (kept for the ablation bench).
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
-  /// v2 wire model on the notification transport (DESIGN.md section 16):
+  /// Wire format of the notification transport (DESIGN.md section 16):
   /// notifications cross PCIe as encoded frames and, when charging bytes,
   /// service time scales with frame size. Applied at finalize();
   /// `wire_stats` (may be null) must outlive the switch.
-  bool wire_enabled = false;
   snap::WireOptions wire;
   snap::WireStats* wire_stats = nullptr;
 

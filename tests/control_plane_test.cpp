@@ -12,6 +12,7 @@
 #include "snapshot/control_plane.hpp"
 #include "snapshot/dataplane.hpp"
 #include "snapshot/unit_handle.hpp"
+#include "snapshot/wire.hpp"
 
 namespace speedlight::snap {
 namespace {
@@ -76,6 +77,31 @@ class FakeUnit final : public UnitHandle {
   DataplaneUnit dp_;
 };
 
+/// The observer's end of a control plane's report link: decodes every
+/// frame and keeps the report. Attach after the control plane's units are
+/// added (the decoder's baseline table covers exactly those units).
+struct ReportCapture {
+  ReportCapture(sim::Simulator& simulator, ControlPlane& cp)
+      : sim(simulator) {
+    decoder.configure(WireOptions{}, cp.device(), &wire);
+    for (const auto& u : cp.unit_ids()) decoder.add_unit(u);
+    cp.set_report_link(this, &ReportCapture::on_frame, /*dev_index=*/0,
+                       WireOptions{}, &wire);
+  }
+
+  static void on_frame(void* ctx, std::uint16_t /*dev_index*/,
+                       const std::uint8_t* bytes, std::uint8_t len) {
+    auto* self = static_cast<ReportCapture*>(ctx);
+    const auto r = self->decoder.decode({bytes, len}, self->sim.now());
+    if (r) self->reports.push_back(*r);
+  }
+
+  sim::Simulator& sim;
+  WireStats wire;
+  ReportDecoder decoder;
+  std::vector<UnitReport> reports;
+};
+
 struct Fixture {
   explicit Fixture(SnapshotConfig config,
                    ControlPlane::Options extra = {}) {
@@ -84,16 +110,16 @@ struct Fixture {
     options.snapshot = config;
     cp = std::make_unique<ControlPlane>(sim, 7, "sw7", timing, options,
                                         sim::Rng(11));
-    cp->set_report_sink([this](const UnitReport& r) { reports.push_back(r); });
     // One unit: data channel 0, CPU channel 1.
     unit = std::make_unique<FakeUnit>(
         sim, net::UnitId{7, 0, net::Direction::Ingress}, config, 2, 1);
     unit->notify = [this](const Notification& n) { cp->on_notification(n); };
     cp->add_unit(unit.get(), {true, true});
+    capture = std::make_unique<ReportCapture>(sim, *cp);
   }
 
   const UnitReport* report_for(VirtualSid sid) const {
-    for (const auto& r : reports) {
+    for (const auto& r : capture->reports) {
       if (r.sid == sid) return &r;
     }
     return nullptr;
@@ -103,7 +129,7 @@ struct Fixture {
   sim::TimingModel timing;
   std::unique_ptr<ControlPlane> cp;
   std::unique_ptr<FakeUnit> unit;
-  std::vector<UnitReport> reports;
+  std::unique_ptr<ReportCapture> capture;
 };
 
 SnapshotConfig cs_config() {
@@ -125,7 +151,8 @@ TEST(ControlPlaneCs, CompletesWhenLastSeenCatchesUp) {
   f.cp->schedule_snapshot(1, 0);
   f.sim.run_until(sim::usec(500));
   EXPECT_EQ(f.unit->dp_.virtual_sid(), 1u);
-  EXPECT_TRUE(f.reports.empty()) << "not complete until the neighbor catches up";
+  EXPECT_TRUE(f.capture->reports.empty())
+      << "not complete until the neighbor catches up";
 
   // The upstream neighbor advances: a packet stamped 1 arrives.
   f.unit->packet(1, 0);
@@ -328,7 +355,7 @@ TEST(ControlPlane, DuplicateNotificationsIdempotent) {
   f.cp->on_notification(n);  // Duplicate.
   f.sim.run_until(sim::msec(5));
   int count = 0;
-  for (const auto& r : f.reports) count += r.sid == 1;
+  for (const auto& r : f.capture->reports) count += r.sid == 1;
   EXPECT_EQ(count, 1);
 }
 
@@ -341,11 +368,11 @@ TEST(ControlPlane, MaskedChannelDoesNotGateCompletion) {
   ControlPlane::Options options;
   options.snapshot = config;
   ControlPlane cp(sim, 1, "sw", timing, options, sim::Rng(2));
-  std::vector<UnitReport> reports;
-  cp.set_report_sink([&](const UnitReport& r) { reports.push_back(r); });
   FakeUnit unit(sim, net::UnitId{1, 0, net::Direction::Ingress}, config, 2, 1);
   unit.notify = [&](const Notification& n) { cp.on_notification(n); };
   cp.add_unit(&unit, {false, false});  // External channel masked out.
+  ReportCapture capture(sim, cp);
+  const std::vector<UnitReport>& reports = capture.reports;
   cp.schedule_snapshot(1, 0);
   sim.run_until(sim::msec(500));
   ASSERT_EQ(reports.size(), 1u);

@@ -53,6 +53,14 @@ TEST(Network, RejectsShardsOtherThanOne) {
   EXPECT_NO_THROW(Network(net::make_line(3), NetworkOptions{}));
 }
 
+TEST(Network, RejectsWireFastPathOff) {
+  // The control plane has one wire path; asking for the retired struct
+  // shipping fails closed instead of silently running the wire path.
+  NetworkOptions opt;
+  opt.wire_fast_path = false;
+  EXPECT_THROW(Network(net::make_line(3), opt), std::invalid_argument);
+}
+
 TEST(Network, DeterministicAcrossRuns) {
   auto run = []() {
     NetworkOptions opt;

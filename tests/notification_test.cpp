@@ -8,6 +8,7 @@
 #include "sim/timing_model.hpp"
 #include "snapshot/digest_channel.hpp"
 #include "snapshot/notification_channel.hpp"
+#include "snapshot/wire.hpp"
 
 namespace speedlight::snap {
 namespace {
@@ -19,17 +20,27 @@ Notification make_notification(WireSid sid) {
   return n;
 }
 
+/// Frames of the production encoding at fixed-cost service: every frame
+/// costs the full service time, so the asserted instants are exact.
+WireOptions uncharged() {
+  WireOptions w;
+  w.charge_bytes = false;
+  return w;
+}
+
 struct Fixture {
   explicit Fixture(sim::TimingModel tm = {})
       : timing(tm),
         channel(sim, timing, sim::Rng(1),
                 [this](const Notification& n) {
                   delivered.push_back({n.new_sid, sim.now()});
-                }) {}
+                },
+                /*device=*/0, uncharged(), &wire) {}
 
   sim::Simulator sim;
   sim::TimingModel timing;
   std::vector<std::pair<WireSid, sim::SimTime>> delivered;
+  WireStats wire;
   NotificationChannel channel;
 };
 
@@ -56,6 +67,10 @@ TEST(NotificationChannel, ServiceIsSerialized) {
   }
   EXPECT_EQ(f.channel.max_backlog(), 5u);
   EXPECT_EQ(f.channel.backlog(), 0u);
+  // Every notification crossed as a frame and decoded.
+  EXPECT_EQ(f.wire.notifications_encoded, 5u);
+  EXPECT_GT(f.wire.notification_bytes, 0u);
+  EXPECT_EQ(f.wire.decode_failures, 0u);
 }
 
 TEST(NotificationChannel, OverflowDrops) {
@@ -110,11 +125,13 @@ struct DigestFixture {
         channel(sim, timing, sim::Rng(1),
                 [this](const Notification& n) {
                   delivered.push_back({n.new_sid, sim.now()});
-                }) {}
+                },
+                /*device=*/0, uncharged(), &wire) {}
 
   sim::Simulator sim;
   sim::TimingModel timing;
   std::vector<std::pair<WireSid, sim::SimTime>> delivered;
+  WireStats wire;
   DigestChannel channel;
 };
 

@@ -63,7 +63,6 @@ TEST_P(TestbedInstants, MatchPinnedValues) {
   const Pin& pin = GetParam();
   core::NetworkOptions opt;
   opt.seed = pin.seed;
-  opt.wire_fast_path = true;
   opt.metric = sw::MetricKind::EwmaInterarrival;
   opt.load_balancer = sw::LoadBalancerKind::Flowlet;
   opt.flowlet_gap = sim::usec(50);

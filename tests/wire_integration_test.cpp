@@ -1,10 +1,9 @@
-// End-to-end coverage of the control-plane wire fast path (DESIGN.md
-// section 16): with byte-charging disabled the v2 codecs must be fully
-// transparent — a wire-fast-path run produces snapshot results identical
-// to the legacy struct-shipping run, under either encoding — and with
-// charging enabled the values (as opposed to the timings) are still exact.
-// Also covers streaming digests vs retained reports, sync-group scoping,
-// and observer restart across the wire session.
+// End-to-end coverage of the control-plane wire path (DESIGN.md section
+// 16): with byte-charging disabled the v2 codecs must be fully transparent
+// — both encodings produce identical snapshot results — and with charging
+// enabled the values (as opposed to the timings) are still exact. Also
+// covers streaming digests vs retained reports, sync-group scoping, and
+// observer restart across the wire session.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,34 +97,30 @@ std::vector<SnapSummary> run_campaign(const NetworkOptions& opt,
 }
 
 TEST(WireIntegration, UnchargedFastPathMatchesLegacyExactly) {
-  // With byte-charging off, every frame costs the v1 service time, so the
-  // event timeline — and therefore every snapshot result, including the
-  // completion instants — must be bit-identical to the legacy path under
-  // both encodings. This is the codec-transparency oracle.
-  NetworkOptions legacy = base_options();
-
+  // With byte-charging off, every frame costs the fixed service time, so
+  // the event timeline — and therefore every snapshot result, including
+  // the completion instants — must be bit-identical under both encodings.
+  // This is the codec-transparency oracle; the digest pins carry the
+  // equivalence with the retired v1 struct-shipping model.
   NetworkOptions delta = base_options();
-  delta.wire_fast_path = true;
   delta.wire.encoding = snap::WireEncoding::DeltaV2;
   delta.wire.compact_timestamps = true;
   delta.wire.charge_bytes = false;
 
   NetworkOptions full = base_options();
-  full.wire_fast_path = true;
   full.wire.encoding = snap::WireEncoding::FullV2;
   full.wire.compact_timestamps = false;
   full.wire.charge_bytes = false;
 
-  const auto ref = run_campaign(legacy, 6);
-  const auto got_delta = run_campaign(delta, 6);
-  const auto got_full = run_campaign(full, 6);
+  const auto ref = run_campaign(full, 6);
+  const auto got = run_campaign(delta, 6);
   ASSERT_EQ(ref.size(), 6u);
-  ASSERT_EQ(got_delta.size(), ref.size());
-  ASSERT_EQ(got_full.size(), ref.size());
+  ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_TRUE(ref[i].complete) << i;
-    EXPECT_EQ(got_delta[i], ref[i]) << "delta round " << i;
-    EXPECT_EQ(got_full[i], ref[i]) << "full round " << i;
+    EXPECT_GT(ref[i].completed_at, 0u) << i;
+    EXPECT_FALSE(ref[i].values.empty()) << i;
+    EXPECT_EQ(got[i], ref[i]) << "round " << i;
   }
 }
 
@@ -133,8 +128,7 @@ TEST(WireIntegration, DeltaEncodingShrinksBytesWithoutErrors) {
   // No channel state: the fig10 configuration the >=5x notification-byte
   // claim is made for (typical delta frame 5B vs the 29B full frame; with
   // channel state the extra last-seen fields land around 4x).
-  NetworkOptions delta;
-  delta.wire_fast_path = true;  // DeltaV2 + compact ts by default.
+  NetworkOptions delta;  // DeltaV2 + compact ts by default.
   delta.wire.charge_bytes = false;
 
   NetworkOptions full = delta;
@@ -176,8 +170,7 @@ TEST(WireIntegration, DeltaEncodingShrinksBytesWithoutErrors) {
 }
 
 TEST(WireIntegration, ChargedDeltaConservesAndRegistersMetrics) {
-  NetworkOptions opt = base_options();
-  opt.wire_fast_path = true;  // Defaults: DeltaV2, compact ts, charge bytes.
+  NetworkOptions opt = base_options();  // DeltaV2, compact ts, charged.
   Network net(net::make_leaf_spine(2, 2, 3), opt);
   auto gens = start_all_to_all(net);
   net.run_for(sim::msec(2));
@@ -210,7 +203,6 @@ TEST(WireIntegration, ChargedDeltaConservesAndRegistersMetrics) {
 
 TEST(WireIntegration, DigestsMatchRetainedReports) {
   NetworkOptions retained = base_options();
-  retained.wire_fast_path = true;
   retained.wire.charge_bytes = false;
 
   NetworkOptions streaming = retained;
@@ -248,7 +240,6 @@ TEST(WireIntegration, DigestsMatchRetainedReports) {
 
 TEST(WireIntegration, SyncGroupScopeFiltersReportsAtTheSource) {
   NetworkOptions opt = base_options();
-  opt.wire_fast_path = true;
   Network net(net::make_leaf_spine(2, 2, 3), opt);
   auto gens = start_all_to_all(net);
   net.run_for(sim::msec(2));
@@ -294,7 +285,6 @@ TEST(WireIntegration, SyncGroupScopeFiltersReportsAtTheSource) {
 
 TEST(WireIntegration, ObserverRestartBumpsSessionAndRecovers) {
   NetworkOptions opt = base_options();
-  opt.wire_fast_path = true;
   opt.observer.completion_timeout = sim::msec(5);
   Network net(net::make_leaf_spine(2, 2, 3), opt);
   auto gens = start_all_to_all(net);

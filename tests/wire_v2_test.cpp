@@ -387,6 +387,29 @@ TEST(ReportCodec, DeltaWithoutBaselineFailsClosed) {
   EXPECT_EQ(stats.decode_failures, 1u);
 }
 
+TEST(ReportCodec, UnregisteredPortFailsClosed) {
+  // The decoder's baseline table covers exactly the registered units: a
+  // well-formed keyframe naming a port outside it is refused and counted.
+  WireOptions opts;
+  WireStats stats;
+  ReportEncoder enc;
+  enc.configure(opts, sim::usec(50), &stats);
+  const net::UnitId stranger{3, 9, net::Direction::Egress};
+  enc.add_unit(stranger);
+  ReportDecoder dec;
+  dec.configure(opts, 3, &stats);
+  dec.add_unit({3, 0, net::Direction::Ingress});
+
+  Mix mix(43);
+  const UnitReport r = make_report(mix, stranger.port, 1, 100, sim::msec(1));
+  ASSERT_EQ(r.unit, stranger);
+  std::uint8_t buf[kMaxReportFrameBytes];
+  const std::size_t len = enc.encode(r, sim::msec(1), buf);
+  EXPECT_EQ(stats.keyframe_bytes, len);  // First frame: a keyframe.
+  EXPECT_FALSE(dec.decode({buf, len}, sim::msec(1)).has_value());
+  EXPECT_EQ(stats.decode_failures, 1u);
+}
+
 TEST(ReportCodec, EveryFrameFitsTheInlineBudget) {
   // Adversarial values: huge deltas, timestamps outside the compact
   // window, absolute advance fallbacks — nothing may exceed 45 bytes.
