@@ -4,7 +4,8 @@
 // dominate every figure reproduction:
 //   1. mixed    — steady-state schedule/cancel/pop lifecycles at ~10k
 //                 pending events: execute, schedule the next arrival, and
-//                 re-arm a protocol timeout (a loaded simulation run);
+//                 re-arm a protocol timeout (a loaded simulation run); the
+//                 >= 2x check compares best-of-5 alternating repetitions;
 //   2. rearm    — a periodic timer that is cancelled and re-armed over and
 //                 over (the snapshot re-initiation pattern that leaked
 //                 stale heap entries in the seed queue);
@@ -314,12 +315,26 @@ int main(int argc, char** argv) {
   const std::size_t kIters = bench::scaled<std::size_t>(2'000'000, 300'000);
   constexpr std::size_t kDepth = 10'000;
 
-  const MixedResult legacy = run_mixed<LegacyEventQueue>(kDepth, kIters);
-  const MixedResult fresh = run_mixed<sim::EventQueue>(kDepth, kIters);
+  // A shared host only ever adds time, so the ratio compares each side's
+  // best of kMixedReps alternating repetitions; one slow repetition of
+  // either side cannot decide the check.
+  constexpr int kMixedReps = 5;
+  MixedResult legacy;
+  MixedResult fresh;
+  bool same_executed = true;
+  bool same_peak_depth = true;
+  for (int rep = 0; rep < kMixedReps; ++rep) {
+    const MixedResult l = run_mixed<LegacyEventQueue>(kDepth, kIters);
+    const MixedResult f = run_mixed<sim::EventQueue>(kDepth, kIters);
+    same_executed &= l.executed == f.executed;
+    same_peak_depth &= l.peak_depth == f.peak_depth;
+    if (l.events_per_sec > legacy.events_per_sec) legacy = l;
+    if (f.events_per_sec > fresh.events_per_sec) fresh = f;
+  }
   const double speedup = fresh.events_per_sec / legacy.events_per_sec;
 
   std::cout << "\nmixed workload (" << kIters << " lifecycles, depth "
-            << kDepth << "):\n"
+            << kDepth << ", best of " << kMixedReps << " alternating runs):\n"
             << "  legacy: " << legacy.events_per_sec / 1e6 << " M events/s ("
             << legacy.wall_s << " s, peak depth " << legacy.peak_depth
             << ")\n"
@@ -327,9 +342,9 @@ int main(int argc, char** argv) {
             << fresh.wall_s << " s, peak depth " << fresh.peak_depth << ")\n"
             << "  speedup: " << speedup << "x\n";
 
-  bench::check(legacy.executed == fresh.executed,
+  bench::check(same_executed,
                "identical events executed by both implementations");
-  bench::check(legacy.peak_depth == fresh.peak_depth,
+  bench::check(same_peak_depth,
                "identical peak queue depth (same pending-set evolution)");
   bench::check(speedup >= 2.0,
                "new queue is >= 2x the legacy queue on the mixed workload");

@@ -10,7 +10,7 @@
 // Usage:
 //   speedlight_fuzz [--seed S] [--runs N] [--time-budget SECONDS]
 //                   [--replay FILE] [--no-oracle] [--digest]
-//                   [--inject-bug] [--out DIR] [--smoke]
+//                   [--inject-bug] [--out DIR] [--smoke] [--json-out PATH]
 //
 //   --seed S          Base seed; run i uses seed S+i (default 1).
 //   --runs N          Maximum scenarios to run (default 50).
@@ -34,6 +34,8 @@
 //                     and that the saved reproducer replays to the same
 //                     failure. Exits nonzero if any of that fails.
 //   --out DIR         Directory for failing .scenario files (default ".").
+//   --json-out PATH   Write the result file to PATH instead of
+//                     ./BENCH_speedlight_fuzz.json.
 //
 // Exit status: 0 clean, 1 invariant violations found (or self-test failed),
 // 2 on an unknown flag or a missing flag value.
@@ -88,6 +90,8 @@ Args parse(int argc, char** argv) {
       a.inject_bug = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       // Handled by bench::parse_args.
+    } else if (std::strcmp(argv[i], "--json-out") == 0) {
+      next("--json-out");  // Handled by bench::parse_args.
     } else {
       std::cerr << "unknown flag: " << argv[i] << "\n";
       std::exit(2);

@@ -67,7 +67,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.queue_capacity = options_.queue_capacity;
     so.fabric_delay = options_.fabric_delay;
     so.notification_mode = options_.notification_mode;
-    so.int_enabled = options_.int_enabled;
     so.ecn_threshold = options_.ecn_threshold;
     so.per_instance_metrics = s <= options_.per_instance_metrics_limit;
     so.control = options_.control;
@@ -266,8 +265,6 @@ void Network::enable_tracing(std::size_t capacity) {
   tr.name_track(obs::observer_track(), "assembly");
   tr.name_process(obs::kPollerPid, "polling-observer");
   tr.name_track(obs::poller_track(), "sweeps");
-  tr.name_process(obs::kPacketTapPid, "packet-taps");
-  tr.name_track(obs::packet_tap_track(), "links");
 }
 
 bool Network::export_chrome_trace(const std::string& path) const {

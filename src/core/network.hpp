@@ -66,8 +66,6 @@ struct NetworkOptions {
   /// (frame bytes, fallback and drop counters) register on every network.
   snap::WireOptions wire;
 
-  /// Enable In-band Network Telemetry on all switches.
-  bool int_enabled = false;
   /// ECN marking threshold in packets (0 = off), applied on all switches.
   std::size_t ecn_threshold = 0;
 

@@ -14,7 +14,6 @@ void Host::send(NodeId dst, FlowId flow, std::uint32_t size_bytes) {
   pkt->flow = flow;
   pkt->size_bytes = size_bytes;
   pkt->created_at = sim_.now();
-  pkt->int_marked = int_marking_;
   ++packets_sent_;
   uplink_->send(std::move(pkt));
 }

@@ -28,9 +28,6 @@ class Host final : public Node {
   /// Send `size_bytes` of payload to `dst` as part of `flow`.
   void send(NodeId dst, FlowId flow, std::uint32_t size_bytes);
 
-  /// Mark all future sends for In-band Network Telemetry collection.
-  void set_int_marking(bool on) { int_marking_ = on; }
-
   void receive(PooledPacket pkt, PortId port) override;
 
   [[nodiscard]] bool is_host() const override { return true; }
@@ -54,7 +51,6 @@ class Host final : public Node {
   std::uint64_t bytes_received_ = 0;
   std::uint64_t header_leaks_ = 0;
   std::uint64_t next_packet_serial_ = 0;
-  bool int_marking_ = false;
 };
 
 }  // namespace speedlight::net

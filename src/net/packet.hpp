@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "net/types.hpp"
 #include "sim/time.hpp"
@@ -28,16 +28,6 @@ struct SnapshotHeader {
   std::uint16_t channel = 0;
 };
 
-/// One hop's worth of In-band Network Telemetry metadata (the path-level
-/// telemetry of Section 2's related work — INT [22]); switches append a
-/// record at egress when the packet is INT-marked.
-struct IntHop {
-  NodeId switch_id = kInvalidNode;
-  PortId egress_port = kInvalidPort;
-  std::uint32_t queue_depth = 0;
-  sim::SimTime egress_time = 0;
-};
-
 /// A simulated packet. Only `snap` and `size_bytes` are "on the wire";
 /// the rest is simulator bookkeeping (addressing in lieu of real L2/L3
 /// headers) and audit state used by tests.
@@ -51,11 +41,6 @@ struct Packet {
   sim::SimTime created_at = 0;
 
   SnapshotHeader snap;
-
-  /// In-band telemetry: when marked, INT-enabled switches append per-hop
-  /// metadata that the destination host can read.
-  bool int_marked = false;
-  std::vector<IntHop> int_stack;
 
   /// ECN congestion-experienced bit: set by a switch whose egress queue
   /// exceeded its marking threshold (Section 2 cites ECN among the
@@ -83,24 +68,11 @@ struct Packet {
   /// Packets counted by the measured counters: real traffic only.
   [[nodiscard]] bool counts_for_metrics() const { return is_data(); }
 
-  /// Restore default-constructed state while keeping the int_stack's heap
-  /// capacity, so pooled packets (net/packet_pool.hpp) stop reallocating
-  /// telemetry storage once the pool is warm.
-  void reset() {
-    id = 0;
-    src_host = kInvalidNode;
-    dst_host = kInvalidNode;
-    flow = 0;
-    size_bytes = 0;
-    ttl = 64;
-    created_at = 0;
-    snap = SnapshotHeader{};
-    int_marked = false;
-    int_stack.clear();
-    ecn_ce = false;
-    meta_ingress_port = kInvalidPort;
-    audit_virtual_sid = 0;
-  }
+  /// Restore default-constructed state (a recycled pool slot).
+  void reset() { *this = Packet{}; }
 };
+
+// Pool slots are recycled by plain assignment and fit one cache line.
+static_assert(std::is_trivially_copyable_v<Packet> && sizeof(Packet) <= 64);
 
 }  // namespace speedlight::net

@@ -2,12 +2,11 @@
 //
 // A packet crosses many events during its life (switch pipeline, egress queue,
 // serialization, propagation); without pooling every one of those event
-// captures either copied the ~120-byte Packet or heap-allocated it, and an
-// INT-marked packet reallocated its int_stack at every hop of every packet.
-// PacketPool hands out recycled Packet objects whose int_stack keeps its
-// capacity across lives; PooledPacket is the 8-byte move-only handle that
-// travels through links, switch queues, and event callbacks, returning the
-// slot to the pool when the packet dies (delivery, drop, or probe sink).
+// captures would either copy the 64-byte Packet or heap-allocate it.
+// PacketPool hands out recycled Packet slots; PooledPacket is the 8-byte
+// move-only handle that travels through links, switch queues, and event
+// callbacks, returning the slot to the pool when the packet dies (delivery,
+// drop, or probe sink).
 //
 // There is one pool per thread: a simulator runs on its caller's thread and
 // only that thread touches the pool, so the freelist needs no locking.
@@ -28,7 +27,7 @@ class PacketPool {
  public:
   static PacketPool& instance();
 
-  /// A reset Packet (int_stack cleared but its capacity retained).
+  /// A reset (default-state) Packet.
   [[nodiscard]] Packet* acquire();
 
   /// Return a packet to the freelist. `pkt` must come from acquire().
@@ -49,16 +48,12 @@ class PacketPool {
 
 /// Owning, move-only handle to a pooled Packet. Implicitly constructible
 /// from a Packet so existing call sites (tests build a Packet and hand it to
-/// receive()) keep working — the fields are moved into a pooled slot.
+/// receive()) keep working — the fields are copied into a pooled slot.
 class PooledPacket {
  public:
   PooledPacket() noexcept = default;
 
   /// Wrap freshly produced packet fields in a pooled slot.
-  PooledPacket(Packet&& fields)  // NOLINT(google-explicit-constructor)
-      : p_(PacketPool::instance().acquire()) {
-    *p_ = std::move(fields);
-  }
   PooledPacket(const Packet& fields)  // NOLINT(google-explicit-constructor)
       : p_(PacketPool::instance().acquire()) {
     *p_ = fields;

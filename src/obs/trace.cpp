@@ -4,7 +4,6 @@ namespace speedlight::obs {
 
 const char* event_name(EventName n) {
   switch (n) {
-    case EventName::PktSeen:      return "pkt.seen";
     case EventName::SnapCapture:  return "snap.capture";
     case EventName::SnapNotify:   return "snap.notify";
     case EventName::NotifService: return "notif.service";
@@ -24,7 +23,6 @@ const char* event_name(EventName n) {
 
 const char* category_name(Category c) {
   switch (c) {
-    case Category::Packet:       return "packet";
     case Category::SnapshotSm:   return "snapshot-state-machine";
     case Category::NotifChannel: return "notification-channel";
     case Category::ControlPlane: return "control-plane";

@@ -31,7 +31,6 @@ namespace speedlight::obs {
 /// Subsystem that emitted a record (one lane of the paper's control/data
 /// plane interaction surface).
 enum class Category : std::uint8_t {
-  Packet,        ///< Per-packet events (link taps, marker propagation).
   SnapshotSm,    ///< Data-plane snapshot state machine (Figures 3-5).
   NotifChannel,  ///< ASIC -> CPU notification transport (Section 7.2).
   ControlPlane,  ///< On-switch control plane (Figures 6-7).
@@ -42,7 +41,6 @@ enum class Category : std::uint8_t {
 /// Every event the recorder knows how to emit. Keep in sync with
 /// `event_name()` in trace.cpp.
 enum class EventName : std::uint16_t {
-  PktSeen,        ///< A packet crossed a tapped link (a0=pkt id, a1=src<<32|dst).
   SnapCapture,    ///< Unit saved local state for a snapshot id (a0=vsid, a1=unit key).
   SnapNotify,     ///< Unit emitted a notification (a0=vsid, a1=unit key).
   NotifService,   ///< CPU serviced one notification (span; a0=wire sid, a1=unit key).
@@ -82,7 +80,6 @@ static_assert(sizeof(TraceEvent) <= 48, "trace records must stay compact");
 
 inline constexpr std::uint32_t kObserverPid = 0xFFFFFFFFu;
 inline constexpr std::uint32_t kPollerPid = 0xFFFFFFFEu;
-inline constexpr std::uint32_t kPacketTapPid = 0xFFFFFFFDu;
 
 [[nodiscard]] constexpr std::uint64_t make_track(std::uint32_t pid,
                                                  std::uint32_t tid) {
@@ -110,9 +107,6 @@ inline constexpr std::uint32_t kPacketTapPid = 0xFFFFFFFDu;
 }
 [[nodiscard]] constexpr std::uint64_t poller_track() {
   return make_track(kPollerPid, 0);
-}
-[[nodiscard]] constexpr std::uint64_t packet_tap_track() {
-  return make_track(kPacketTapPid, 0);
 }
 
 /// Pack a processing-unit identity into one record argument (and back).

@@ -297,14 +297,6 @@ void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
   // Counter update strictly after the snapshot logic (see header comment).
   port.ingress.counters().on_packet(*pkt, now);
 
-  // sFlow-style sampling mirror (independent of the snapshot machinery).
-  if (sample_rate_ > 0 && sample_sink_ && pkt->counts_for_metrics() &&
-      rng_.chance(1.0 / sample_rate_)) {
-    // Observability mirror, not protocol data path: collectors may buffer.
-    sim::det::DetAllow allow_collector;
-    sample_sink_(id(), in_port, *pkt);
-  }
-
   // Probes are single-hop: they exist to carry markers across one link.
   if (pkt->is_probe()) return;
 
@@ -430,15 +422,6 @@ void Switch::process_egress(net::PortId out, net::Packet& pkt,
       port.queue.size() >= options_.ecn_threshold && !pkt.ecn_ce) {
     pkt.ecn_ce = true;
     port.egress.counters().count_ecn_mark();
-  }
-
-  if (options_.int_enabled && pkt.int_marked && pkt.is_data()) {
-    // int_stack capacity is retained across pool lives, so growth is a
-    // per-slot one-off, not per-packet work.
-    sim::det::DetAllow allow_int_growth;
-    pkt.int_stack.push_back({id(), out,
-                             static_cast<std::uint32_t>(port.queue.size()),
-                             now});
   }
 }
 

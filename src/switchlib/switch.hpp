@@ -100,10 +100,6 @@ struct SwitchOptions {
   snap::WireOptions wire;
   snap::WireStats* wire_stats = nullptr;
 
-  /// Append INT per-hop metadata to marked data packets at egress (the
-  /// path-level telemetry Speedlight is contrasted with in Section 2).
-  bool int_enabled = false;
-
   /// ECN: mark data packets (congestion experienced) when their egress
   /// queue exceeds this many packets at dequeue time. 0 disables.
   std::size_t ecn_threshold = 0;
@@ -174,20 +170,6 @@ class Switch final : public net::Node {
 
   void set_audit(SwitchAudit* audit) { audit_ = audit; }
 
-  /// sFlow-style 1-in-`rate` ingress packet sampling; mirrored records go
-  /// to `sink` (see polling/sampling.hpp for a collector). Call before or
-  /// after finalize(); rate 0 disables.
-  // Sampling fires for 1-in-rate packets (rate >= 100 in every config), so
-  // the type-erasure cost is off the common path, and collectors want to
-  // bind arbitrary copyable state.
-  void enable_sampling(std::uint32_t rate,
-                       // speedlight-lint: allow(std-function-in-datapath) rare path, above.
-                       std::function<void(net::NodeId, net::PortId,
-                                          const net::Packet&)> sink) {
-    sample_rate_ = rate;
-    sample_sink_ = std::move(sink);
-  }
-
   /// Ingress channel indices within a unit.
   static constexpr std::uint16_t kIngressExternalChannel = 0;
   static constexpr std::uint16_t kIngressCpuChannel = 1;
@@ -243,9 +225,6 @@ class Switch final : public net::Node {
   std::uint64_t fwd_drops_ = 0;
   std::uint64_t ttl_drops_ = 0;
   std::uint64_t probe_serial_ = 0;
-  std::uint32_t sample_rate_ = 0;
-  // speedlight-lint: allow(std-function-in-datapath) see enable_sampling.
-  std::function<void(net::NodeId, net::PortId, const net::Packet&)> sample_sink_;
 };
 
 }  // namespace speedlight::sw

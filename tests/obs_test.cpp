@@ -31,7 +31,7 @@ namespace {
 TEST(Tracer, DisabledByDefaultAndRecordsNothing) {
   obs::Tracer tr;
   EXPECT_FALSE(tr.enabled());
-  tr.instant(obs::Category::Sim, obs::EventName::PktSeen, 0, 10);
+  tr.instant(obs::Category::Sim, obs::EventName::SnapCapture, 0, 10);
   EXPECT_EQ(tr.size(), 0u);
 }
 
@@ -60,7 +60,7 @@ TEST(Tracer, RingOverwritesOldestWhenFull) {
   obs::Tracer tr;
   tr.enable(4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    tr.instant(obs::Category::Sim, obs::EventName::PktSeen, 0,
+    tr.instant(obs::Category::Sim, obs::EventName::SnapCapture, 0,
                static_cast<sim::SimTime>(i), i);
   }
   EXPECT_EQ(tr.size(), 4u);

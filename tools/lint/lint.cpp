@@ -36,10 +36,6 @@ const std::vector<RuleInfo> kRules = {
      "unguarded mutable static state; use const/constexpr, thread_local, or "
      "std::atomic",
      false},
-    {"unguarded-profiler",
-     "profiler hot call outside an #ifndef SPEEDLIGHT_TRACE_DISABLED region; "
-     "the kill switch must compile recording out of the data path",
-     true},
 };
 
 bool known_rule(const std::string& name) {
@@ -274,68 +270,6 @@ const std::vector<Matcher> kDatapathTokens = {
     {"virtual-in-datapath", {"virtual"}},
 };
 
-/// Round-profiler hot calls. Zero compiled-out overhead is part of a
-/// profiler's contract, so every call site on the hot path must sit inside
-/// a region the SPEEDLIGHT_TRACE=OFF build removes. Member-call syntax
-/// only: a declaration of the same name is not a call.
-const std::vector<std::string> kProfilerTokens = {
-    ".record_round(", "->record_round(", ".note_inline_round(",
-    "->note_inline_round("};
-
-/// Per-line map: is this line inside a preprocessor region that only
-/// compiles when SPEEDLIGHT_TRACE_DISABLED is NOT defined? Tracks the
-/// conditional stack: #ifndef SPEEDLIGHT_TRACE_DISABLED (or
-/// #if !defined(...)) opens a guarded branch, its #else leaves it,
-/// #ifdef's #else enters it. Any enclosing guarded level suffices.
-std::vector<bool> trace_guard_map(const std::vector<std::string>& code) {
-  static const std::string kMacro = "SPEEDLIGHT_TRACE_DISABLED";
-  std::vector<bool> out(code.size(), false);
-  // One entry per open conditional: {condition involves the macro,
-  // current branch only compiles with tracing enabled}.
-  std::vector<std::pair<bool, bool>> stack;
-  for (std::size_t l = 0; l < code.size(); ++l) {
-    const std::string& s = code[l];
-    const std::size_t first = s.find_first_not_of(" \t");
-    if (first == std::string::npos || s[first] != '#') {
-      for (const auto& [trace, guarded] : stack) {
-        if (trace && guarded) {
-          out[l] = true;
-          break;
-        }
-      }
-      continue;
-    }
-    std::size_t p = first + 1;
-    while (p < s.size() && (s[p] == ' ' || s[p] == '\t')) ++p;
-    const auto directive = [&](const char* w) {
-      const std::size_t len = std::char_traits<char>::length(w);
-      return s.compare(p, len, w) == 0 &&
-             (p + len >= s.size() || !ident_char(s[p + len]));
-    };
-    const bool mentions = find_word(s, kMacro) != std::string::npos;
-    const bool negated = mentions && s.find('!') != std::string::npos;
-    if (directive("ifndef")) {
-      stack.emplace_back(mentions, mentions);
-    } else if (directive("ifdef")) {
-      stack.emplace_back(mentions, false);
-    } else if (directive("if")) {
-      stack.emplace_back(mentions, negated);
-    } else if (directive("elif")) {
-      if (!stack.empty()) {
-        if (mentions) stack.back().first = true;
-        stack.back().second = negated;
-      }
-    } else if (directive("else")) {
-      if (!stack.empty() && stack.back().first) {
-        stack.back().second = !stack.back().second;
-      }
-    } else if (directive("endif")) {
-      if (!stack.empty()) stack.pop_back();
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& rules() { return kRules; }
@@ -356,23 +290,12 @@ bool is_datapath(const std::string& path) {
   return false;
 }
 
-bool is_profiler_scope(const std::string& path) {
-  if (is_datapath(path)) return true;
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  return p.find("/src/sim/") != std::string::npos ||
-         p.rfind("src/sim/", 0) == 0;
-}
-
 std::vector<Diagnostic> scan_content(const std::string& path,
                                      const std::string& content) {
   const bool datapath = is_datapath(path);
-  const bool profiler_scope = is_profiler_scope(path);
   const std::vector<std::string> raw = split_lines(content);
   const Pragmas pragmas = parse_pragmas(path, raw);
   const std::vector<std::string> code = strip_comments_and_strings(content);
-  const std::vector<bool> trace_guarded =
-      profiler_scope ? trace_guard_map(code) : std::vector<bool>();
 
   std::vector<Diagnostic> out = pragmas.errors;
   const auto allowed = [&](std::size_t line_idx, const char* rule) {
@@ -437,14 +360,6 @@ std::vector<Diagnostic> scan_content(const std::string& path,
             report(l, m.rule, "'" + tok + "'");
             break;
           }
-        }
-      }
-    }
-    if (profiler_scope && !trace_guarded[l]) {
-      for (const std::string& tok : kProfilerTokens) {
-        if (find_word(s, tok) != std::string::npos) {
-          report(l, "unguarded-profiler", "'" + tok + "'");
-          break;
         }
       }
     }

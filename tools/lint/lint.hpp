@@ -11,13 +11,6 @@
 //      and pools (PR 1); a stray std::function, heap keyword, or virtual
 //      added to src/net, src/switchlib, or the snapshot dataplane files
 //      regresses both performance and determinism.
-//   3. A zero-cost profiler kill switch — round-profiler hot calls
-//      (record_round, note_inline_round) on the data path and in src/sim
-//      must sit inside #ifndef SPEEDLIGHT_TRACE_DISABLED regions (the
-//      linter tracks the preprocessor conditional stack). The engine round
-//      profiler that made these calls is gone, so src/ has no call site
-//      left; the rule and its fixture remain until they are retired
-//      together.
 //
 // The linter scans source text (comments and string literals stripped),
 // emits file:line diagnostics, and exits nonzero on any hit. Legitimate
@@ -60,10 +53,6 @@ struct RuleInfo {
 /// typestate.hpp). The rest of src/snapshot is control-plane code where
 /// std::function et al. are fine.
 [[nodiscard]] bool is_datapath(const std::string& path);
-
-/// True where the unguarded-profiler rule applies: data-path files plus
-/// everything under src/sim/.
-[[nodiscard]] bool is_profiler_scope(const std::string& path);
 
 /// Scan one file's contents. `path` is used for diagnostics and for
 /// data-path classification (the contents need not come from disk — the
