@@ -275,6 +275,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(stats.snapshots_checked));
   report.metric("conservation_checked",
                 static_cast<double>(stats.conservation_checked));
+  report.metric("simulated_ms", stats.simulated_ms);
   report.embed_registry(registry);
   report.write();
   return rc;

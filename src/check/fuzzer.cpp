@@ -1,6 +1,7 @@
 #include "check/fuzzer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -40,6 +41,9 @@ std::uint64_t report_hash(const snap::UnitReport& r) {
   h = mix64(h, static_cast<std::uint64_t>(r.finalize_time));
   return h;
 }
+
+/// Step of the settle check after a snapshot train's last fire time.
+constexpr sim::Duration kSettleWindow = sim::usec(100);
 
 struct SingleRun {
   RunResult result;  ///< Violations from the run's own invariants.
@@ -144,17 +148,23 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
   // same kind therefore end with the earliest restore — a deliberate,
   // deterministic simplification).
   std::vector<std::unique_ptr<net::LinkFlapper>> flappers;
+  // Each flapped trunk with the loss it had before any fault touched it
+  // (only flappers move a trunk's loss).
+  std::vector<std::pair<const net::Link*, double>> flapped;
+  sim::SimTime faults_end = 0;  // When the last fault window closes.
   const sim::SimTime epoch = s.warmup;
   const std::size_t num_trunks = net.spec().trunks.size();
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     const FaultSpec& f = s.faults[i];
     const sim::SimTime start = epoch + f.start;
     const sim::SimTime end = start + f.duration;
+    faults_end = std::max(faults_end, end);
     switch (f.kind) {
       case FaultKind::LinkFlap: {
         if (num_trunks == 0) break;
         const std::size_t trunk = f.trunk % num_trunks;
         net::Link& link = net.trunk_link(trunk, f.a_to_b);
+        flapped.emplace_back(&link, link.loss_probability());
         auto fl = std::make_unique<net::LinkFlapper>(
             sim, link, f.up_mean, f.down_mean,
             sim::Rng(s.seed ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
@@ -194,8 +204,27 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
   }
 
   net.run_for(s.warmup);
-  const auto campaign =
-      core::run_snapshot_campaign(net, s.snapshots, s.interval);
+  const core::SnapshotTrain train =
+      core::schedule_snapshot_train(net, s.snapshots, s.interval);
+  // The run is settled once every accepted request has completed (a
+  // timed-out snapshot completes at its deadline), the last fault window
+  // has closed and every flapped trunk is back at its pre-fault loss.
+  // Nothing simulated after that moves a snapshot, a count or a check, so
+  // the run stops at the first settled window boundary after the train,
+  // and never later than the deadline core::run_snapshot_campaign runs to.
+  const auto settled = [&] {
+    const snap::Observer& observer = net.observer();
+    return observer.completed_count() == observer.requested_count() &&
+           net.now() >= faults_end &&
+           std::all_of(flapped.begin(), flapped.end(), [](const auto& fl) {
+             return fl.first->loss_probability() == fl.second;
+           });
+  };
+  net.run_until(train.last_fire);
+  while (net.now() < train.deadline && !settled()) {
+    net.run_until(std::min(net.now() + kSettleWindow, train.deadline));
+  }
+  const core::SnapshotCampaign& campaign = *train.campaign;
 
   CheckOptions copt;
   copt.subtract_channel_state = !opts.break_conservation;
@@ -222,6 +251,7 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
     out.completed.emplace(snap->id, *snap);
   }
   out.result.completed = out.completed.size();
+  out.result.simulated = net.now();
   for (std::size_t t = 0; t < num_trunks; ++t) {
     out.result.link_drops += net.trunk_link(t, true).packets_dropped();
     out.result.link_drops += net.trunk_link(t, false).packets_dropped();
@@ -274,6 +304,7 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
     result.tie_fingerprint =
         mix64(result.tie_fingerprint, ideal.result.tie_fingerprint);
     result.tie_pairs += ideal.result.tie_pairs;
+    result.simulated += ideal.result.simulated;
     result.datapath_allocs += ideal.result.datapath_allocs;
   }
   return result;
@@ -418,6 +449,9 @@ void FuzzStats::register_metrics(obs::MetricsRegistry& reg) const {
                       [this] { return tie_pairs; });
   reg.register_reader("fuzz.datapath_allocs", MetricKind::Counter,
                       [this] { return datapath_allocs; });
+  reg.register_reader("fuzz.simulated_ms", MetricKind::Counter, [this] {
+    return static_cast<std::uint64_t>(std::llround(simulated_ms));
+  });
 }
 
 }  // namespace speedlight::check

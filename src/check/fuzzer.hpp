@@ -56,6 +56,10 @@ struct RunResult {
   std::uint64_t conservation_checked = 0;
   std::uint64_t link_drops = 0;  ///< Wire drops across all links.
   std::uint64_t flaps = 0;       ///< LinkFlapper transitions observed.
+  /// Simulated time covered: from zero to the instant the run settled or
+  /// reached its deadline, summed over the hardware run and its oracle
+  /// twin.
+  sim::Duration simulated = 0;
 
   /// Order-independent digest of the run's observable end state (every
   /// completed snapshot's reports plus run totals). Two runs of one
@@ -109,6 +113,7 @@ struct FuzzStats {
   std::uint64_t digest_divergences = 0;  ///< Twin runs that disagreed.
   std::uint64_t tie_pairs = 0;           ///< Same-tick same-unit event pairs.
   std::uint64_t datapath_allocs = 0;     ///< Guarded-scope allocations seen.
+  double simulated_ms = 0;               ///< Sum of RunResult::simulated.
 
   void account(const RunResult& r) {
     ++runs;
@@ -118,6 +123,7 @@ struct FuzzStats {
     conservation_checked += r.conservation_checked;
     tie_pairs += r.tie_pairs;
     datapath_allocs += r.datapath_allocs;
+    simulated_ms += sim::to_msec(r.simulated);
   }
 
   void register_metrics(obs::MetricsRegistry& reg) const;

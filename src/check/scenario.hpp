@@ -20,7 +20,8 @@
 //   workload <generators> <rate_pps> <packet_size> [mix]
 //   warmup_us <u64>
 //   snapshots <count> <interval_us> <timeout_us>
-//   fault link_flap <trunk> <a_to_b> <start_us> <up_mean_us> <down_mean_us>
+//   fault link_flap <trunk> <a_to_b> <start_us> <duration_us> <up_mean_us>
+//                   <down_mean_us>
 //   fault notif_burst <start_us> <duration_us> <drop_prob>
 //   cpu_spike / observer_down analogous (see FaultSpec).
 #pragma once
@@ -51,7 +52,8 @@ struct FaultSpec {
   bool a_to_b = true;
   /// All times are relative to the end of warmup (campaign start).
   sim::Duration start = 0;
-  sim::Duration duration = sim::msec(2);  ///< Window faults; unused by LinkFlap.
+  /// Window length; a LinkFlap starts no new down period after it.
+  sim::Duration duration = sim::msec(2);
   /// NotifDropBurst: drop probability. CpuBacklogSpike: service-time
   /// multiplier. Unused otherwise.
   double magnitude = 0.0;

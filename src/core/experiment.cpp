@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <utility>
 
 namespace speedlight::core {
 
@@ -20,10 +21,10 @@ std::vector<const snap::GlobalSnapshot*> SnapshotCampaign::results(
   return out;
 }
 
-SnapshotCampaign run_snapshot_campaign(Network& net, std::size_t count,
-                                       sim::Duration interval,
-                                       sim::Duration lead,
-                                       sim::Duration settle) {
+SnapshotTrain schedule_snapshot_train(Network& net, std::size_t count,
+                                      sim::Duration interval,
+                                      sim::Duration lead,
+                                      sim::Duration settle) {
   auto campaign = std::make_shared<SnapshotCampaign>();
   const sim::SimTime base = net.now() + lead;
   for (std::size_t i = 0; i < count; ++i) {
@@ -41,8 +42,18 @@ SnapshotCampaign run_snapshot_campaign(Network& net, std::size_t count,
   }
   const sim::SimTime last_fire =
       base + static_cast<sim::SimTime>(count ? count - 1 : 0) * interval;
-  net.run_until(last_fire + net.options().observer.completion_timeout + settle);
-  return *campaign;
+  return {std::move(campaign), last_fire,
+          last_fire + net.options().observer.completion_timeout + settle};
+}
+
+SnapshotCampaign run_snapshot_campaign(Network& net, std::size_t count,
+                                       sim::Duration interval,
+                                       sim::Duration lead,
+                                       sim::Duration settle) {
+  const SnapshotTrain train =
+      schedule_snapshot_train(net, count, interval, lead, settle);
+  net.run_until(train.deadline);
+  return *train.campaign;
 }
 
 std::vector<poll::PollSweep> run_polling_campaign(Network& net,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "core/network.hpp"
@@ -25,9 +26,25 @@ struct SnapshotCampaign {
       const Network& net) const;
 };
 
-/// Request `count` snapshots, `interval` apart, the first at now+lead; then
-/// run the simulation until the last snapshot's completion timeout has
-/// passed (plus `settle`).
+/// A train of snapshot requests scheduled on a network but not yet run: the
+/// campaign fills in as the simulation reaches each request.
+struct SnapshotTrain {
+  std::shared_ptr<SnapshotCampaign> campaign;
+  sim::SimTime last_fire = 0;  ///< Fire time of the train's last snapshot.
+  /// last_fire plus the observer's completion timeout plus `settle`: by
+  /// then every accepted request has completed or timed out.
+  sim::SimTime deadline = 0;
+};
+
+/// Schedule `count` snapshot requests, `interval` apart, the first firing at
+/// now+lead; each request is issued `lead` before its fire time.
+SnapshotTrain schedule_snapshot_train(Network& net, std::size_t count,
+                                      sim::Duration interval,
+                                      sim::Duration lead = sim::msec(1),
+                                      sim::Duration settle = sim::msec(5));
+
+/// Schedule a snapshot train (schedule_snapshot_train) and run the
+/// simulation to its deadline.
 SnapshotCampaign run_snapshot_campaign(Network& net, std::size_t count,
                                        sim::Duration interval,
                                        sim::Duration lead = sim::msec(1),

@@ -11,8 +11,9 @@
 
 namespace speedlight::net {
 
-/// Alternates a link between up (its configured loss rate) and down (100%
-/// loss) with exponentially distributed period lengths.
+/// Alternates a link between up (the loss rate it had when the flapper was
+/// built) and down (100% loss) with exponentially distributed period
+/// lengths.
 class LinkFlapper {
  public:
   LinkFlapper(sim::Simulator& sim, Link& link, sim::Duration up_mean,
@@ -21,7 +22,11 @@ class LinkFlapper {
         link_(link),
         up_mean_(static_cast<double>(up_mean)),
         down_mean_(static_cast<double>(down_mean)),
-        rng_(rng) {
+        rng_(rng),
+        // The link may legitimately be lossy even when up. Captured here,
+        // not at each go_down(): a second flapper on the same link would
+        // otherwise save the first one's 100% and restore it for good.
+        up_loss_(link.loss_probability()) {
     link_.mark_dynamic_loss();
   }
 
@@ -45,9 +50,6 @@ class LinkFlapper {
     if (!running_) return;
     down_ = true;
     ++flaps_;
-    // Remember the link's configured loss rate so go_up() can restore it
-    // (the link may legitimately be lossy even when "up").
-    up_loss_ = link_.loss_probability();
     link_.set_loss_probability(1.0);
     sim_.after(static_cast<sim::Duration>(rng_.exponential(down_mean_)),
                [this]() { go_up(); });
@@ -65,9 +67,9 @@ class LinkFlapper {
   double up_mean_;
   double down_mean_;
   sim::Rng rng_;
+  double up_loss_;  ///< Loss rate every go_up() restores.
   bool running_ = false;
   bool down_ = false;
-  double up_loss_ = 0.0;  ///< Loss rate to restore on the next go_up().
   std::uint64_t flaps_ = 0;
 };
 

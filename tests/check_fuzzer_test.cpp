@@ -53,6 +53,36 @@ TEST(Fuzzer, LossyLinkScenarioStaysCleanViaDropSlack) {
   EXPECT_GT(r.flaps, 0u);
 }
 
+TEST(Fuzzer, RunEndsWhenItsFaultWindowCloses) {
+  // Seed 4's snapshots all complete inside its one link_flap window, so the
+  // window's close settles the run: it must not stop earlier (flaps still
+  // to come would move the flap and drop counts), and it stops well before
+  // the fixed end core::run_snapshot_campaign runs to.
+  const auto s = check::generate_scenario(4);
+  ASSERT_EQ(s.faults.size(), 1u);
+  ASSERT_EQ(s.faults[0].kind, check::FaultKind::LinkFlap);
+  const sim::SimTime window_end =
+      s.warmup + s.faults[0].start + s.faults[0].duration;
+  const sim::SimTime last_fire =
+      s.warmup + sim::msec(1) +
+      static_cast<sim::SimTime>(s.snapshots - 1) * s.interval;
+  const sim::SimTime full_end =
+      last_fire + s.network_options().observer.completion_timeout +
+      sim::msec(5);
+
+  const auto hw = check::run_scenario(s, {.with_oracle = false});
+  EXPECT_GE(hw.simulated, window_end);
+  EXPECT_LT(hw.simulated, full_end);
+  // With the oracle, the reported time covers the idealized twin too.
+  const auto both = check::run_scenario(s, {});
+  EXPECT_GE(both.simulated, 2 * window_end);
+  EXPECT_LT(both.simulated, 2 * full_end);
+
+  check::FuzzStats stats;
+  stats.account(both);
+  EXPECT_DOUBLE_EQ(stats.simulated_ms, sim::to_msec(both.simulated));
+}
+
 TEST(Fuzzer, InjectedBugIsCaughtAndShrunk) {
   // Self-test of the whole find-shrink-replay loop: with the channel-state
   // term removed from the conservation equation, some scenario must fail,

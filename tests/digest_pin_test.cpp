@@ -14,7 +14,11 @@
 // service: with default RunOptions (the idealized oracle folded in) and
 // without the oracle. Seeds 12, 74 and 137 are generated `link_flap`
 // scenarios whose digests depend on loss being decided when serialization
-// completes, not at dequeue.
+// completes, not at dequeue. With seed 4, also a `link_flap` scenario, they
+// cover the three ways a fuzz run settles (DESIGN.md section 10): seed 4
+// ends when its fault window closes, seeds 12 and 74 at a timed-out
+// snapshot's deadline, and seed 137 when a link still down at its window's
+// close comes back up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,6 +63,7 @@ constexpr Pin kCorpusPins[] = {
 };
 
 constexpr Pin kSeedPins[] = {
+    {"", 4, 9558222361662236609ull, 17550950921835105657ull},
     {"", 12, 8067863809800943801ull, 4311465916822633396ull},
     {"", 74, 12634490188143622529ull, 4254613285373519218ull},
     {"", 137, 7322614437247943282ull, 472414733980010971ull},

@@ -71,6 +71,31 @@ TEST(LinkFlapper, StopWhileDownStillRestoresLink) {
   EXPECT_EQ(sim.stats().scheduled, scheduled);
 }
 
+TEST(LinkFlapper, OverlappingFlappersRestoreTheConfiguredLossRate) {
+  // Two flappers on one link, their down periods overlapping again and
+  // again. Each must restore the rate the link was built with, not the one
+  // it found at go_down(): a flapper that goes down while the other holds
+  // the link at 100% loss would otherwise restore 100% for good.
+  sim::Simulator sim;
+  net::Host sink(sim, 1, "sink");
+  net::Link link(sim, 1e9, 0, sim::Rng(1));
+  link.connect(&sink, 0);
+  link.set_loss_probability(0.05);
+  net::LinkFlapper first(sim, link, sim::msec(1), sim::msec(1), sim::Rng(2));
+  net::LinkFlapper second(sim, link, sim::msec(1), sim::msec(1), sim::Rng(3));
+  first.start(0);
+  second.start(sim::usec(500));
+  sim.run_until(sim::msec(50));
+  ASSERT_GT(first.flaps(), 5u);
+  ASSERT_GT(second.flaps(), 5u);
+  first.stop();
+  second.stop();
+  sim.run_until(sim::sec(1));  // Both pending go_ups have long since fired.
+  EXPECT_FALSE(first.is_down());
+  EXPECT_FALSE(second.is_down());
+  EXPECT_DOUBLE_EQ(link.loss_probability(), 0.05);
+}
+
 TEST(LinkFlapper, SnapshotsSurviveFlappingTrunk) {
   // Flap one spine trunk while taking channel-state snapshots: liveness
   // machinery (re-initiation + probes) must keep completing them, without

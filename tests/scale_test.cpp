@@ -17,6 +17,22 @@ namespace {
 using core::Network;
 using core::NetworkOptions;
 
+// AddressSanitizer's shadow memory and redzones count toward RSS, so an RSS
+// budget read in an ASan build measures the sanitizer, not the simulator:
+// the RSS comparisons below are compiled out there. Release builds (and
+// CI's scale-smoke job) still enforce them.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kRssBudgetsApply = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kRssBudgetsApply = false;
+#else
+constexpr bool kRssBudgetsApply = true;
+#endif
+#else
+constexpr bool kRssBudgetsApply = true;
+#endif
+
 TEST(Scale, FatTree6ChannelStateSnapshot) {
   // k=6 fat-tree: 45 switches, 54 hosts, 432 processing units.
   NetworkOptions opt;
@@ -86,12 +102,13 @@ TEST(Scale, FatTree6Conservation) {
   EXPECT_LT(snap->advance_span(), sim::usec(100));
 }
 
-TEST(FeatureInteraction, EverythingOnAtOnce) {
-  // CoS + ECN + channel-state snapshots + flowlet + small wire-id space,
-  // simultaneously: features must not interfere with the protocol's
-  // guarantees.
+/// CoS + ECN + channel-state snapshots + flowlet + small wire-id space,
+/// simultaneously, over the given notification transport: features must
+/// not interfere with the protocol's guarantees.
+void run_everything_on_at_once(snap::NotificationMode transport) {
   NetworkOptions opt;
   opt.seed = 99;
+  opt.notification_mode = transport;
   opt.snapshot.channel_state = true;
   opt.snapshot.wire_id_modulus = 16;
   opt.load_balancer = sw::LoadBalancerKind::Flowlet;
@@ -131,6 +148,14 @@ TEST(FeatureInteraction, EverythingOnAtOnce) {
   }
 }
 
+TEST(FeatureInteraction, EverythingOnAtOnce) {
+  run_everything_on_at_once(snap::NotificationMode::RawSocket);
+}
+
+TEST(FeatureInteraction, EverythingOnAtOnceOverDigestTransport) {
+  run_everything_on_at_once(snap::NotificationMode::Digest);
+}
+
 TEST(Scale, FatTree16LazyMaterialization) {
   // k=16: 320 switches, 1,024 hosts, 5,120 switch ports. The SoA core must
   // construct it without materializing a single port unit, inside a hard
@@ -145,7 +170,7 @@ TEST(Scale, FatTree16LazyMaterialization) {
   EXPECT_EQ(net.materialized_ports(), 0u);
   const std::int64_t rss_built =
       static_cast<std::int64_t>(obs::current_rss_kb());
-  if (rss_before > 0) {
+  if (kRssBudgetsApply && rss_before > 0) {
     // Measured ~5.5 MB of growth for the whole fabric; the ceiling leaves
     // headroom for allocator noise but forbids any per-port eager build
     // (eager dataplane units alone would cost tens of MB).
@@ -181,7 +206,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_EQ(net.materialized_ports(), 0u);
   const std::int64_t rss_built =
       static_cast<std::int64_t>(obs::current_rss_kb());
-  if (rss_before > 0) {
+  if (kRssBudgetsApply && rss_before > 0) {
     EXPECT_LT(rss_built - rss_before, 128 * 1024)
         << "construction RSS growth (KiB) exceeds the k=32 budget";
   }
@@ -196,7 +221,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   EXPECT_EQ(net.materialized_ports(), 40960u);
   const std::int64_t rss_after =
       static_cast<std::int64_t>(obs::current_rss_kb());
-  if (rss_before > 0) {
+  if (kRssBudgetsApply && rss_before > 0) {
     EXPECT_LT(rss_after - rss_before, 512 * 1024)
         << "RSS growth (KiB) through a snapshot round exceeds the budget";
   }
