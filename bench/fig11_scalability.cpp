@@ -15,8 +15,9 @@
 //   points. Any other flag exits 2.
 //
 // The full-simulator runs emit the events they executed
-// (`full_sim.events`, `fat_tree.k<k>.events`): deterministic work counts
-// that CI gates exactly.
+// (`full_sim.events`, `fat_tree.k<k>.events`) and the fat-tree runs their
+// metrics-registry size (`fat_tree.k<k>.registry_entries`): deterministic
+// counts that CI gates exactly.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -113,6 +114,8 @@ struct FatTreeRound {
   std::size_t switches = 0;
   std::size_t units = 0;                     ///< Snapshot units in the fabric.
   std::size_t assembly_entries_per_round = 0;  ///< Observer digest entries.
+  /// Metrics registry size after the campaign.
+  std::size_t registry_entries = 0;
 };
 
 FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
@@ -157,6 +160,7 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
   std::size_t total_ports = 0;
   for (const auto& sw : net.spec().switches) total_ports += sw.num_ports;
   out.units = 2 * total_ports;
+  out.registry_entries = net.metrics().size();
 
   report.metric(prefix + ".switches",
                 static_cast<double>(net.spec().switches.size()));
@@ -183,6 +187,8 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
                           static_cast<double>(out.completed));
   report.metric(prefix + ".events",
                 static_cast<double>(net.simulator().stats().executed));
+  report.metric(prefix + ".registry_entries",
+                static_cast<double>(out.registry_entries));
 
   std::cout << "  k=" << k << "\t" << net.spec().switches.size()
             << " switches\t" << out.completed << "/" << snapshots
@@ -273,6 +279,13 @@ int main(int argc, char** argv) {
                      ": assembly state is O(devices) per round (one digest "
                      "per switch, no retained unit reports)");
   }
+  // The registry holds fabric-wide series only, so its size does not grow
+  // with the fabric.
+  bool same_registry = true;
+  for (const auto& r : ft) {
+    same_registry &= r.registry_entries == ft.front().registry_entries;
+  }
+  bench::check(same_registry, "metrics registry the same size at every k");
   // Streaming completion is O(1) per report: the assembly tail (last unit
   // advance -> observer completion) must grow far slower than the unit
   // count across fabric sizes.

@@ -52,7 +52,6 @@ core::NetworkOptions Scenario::network_options() const {
         f.kind == FaultKind::CpuBacklogSpike) {
       opt.control.proactive_register_poll = true;
       opt.control.register_poll_interval = sim::msec(2);
-      opt.start_register_poll = true;
       break;
     }
   }

@@ -3,12 +3,48 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "obs/chrome_trace.hpp"
 #include "snapshot/ids.hpp"
 
 namespace speedlight::core {
+
+namespace {
+
+/// Registry series that sum a per-switch accessor over the fabric.
+using SwitchRead = std::uint64_t (*)(sw::Switch&);
+constexpr std::tuple<const char*, obs::MetricKind, SwitchRead> kFabricSums[] = {
+    {"fabric.queue_drops", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.queue_drops(); }},
+    {"fabric.forwarding_drops", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.forwarding_drops(); }},
+    {"fabric.ttl_drops", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.ttl_drops(); }},
+    {"fabric.snap.captures", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.snapshot_captures(); }},
+    {"fabric.snap.notifications", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.snapshot_notifications(); }},
+    {"fabric.notif.delivered", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.notifications().delivered(); }},
+    {"fabric.notif.dropped_overflow", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.notifications().dropped_overflow(); }},
+    {"fabric.notif.dropped_random", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.notifications().dropped_random(); }},
+    {"fabric.notif.backlog", obs::MetricKind::Gauge,
+     [](sw::Switch& s) -> std::uint64_t {
+       return s.notifications().backlog();
+     }},
+    {"fabric.cp.initiations_sent", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.control_plane().initiations_sent(); }},
+    {"fabric.cp.reinitiation_rounds", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.control_plane().reinitiation_rounds(); }},
+    {"fabric.cp.reports_sent", obs::MetricKind::Counter,
+     [](sw::Switch& s) { return s.control_plane().reports_sent(); }},
+};
+
+}  // namespace
 
 Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     : options_(std::move(options)),
@@ -68,7 +104,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.fabric_delay = options_.fabric_delay;
     so.notification_mode = options_.notification_mode;
     so.ecn_threshold = options_.ecn_threshold;
-    so.per_instance_metrics = s <= options_.per_instance_metrics_limit;
     so.control = options_.control;
     so.wire = options_.wire;
     so.wire_stats = &wire_stats_;
@@ -139,38 +174,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
 
   for (std::size_t i = 0; i < switches_.size(); ++i) switches_[i].finalize();
 
-  // Large fabric: per-instance registration is off on every switch (see
-  // SwitchOptions::per_instance_metrics); expose the fixed-cardinality
-  // fabric-wide streaming view instead, re-summed on the cold collect path.
-  if (s > options_.per_instance_metrics_limit) {
-    streaming_.set_refresh([this](obs::StreamingMetrics& sm) {
-      sm.clear();
-      std::uint64_t max_backlog = 0;
-      for (std::size_t i = 0; i < switches_.size(); ++i) {
-        sw::Switch& swch = switches_[i];
-        sm.add(obs::StreamClass::QueueDrops, swch.queue_drops());
-        sm.add(obs::StreamClass::ForwardingDrops, swch.forwarding_drops());
-        sm.add(obs::StreamClass::TtlDrops, swch.ttl_drops());
-        sm.add(obs::StreamClass::SnapCaptures, swch.snapshot_captures());
-        sm.add(obs::StreamClass::SnapNotifications,
-               swch.snapshot_notifications());
-        const snap::NotificationTransport& nt = swch.notifications();
-        sm.add(obs::StreamClass::NotifDelivered, nt.delivered());
-        sm.add(obs::StreamClass::NotifDroppedOverflow, nt.dropped_overflow());
-        sm.add(obs::StreamClass::NotifDroppedRandom, nt.dropped_random());
-        sm.add(obs::StreamClass::NotifBacklog, nt.backlog());
-        max_backlog = std::max<std::uint64_t>(max_backlog, nt.max_backlog());
-        const snap::ControlPlane& cp = swch.control_plane();
-        sm.add(obs::StreamClass::CpInitiations, cp.initiations_sent());
-        sm.add(obs::StreamClass::CpReinitiationRounds,
-               cp.reinitiation_rounds());
-        sm.add(obs::StreamClass::CpReports, cp.reports_sent());
-      }
-      sm.set(obs::StreamClass::NotifMaxBacklog, max_backlog);
-    });
-    streaming_.register_views(sim_.metrics(), "fabric");
-  }
-
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
   // The observer's snapshot config and wire format always mirror the data
@@ -193,11 +196,32 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     cp.set_report_endpoint(make_endpoint());
     observer_->register_device(&cp, make_endpoint());
     ptp_->manage(&cp.clock());
-    if (options_.start_register_poll) {
-      cp.start_register_poll();
-    }
+    cp.start_register_poll();
   }
   if (options_.start_ptp) ptp_->start();
+
+  // Fabric-wide switch, notification-transport and control-plane series:
+  // one reader per series, which sums its per-switch accessor over every
+  // switch when read (the backlog high-water mark takes the maximum). The
+  // registry's size does not depend on the fabric's.
+  for (const auto& [name, kind, read] : kFabricSums) {
+    sim_.metrics().register_reader(name, kind, [this, read = read] {
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < switches_.size(); ++i) {
+        total += read(switches_[i]);
+      }
+      return total;
+    });
+  }
+  sim_.metrics().register_reader(
+      "fabric.notif.max_backlog", obs::MetricKind::Gauge, [this] {
+        std::uint64_t high = 0;
+        for (std::size_t i = 0; i < switches_.size(); ++i) {
+          high = std::max<std::uint64_t>(
+              high, switches_[i].notifications().max_backlog());
+        }
+        return high;
+      });
 
   // Fabric-wide wire accounting: byte counters split by frame family plus
   // the fallback/drop diagnostics.

@@ -25,7 +25,6 @@
 #include "net/link.hpp"
 #include "net/soa.hpp"
 #include "net/topology.hpp"
-#include "obs/streaming.hpp"
 #include "obs/timeline.hpp"
 #include "polling/polling_observer.hpp"
 #include "sim/endpoint.hpp"
@@ -70,6 +69,9 @@ struct NetworkOptions {
   std::size_t ecn_threshold = 0;
 
   snap::Observer::Options observer;
+  /// Every control plane's options. With `proactive_register_poll` set,
+  /// each snapshot-enabled control plane starts its register-poll loop as
+  /// the network is built.
   snap::ControlPlane::Options control;
 
   /// Channel-state snapshots stall on traffic-less channels; by default the
@@ -86,16 +88,6 @@ struct NetworkOptions {
 
   /// Start the PTP correction loop (on by default, as on the testbed).
   bool start_ptp = true;
-  /// Start each control plane's proactive register poll loop.
-  bool start_register_poll = false;
-
-  /// Fabrics up to this many switches register the classic per-instance
-  /// "switch.<name>.*" metric series; larger fabrics register only the
-  /// fixed-cardinality fabric-wide streaming view ("fabric.*",
-  /// obs/streaming.hpp) — per-instance names and reader closures alone are
-  /// O(switches) memory at production scale. Set to 0 to force streaming
-  /// (the metrics tests do), or SIZE_MAX to force per-instance everywhere.
-  std::size_t per_instance_metrics_limit = 64;
 
   /// Must be 1: a Network runs on one simulator. Any other value makes the
   /// constructor throw std::invalid_argument. Kept, last, so callers that
@@ -237,9 +229,6 @@ class Network {
   net::ObjectArena<sw::Switch> switches_;
   net::ObjectArena<net::Host> hosts_;
   net::ObjectArena<net::Link> links_;
-
-  /// Fabric-wide O(1)-memory metric accumulators (large fabrics).
-  obs::StreamingMetrics streaming_;
 
   /// Wire accounting, written by every encoder and decoder.
   snap::WireStats wire_stats_;

@@ -1,9 +1,9 @@
-// The unified metrics registry of the flight recorder: every subsystem
-// (notification transports, control planes, data-plane units, switch
-// queues, the polling baseline, the simulator itself) registers its
-// counters and gauges here under a dotted name, replacing the scattered
+// The unified metrics registry of the flight recorder: the simulator, the
+// network facade (fabric-wide switch, notification and control-plane
+// totals, wire accounting), the observer and the polling baseline register
+// their counters and gauges here under a dotted name, so the scattered
 // one-off accessors (`delivered()`, `dropped_overflow()`, `SimulatorStats`,
-// ...) with one enumerable surface.
+// ...) read through one enumerable surface.
 //
 // Counters and gauges are *readers*: the registry stores a callback into
 // the owning component, so registration is free on the hot path — the
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -73,12 +74,7 @@ class Histogram {
 
  private:
   static std::size_t bucket_of(std::uint64_t v) {
-    std::size_t b = 0;
-    while (v > 0 && b < 63) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
+    return std::min<std::size_t>(std::bit_width(v), 63);
   }
   static std::uint64_t upper_bound(std::size_t bucket) {
     return bucket >= 63 ? std::numeric_limits<std::uint64_t>::max()
@@ -101,7 +97,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Register a named counter/gauge backed by `read`. Names are dotted
-  /// paths ("switch.s0.notif.delivered"). A clashing name gets a "#N"
+  /// paths ("fabric.notif.delivered"). A clashing name gets a "#N"
   /// suffix so independent components never silently alias (the suffixed
   /// name is returned).
   std::string register_reader(std::string name, MetricKind kind, Reader read);

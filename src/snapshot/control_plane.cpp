@@ -18,18 +18,7 @@ ControlPlane::ControlPlane(sim::Simulator& sim, net::NodeId device,
       rng_(rng),
       space_(options.snapshot.sid_space()),
       report_ep_(sim::Endpoint::local(sim, 0)),
-      track_(obs::cpu_track(device)) {
-  if (!options_.per_instance_metrics) return;
-  using obs::MetricKind;
-  auto& reg = sim_.metrics();
-  const std::string prefix = "cp." + name_;
-  reg.register_reader(prefix + ".initiations_sent", MetricKind::Counter,
-                      [this] { return initiations_sent_; });
-  reg.register_reader(prefix + ".reinitiation_rounds", MetricKind::Counter,
-                      [this] { return reinit_rounds_; });
-  reg.register_reader(prefix + ".reports_sent", MetricKind::Counter,
-                      [this] { return reports_sent_; });
-}
+      track_(obs::cpu_track(device)) {}
 
 void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask) {
   assert(unit != nullptr);

@@ -53,11 +53,6 @@ class ControlPlane {
     /// notifications.
     bool proactive_register_poll = false;
     sim::Duration register_poll_interval = sim::msec(10);
-    /// Register per-device "cp.<name>.*" series with the flight recorder.
-    /// Large fabrics turn this off (registry names are O(devices) memory)
-    /// and read the same counters through the fabric-wide streaming
-    /// accumulators instead (obs/streaming.hpp).
-    bool per_instance_metrics = true;
   };
 
   ControlPlane(sim::Simulator& sim, net::NodeId device, std::string name,
@@ -122,7 +117,8 @@ class ControlPlane {
   /// Entry point wired to the notification channel (Figure 7 handlers).
   void on_notification(const Notification& n);
 
-  /// Start the optional proactive register-poll loop.
+  /// Start the proactive register-poll loop; a no-op unless
+  /// `Options::proactive_register_poll` is set.
   void start_register_poll();
 
   [[nodiscard]] net::NodeId device() const { return device_; }

@@ -25,10 +25,8 @@ void DigestChannel::push(const Notification& n) {
   if (timing_.notification_drop_probability > 0.0 &&
       rng_.chance(timing_.notification_drop_probability)) {
     ++dropped_random_;
-    if (tracer_) {
-      tracer_->instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                       track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
-    }
+    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
+                    track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
     return;
   }
   if (accumulating_.size() == accumulating_.capacity()) {
@@ -68,7 +66,7 @@ void DigestChannel::flush() {
   }
   if (accumulating_.empty()) return;
   ++digests_;
-  if (digest_batch_) digest_batch_->record(accumulating_.size());
+  digest_batch_.record(accumulating_.size());
   Digest digest = std::move(accumulating_);
   accumulating_ = std::move(spare_);  // recycled storage keeps its capacity
   accumulating_.clear();
@@ -78,13 +76,11 @@ void DigestChannel::flush() {
                if (cpu_queue_.size() >= timing_.digest_queue_capacity) {
                  pending_ -= digest.size();
                  dropped_overflow_ += digest.size();
-                 if (tracer_) {
-                   // One overflow instant per lost digest; a1 carries how
-                   // many notifications went down with it.
-                   tracer_->instant(obs::Category::NotifChannel,
-                                    obs::EventName::NotifDrop, track_,
-                                    sim_.now(), /*a0=*/0, digest.size());
-                 }
+                 // One overflow instant per lost digest; a1 carries how
+                 // many notifications went down with it.
+                 tracer_.instant(obs::Category::NotifChannel,
+                                 obs::EventName::NotifDrop, track_, sim_.now(),
+                                 /*a0=*/0, digest.size());
                  return;
                }
                cpu_queue_.push_back(std::move(digest));
@@ -102,15 +98,12 @@ void DigestChannel::drain() {
     cpu_queue_.pop_front();
     pending_ -= digest.size();
     delivered_ += digest.size();
-    if (tracer_) {
-      // One span per serviced digest, covering its driver processing cost.
-      const auto cost = cost_of(digest);
-      tracer_->complete(obs::Category::NotifChannel,
-                        obs::EventName::NotifService, track_,
-                        sim_.now() - cost, cost,
-                        digest.empty() ? 0 : digest.front().n.new_sid,
-                        digest.size());
-    }
+    // One span per serviced digest, covering its driver processing cost.
+    const auto cost = cost_of(digest);
+    tracer_.complete(obs::Category::NotifChannel, obs::EventName::NotifService,
+                     track_, sim_.now() - cost, cost,
+                     digest.empty() ? 0 : digest.front().n.new_sid,
+                     digest.size());
     for (const auto& e : digest) sink_(e.n);
     if (digest.capacity() > spare_.capacity()) {
       digest.clear();
@@ -122,14 +115,6 @@ void DigestChannel::drain() {
   } else {
     draining_ = false;
   }
-}
-
-void DigestChannel::register_metrics(obs::MetricsRegistry& reg,
-                                     const std::string& prefix) {
-  NotificationTransport::register_metrics(reg, prefix);
-  reg.register_reader(prefix + ".digests_flushed", obs::MetricKind::Counter,
-                      [this] { return digests_; });
-  digest_batch_ = &reg.histogram(prefix + ".digest_batch");
 }
 
 }  // namespace speedlight::snap

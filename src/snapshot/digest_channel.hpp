@@ -31,15 +31,19 @@ class DigestChannel final : public NotificationTransport {
  public:
   /// `device` owns the stream; see NotificationTransport for the wire
   /// arguments. Entries are timestamped at accumulation, so the compact
-  /// recovery reference has zero transit skew.
+  /// recovery reference has zero transit skew. Every digest stream on
+  /// `sim` records its per-digest batch size into the one registry
+  /// histogram `fabric.notif.digest_batch`.
   DigestChannel(sim::Simulator& sim, const sim::TimingModel& timing,
                 sim::Rng rng, Sink sink, net::NodeId device,
                 const WireOptions& wire, WireStats* wire_stats)
-      : NotificationTransport(device, wire, wire_stats, /*transit_latency=*/0),
+      : NotificationTransport(sim, device, wire, wire_stats,
+                              /*transit_latency=*/0),
         sim_(sim),
         timing_(timing),
         rng_(rng),
-        sink_(std::move(sink)) {}
+        sink_(std::move(sink)),
+        digest_batch_(sim.metrics().histogram("fabric.notif.digest_batch")) {}
 
   DigestChannel(const DigestChannel&) = delete;
   DigestChannel& operator=(const DigestChannel&) = delete;
@@ -57,18 +61,6 @@ class DigestChannel final : public NotificationTransport {
   [[nodiscard]] std::size_t backlog() const override;
   [[nodiscard]] std::size_t max_backlog() const override { return max_backlog_; }
   [[nodiscard]] std::size_t in_flight() const override { return pending_; }
-
-  /// See NotificationTransport::reset_stats(): counters go to zero, the
-  /// high-water mark re-seeds to the live backlog (accumulating + queued).
-  void reset_stats() override {
-    delivered_ = dropped_overflow_ = dropped_random_ = 0;
-    max_backlog_ = backlog();
-  }
-
-  /// Base surface plus `<prefix>.digests_flushed` and the per-digest batch
-  /// size histogram `<prefix>.digest_batch`.
-  void register_metrics(obs::MetricsRegistry& reg,
-                        const std::string& prefix) override;
 
   [[nodiscard]] std::uint64_t digests_flushed() const { return digests_; }
 
@@ -107,7 +99,7 @@ class DigestChannel final : public NotificationTransport {
   std::uint64_t dropped_random_ = 0;
   std::uint64_t digests_ = 0;
   std::size_t max_backlog_ = 0;
-  obs::Histogram* digest_batch_ = nullptr;  // set by register_metrics()
+  obs::Histogram& digest_batch_;
 };
 
 }  // namespace speedlight::snap

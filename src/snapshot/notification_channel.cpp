@@ -8,10 +8,8 @@ void NotificationChannel::push(const Notification& n) {
   if (timing_.notification_drop_probability > 0.0 &&
       rng_.chance(timing_.notification_drop_probability)) {
     ++dropped_random_;
-    if (tracer_) {
-      tracer_->instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                       track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
-    }
+    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
+                    track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
     return;
   }
   ++pending_;
@@ -24,12 +22,11 @@ void NotificationChannel::arrive(Frame f) {
   if (buffer_.size() >= timing_.notification_buffer_capacity) {
     --pending_;
     ++dropped_overflow_;
-    if (tracer_) {
-      const auto n = wire_.decode({f.bytes.data(), f.len}, sim_.now());
-      tracer_->instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                       track_, sim_.now(), /*a0=*/0,
-                       n ? obs::pack_unit(n->unit) : 0);
-    }
+    // The drop record names the unit the lost frame carried.
+    const auto n = wire_.decode({f.bytes.data(), f.len}, sim_.now());
+    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
+                    track_, sim_.now(), /*a0=*/0,
+                    n ? obs::pack_unit(n->unit) : 0);
     return;
   }
   f.arrived = sim_.now();
@@ -50,19 +47,14 @@ void NotificationChannel::drain() {
     ++delivered_;
     const sim::SimTime now = sim_.now();
     const sim::Duration service = service_of(f);
-    if (queue_delay_) {
-      queue_delay_->record(static_cast<std::uint64_t>(now - f.arrived));
-    }
+    queue_delay_.record(static_cast<std::uint64_t>(now - f.arrived));
     // Decode against the socket arrival timestamp (the compact-timestamp
     // recovery reference; see snapshot/wire.hpp).
     const auto n = wire_.decode({f.bytes.data(), f.len}, f.arrived);
-    if (tracer_) {
-      // The span covers this notification's service slot.
-      tracer_->complete(obs::Category::NotifChannel,
-                        obs::EventName::NotifService, track_, now - service,
-                        service, n ? n->new_sid : 0,
-                        n ? obs::pack_unit(n->unit) : 0);
-    }
+    // The span covers this notification's service slot.
+    tracer_.complete(obs::Category::NotifChannel, obs::EventName::NotifService,
+                     track_, now - service, service, n ? n->new_sid : 0,
+                     n ? obs::pack_unit(n->unit) : 0);
     if (n) sink_(*n);
   }
   if (!buffer_.empty()) {
@@ -70,12 +62,6 @@ void NotificationChannel::drain() {
   } else {
     draining_ = false;
   }
-}
-
-void NotificationChannel::register_metrics(obs::MetricsRegistry& reg,
-                                           const std::string& prefix) {
-  NotificationTransport::register_metrics(reg, prefix);
-  queue_delay_ = &reg.histogram(prefix + ".queue_delay_ns");
 }
 
 }  // namespace speedlight::snap

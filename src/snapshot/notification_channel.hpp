@@ -32,16 +32,19 @@ namespace speedlight::snap {
 class NotificationChannel final : public NotificationTransport {
  public:
   /// `device` owns the channel; see NotificationTransport for the wire
-  /// arguments.
+  /// arguments. Every raw-socket channel on `sim` records its
+  /// arrival->delivery latency (the Figure 10 bottleneck, measured) into
+  /// the one registry histogram `fabric.notif.queue_delay_ns`.
   NotificationChannel(sim::Simulator& sim, const sim::TimingModel& timing,
                       sim::Rng rng, Sink sink, net::NodeId device,
                       const WireOptions& wire, WireStats* wire_stats)
-      : NotificationTransport(device, wire, wire_stats,
+      : NotificationTransport(sim, device, wire, wire_stats,
                               timing.notification_pcie_latency),
         sim_(sim),
         timing_(timing),
         rng_(rng),
-        sink_(std::move(sink)) {}
+        sink_(std::move(sink)),
+        queue_delay_(sim.metrics().histogram("fabric.notif.queue_delay_ns")) {}
 
   NotificationChannel(const NotificationChannel&) = delete;
   NotificationChannel& operator=(const NotificationChannel&) = delete;
@@ -60,18 +63,6 @@ class NotificationChannel final : public NotificationTransport {
   [[nodiscard]] std::size_t backlog() const override { return buffer_.size(); }
   [[nodiscard]] std::size_t max_backlog() const override { return max_backlog_; }
   [[nodiscard]] std::size_t in_flight() const override { return pending_; }
-
-  /// See NotificationTransport::reset_stats(): counters go to zero, the
-  /// high-water mark re-seeds to the live buffer occupancy.
-  void reset_stats() override {
-    delivered_ = dropped_overflow_ = dropped_random_ = 0;
-    max_backlog_ = buffer_.size();
-  }
-
-  /// Base surface plus the arrival->delivery latency histogram
-  /// `<prefix>.queue_delay_ns` (the Figure 10 bottleneck, measured).
-  void register_metrics(obs::MetricsRegistry& reg,
-                        const std::string& prefix) override;
 
  private:
   /// An encoded frame (fits the inline event capture). `arrived` is its
@@ -98,7 +89,7 @@ class NotificationChannel final : public NotificationTransport {
   std::deque<Frame> buffer_;
   std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.
   bool draining_ = false;
-  obs::Histogram* queue_delay_ = nullptr;  // set by register_metrics()
+  obs::Histogram& queue_delay_;
 
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_overflow_ = 0;

@@ -15,11 +15,10 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "net/types.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 #include "snapshot/notification.hpp"
 #include "snapshot/wire.hpp"
 
@@ -50,53 +49,21 @@ class NotificationTransport {
   [[nodiscard]] virtual std::size_t in_flight() const { return backlog(); }
   virtual std::size_t max_backlog() const = 0;
 
-  /// Zero the delivered/dropped counters and re-seed the `max_backlog()`
-  /// high-water mark to the *current* backlog — not to zero. Notifications
-  /// still queued keep occupying the buffer across the reset, so a
-  /// high-water mark below the live occupancy would under-report the very
-  /// pressure the Figure 10 detector exists to expose. Every transport must
-  /// implement exactly these semantics.
-  virtual void reset_stats() = 0;
-
-  // --- Observability -------------------------------------------------------
-  /// Register the transport's counters under `prefix` (e.g.
-  /// "switch.s0.notif"). Overrides should call the base and then add any
-  /// transport-specific series.
-  virtual void register_metrics(obs::MetricsRegistry& reg,
-                                const std::string& prefix) {
-    using obs::MetricKind;
-    reg.register_reader(prefix + ".delivered", MetricKind::Counter,
-                        [this] { return delivered(); });
-    reg.register_reader(prefix + ".dropped_overflow", MetricKind::Counter,
-                        [this] { return dropped_overflow(); });
-    reg.register_reader(prefix + ".dropped_random", MetricKind::Counter,
-                        [this] { return dropped_random(); });
-    reg.register_reader(prefix + ".backlog", MetricKind::Gauge, [this] {
-      return static_cast<std::uint64_t>(backlog());
-    });
-    reg.register_reader(prefix + ".max_backlog", MetricKind::Gauge, [this] {
-      return static_cast<std::uint64_t>(max_backlog());
-    });
-  }
-
-  /// Attach the flight recorder; `track` is the exported timeline lane
-  /// (conventionally obs::notif_track(device)).
-  void attach_observability(obs::Tracer* tracer, std::uint64_t track) {
-    tracer_ = tracer;
-    track_ = track;
-  }
-
  protected:
   /// The v2 wire model (DESIGN.md section 16): notifications are encoded at
   /// push, cross as byte frames, and are decoded on delivery; when
   /// `opts.charge_bytes`, service time scales with frame size. `device`
   /// owns the transport (frames do not carry the node id);
   /// `transit_latency` is the fixed encode-to-recovery delay the compact
-  /// timestamps must clear; `stats` may be null.
-  NotificationTransport(net::NodeId device, const WireOptions& opts,
-                        WireStats* stats, sim::Duration transit_latency)
+  /// timestamps must clear; `stats` may be null. Trace records go to
+  /// `sim`'s tracer on the device's notification lane.
+  NotificationTransport(sim::Simulator& sim, net::NodeId device,
+                        const WireOptions& opts, WireStats* stats,
+                        sim::Duration transit_latency)
       : wire_{device, opts.charge_bytes, stats,
-              NotificationCodec(opts, transit_latency)} {}
+              NotificationCodec(opts, transit_latency)},
+        tracer_(sim.tracer()),
+        track_(obs::notif_track(device)) {}
 
   struct Wire {
     net::NodeId device;
@@ -132,8 +99,8 @@ class NotificationTransport {
   };
 
   Wire wire_;
-  obs::Tracer* tracer_ = nullptr;  // null until attach_observability()
-  std::uint64_t track_ = 0;
+  obs::Tracer& tracer_;
+  std::uint64_t track_;
 };
 
 enum class NotificationMode : std::uint8_t {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace speedlight::snap {
@@ -195,6 +197,10 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
 }
 
 void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
+  if (const VirtualSid id = lowest_outstanding(); id != next_sid_) {
+    throw std::logic_error("set_scope while snapshot " + std::to_string(id) +
+                           " is incomplete");
+  }
   if (pred) {
     relevant_.assign(total_units_, true);
   } else {

@@ -158,9 +158,9 @@ class Observer {
   /// everything). Broadcasts per-device relevancy masks to every control
   /// plane over the same keyed RPC channel snapshot requests travel, so a
   /// snapshot requested after this call observes the new scope on every
-  /// device. Only call while no snapshot is outstanding: rounds already in
-  /// flight were pinned against the old membership and would time out
-  /// their filtered devices.
+  /// device. Throws std::logic_error, changing nothing, while any requested
+  /// snapshot is incomplete: rounds in flight were pinned against the old
+  /// membership and would time out their filtered devices.
   void set_scope(const std::function<bool(const net::UnitId&)>& pred);
 
   /// Fault injection: simulate an observer process crash + restart. While

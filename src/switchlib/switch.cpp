@@ -186,7 +186,6 @@ void Switch::finalize() {
 
   snap::ControlPlane::Options cp_options = options_.control;
   cp_options.snapshot = options_.snapshot;
-  cp_options.per_instance_metrics = options_.per_instance_metrics;
   // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
   cp_ = std::make_unique<snap::ControlPlane>(sim_, id(), name(), timing_,
                                              cp_options, rng_.fork("cp"));
@@ -204,24 +203,6 @@ void Switch::finalize() {
   }
   cp_->set_in_flight_probe([this]() { return notif_->in_flight(); });
 
-  // Register this switch with the flight recorder: drop counters plus the
-  // notification transport's surface, all under "switch.<name>". Past the
-  // facade's fabric-size threshold per-instance registration is skipped —
-  // registry names alone are O(switches) memory — and the fabric-wide
-  // streaming accumulators (obs/streaming.hpp) carry these classes instead.
-  auto& reg = sim_.metrics();
-  const std::string prefix = "switch." + name();
-  if (options_.per_instance_metrics) {
-    reg.register_reader(prefix + ".queue_drops", obs::MetricKind::Counter,
-                        [this] { return queue_drops(); });
-    reg.register_reader(prefix + ".forwarding_drops", obs::MetricKind::Counter,
-                        [this] { return fwd_drops_; });
-    reg.register_reader(prefix + ".ttl_drops", obs::MetricKind::Counter,
-                        [this] { return ttl_drops_; });
-    notif_->register_metrics(reg, prefix + ".notif");
-  }
-  notif_->attach_observability(&sim_.tracer(), obs::notif_track(id()));
-
   if (!options_.snapshot_enabled) return;
 
   // The snapshot state machines themselves materialize lazily on first
@@ -232,14 +213,6 @@ void Switch::finalize() {
     CosQueueSet* q = &port.queue;
     port.egress.counters().set_queue_depth_gauge(
         [q]() { return static_cast<std::uint64_t>(q->size()); });
-  }
-  if (options_.per_instance_metrics) {
-    // Aggregate snapshot-state-machine activity across all units.
-    reg.register_reader(prefix + ".snap.captures", obs::MetricKind::Counter,
-                        [this] { return snapshot_captures(); });
-    reg.register_reader(prefix + ".snap.notifications",
-                        obs::MetricKind::Counter,
-                        [this] { return snapshot_notifications(); });
   }
 
   // Register units with the control plane: ingress units first (initiation

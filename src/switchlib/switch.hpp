@@ -104,14 +104,6 @@ struct SwitchOptions {
   /// queue exceeds this many packets at dequeue time. 0 disables.
   std::size_t ecn_threshold = 0;
 
-  /// Register this switch's named per-instance counters (drops, notif
-  /// transport, snapshot activity) with the flight recorder's registry.
-  /// The facade turns this off past a fabric-size threshold and exposes
-  /// fixed-cardinality fabric-wide streaming accumulators instead
-  /// (obs/streaming.hpp) — per-instance registry entries are O(switches)
-  /// memory for names alone at production scale.
-  bool per_instance_metrics = true;
-
   snap::ControlPlane::Options control;
 };
 

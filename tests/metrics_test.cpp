@@ -1,17 +1,18 @@
-// Streaming-metrics contract (obs/streaming.hpp + the core::Network
-// facade): past NetworkOptions::per_instance_metrics_limit the registry
-// holds one fixed set of fabric-wide accumulators instead of per-switch
-// series, so its cardinality is constant in fabric size — and the
-// accumulated totals must equal the per-switch sums they replace.
+// The fabric-wide metrics surface of core::Network: one registry reader per
+// switch, notification-transport and control-plane series, summed over
+// every switch when read. The registry's size is the same at every fabric
+// size, and each "fabric.*" value equals the per-switch accessors it sums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/network.hpp"
 #include "net/topology.hpp"
-#include "obs/streaming.hpp"
 #include "test_topologies.hpp"
 #include "workload/basic.hpp"
 
@@ -21,65 +22,34 @@ namespace {
 using core::Network;
 using core::NetworkOptions;
 
-std::size_t registry_size(std::size_t switches, std::size_t limit) {
+std::size_t registry_size(const net::TopologySpec& spec) {
   NetworkOptions opt;
   opt.seed = 11;
-  opt.per_instance_metrics_limit = limit;
-  Network net(net::make_line(switches), opt);
-  return net.simulator().metrics().size();
+  Network net(spec, opt);
+  return net.metrics().size();
 }
 
-double fabric_sample(Network& net, const std::string& name) {
-  for (const auto& s : net.simulator().metrics().collect()) {
+std::uint64_t sample(Network& net, const std::string& name) {
+  for (const auto& s : net.metrics().collect()) {
     if (s.name == name) return s.value;
   }
   ADD_FAILURE() << "no registry sample named " << name;
-  return -1;
+  return 0;
 }
 
-TEST(StreamingMetrics, RegistryCardinalityConstantAcrossFabricSize) {
-  // Streaming mode (limit 0): growing the fabric 10x must not add a single
-  // registry entry — the whole point of the O(1)-memory accumulators.
-  const std::size_t small = registry_size(4, 0);
-  const std::size_t large = registry_size(40, 0);
-  EXPECT_EQ(small, large);
-
-  // The per-instance path (the small-fabric default) keeps its per-switch
-  // series, so it does grow — that contrast is the gate.
-  const std::size_t small_pi = registry_size(4, 64);
-  const std::size_t large_pi = registry_size(40, 64);
-  EXPECT_GT(large_pi, small_pi);
-  EXPECT_GT(large_pi, large);
+TEST(FabricMetrics, RegistryCardinalityConstantAcrossFabricSize) {
+  // Growing the fabric 10x (or 64x) must not add a single registry entry.
+  EXPECT_EQ(registry_size(net::make_line(4)),
+            registry_size(net::make_line(40)));
+  EXPECT_EQ(registry_size(net::make_fat_tree(4)),
+            registry_size(net::make_fat_tree(16)));
 }
 
-TEST(StreamingMetrics, RegistersExactlyOneReaderPerClass) {
-  obs::MetricsRegistry reg;
-  obs::StreamingMetrics sm;
-  const std::size_t before = reg.size();
-  sm.register_views(reg, "fabric");
-  EXPECT_EQ(reg.size() - before, obs::stream_class_count());
-}
-
-TEST(StreamingMetrics, RefreshRunsOnRead) {
-  obs::StreamingMetrics sm;
-  int refreshes = 0;
-  sm.set_refresh([&refreshes](obs::StreamingMetrics& m) {
-    ++refreshes;
-    m.clear();
-    m.set(obs::StreamClass::QueueDrops, 17);
-  });
-  EXPECT_EQ(sm.refreshed_value(obs::StreamClass::QueueDrops), 17u);
-  EXPECT_EQ(sm.refreshed_value(obs::StreamClass::QueueDrops), 17u);
-  EXPECT_EQ(refreshes, 2);
-}
-
-TEST(StreamingMetrics, TotalsMatchPerSwitchSums) {
-  // Force streaming mode on a small fabric, run traffic plus a snapshot,
-  // and check the fabric-wide readers against the ground-truth per-switch
-  // counters the facade re-sums.
+TEST(FabricMetrics, TotalsMatchPerSwitchSums) {
+  // Run traffic plus a snapshot and check every fabric-wide reader against
+  // the ground-truth per-switch accessors.
   NetworkOptions opt;
   opt.seed = 77;
-  opt.per_instance_metrics_limit = 0;
   Network net(check::make_topo(check::TopoKind::LeafSpine, 3, 2, 2), opt);
 
   std::vector<std::unique_ptr<wl::Generator>> gens;
@@ -95,21 +65,55 @@ TEST(StreamingMetrics, TotalsMatchPerSwitchSums) {
   const auto* snap = net.take_snapshot();
   ASSERT_NE(snap, nullptr);
 
-  std::uint64_t captures = 0;
-  std::uint64_t notifications = 0;
-  std::uint64_t queue_drops = 0;
-  for (std::size_t s = 0; s < net.num_switches(); ++s) {
-    captures += net.switch_at(s).snapshot_captures();
-    notifications += net.switch_at(s).snapshot_notifications();
-    queue_drops += net.switch_at(s).queue_drops();
+  using Read = std::uint64_t (*)(sw::Switch&);
+  const std::pair<const char*, Read> kSums[] = {
+      {"fabric.queue_drops", [](sw::Switch& s) { return s.queue_drops(); }},
+      {"fabric.forwarding_drops",
+       [](sw::Switch& s) { return s.forwarding_drops(); }},
+      {"fabric.ttl_drops", [](sw::Switch& s) { return s.ttl_drops(); }},
+      {"fabric.snap.captures",
+       [](sw::Switch& s) { return s.snapshot_captures(); }},
+      {"fabric.snap.notifications",
+       [](sw::Switch& s) { return s.snapshot_notifications(); }},
+      {"fabric.notif.delivered",
+       [](sw::Switch& s) { return s.notifications().delivered(); }},
+      {"fabric.notif.dropped_overflow",
+       [](sw::Switch& s) { return s.notifications().dropped_overflow(); }},
+      {"fabric.notif.dropped_random",
+       [](sw::Switch& s) { return s.notifications().dropped_random(); }},
+      {"fabric.notif.backlog",
+       [](sw::Switch& s) -> std::uint64_t {
+         return s.notifications().backlog();
+       }},
+      {"fabric.cp.initiations_sent",
+       [](sw::Switch& s) { return s.control_plane().initiations_sent(); }},
+      {"fabric.cp.reinitiation_rounds",
+       [](sw::Switch& s) { return s.control_plane().reinitiation_rounds(); }},
+      {"fabric.cp.reports_sent",
+       [](sw::Switch& s) { return s.control_plane().reports_sent(); }},
+  };
+  for (const auto& [name, read] : kSums) {
+    std::uint64_t total = 0;
+    for (std::size_t s = 0; s < net.num_switches(); ++s) {
+      total += read(net.switch_at(s));
+    }
+    EXPECT_EQ(sample(net, name), total) << name;
   }
-  EXPECT_GT(captures, 0u);
-  EXPECT_EQ(fabric_sample(net, "fabric.snap.captures"),
-            static_cast<double>(captures));
-  EXPECT_EQ(fabric_sample(net, "fabric.snap.notifications"),
-            static_cast<double>(notifications));
-  EXPECT_EQ(fabric_sample(net, "fabric.queue_drops"),
-            static_cast<double>(queue_drops));
+
+  std::uint64_t delivered = 0;
+  std::uint64_t high = 0;
+  for (std::size_t s = 0; s < net.num_switches(); ++s) {
+    delivered += net.switch_at(s).notifications().delivered();
+    high = std::max<std::uint64_t>(
+        high, net.switch_at(s).notifications().max_backlog());
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(sample(net, "fabric.snap.captures"), 0u);
+  EXPECT_GT(sample(net, "fabric.cp.reports_sent"), 0u);
+  EXPECT_EQ(sample(net, "fabric.notif.max_backlog"), high);
+  // Every delivered notification records its queue delay in the one
+  // fabric-wide histogram.
+  EXPECT_EQ(sample(net, "fabric.notif.queue_delay_ns.count"), delivered);
 }
 
 }  // namespace

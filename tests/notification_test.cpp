@@ -95,16 +95,6 @@ TEST(NotificationChannel, RandomLoss) {
   EXPECT_EQ(f.delivered.size() + f.channel.dropped_random(), 1000u);
 }
 
-TEST(NotificationChannel, ResetStats) {
-  Fixture f;
-  f.channel.push(make_notification(1));
-  f.sim.run_until(sim::sec(1));
-  EXPECT_EQ(f.channel.delivered(), 1u);
-  f.channel.reset_stats();
-  EXPECT_EQ(f.channel.delivered(), 0u);
-  EXPECT_EQ(f.channel.max_backlog(), 0u);
-}
-
 TEST(NotificationChannel, SustainedOverloadBacklogGrows) {
   // Arrivals every 10us vs 110us service: the backlog must build.
   Fixture f;

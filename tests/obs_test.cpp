@@ -412,11 +412,12 @@ TEST(MetricsRegistry, LiveNetworkRegistersAllSubsystems) {
   EXPECT_TRUE(has("observer.requested"));
   EXPECT_TRUE(has("observer.completed"));
   EXPECT_TRUE(has("polling.sweeps"));
-  EXPECT_TRUE(has("switch.s0.queue_drops"));
-  EXPECT_TRUE(has("switch.s0.notif.delivered"));
-  EXPECT_TRUE(has("switch.s0.notif.max_backlog"));
-  EXPECT_TRUE(has("switch.s0.snap.captures"));
-  EXPECT_TRUE(has("cp.s0.initiations_sent"));
+  EXPECT_TRUE(has("fabric.queue_drops"));
+  EXPECT_TRUE(has("fabric.notif.delivered"));
+  EXPECT_TRUE(has("fabric.notif.max_backlog"));
+  EXPECT_TRUE(has("fabric.notif.queue_delay_ns.count"));
+  EXPECT_TRUE(has("fabric.snap.captures"));
+  EXPECT_TRUE(has("fabric.cp.initiations_sent"));
   EXPECT_TRUE(has("observer.completion_latency_ns.count"));
 
   std::ostringstream os;

@@ -222,7 +222,6 @@ TEST_P(FaultLiveness, SnapshotsCompleteUnderNotificationLoss) {
   opt.timing.notification_drop_probability = GetParam();
   opt.control.proactive_register_poll = true;
   opt.control.register_poll_interval = sim::msec(2);
-  opt.start_register_poll = true;
   opt.observer.completion_timeout = sim::msec(80);
   Network net(net::make_leaf_spine(2, 2, 2), opt);
   auto gens = start_traffic(net, 42);
@@ -253,7 +252,6 @@ TEST_P(LossyCorrectness, ConsistentReportsRemainExact) {
   opt.timing.notification_drop_probability = GetParam();
   opt.control.proactive_register_poll = true;
   opt.control.register_poll_interval = sim::msec(2);
-  opt.start_register_poll = true;
   opt.observer.completion_timeout = sim::msec(120);
   Network net(net::make_leaf_spine(2, 2, 2), opt);
   auto gens = start_traffic(net, 71);

@@ -158,7 +158,6 @@ TEST(SnapshotIntegration, NotificationLossRecoveredByRegisterPoll) {
   opt.timing.notification_drop_probability = 0.3;
   opt.control.proactive_register_poll = true;
   opt.control.register_poll_interval = sim::msec(2);
-  opt.start_register_poll = true;
   Network net(net::make_leaf_spine(2, 2, 3), opt);
   auto gens = start_all_to_all(net);
   net.run_for(sim::msec(2));

@@ -2,13 +2,15 @@
 // 16): with byte-charging disabled the v2 codecs must be fully transparent
 // — both encodings produce identical snapshot results — and with charging
 // enabled the values (as opposed to the timings) are still exact. Also
-// covers streaming digests vs retained reports, sync-group scoping, and
-// observer restart across the wire session.
+// covers streaming digests vs retained reports, sync-group scoping (and
+// its refusal while a round is outstanding), and observer restart across
+// the wire session.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -281,6 +283,38 @@ TEST(WireIntegration, SyncGroupScopeFiltersReportsAtTheSource) {
   ASSERT_NE(again, nullptr);
   EXPECT_TRUE(again->complete);
   EXPECT_EQ(again->expected_total, 28u);
+}
+
+TEST(WireIntegration, SetScopeFailsClosedWhileARoundIsOutstanding) {
+  NetworkOptions opt = base_options();
+  Network net(net::make_leaf_spine(2, 2, 3), opt);
+  auto gens = start_all_to_all(net);
+  net.run_for(sim::msec(2));
+
+  // The round is pinned to full membership. Narrowing the scope now would
+  // leave its egress units unreported until the completion timeout, so
+  // the call is refused and changes nothing.
+  const auto id = net.observer().request_snapshot(net.now() + sim::msec(1));
+  ASSERT_TRUE(id.has_value());
+  const auto ingress_only = [](const net::UnitId& u) {
+    return u.direction == net::Direction::Ingress;
+  };
+  EXPECT_THROW(net.observer().set_scope(ingress_only), std::logic_error);
+  net.run_for(sim::msec(20));
+  const snap::GlobalSnapshot* round = net.observer().result(*id);
+  ASSERT_NE(round, nullptr);
+  EXPECT_TRUE(round->complete);
+  EXPECT_TRUE(round->excluded_devices.empty());
+  EXPECT_EQ(round->expected_total, 28u);
+  EXPECT_EQ(round->received_total, 28u);
+
+  // With nothing outstanding the same call is accepted.
+  net.observer().set_scope(ingress_only);
+  net.run_for(sim::msec(1));
+  const snap::GlobalSnapshot* ingress = net.take_snapshot();
+  ASSERT_NE(ingress, nullptr);
+  EXPECT_TRUE(ingress->complete);
+  EXPECT_EQ(ingress->expected_total, 14u);
 }
 
 TEST(WireIntegration, ObserverRestartBumpsSessionAndRecovers) {
