@@ -177,8 +177,8 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
   // The observer's snapshot config and wire format always mirror the data
-  // plane's; the rest (completion timeout, report retention, assembly
-  // shards) is taken from the caller's observer options.
+  // plane's; the completion timeout and report retention are taken from the
+  // caller's observer options.
   snap::Observer::Options obs_options = options_.observer;
   obs_options.snapshot = options_.snapshot;
   obs_options.wire = options_.wire;
@@ -198,7 +198,7 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     ptp_->manage(&cp.clock());
     cp.start_register_poll();
   }
-  if (options_.start_ptp) ptp_->start();
+  ptp_->start();
 
   // Fabric-wide switch, notification-transport and control-plane series:
   // one reader per series, which sums its per-switch accessor over every

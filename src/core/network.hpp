@@ -86,9 +86,6 @@ struct NetworkOptions {
   /// such channels are conservatively removed from completion.
   bool transit_neighbors_carry_markers = false;
 
-  /// Start the PTP correction loop (on by default, as on the testbed).
-  bool start_ptp = true;
-
   /// Must be 1: a Network runs on one simulator. Any other value makes the
   /// constructor throw std::invalid_argument. Kept, last, so callers that
   /// still set it keep compiling.

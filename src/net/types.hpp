@@ -34,6 +34,14 @@ struct UnitId {
   friend auto operator<=>(const UnitId&, const UnitId&) = default;
 };
 
+/// Dense number of a unit within its device, `port * 2 + direction`. The
+/// report codec's baselines, the control plane's notification table, the
+/// observer's per-round bitsets and the trace lanes all count units this
+/// way.
+[[nodiscard]] constexpr std::size_t unit_slot(const UnitId& u) noexcept {
+  return std::size_t{u.port} * 2 + (u.direction == Direction::Egress ? 1 : 0);
+}
+
 }  // namespace speedlight::net
 
 template <>

@@ -99,8 +99,7 @@ inline constexpr std::uint32_t kPollerPid = 0xFFFFFFFEu;
   return make_track(device, 1);
 }
 [[nodiscard]] constexpr std::uint64_t unit_track(const net::UnitId& u) {
-  return make_track(u.node, 2u + 2u * u.port +
-                                (u.direction == net::Direction::Egress ? 1u : 0u));
+  return make_track(u.node, 2u + static_cast<std::uint32_t>(net::unit_slot(u)));
 }
 [[nodiscard]] constexpr std::uint64_t observer_track() {
   return make_track(kObserverPid, 0);

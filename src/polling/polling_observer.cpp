@@ -31,28 +31,11 @@ void PollingObserver::poll_next(
     return;
   }
   PolledUnit& pu = units_[index];
-  if (!pu.read.wired()) {
-    // Local path: one request/response round-trip; the register is read at
-    // the agent just before the response is sent, i.e. at the end of the
-    // round-trip (minus the return leg, folded into the sampled latency).
-    const sim::Duration rtt = timing_.sample_poll_latency(rng_);
-    snap::UnitHandle* unit = pu.unit;
-    sim_.after(rtt, [this, sweep, index, done, unit]() {
-      const std::uint64_t value = unit->read_live_counter();
-      sweep->samples.push_back({unit->unit_id(), value, sim_.now()});
-      ++samples_;
-      sim_.tracer().instant(obs::Category::Observer, obs::EventName::PollRead,
-                            obs::poller_track(), sim_.now(),
-                            obs::pack_unit(unit->unit_id()), value);
-      poll_next(sweep, index + 1, done);
-    });
-    return;
-  }
-  // Keyed path: the round-trip is split at the agent. The read executes at
-  // the unit mid-flight, the sample is recorded back at the poller a
-  // half-RTT later. Each leg takes at least the modelled floor kMinPollHop;
-  // the clamp is far below the sampled latency's support, so the
-  // distribution is effectively unchanged.
+  // The round-trip is split at the agent. The read executes at the unit
+  // mid-flight, the sample is recorded back at the poller a half-RTT later.
+  // Each leg takes at least the modelled floor kMinPollHop; the clamp is far
+  // below the sampled latency's support, so the distribution is effectively
+  // unchanged.
   const sim::Duration rtt =
       std::max(timing_.sample_poll_latency(rng_), 2 * kMinPollHop);
   const sim::SimTime t_read = sim_.now() + rtt / 2;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/types.hpp"
@@ -61,18 +62,20 @@ class PollingObserver {
 
   /// Modelled floor of each leg of a poll round-trip: no request reaches
   /// the switch agent, and no response returns to the poller, faster than
-  /// this. Sampled RTTs on wired units are clamped to at least twice this.
+  /// this. Sampled RTTs are clamped to at least twice this.
   static constexpr sim::Duration kMinPollHop = sim::usec(1);
 
   /// Add a unit to the poll schedule (sweeps read units in add order).
   /// `read` posts the register read at the unit; `record` posts the
-  /// response back at the poller. Unwired endpoints (the default) poll as
-  /// one unkeyed local event, where the read happens at the end of the
-  /// round-trip. Wired endpoints split the RTT: read at the unit at
+  /// response back at the poller. The RTT is split: read at the unit at
   /// t + rtt/2, record at the poller at t + rtt — the mid-flight read is
-  /// what a real agent responding at the far end does.
-  void add_unit(snap::UnitHandle* unit, sim::Endpoint read = {},
-                sim::Endpoint record = {}) {
+  /// what a real agent responding at the far end does. Throws
+  /// std::invalid_argument if either endpoint is unwired.
+  void add_unit(snap::UnitHandle* unit, sim::Endpoint read,
+                sim::Endpoint record) {
+    if (!read.wired() || !record.wired()) {
+      throw std::invalid_argument("poll endpoints must both be wired");
+    }
     units_.push_back(PolledUnit{unit, read, record});
   }
 

@@ -30,7 +30,9 @@ void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask)
   state.handle = unit;
   state.ctrl_last_seen.assign(unit->num_channels(), 0);
   state.completion_mask = std::move(completion_mask);
-  unit_index_[unit->unit_id()] = units_.size();
+  const std::size_t slot = net::unit_slot(unit->unit_id());
+  if (slot >= slot_pos_.size()) slot_pos_.resize(slot + 1, kNoUnit);
+  slot_pos_[slot] = static_cast<std::uint32_t>(units_.size());
   units_.push_back(std::move(state));
   // The baseline slot exists before the first ship: encoding never
   // allocates (the data-path allocation guard watches it).
@@ -111,13 +113,15 @@ bool ControlPlane::locally_complete(VirtualSid id) const {
 }
 
 void ControlPlane::on_notification(const Notification& n) {
-  const auto it = unit_index_.find(n.unit);
-  if (it == unit_index_.end()) return;
-  UnitState& u = units_[it->second];
+  const std::size_t slot = net::unit_slot(n.unit);
+  if (n.unit.node != device_ || slot >= slot_pos_.size() ||
+      slot_pos_[slot] == kNoUnit) {
+    return;
+  }
   if (options_.snapshot.channel_state) {
-    handle_notification_cs(u, n);
+    handle_notification_cs(slot_pos_[slot], n);
   } else {
-    handle_notification_nocs(u, n);
+    handle_notification_nocs(slot_pos_[slot], n);
   }
 }
 
@@ -130,7 +134,9 @@ VirtualSid ControlPlane::completion_floor(const UnitState& u) const {
   return floor;
 }
 
-void ControlPlane::handle_notification_cs(UnitState& u, const Notification& n) {
+void ControlPlane::handle_notification_cs(std::size_t pos,
+                                          const Notification& n) {
+  UnitState& u = units_[pos];
   // Figure 7, OnNotifyCS. Wire values are unrolled against the controller's
   // own (monotonic) view; notifications arrive in order per unit.
   const VirtualSid current = space_.unroll_monotonic(u.ctrl_sid, n.new_sid);
@@ -167,10 +173,12 @@ void ControlPlane::handle_notification_cs(UnitState& u, const Notification& n) {
         space_.unroll_monotonic(u.ctrl_last_seen[n.channel], n.new_last_seen);
     u.ctrl_last_seen[n.channel] = std::max(u.ctrl_last_seen[n.channel], ls);
   }
-  advance_reads(u, n.timestamp);
+  advance_reads(pos, n.timestamp);
 }
 
-void ControlPlane::handle_notification_nocs(UnitState& u, const Notification& n) {
+void ControlPlane::handle_notification_nocs(std::size_t pos,
+                                            const Notification& n) {
+  UnitState& u = units_[pos];
   // Figure 7, OnNotifyNoCS: without channel state, a unit is finished the
   // moment its id advances; skipped ids are inferred from the next valid
   // value (lines 19-21).
@@ -188,10 +196,11 @@ void ControlPlane::handle_notification_nocs(UnitState& u, const Notification& n)
     u.advance_time.emplace(i, n.timestamp);
   }
   u.ctrl_sid = current;
-  advance_reads(u, n.timestamp);
+  advance_reads(pos, n.timestamp);
 }
 
-void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
+void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
+  UnitState& u = units_[pos];
   const VirtualSid floor = options_.snapshot.channel_state
                                ? completion_floor(u)
                                : u.ctrl_sid;
@@ -202,19 +211,18 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
   if (options_.snapshot.channel_state) {
     for (VirtualSid i = from; i <= floor; ++i) {
       if (u.inconsistent.erase(i) > 0) {
-        report_inconsistent(u, i);
+        report_inconsistent(pos, i);
       } else {
-        read_and_report(u, i, finalize_ts);
+        read_and_report(pos, i, finalize_ts);
       }
     }
   } else {
     // Batched register read, then the downward value-inference walk. The
-    // unit is captured by index: units_ may reallocate if units are added
+    // unit is captured by position: units_ may reallocate if units are added
     // after wiring (it is not, but cheap insurance).
-    const std::size_t unit_idx = unit_index_.at(u.handle->unit_id());
-    sim_.after(timing_.register_read_latency, [this, unit_idx, from, floor,
+    sim_.after(timing_.register_read_latency, [this, pos, from, floor,
                                                finalize_ts]() {
-      UnitState* up = &units_[unit_idx];
+      UnitState* up = &units_[pos];
       const std::size_t slots = options_.snapshot.slots();
       std::vector<SlotValue> values;
       values.reserve(static_cast<std::size_t>(floor - from + 1));
@@ -251,7 +259,7 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
         reports[idx] = r;
         if (i == from) break;  // VirtualSid is unsigned.
       }
-      for (const auto& r : reports) ship(r);
+      for (const auto& r : reports) ship(r, pos);
       for (auto it2 = up->advance_time.begin();
            it2 != up->advance_time.end() && it2->first <= floor;) {
         it2 = up->advance_time.erase(it2);
@@ -267,15 +275,15 @@ void ControlPlane::advance_reads(UnitState& u, sim::SimTime finalize_ts) {
   }
 }
 
-void ControlPlane::read_and_report(UnitState& u, VirtualSid sid,
+void ControlPlane::read_and_report(std::size_t pos, VirtualSid sid,
                                    sim::SimTime finalize_ts) {
-  const std::size_t unit_idx = unit_index_.at(u.handle->unit_id());
+  const UnitState& u = units_[pos];
   const auto at = u.advance_time.find(sid);
   const sim::SimTime advance_ts =
       at != u.advance_time.end() ? at->second : finalize_ts;
-  sim_.after(timing_.register_read_latency, [this, unit_idx, sid, advance_ts,
+  sim_.after(timing_.register_read_latency, [this, pos, sid, advance_ts,
                                              finalize_ts]() {
-    UnitState* up = &units_[unit_idx];
+    const UnitState* up = &units_[pos];
     const SlotValue sv =
         up->handle->read_value_slot(sid % options_.snapshot.slots());
     UnitReport r;
@@ -291,11 +299,12 @@ void ControlPlane::read_and_report(UnitState& u, VirtualSid sid,
     }
     r.advance_time = advance_ts;
     r.finalize_time = finalize_ts;
-    ship(r);
+    ship(r, pos);
   });
 }
 
-void ControlPlane::report_inconsistent(UnitState& u, VirtualSid sid) {
+void ControlPlane::report_inconsistent(std::size_t pos, VirtualSid sid) {
+  const UnitState& u = units_[pos];
   UnitReport r;
   r.device = device_;
   r.unit = u.handle->unit_id();
@@ -304,7 +313,7 @@ void ControlPlane::report_inconsistent(UnitState& u, VirtualSid sid) {
   const auto at = u.advance_time.find(sid);
   r.advance_time = at != u.advance_time.end() ? at->second : sim_.now();
   r.finalize_time = sim_.now();
-  ship(r);
+  ship(r, pos);
 }
 
 void ControlPlane::set_report_link(void* ctx, ReportFrameFn fn,
@@ -327,15 +336,11 @@ void ControlPlane::on_observer_session(std::uint8_t session) {
   report_enc_.begin_session(session);
 }
 
-void ControlPlane::ship(const UnitReport& r) {
-  if (!scope_.empty()) {
-    const auto it = unit_index_.find(r.unit);
-    if (it != unit_index_.end() &&
-        (it->second >= scope_.size() || !scope_[it->second])) {
-      // Outside the observer's sync group: never crosses the report RPC.
-      ++reports_filtered_;
-      return;
-    }
+void ControlPlane::ship(const UnitReport& r, std::size_t pos) {
+  if (!scope_.empty() && (pos >= scope_.size() || !scope_[pos])) {
+    // Outside the observer's sync group: never crosses the report RPC.
+    ++reports_filtered_;
+    return;
   }
   ++reports_sent_;
   sim_.tracer().instant(obs::Category::ControlPlane, obs::EventName::CpReport,

@@ -16,7 +16,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/types.hpp"
@@ -146,17 +145,23 @@ class ControlPlane {
     std::map<VirtualSid, sim::SimTime> advance_time;
   };
 
+  /// `slot_pos_` entry of a slot no unit is registered at.
+  static constexpr std::uint32_t kNoUnit = 0xFFFFFFFFu;
+
   void initiate_now(VirtualSid id);
   void arm_reinitiation(VirtualSid id, int attempt);
-  void handle_notification_cs(UnitState& u, const Notification& n);
-  void handle_notification_nocs(UnitState& u, const Notification& n);
+  // Per-unit steps take the unit's position in units_: it addresses the
+  // unit's state and its sync-group bit without a lookup.
+  void handle_notification_cs(std::size_t pos, const Notification& n);
+  void handle_notification_nocs(std::size_t pos, const Notification& n);
   /// Figure 7: read every finalized-but-unread snapshot value from the unit
   /// and ship it. `finalize_ts` stamps the finalize_time of the reports.
-  void advance_reads(UnitState& u, sim::SimTime finalize_ts);
+  void advance_reads(std::size_t pos, sim::SimTime finalize_ts);
   [[nodiscard]] VirtualSid completion_floor(const UnitState& u) const;
-  void read_and_report(UnitState& u, VirtualSid sid, sim::SimTime finalize_ts);
-  void report_inconsistent(UnitState& u, VirtualSid sid);
-  void ship(const UnitReport& r);
+  void read_and_report(std::size_t pos, VirtualSid sid,
+                       sim::SimTime finalize_ts);
+  void report_inconsistent(std::size_t pos, VirtualSid sid);
+  void ship(const UnitReport& r, std::size_t pos);
   void register_poll_tick();
   [[nodiscard]] bool locally_complete(VirtualSid id) const;
 
@@ -169,8 +174,11 @@ class ControlPlane {
   SidSpace space_;
   sim::LocalClock clock_;
 
+  /// In add_unit order (a switch adds every ingress unit, then every egress
+  /// unit).
   std::vector<UnitState> units_;
-  std::unordered_map<net::UnitId, std::size_t> unit_index_;
+  /// Position in units_ by net::unit_slot (kNoUnit where none registered).
+  std::vector<std::uint32_t> slot_pos_;
   sim::Endpoint report_ep_;
 
   // --- Report link (null fn = no observer yet) -----------------------------

@@ -24,7 +24,6 @@ void DeviceDigest::fold(const UnitReport& r) {
     local_sum += r.local_value;
     channel_sum += r.channel_value;
   }
-  if (r.inferred) ++inferred;
   fold_extrema(r.advance_time, advance_min, advance_max);
   fold_extrema(r.finalize_time, finalize_min, finalize_max);
 }
@@ -93,14 +92,6 @@ std::uint64_t GlobalSnapshot::total_value(bool include_channel) const {
   return total;
 }
 
-const DeviceDigest* GlobalSnapshot::digest(net::NodeId device) const {
-  for (const auto& shard : digests) {
-    const auto it = shard.find(device);
-    if (it != shard.end()) return &it->second;
-  }
-  return nullptr;
-}
-
 Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
                    Options options)
     : sim_(sim),
@@ -134,51 +125,45 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   dev.cp = cp;
   dev.units = cp->unit_ids();
   dev.rpc = rpc.wired() ? rpc : sim::Endpoint::local(sim_, 0);
-  dev.first_unit_index = total_units_;
+  dev.first_slot = total_slots_;
   dev.relevant_units = dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
-  device_index_[cp->device()] = dev_index;
   dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
+  std::size_t slots = 0;
   for (const auto& u : dev.units) {
-    unit_index_[u] = total_units_++;
+    slots = std::max(slots, net::unit_slot(u) + 1);
     dev.decoder.add_unit(u);
   }
+  total_units_ += dev.units.size();
+  total_slots_ += slots;
   dev.decoder.begin_session(session_);
   cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
                       options_.wire, options_.wire_stats);
   devices_.push_back(std::move(dev));
 }
 
-VirtualSid Observer::lowest_outstanding() const {
-  for (const auto& [id, snap] : snapshots_) {
-    if (!snap.complete) return id;
-  }
-  return next_sid_;
-}
-
 std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Out-of-band rollover enforcement (Section 5.3): never let the live id
-  // spread exceed what the wire id space can disambiguate.
-  const VirtualSid id = next_sid_;
-  const VirtualSid lowest = lowest_outstanding();
-  if (id - lowest >= space_.max_spread(options_.snapshot.channel_state)) {
+  // spread exceed what the wire id space can disambiguate. The spread runs
+  // from the oldest incomplete round to the id this request would take.
+  if (rounds_.size() - oldest_incomplete_ >=
+      space_.max_spread(options_.snapshot.channel_state)) {
     return std::nullopt;
   }
-  ++next_sid_;
+  const VirtualSid id = rounds_.size() + 1;
 
-  GlobalSnapshot& snap = snapshots_[id];
+  GlobalSnapshot& snap = rounds_.emplace_back();
   snap.id = id;
   snap.scheduled_at = when;
-  snap.digests.resize(std::max<std::uint32_t>(options_.assembly_shards, 1));
-  snap.seen.assign(total_units_, false);
+  snap.seen.assign(total_slots_, false);
   // Pin the device set (and the sync-group membership): late-attached
   // devices are not part of this snapshot (Section 6, "Node attachment").
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const Device& dev = devices_[i];
+  auto& digests = snap.digests.emplace_back();
+  for (const Device& dev : devices_) {
     snap.expected_devices[dev.cp->device()] = dev.relevant_units;
     DeviceDigest d;
     d.expected = dev.relevant_units;
-    snap.digests[i % snap.digests.size()].emplace(dev.cp->device(), d);
+    digests.emplace(dev.cp->device(), d);
     snap.expected_total += dev.relevant_units;
   }
 
@@ -197,12 +182,13 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
 }
 
 void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
-  if (const VirtualSid id = lowest_outstanding(); id != next_sid_) {
-    throw std::logic_error("set_scope while snapshot " + std::to_string(id) +
+  if (oldest_incomplete_ < rounds_.size()) {
+    throw std::logic_error("set_scope while snapshot " +
+                           std::to_string(oldest_incomplete_ + 1) +
                            " is incomplete");
   }
   if (pred) {
-    relevant_.assign(total_units_, true);
+    relevant_.assign(total_slots_, true);
   } else {
     relevant_.clear();
   }
@@ -214,7 +200,7 @@ void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
       for (std::size_t i = 0; i < dev.units.size(); ++i) {
         const bool rel = pred(dev.units[i]);
         mask[i] = rel;
-        relevant_[dev.first_unit_index + i] = rel;
+        relevant_[dev.first_slot + net::unit_slot(dev.units[i])] = rel;
         count += rel ? 1 : 0;
       }
       dev.relevant_units = count;
@@ -255,56 +241,58 @@ void Observer::on_report_frame(std::uint16_t dev_index,
     return;
   }
   if (dev_index >= devices_.size()) return;
-  const auto r = devices_[dev_index].decoder.decode(bytes, sim_.now());
+  Device& dev = devices_[dev_index];
+  const auto r = dev.decoder.decode(bytes, sim_.now());
   if (!r) return;  // Stale session / malformed; counted by the decoder.
-  on_report(*r);
+  on_report(dev, *r);
 }
 
-void Observer::on_report(const UnitReport& r) {
-  const auto gi = unit_index_.find(r.unit);
-  if (gi == unit_index_.end()) return;
-  if (!relevant_.empty() &&
-      (gi->second >= relevant_.size() || !relevant_[gi->second])) {
+void Observer::on_report(const Device& dev, const UnitReport& r) {
+  // The decoder only yields units of its own link's registered span.
+  const std::size_t bit = dev.first_slot + net::unit_slot(r.unit);
+  if (!relevant_.empty() && (bit >= relevant_.size() || !relevant_[bit])) {
     return;  // Outside the sync group (control plane restarted mid-change).
   }
-  auto it = snapshots_.find(r.sid);
-  if (it == snapshots_.end()) return;  // Spurious (e.g. newly attached node).
-  GlobalSnapshot& snap = it->second;
+  if (r.sid == 0 || r.sid > rounds_.size()) {
+    return;  // Spurious (e.g. newly attached node).
+  }
+  GlobalSnapshot& snap = rounds_[r.sid - 1];
   if (snap.complete) return;  // Device timed out; drop stragglers.
-  const auto di = device_index_.find(r.device);
-  if (di == device_index_.end()) return;
-  auto& shard = snap.digests[di->second % snap.digests.size()];
-  const auto dd = shard.find(r.device);
-  if (dd == shard.end()) {
+  auto& digests = snap.digests.front();
+  const auto dd = digests.find(r.device);
+  if (dd == digests.end()) {
     // Attached after this snapshot was requested, or excluded: spurious.
     return;
   }
-  if (gi->second >= snap.seen.size() || snap.seen[gi->second]) {
+  if (bit >= snap.seen.size() || snap.seen[bit]) {
     return;  // Duplicate delivery keeps the first copy.
   }
-  snap.seen[gi->second] = true;
+  snap.seen[bit] = true;
   dd->second.fold(r);
   ++snap.received_total;
   if (options_.retain_unit_reports) snap.reports.emplace(r.unit, r);
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsCollect,
                         obs::observer_track(), sim_.now(), r.sid,
                         obs::pack_unit(r.unit));
-  check_complete(r.sid);
+  check_complete(snap);
 }
 
-void Observer::check_complete(VirtualSid id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end() || it->second.complete) return;
-  GlobalSnapshot& snap = it->second;
-  if (snap.received_total < snap.expected_total) return;
+void Observer::check_complete(GlobalSnapshot& snap) {
+  if (snap.complete || snap.received_total < snap.expected_total) return;
 
   snap.complete = true;
   snap.completed_at = sim_.now();
   // The digests are the round's record now; the dedup bitset is dead weight.
   std::vector<bool>().swap(snap.seen);
   ++completed_;
+  // Rounds can complete out of order (a timeout closes an older one late):
+  // step past every complete round, not just this one.
+  while (oldest_incomplete_ < rounds_.size() &&
+         rounds_[oldest_incomplete_].complete) {
+    ++oldest_incomplete_;
+  }
   sim_.tracer().instant(obs::Category::Observer, obs::EventName::ObsComplete,
-                        obs::observer_track(), sim_.now(), id,
+                        obs::observer_track(), sim_.now(), snap.id,
                         snap.received_total);
   if (completion_latency_ && snap.completed_at >= snap.scheduled_at) {
     completion_latency_->record(
@@ -314,33 +302,30 @@ void Observer::check_complete(VirtualSid id) {
 }
 
 void Observer::timeout_snapshot(VirtualSid id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end() || it->second.complete) return;
-  GlobalSnapshot& snap = it->second;
+  GlobalSnapshot& snap = rounds_[id - 1];
+  if (snap.complete) return;
 
   // Exclude every expected device that has not delivered all its units:
   // its digest (and any retained partial reports) leave the snapshot.
+  auto& digests = snap.digests.front();
   for (const auto& dev : devices_) {
-    const auto di = device_index_.find(dev.cp->device());
-    if (di == device_index_.end()) continue;
-    auto& shard = snap.digests[di->second % snap.digests.size()];
-    const auto dd = shard.find(dev.cp->device());
-    if (dd == shard.end()) continue;  // Not part of this snapshot.
+    const auto dd = digests.find(dev.cp->device());
+    if (dd == digests.end()) continue;  // Not part of this snapshot.
     if (dd->second.received >= dd->second.expected) continue;
     snap.excluded_devices.push_back(dev.cp->device());
     snap.expected_total -= dd->second.expected;
     snap.received_total -= dd->second.received;
-    shard.erase(dd);
+    digests.erase(dd);
     if (options_.retain_unit_reports) {
       for (const auto& u : dev.units) snap.reports.erase(u);
     }
   }
-  check_complete(id);
+  check_complete(snap);
 }
 
 const GlobalSnapshot* Observer::result(VirtualSid id) const {
-  const auto it = snapshots_.find(id);
-  return it == snapshots_.end() ? nullptr : &it->second;
+  if (id == 0 || id > rounds_.size()) return nullptr;
+  return &rounds_[id - 1];
 }
 
 }  // namespace speedlight::snap

@@ -9,14 +9,21 @@
 // assembly state is O(devices), not O(units). Retaining the raw per-unit
 // reports is optional (`retain_unit_reports`, on by default for the audit
 // tooling and tests); large-fabric runs turn it off and read everything
-// through the digests. Digest maps are partitioned into `assembly_shards`
-// buckets by device index, modelling assembly spread across observer
-// instances.
+// through the digests.
+//
+// The request and report paths index instead of searching. Ids are issued
+// densely from 1, so round `id` lives at `rounds_[id - 1]`, and a cursor to
+// the oldest incomplete round, advanced as rounds complete, gives the
+// rollover check its lower bound in O(1). A report frame names its device
+// by the index the device was registered under and the unit by its slot
+// (net::unit_slot), so the unit's duplicate and sync-group bits sit at the
+// device's first slot plus that slot. One hash lookup per report remains:
+// the device's digest within the round.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -38,7 +45,6 @@ struct DeviceDigest {
   std::size_t expected = 0;  ///< Units this device owes the round.
   std::size_t received = 0;
   std::size_t consistent = 0;
-  std::size_t inferred = 0;
   /// Value sums over *consistent* reports only (total_value semantics).
   std::uint64_t local_sum = 0;
   std::uint64_t channel_sum = 0;
@@ -59,8 +65,9 @@ struct GlobalSnapshot {
   /// Populated only when the observer retains unit reports; the aggregate
   /// getters below never need it.
   std::unordered_map<net::UnitId, UnitReport> reports;
-  /// Streaming assembly state, one digest per expected device, partitioned
-  /// across assembly shards by device index.
+  /// Streaming assembly state, one digest per expected device, all in
+  /// `digests[0]`. It stays a range of maps for its readers (fig11,
+  /// perfbench), which count entries over every map.
   std::vector<std::unordered_map<net::NodeId, DeviceDigest>> digests;
   std::size_t expected_total = 0;  ///< Relevant units over non-excluded devices.
   std::size_t received_total = 0;
@@ -72,8 +79,9 @@ struct GlobalSnapshot {
   /// was requested. Devices attached later (Section 6, "Node attachment")
   /// are not part of this snapshot and their reports for it are ignored.
   std::unordered_map<net::NodeId, std::size_t> expected_devices;
-  /// Per-round duplicate suppression by global unit index; released on
-  /// completion (the digests make re-folding a duplicate unrecoverable).
+  /// Per-round duplicate suppression, one bit per device slot (a device's
+  /// first slot plus net::unit_slot); released on completion (the digests
+  /// make re-folding a duplicate unrecoverable).
   std::vector<bool> seen;
 
   [[nodiscard]] bool all_consistent() const;
@@ -95,9 +103,6 @@ struct GlobalSnapshot {
   /// `include_channel`): e.g. a causally consistent network-wide packet
   /// count.
   [[nodiscard]] std::uint64_t total_value(bool include_channel) const;
-
-  /// This device's digest, or nullptr if it was excluded / never expected.
-  [[nodiscard]] const DeviceDigest* digest(net::NodeId device) const;
 };
 
 class Observer {
@@ -116,8 +121,6 @@ class Observer {
     /// Keep per-unit reports in GlobalSnapshot::reports. Off = digests
     /// only: O(devices) assembly memory per round.
     bool retain_unit_reports = true;
-    /// Digest-map partitions per round (modelled observer instances).
-    std::uint32_t assembly_shards = 1;
   };
 
   Observer(sim::Simulator& sim, const sim::TimingModel& timing, Options options);
@@ -143,11 +146,11 @@ class Observer {
   /// Section 5.3).
   std::optional<VirtualSid> request_snapshot(sim::SimTime when);
 
-  /// Result access. Snapshots stay available until the observer is
-  /// destroyed.
+  /// Result access. Snapshots stay available, at a stable address, until
+  /// the observer is destroyed.
   [[nodiscard]] const GlobalSnapshot* result(VirtualSid id) const;
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
-  [[nodiscard]] std::size_t requested_count() const { return next_sid_ - 1; }
+  [[nodiscard]] std::size_t requested_count() const { return rounds_.size(); }
 
   /// Invoked whenever a snapshot completes (possibly with exclusions).
   void set_completion_callback(std::function<void(const GlobalSnapshot&)> cb) {
@@ -184,20 +187,19 @@ class Observer {
     ControlPlane* cp = nullptr;
     std::vector<net::UnitId> units;
     sim::Endpoint rpc;  ///< Observer -> device request path.
-    std::size_t first_unit_index = 0;  ///< Global index of units[0].
-    std::size_t relevant_units = 0;    ///< In-scope units (== units.size()
-                                       ///< without a sync-group filter).
-    ReportDecoder decoder;             ///< Report-link state.
+    std::size_t first_slot = 0;      ///< Global bit of this device's slot 0.
+    std::size_t relevant_units = 0;  ///< In-scope units (== units.size()
+                                     ///< without a sync-group filter).
+    ReportDecoder decoder;           ///< Report-link state.
   };
 
   static void report_frame_thunk(void* ctx, std::uint16_t dev_index,
                                  const std::uint8_t* bytes, std::uint8_t len);
   void on_report_frame(std::uint16_t dev_index,
                        std::span<const std::uint8_t> bytes);
-  void on_report(const UnitReport& r);
-  void check_complete(VirtualSid id);
+  void on_report(const Device& dev, const UnitReport& r);
+  void check_complete(GlobalSnapshot& snap);
   void timeout_snapshot(VirtualSid id);
-  [[nodiscard]] VirtualSid lowest_outstanding() const;
 
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
@@ -206,14 +208,16 @@ class Observer {
 
   std::vector<Device> devices_;
   std::size_t total_units_ = 0;
-  /// Global unit index (dedup bitset coordinate space).
-  std::unordered_map<net::UnitId, std::size_t> unit_index_;
-  std::unordered_map<net::NodeId, std::uint16_t> device_index_;
-  /// Sync-group relevancy by global unit index; empty = everything.
+  /// Width of the per-round bitsets: every device's slots, end to end.
+  std::size_t total_slots_ = 0;
+  /// Sync-group relevancy by global slot; empty = everything.
   std::vector<bool> relevant_;
 
-  std::map<VirtualSid, GlobalSnapshot> snapshots_;
-  VirtualSid next_sid_ = 1;
+  /// Round `id` at index id - 1. A deque, so push_back never moves a round
+  /// a result() pointer already refers to.
+  std::deque<GlobalSnapshot> rounds_;
+  /// Index of the oldest incomplete round (rounds_.size() when none is).
+  std::size_t oldest_incomplete_ = 0;
   std::size_t completed_ = 0;
   bool down_ = false;
   std::uint8_t session_ = 0;  ///< Wire report-link session (bumps on restart).

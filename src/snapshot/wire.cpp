@@ -87,12 +87,6 @@ constexpr std::uint8_t kRfAdvanceAbs = 1u << 7;
 /// absolute 8-byte form (keeps the keyframe worst case at 45 bytes).
 constexpr std::size_t kMaxAdvanceDeltaVarint = 7;
 
-/// Dense index of a unit's codec baseline: a report link carries one
-/// device, so port and direction name the unit.
-std::size_t unit_slot(net::PortId port, net::Direction dir) {
-  return std::size_t{port} * 2 + (dir == net::Direction::Egress ? 1 : 0);
-}
-
 bool ts_fits(sim::SimTime value, sim::SimTime ref, unsigned bits) {
   const std::int64_t half = std::int64_t{1} << (bits - 1);
   const std::int64_t diff = value - ref;
@@ -237,7 +231,7 @@ void ReportEncoder::configure(const WireOptions& opts,
 }
 
 void ReportEncoder::add_unit(const net::UnitId& unit) {
-  const std::size_t slot = unit_slot(unit.port, unit.direction);
+  const std::size_t slot = net::unit_slot(unit);
   if (slot >= base_.size()) base_.resize(slot + 1);
 }
 
@@ -327,7 +321,7 @@ std::size_t ReportEncoder::encode(const UnitReport& r, sim::SimTime now,
     put_fixed(static_cast<std::uint64_t>(r.advance_time), out + 36, 8);
     len = kFullReportBytes;
   } else {
-    const std::size_t slot = unit_slot(r.unit.port, r.unit.direction);
+    const std::size_t slot = net::unit_slot(r.unit);
     Base unregistered;  // Never valid: an unregistered unit ships keyframes.
     Base& base = slot < base_.size() ? base_[slot] : unregistered;
 
@@ -428,7 +422,7 @@ void ReportDecoder::configure(const WireOptions& opts, net::NodeId device,
 }
 
 void ReportDecoder::add_unit(const net::UnitId& unit) {
-  const std::size_t slot = unit_slot(unit.port, unit.direction);
+  const std::size_t slot = net::unit_slot(unit);
   if (slot >= base_.size()) base_.resize(slot + 1);
 }
 
@@ -465,7 +459,7 @@ std::optional<UnitReport> ReportDecoder::decode(
 
   const bool full = opts_.encoding == WireEncoding::FullV2;
   r.unit.port = static_cast<net::PortId>(full ? rd.fixed(2) : rd.varint());
-  const std::size_t slot = unit_slot(r.unit.port, r.unit.direction);
+  const std::size_t slot = net::unit_slot(r.unit);
   if (!rd.ok || slot >= base_.size()) {
     // Truncated, or a port this link never registered: no baseline to
     // decode against, and no report the observer expects.

@@ -185,7 +185,7 @@ class ReportEncoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;  ///< Chain base: previous frame's sid on this link.
   bool have_last_sid_ = false;
-  std::vector<Base> base_;  ///< Indexed by port * 2 + direction.
+  std::vector<Base> base_;  ///< Indexed by net::unit_slot.
 };
 
 class ReportDecoder {
@@ -219,7 +219,7 @@ class ReportDecoder {
   std::uint8_t session_ = 0;
   VirtualSid last_sid_ = 0;
   bool have_last_sid_ = false;
-  std::vector<Base> base_;  ///< Indexed by port * 2 + direction.
+  std::vector<Base> base_;  ///< Indexed by net::unit_slot.
 };
 
 }  // namespace speedlight::snap

@@ -79,6 +79,42 @@ TEST(Observer, RolloverWindowRecoversAfterCompletion) {
   EXPECT_EQ(*id, 4u);
 }
 
+TEST(Observer, RolloverWindowFollowsOutOfOrderCompletion) {
+  NetworkOptions opt;
+  opt.snapshot.wire_id_modulus = 8;  // No-CS window = 3.
+  Network net(net::make_star(2), opt);
+  snap::Observer& observer = net.observer();
+
+  // Round 1's reports reach a dead observer, so it waits for its completion
+  // timeout while rounds 2 and 3 complete after the restart.
+  const sim::SimTime first_fire = net.now() + sim::msec(1);
+  ASSERT_EQ(observer.request_snapshot(first_fire).value_or(0), 1u);
+  observer.set_down(true);
+  net.run_until(first_fire + sim::msec(1));
+  observer.set_down(false);
+  const sim::SimTime fire = net.now() + sim::msec(1);
+  ASSERT_EQ(observer.request_snapshot(fire).value_or(0), 2u);
+  ASSERT_EQ(observer.request_snapshot(fire + sim::msec(1)).value_or(0), 3u);
+  net.run_until(fire + sim::msec(3));
+  ASSERT_FALSE(observer.result(1)->complete);
+  ASSERT_TRUE(observer.result(2)->complete);
+  ASSERT_TRUE(observer.result(3)->complete);
+
+  // Round 1 still bounds the window: id 4 would be 3 ids past it.
+  const sim::SimTime next = net.now() + sim::msec(1);
+  EXPECT_FALSE(observer.request_snapshot(next).has_value());
+
+  // Its timeout closes it, and the window moves past rounds 2 and 3 too.
+  net.run_until(first_fire + opt.observer.completion_timeout + sim::usec(1));
+  ASSERT_TRUE(observer.result(1)->complete);
+  EXPECT_EQ(observer.result(1)->excluded_devices.size(), 1u);
+  const sim::SimTime later = net.now() + sim::msec(1);
+  EXPECT_EQ(observer.request_snapshot(later).value_or(0), 4u);
+  EXPECT_EQ(observer.request_snapshot(later).value_or(0), 5u);
+  EXPECT_EQ(observer.request_snapshot(later).value_or(0), 6u);
+  EXPECT_FALSE(observer.request_snapshot(later).has_value());
+}
+
 TEST(Observer, ChannelStateSnapshotHasChannelValues) {
   NetworkOptions opt;
   opt.snapshot.channel_state = true;

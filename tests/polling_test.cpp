@@ -2,6 +2,8 @@
 // asynchronicity (the property Figures 9/12/13 compare against).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/experiment.hpp"
 #include "core/network.hpp"
 #include "net/topology.hpp"
@@ -27,6 +29,17 @@ TEST(Polling, SweepVisitsAllUnitsInOrder) {
   for (std::size_t i = 1; i < sweeps[0].samples.size(); ++i) {
     EXPECT_GT(sweeps[0].samples[i].time, sweeps[0].samples[i - 1].time);
   }
+}
+
+TEST(Polling, AddUnitRejectsUnwiredEndpoints) {
+  // A poll splits its round-trip over two keyed legs; a unit without both
+  // is refused, not polled some other way.
+  Network net(net::make_star(2), NetworkOptions{});
+  snap::UnitHandle* unit = net.switch_at(0).unit(0, net::Direction::Ingress);
+  const sim::Endpoint wired = sim::Endpoint::local(net.simulator(), 0);
+  EXPECT_THROW(net.poller().add_unit(unit, {}, wired), std::invalid_argument);
+  EXPECT_THROW(net.poller().add_unit(unit, wired, {}), std::invalid_argument);
+  EXPECT_EQ(net.poller().num_units(), 0u);
 }
 
 TEST(Polling, SweepSpanScalesWithUnitCount) {
