@@ -16,8 +16,11 @@
 //
 // The full-simulator runs emit the events they executed
 // (`full_sim.events`, `fat_tree.k<k>.events`) and the fat-tree runs their
-// metrics-registry size (`fat_tree.k<k>.registry_entries`): deterministic
-// counts that CI gates exactly.
+// metrics-registry size (`fat_tree.k<k>.registry_entries`) and the bytes
+// of register state the fabric holds after its rounds
+// (`fat_tree.k<k>.register_bytes`: flowlet tables plus Snapshot Value
+// arrays, both sized by what the run made live): deterministic counts that
+// CI gates exactly.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -189,6 +192,8 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
                 static_cast<double>(net.simulator().stats().executed));
   report.metric(prefix + ".registry_entries",
                 static_cast<double>(out.registry_entries));
+  report.metric(prefix + ".register_bytes",
+                static_cast<double>(net.register_bytes()));
 
   std::cout << "  k=" << k << "\t" << net.spec().switches.size()
             << " switches\t" << out.completed << "/" << snapshots

@@ -1,9 +1,17 @@
 // Table 1: resource usage of the Speedlight data plane on the Tofino, for
 // the three variants (packet count / + wraparound / + channel state),
 // plus the 14-port configuration quoted in Section 7.1.
+//
+// Metrics, per variant at 64 ports (`<variant>.<resource>`, variant one of
+// packet_count, wrap_around, channel_state): stateless_alus, stateful_alus,
+// tables, gateways, stages, sram_kb, tcam_kb and max_utilization_frac; plus
+// `ports14.sram_kb` / `ports14.tcam_kb`. The model is deterministic, so CI
+// gates every count exactly.
 #include <cmath>
 #include <iomanip>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "resources/tofino_model.hpp"
@@ -25,6 +33,20 @@ int main(int argc, char** argv) {
   const auto pc = res::estimate(Variant::PacketCount, 64);
   const auto wa = res::estimate(Variant::WrapAround, 64);
   const auto cs = res::estimate(Variant::ChannelState, 64);
+  for (const auto& [key, u] : {std::pair{"packet_count.", pc},
+                               std::pair{"wrap_around.", wa},
+                               std::pair{"channel_state.", cs}}) {
+    const std::string k = key;
+    report.metric(k + "stateless_alus", u.stateless_alus);
+    report.metric(k + "stateful_alus", u.stateful_alus);
+    report.metric(k + "tables", u.logical_table_ids);
+    report.metric(k + "gateways", u.conditional_gateways);
+    report.metric(k + "stages", u.physical_stages);
+    report.metric(k + "sram_kb", u.sram_kb);
+    report.metric(k + "tcam_kb", u.tcam_kb);
+    report.metric(k + "max_utilization_frac",
+                  res::max_utilization_fraction(u));
+  }
 
   bench::check(pc.stateless_alus == 17 && pc.stateful_alus == 9 &&
                    pc.logical_table_ids == 27 && pc.conditional_gateways == 15 &&
@@ -48,6 +70,8 @@ int main(int argc, char** argv) {
             << "\n14-port wraparound+channel-state configuration (Section "
                "7.1):\n  SRAM "
             << cs14.sram_kb << " KB, TCAM " << cs14.tcam_kb << " KB\n";
+  report.metric("ports14.sram_kb", cs14.sram_kb);
+  report.metric("ports14.tcam_kb", cs14.tcam_kb);
   bench::check(std::fabs(cs14.sram_kb - 638.0) < 1.0 &&
                    std::fabs(cs14.tcam_kb - 90.0) < 1.0,
                "14-port config matches Section 7.1 (638KB SRAM / 90KB TCAM)");

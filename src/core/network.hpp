@@ -138,6 +138,15 @@ class Network {
     return n;
   }
 
+  /// Register state held fabric-wide (sw::Switch::register_bytes summed).
+  [[nodiscard]] std::size_t register_bytes() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < switches_.size(); ++i) {
+      n += switches_[i].register_bytes();
+    }
+    return n;
+  }
+
   /// Direct access to the instantiated links, for taps and fault injection.
   /// Host access links: `host_uplink`/`host_downlink`; trunk links by index
   /// into spec().trunks and direction.

@@ -24,11 +24,14 @@
 // paper's proof sketch depends on.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "net/types.hpp"
 #include "obs/trace.hpp"
+#include "sim/determinism.hpp"
 #include "sim/inplace_callback.hpp"
 #include "sim/time.hpp"
 #include "snapshot/config.hpp"
@@ -66,10 +69,16 @@ struct SlotValue {
 /// pass statically admits at most one read-modify-write per register.
 /// Const reads model the control plane's PCIe register reads, which happen
 /// outside any pipeline pass.
+///
+/// The Snapshot Value array has `slots` entries indexed by `vsid % slots`,
+/// but only the prefix up to the highest slot written is stored: an unwritten
+/// slot reads as SlotValue{}, exactly what a zeroed register returns. Ids are
+/// written in order, so a unit that has captured ids 1..n stores fewer than
+/// 2(n + 1) slots, not all of them.
 class RegisterFile {
  public:
   RegisterFile(std::uint16_t num_channels, std::size_t slots)
-      : last_seen_(num_channels, 0), slots_(slots) {}
+      : last_seen_(num_channels, 0), num_slots_(slots) {}
 
   // --- Token-gated pass access -------------------------------------------
   /// Snapshot ID register: `f(VirtualSid&)` is the stateful-ALU program.
@@ -96,7 +105,9 @@ class RegisterFile {
   [[nodiscard]] AfterAccess<M, Reg::Value> with_value_slot(StageToken<M>,
                                                            VirtualSid vsid,
                                                            F&& f) {
-    f(slots_[vsid % slots_.size()]);
+    const std::size_t index = vsid % num_slots_;
+    if (index >= slots_.size()) store_through(index);
+    f(slots_[index]);
     return {};
   }
 
@@ -107,6 +118,7 @@ class RegisterFile {
     requires CanAccess<StageToken<M>, Reg::Value>
   [[nodiscard]] AfterAccess<M, Reg::Value> with_value_array_oracle(
       StageToken<M>, F&& f) {
+    if (slots_.size() < num_slots_) store_through(num_slots_ - 1);
     f(slots_);
     return {};
   }
@@ -125,17 +137,34 @@ class RegisterFile {
     return last_seen_[ch];
   }
   [[nodiscard]] const SlotValue& slot(std::size_t index) const {
-    return slots_[index % slots_.size()];
+    index %= num_slots_;
+    return index < slots_.size() ? slots_[index] : kUnwritten;
   }
-  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
+  [[nodiscard]] std::size_t num_slots() const { return num_slots_; }
   [[nodiscard]] std::uint16_t num_channels() const {
     return static_cast<std::uint16_t>(last_seen_.size());
   }
+  /// Bytes the Snapshot Value array holds: grows with the slots written.
+  [[nodiscard]] std::size_t value_bytes() const {
+    return slots_.capacity() * sizeof(SlotValue);
+  }
 
  private:
+  static constexpr SlotValue kUnwritten{};
+
+  /// Cold path: extend the stored prefix through slot `index`, at least
+  /// doubling it (capped at the configured slot count). Amortized growth,
+  /// DetAllow-exempted like FifoQueue::grow.
+  void store_through(std::size_t index) {
+    sim::det::DetAllow allow_value_array_growth;  // Amortized, see above.
+    // speedlight-lint: allow(datapath-alloc) amortized array growth, above.
+    slots_.resize(std::min(num_slots_, std::max(index + 1, 2 * slots_.size())));
+  }
+
   VirtualSid sid_ = 0;
   std::vector<VirtualSid> last_seen_;
-  std::vector<SlotValue> slots_;
+  std::size_t num_slots_;
+  std::vector<SlotValue> slots_;  ///< Slots [0, size()); the rest unwritten.
 };
 
 class DataplaneUnit {
@@ -172,6 +201,8 @@ class DataplaneUnit {
     return regs_.slot(index);
   }
   [[nodiscard]] std::size_t num_slots() const { return regs_.num_slots(); }
+  /// Bytes held by the Snapshot Value array (only the slots written so far).
+  [[nodiscard]] std::size_t value_bytes() const { return regs_.value_bytes(); }
   [[nodiscard]] WireSid sid_register() const {
     return space_.to_wire(regs_.sid());
   }

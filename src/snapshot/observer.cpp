@@ -136,6 +136,9 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   }
   total_units_ += dev.units.size();
   total_slots_ += slots;
+  // A device attached after set_scope() is in the sync group: its control
+  // plane never received a mask, so it ships every unit.
+  if (!relevant_.empty()) relevant_.resize(total_slots_, true);
   dev.decoder.begin_session(session_);
   cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
                       options_.wire, options_.wire_stats);

@@ -163,7 +163,9 @@ class Observer {
   /// snapshot requested after this call observes the new scope on every
   /// device. Throws std::logic_error, changing nothing, while any requested
   /// snapshot is incomplete: rounds in flight were pinned against the old
-  /// membership and would time out their filtered devices.
+  /// membership and would time out their filtered devices. A device
+  /// registered afterwards joins with every unit in scope, as its control
+  /// plane (never sent a mask) reports them all.
   void set_scope(const std::function<bool(const net::UnitId&)>& pred);
 
   /// Fault injection: simulate an observer process crash + restart. While

@@ -88,6 +88,9 @@ class Switch::PortUnit final : public snap::UnitHandle {
   [[nodiscard]] std::uint64_t notifications_sent() const {
     return dp_ ? dp_->notifications_sent() : 0;
   }
+  [[nodiscard]] std::size_t value_bytes() const {
+    return dp_ ? dp_->value_bytes() : 0;
+  }
   [[nodiscard]] CounterSet& counters() { return counters_; }
   [[nodiscard]] const CounterSet& counters() const { return counters_; }
 
@@ -513,6 +516,16 @@ std::uint64_t Switch::snapshot_notifications() const {
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     const Port& p = ports_[i];
     total += p.ingress.notifications_sent() + p.egress.notifications_sent();
+  }
+  return total;
+}
+
+std::size_t Switch::register_bytes() const {
+  const auto* flowlet = dynamic_cast<const FlowletBalancer*>(lb_.get());
+  std::size_t total = flowlet ? flowlet->table_bytes() : 0;
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    const Port& p = ports_[i];
+    total += p.ingress.value_bytes() + p.egress.value_bytes();
   }
   return total;
 }

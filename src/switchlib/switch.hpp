@@ -154,6 +154,10 @@ class Switch final : public net::Node {
   /// Aggregate snapshot captures / notifications over materialized units.
   [[nodiscard]] std::uint64_t snapshot_captures() const;
   [[nodiscard]] std::uint64_t snapshot_notifications() const;
+  /// Bytes of register state held in host memory: the flowlet table plus
+  /// every materialized unit's Snapshot Value array. Both grow with the
+  /// state a run makes live, so this is deterministic per run.
+  [[nodiscard]] std::size_t register_bytes() const;
 
   /// Ports whose snapshot state machines or queue rings have materialized.
   /// Untouched ports of a large fabric cost ~0 bytes beyond the port record

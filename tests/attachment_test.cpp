@@ -165,5 +165,31 @@ TEST(NodeAttachment, OutstandingSnapshotUnaffectedByAttachment) {
   EXPECT_EQ(snap1->reports.size(), 1u);
 }
 
+TEST(NodeAttachment, DeviceAttachedAfterScopeChangeJoinsSyncGroup) {
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  SnapshotConfig config;
+  Observer::Options obs_options;
+  obs_options.snapshot = config;
+  obs_options.completion_timeout = sim::msec(100);
+  Observer observer(sim, timing, obs_options);
+  MiniDevice a(sim, timing, 1, config);
+  observer.register_device(&a.cp());
+  observer.set_scope([](const net::UnitId&) { return true; });
+
+  // B attaches after the scope change: its control plane was never sent a
+  // mask and reports its unit, which the observer must count, not drop.
+  MiniDevice b(sim, timing, 2, config);
+  observer.register_device(&b.cp());
+  const auto s1 = observer.request_snapshot(sim.now() + sim::msec(1));
+  ASSERT_TRUE(s1.has_value());
+  sim.run_until(sim::msec(20));
+  const GlobalSnapshot* snap1 = observer.result(*s1);
+  ASSERT_NE(snap1, nullptr);
+  EXPECT_TRUE(snap1->complete);  // Long before the 100 ms timeout.
+  EXPECT_TRUE(snap1->excluded_devices.empty());
+  EXPECT_EQ(snap1->reports.size(), 2u);
+}
+
 }  // namespace
 }  // namespace speedlight::snap

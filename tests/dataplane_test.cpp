@@ -273,6 +273,60 @@ TEST(Dataplane, HardwareMatchesIdealWithoutSkips) {
   }
 }
 
+TEST(Dataplane, ValueArrayStoresOnlyWrittenSlots) {
+  Harness h(cs_config());
+  ASSERT_EQ(h.unit.num_slots(), 64u);
+  EXPECT_EQ(h.unit.value_bytes(), 0u);
+  // An unwritten slot reads as a zeroed register.
+  const SlotValue& unwritten = h.unit.read_slot(17);
+  EXPECT_FALSE(unwritten.initialized);
+  EXPECT_EQ(unwritten.local_value, 0u);
+  EXPECT_EQ(unwritten.channel_value, 0u);
+  EXPECT_EQ(unwritten.wire_sid, 0u);
+  EXPECT_EQ(unwritten.saved_at, 0);
+
+  // Storage grows with the ids written, not with the configured slots.
+  h.state = 5;
+  h.unit.on_initiation(1, 0);
+  const std::size_t after_one = h.unit.value_bytes();
+  EXPECT_GT(after_one, 0u);
+  EXPECT_LE(after_one, 2 * sizeof(SlotValue));
+  for (WireSid i = 2; i <= 9; ++i) {
+    h.state = i * 10;
+    h.unit.on_initiation(i, 0);
+  }
+  EXPECT_GT(h.unit.value_bytes(), after_one);
+  EXPECT_LE(h.unit.value_bytes(), 16 * sizeof(SlotValue));
+  EXPECT_FALSE(h.unit.read_slot(10).initialized);
+  EXPECT_FALSE(h.unit.read_slot(40).initialized);
+
+  // Reads wrap at slots(): index 64 + i is slot i, written or not.
+  EXPECT_EQ(h.unit.read_slot(64 + 1).local_value, 5u);
+  EXPECT_EQ(h.unit.read_slot(64 + 9).local_value, 90u);
+  EXPECT_EQ(h.unit.read_slot(64 + 9).wire_sid, 9u);
+  EXPECT_FALSE(h.unit.read_slot(64 + 40).initialized);
+
+  // Capped at the configured slot count once every slot has been written.
+  for (WireSid i = 10; i <= 70; ++i) h.unit.on_initiation(i, 0);
+  EXPECT_EQ(h.unit.value_bytes(), 64 * sizeof(SlotValue));
+  EXPECT_EQ(h.unit.read_slot(70).wire_sid, 70u);
+  EXPECT_EQ(h.unit.read_slot(6).wire_sid, 70u);
+}
+
+TEST(Dataplane, IdealOracleSeesEverySlot) {
+  // A jump past the slot count back-fills the last slots() ids: the oracle
+  // pass is handed all 64 slots, not the prefix written so far.
+  Harness h(cs_config(0, /*hardware=*/false));
+  h.state = 3;
+  h.packet(100, 0);
+  EXPECT_EQ(h.unit.value_bytes(), 64 * sizeof(SlotValue));
+  for (VirtualSid i = 100 - 63; i <= 100; ++i) {
+    EXPECT_TRUE(h.unit.read_slot(i).initialized) << i;
+    EXPECT_EQ(h.unit.read_slot(i).wire_sid, i) << i;
+    EXPECT_EQ(h.unit.read_slot(i).local_value, 3u) << i;
+  }
+}
+
 TEST(IdealUnit, Figure3Semantics) {
   std::uint64_t state = 0;
   IdealUnit u(2, /*channel_state=*/true, [&]() { return state; });

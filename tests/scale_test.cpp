@@ -195,7 +195,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   // The acceptance fabric: fat-tree k=32 — 1,280 switches, 8,192 hosts,
   // 40,960 switch ports. It must construct and complete a full snapshot
   // round inside the documented memory budget (DESIGN.md §14: < 128 MB to
-  // construct, < 512 MB through a probe-flood round).
+  // construct, < 256 MB through a probe-flood round).
   const std::int64_t rss_before =
       static_cast<std::int64_t>(obs::current_rss_kb());
   NetworkOptions opt;
@@ -222,7 +222,7 @@ TEST(Scale, FatTree32SnapshotRoundUnderMemoryBudget) {
   const std::int64_t rss_after =
       static_cast<std::int64_t>(obs::current_rss_kb());
   if (kRssBudgetsApply && rss_before > 0) {
-    EXPECT_LT(rss_after - rss_before, 512 * 1024)
+    EXPECT_LT(rss_after - rss_before, 256 * 1024)
         << "RSS growth (KiB) through a snapshot round exceeds the budget";
   }
 }

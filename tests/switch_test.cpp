@@ -3,7 +3,9 @@
 // builder on small topologies.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -164,6 +166,116 @@ TEST(LoadBalancer, FlowletRepicksAfterGap) {
     t += sim::usec(500);  // Every packet starts a new flowlet.
   }
   EXPECT_EQ(lb.flowlets_started(), 200u);
+}
+
+// The flowlet table laid out densely, one entry per index as the hardware
+// holds it: the reference FlowletBalancer's live-only table must match
+// decision for decision, RNG draw for RNG draw.
+class DenseFlowletTable {
+ public:
+  DenseFlowletTable(sim::Duration gap, sim::Rng rng)
+      : gap_(gap), rng_(rng), table_(sw::FlowletBalancer::kTableSize) {}
+
+  net::PortId choose(net::FlowId flow, std::span<const net::PortId> candidates,
+                     sim::SimTime now) {
+    Entry& e = table_[(static_cast<std::size_t>(flow) * 0x9E3779B97f4A7C15ULL) &
+                      (table_.size() - 1)];
+    if (!e.valid || now - e.last_seen > gap_ ||
+        e.port_index >= candidates.size()) {
+      e.port_index = rng_.uniform_int(0, candidates.size() - 1);
+      e.valid = true;
+      ++flowlets_started;
+    }
+    e.last_seen = now;
+    return candidates[e.port_index];
+  }
+
+  std::uint64_t flowlets_started = 0;
+
+ private:
+  struct Entry {
+    sim::SimTime last_seen = 0;
+    std::uint64_t port_index = 0;
+    bool valid = false;
+  };
+  sim::Duration gap_;
+  sim::Rng rng_;
+  std::vector<Entry> table_;
+};
+
+// Both tables fed the same packets; counts every decision that differs.
+struct FlowletTwins {
+  explicit FlowletTwins(sim::Duration gap)
+      : live(42, gap, sim::Rng(5)), dense(gap, sim::Rng(5)) {}
+
+  void send(net::FlowId flow, std::span<const net::PortId> candidates,
+            sim::SimTime now) {
+    net::Packet p;
+    p.flow = flow;
+    if (live.choose(p, candidates, now) != dense.choose(flow, candidates, now) ||
+        live.flowlets_started() != dense.flowlets_started) {
+      ++mismatches;
+    }
+  }
+
+  sw::FlowletBalancer live;
+  DenseFlowletTable dense;
+  std::size_t mismatches = 0;
+};
+
+TEST(LoadBalancer, LiveFlowletTableMatchesDenseTable) {
+  const sim::Duration gap = sim::usec(50);
+  const std::vector<net::PortId> four{10, 11, 12, 13};
+  const std::vector<net::PortId> two{10, 11};
+
+  // Random flows, candidate sets and spacing, with idle spells past the gap.
+  FlowletTwins random(gap);
+  sim::Rng stream(11);
+  sim::SimTime t = 0;
+  for (int i = 0; i < 50000; ++i) {
+    t += static_cast<sim::Duration>(stream.uniform_int(0, 2000));
+    if (stream.chance(0.002)) t += gap;
+    random.send(stream.uniform_int(0, 499), stream.chance(0.7) ? four : two, t);
+  }
+  EXPECT_EQ(random.mismatches, 0u);
+  EXPECT_GT(random.live.flowlets_started(), 10000u);
+  // Only flows seen within the last gap are held: far below the dense 64 KB.
+  EXPECT_LE(random.live.table_bytes(), 64u * 1024 / 8);
+
+  // Exactly at last_seen + gap the flowlet continues; one tick later it is
+  // over. Each boundary lands on a rebuild, where 40 fresh flows overflow
+  // the initial table and the survivors are sorted live from expired.
+  FlowletTwins edge(gap);
+  edge.send(1, four, 0);
+  edge.send(2, four, 0);
+  for (net::FlowId f = 100; f < 140; ++f) edge.send(f, four, gap);
+  edge.send(1, four, gap);  // Same flowlet: idle exactly gap.
+  for (net::FlowId f = 200; f < 240; ++f) edge.send(f, four, gap + 1);
+  edge.send(2, four, gap + 1);  // New flowlet: idle gap + 1.
+  edge.send(1, four, 2 * gap);
+  edge.send(1, four, 3 * gap + 1);
+  EXPECT_EQ(edge.mismatches, 0u);
+  EXPECT_EQ(edge.live.flowlets_started(), 2u + 40u + 40u + 1u + 1u);
+
+  // A candidate set that shrinks under live entries: those pinned past its
+  // end start new flowlets, the rest keep their paths.
+  FlowletTwins shrink(gap);
+  for (net::FlowId f = 0; f < 64; ++f) shrink.send(f, four, 0);
+  for (net::FlowId f = 0; f < 64; ++f) shrink.send(f, two, 10);
+  for (net::FlowId f = 0; f < 64; ++f) shrink.send(f, four, 20);
+  EXPECT_EQ(shrink.mismatches, 0u);
+  EXPECT_GT(shrink.live.flowlets_started(), 64u);
+  EXPECT_LT(shrink.live.flowlets_started(), 128u);
+
+  // A gap long enough that every index is live at once (flows 0..4095 hit
+  // each of the 4096 indices): the table goes dense and costs no more than
+  // the dense table.
+  FlowletTwins full(sim::sec(1));
+  for (net::FlowId f = 0; f < 4096; ++f) full.send(f, four, f);
+  for (net::FlowId f = 0; f < 4096; ++f) full.send(f, four, 5000 + f);
+  EXPECT_EQ(full.mismatches, 0u);
+  EXPECT_EQ(full.live.flowlets_started(), 4096u);
+  EXPECT_LE(full.live.table_bytes(), 64u * 1024);
 }
 
 TEST(SwitchSnapshot, HeadersAddedInsideStrippedAtEdge) {
