@@ -7,6 +7,7 @@
 //   (c) no probes at all (re-initiation alone cannot help: the ids are
 //       already delivered; the Last Seen entries are what stall).
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
@@ -29,7 +30,6 @@ Result run(bool probe_on_initiate, bool probe_on_reinitiate,
   core::NetworkOptions opt;
   opt.seed = 4;
   opt.snapshot.channel_state = true;
-  opt.force_probe_liveness = false;  // Configure probes manually.
   opt.control.probe_on_initiate = probe_on_initiate;
   opt.control.probe_on_reinitiate = probe_on_reinitiate;
   opt.observer.completion_timeout = sim::msec(60);
@@ -66,6 +66,18 @@ int main(int argc, char** argv) {
   const Result at_init = run(true, true, &report);
   const Result at_reinit = run(false, true);
   const Result none = run(false, false);
+
+  // Deterministic counts, gated exactly in CI. mean_completion_ms is -1
+  // when no snapshot completed without a device exclusion.
+  auto emit = [&report](const std::string& variant, const Result& r) {
+    report.metric(variant + ".completed", static_cast<double>(r.completed));
+    report.metric(variant + ".excluded_devices",
+                  static_cast<double>(r.excluded_devices));
+    report.metric(variant + ".mean_completion_ms", r.mean_completion_ms);
+  };
+  emit("at_init", at_init);
+  emit("at_reinit", at_reinit);
+  emit("none", none);
 
   const std::size_t requested = bench::scaled<std::size_t>(10, 4);
   auto show = [requested](const char* label, const Result& r) {

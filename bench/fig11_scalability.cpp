@@ -26,6 +26,9 @@
 #include <iostream>
 #include <string>
 #include <vector>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
@@ -124,6 +127,11 @@ struct FatTreeRound {
 FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
                             bench::JsonReport& report) {
   const std::string prefix = "fat_tree.k" + std::to_string(k);
+  // Hand the heap earlier sizes freed back to the system first, so the
+  // build below is measured instead of served from their leftovers.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   const std::uint64_t rss_before = obs::current_rss_kb();
 
   core::NetworkOptions opt;

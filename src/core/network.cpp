@@ -77,13 +77,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
   // "poller" in construction order) is digest-load-bearing.
   sim::Rng master = sim_.rng().fork("network");
 
-  // Liveness default: channel-state snapshots stall on traffic-less
-  // channels, so re-initiation rounds flood probes (Section 6).
-  if (options_.snapshot.channel_state && options_.force_probe_liveness) {
-    options_.control.probe_on_reinitiate = true;
-    options_.control.probe_on_initiate = true;
-  }
-
   // Node ids: switches first, then hosts. Devices live in contiguous
   // arenas sized exactly once from the spec.
   const std::size_t s = spec_.switches.size();

@@ -71,13 +71,10 @@ struct NetworkOptions {
   snap::Observer::Options observer;
   /// Every control plane's options. With `proactive_register_poll` set,
   /// each snapshot-enabled control plane starts its register-poll loop as
-  /// the network is built.
+  /// the network is built. Channel-state snapshots stall on traffic-less
+  /// channels, so `probe_on_initiate` and `probe_on_reinitiate` default to
+  /// Section 6's broadcast injection; clear them to study the failure mode.
   snap::ControlPlane::Options control;
-
-  /// Channel-state snapshots stall on traffic-less channels; by default the
-  /// builder turns on probe flooding at initiation and re-initiation
-  /// (Section 6's broadcast injection). Disable to study the failure mode.
-  bool force_probe_liveness = true;
 
   /// Partial deployment (Section 10): when true, channels that traverse a
   /// snapshot-disabled transit switch still gate completion and carry

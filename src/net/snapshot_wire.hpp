@@ -1,45 +1,15 @@
-// Wire encoding of the snapshot header.
-//
-// The simulator passes structured packets around, but the header must be a
-// well-defined byte format for interoperability (and so its cost can be
-// accounted). Layout, 8 bytes, network byte order:
-//
-//   0      1        2..5        6..7
-//   +------+--------+-----------+---------+
-//   | magic| kind   | wire_sid  | channel |
-//   +------+--------+-----------+---------+
-//
-// magic = 0xA7 identifies the header (stand-in for the IP-option /
-// dedicated EtherType encapsulation discussed in Section 10).
+// Byte-level primitives of the control-plane wire format v2 (DESIGN.md
+// section 16): LEB128 varints, the zigzag signed mapping, and
+// truncated-timestamp recovery. They are the building blocks of the compact
+// notification and report framing in snapshot/wire.hpp, kept here so the
+// encodings stay a well-defined external format.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 
-#include "net/packet.hpp"
-
 namespace speedlight::net {
-
-inline constexpr std::uint8_t kSnapshotHeaderMagic = 0xA7;
-inline constexpr std::size_t kSnapshotHeaderBytes = 8;
-
-/// Serialize a header (which must be present) into 8 bytes.
-[[nodiscard]] std::array<std::uint8_t, kSnapshotHeaderBytes> encode_snapshot_header(
-    const SnapshotHeader& h);
-
-/// Parse a header from bytes. Returns nullopt on short input, bad magic, or
-/// an unknown packet kind.
-[[nodiscard]] std::optional<SnapshotHeader> decode_snapshot_header(
-    std::span<const std::uint8_t> bytes);
-
-// --- Wire format v2 primitives (DESIGN.md section 16) -----------------------
-//
-// LEB128 varints, zigzag signed mapping, and truncated-timestamp recovery.
-// These are the building blocks of the compact notification/report framing
-// in snapshot/wire.hpp; they live here with the rest of the byte-level wire
-// machinery so the encodings stay a well-defined external format.
 
 /// Bytes a varint of `v` occupies (1..10).
 [[nodiscard]] constexpr std::size_t varint_len(std::uint64_t v) {

@@ -74,7 +74,7 @@ void ControlPlane::initiate_now(VirtualSid id) {
     sim_.after(offset, [handle, wire]() { handle->inject_initiation(wire); });
     ++initiations_sent_;
   }
-  if (options_.probe_on_initiate) {
+  if (options_.snapshot.channel_state && options_.probe_on_initiate) {
     // Probes follow the initiations, picking up the freshly advanced ids
     // and flooding them across every channel.
     for (auto& u : units_) {
@@ -98,7 +98,7 @@ void ControlPlane::arm_reinitiation(VirtualSid id, int attempt) {
     // monotonic, and advancing a lagging unit past `id` resolves `id` too
     // (by marking or inference).
     initiate_now(latest_initiated_);
-    if (options_.probe_on_reinitiate) {
+    if (options_.snapshot.channel_state && options_.probe_on_reinitiate) {
       for (auto& u : units_) {
         if (u.handle->is_ingress()) u.handle->inject_probe();
       }
@@ -134,6 +134,29 @@ VirtualSid ControlPlane::completion_floor(const UnitState& u) const {
   return floor;
 }
 
+void ControlPlane::UnitState::advance(VirtualSid to, sim::SimTime at) {
+  advances.push_back({to, at});
+  ctrl_sid = to;
+}
+
+sim::SimTime ControlPlane::UnitState::advance_time(VirtualSid sid) const {
+  // Every id in (last_read, ctrl_sid] has an entry reaching it: the newest
+  // entry reaches ctrl_sid, and trims drop only entries at or below a floor
+  // that has been read.
+  const auto it =
+      std::find_if(advances.begin(), advances.end(),
+                   [sid](const Advance& a) { return a.through >= sid; });
+  assert(it != advances.end());
+  return it->at;
+}
+
+void ControlPlane::UnitState::trim_advances(VirtualSid floor) {
+  const auto keep =
+      std::find_if(advances.begin(), advances.end(),
+                   [floor](const Advance& a) { return a.through > floor; });
+  advances.erase(advances.begin(), keep);
+}
+
 void ControlPlane::handle_notification_cs(std::size_t pos,
                                           const Notification& n) {
   UnitState& u = units_[pos];
@@ -143,31 +166,7 @@ void ControlPlane::handle_notification_cs(std::size_t pos,
   sim_.tracer().instant(obs::Category::ControlPlane, obs::EventName::CpProcess,
                         track_, sim_.now(), current,
                         obs::pack_unit(n.unit));
-  if (current != u.ctrl_sid) {
-    // Ids the unit skipped past before their channel state was final can no
-    // longer accumulate in-flight packets correctly: mark inconsistent.
-    // The new id itself keeps accumulating exactly (see dataplane.cpp).
-    const VirtualSid done = completion_floor(u);
-    // Bound the walks to the register-array window: anything older has
-    // been overwritten and could never be read anyway. Also contains the
-    // damage from a corrupted notification.
-    const std::uint64_t window = options_.snapshot.slots();
-    VirtualSid mark_from = std::max(done, u.last_read) + 1;
-    if (current > window && mark_from < current - window) {
-      mark_from = current - window;
-    }
-    for (VirtualSid i = mark_from; i < current; ++i) {
-      u.inconsistent.insert(i);
-    }
-    VirtualSid stamp_from = u.ctrl_sid + 1;
-    if (current > window && stamp_from < current - window) {
-      stamp_from = current - window;
-    }
-    for (VirtualSid i = stamp_from; i <= current; ++i) {
-      u.advance_time.emplace(i, n.timestamp);
-    }
-    u.ctrl_sid = current;
-  }
+  if (current != u.ctrl_sid) u.advance(current, n.timestamp);
   if (n.channel != kNoChannel && n.channel < u.ctrl_last_seen.size()) {
     const VirtualSid ls =
         space_.unroll_monotonic(u.ctrl_last_seen[n.channel], n.new_last_seen);
@@ -187,15 +186,7 @@ void ControlPlane::handle_notification_nocs(std::size_t pos,
                         track_, sim_.now(), current,
                         obs::pack_unit(n.unit));
   if (current == u.ctrl_sid) return;
-  const std::uint64_t window = options_.snapshot.slots();
-  VirtualSid stamp_from = u.ctrl_sid + 1;
-  if (current > window && stamp_from < current - window) {
-    stamp_from = current - window;
-  }
-  for (VirtualSid i = stamp_from; i <= current; ++i) {
-    u.advance_time.emplace(i, n.timestamp);
-  }
-  u.ctrl_sid = current;
+  u.advance(current, n.timestamp);
   advance_reads(pos, n.timestamp);
 }
 
@@ -209,13 +200,19 @@ void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
   u.last_read = floor;
 
   if (options_.snapshot.channel_state) {
+    // Figure 7 marks every id the unit advanced past before its channel
+    // state was final: in-flight packets for it are booked into a later
+    // id. Every notification ends here with last_read >= the completion
+    // floor, so the marked ids are exactly (last_read, ctrl_sid), and an
+    // id read now is inconsistent if and only if it is below ctrl_sid.
     for (VirtualSid i = from; i <= floor; ++i) {
-      if (u.inconsistent.erase(i) > 0) {
+      if (i < u.ctrl_sid) {
         report_inconsistent(pos, i);
       } else {
         read_and_report(pos, i, finalize_ts);
       }
     }
+    u.trim_advances(floor);
   } else {
     // Batched register read, then the downward value-inference walk. The
     // unit is captured by position: units_ may reallocate if units are added
@@ -249,8 +246,7 @@ void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
         } else if (have_valid) {
           r.local_value = valid_value;
           r.inferred = true;
-          const auto at = up->advance_time.find(i);
-          r.advance_time = at != up->advance_time.end() ? at->second : finalize_ts;
+          r.advance_time = up->advance_time(i);
         } else {
           r.consistent = false;  // No valid reference: conservative.
         }
@@ -260,27 +256,14 @@ void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
         if (i == from) break;  // VirtualSid is unsigned.
       }
       for (const auto& r : reports) ship(r, pos);
-      for (auto it2 = up->advance_time.begin();
-           it2 != up->advance_time.end() && it2->first <= floor;) {
-        it2 = up->advance_time.erase(it2);
-      }
+      up->trim_advances(floor);
     });
-  }
-
-  if (options_.snapshot.channel_state) {
-    for (auto it = u.advance_time.begin();
-         it != u.advance_time.end() && it->first <= floor;) {
-      it = u.advance_time.erase(it);
-    }
   }
 }
 
 void ControlPlane::read_and_report(std::size_t pos, VirtualSid sid,
                                    sim::SimTime finalize_ts) {
-  const UnitState& u = units_[pos];
-  const auto at = u.advance_time.find(sid);
-  const sim::SimTime advance_ts =
-      at != u.advance_time.end() ? at->second : finalize_ts;
+  const sim::SimTime advance_ts = units_[pos].advance_time(sid);
   sim_.after(timing_.register_read_latency, [this, pos, sid, advance_ts,
                                              finalize_ts]() {
     const UnitState* up = &units_[pos];
@@ -310,8 +293,7 @@ void ControlPlane::report_inconsistent(std::size_t pos, VirtualSid sid) {
   r.unit = u.handle->unit_id();
   r.sid = sid;
   r.consistent = false;
-  const auto at = u.advance_time.find(sid);
-  r.advance_time = at != u.advance_time.end() ? at->second : sim_.now();
+  r.advance_time = u.advance_time(sid);
   r.finalize_time = sim_.now();
   ship(r, pos);
 }

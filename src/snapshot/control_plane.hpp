@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,15 +37,17 @@ class ControlPlane {
     bool auto_reinitiate = true;
     int max_reinitiations = 8;
     /// Flood probes on re-initiation (unblocks channel-state snapshots
-    /// that stall because a channel carries no traffic).
-    bool probe_on_reinitiate = false;
+    /// that stall because a channel carries no traffic). Both probe flags
+    /// apply only with channel state: a probe moves Last Seen entries, and
+    /// only the channel-state variant has them.
+    bool probe_on_reinitiate = true;
     /// Flood probes immediately after every initiation: proactively pushes
     /// fresh markers across every internal sub-channel and every directly
     /// attached link, so channel-state snapshots complete promptly even on
     /// channels that structurally never carry traffic (Section 6 cites
     /// up-down routing as the canonical case). The alternative is masking
     /// those channels out of completion by hand.
-    bool probe_on_initiate = false;
+    bool probe_on_initiate = true;
     /// Periodically read data-plane registers to recover from lost
     /// notifications.
     bool proactive_register_poll = false;
@@ -134,15 +134,30 @@ class ControlPlane {
   }
 
  private:
+  /// One notification that moved ctrl_sid: the unit advanced through
+  /// `through` at data-plane time `at`.
+  struct Advance {
+    VirtualSid through = 0;
+    sim::SimTime at = 0;
+  };
+
   struct UnitState {
     UnitHandle* handle = nullptr;
     VirtualSid ctrl_sid = 0;                  ///< ctrlSnapID[unit]
     std::vector<VirtualSid> ctrl_last_seen;   ///< ctrlLastSeen[unit][*]
     std::vector<bool> completion_mask;
     VirtualSid last_read = 0;                 ///< lastRead[unit]
-    std::set<VirtualSid> inconsistent;
-    /// Audit: data-plane timestamps of the advance to each id.
-    std::map<VirtualSid, sim::SimTime> advance_time;
+    /// Audit: the advances not yet read past, oldest first. Id i advanced
+    /// at the first entry whose `through` reaches it.
+    std::vector<Advance> advances;
+
+    /// Move ctrl_sid to `to`, which the data plane reached at time `at`.
+    void advance(VirtualSid to, sim::SimTime at);
+    /// Data-plane time of the advance past `sid` (last_read < sid <=
+    /// ctrl_sid).
+    [[nodiscard]] sim::SimTime advance_time(VirtualSid sid) const;
+    /// Drop the advances whose ids are all at or below `floor`.
+    void trim_advances(VirtualSid floor);
   };
 
   /// `slot_pos_` entry of a slot no unit is registered at.

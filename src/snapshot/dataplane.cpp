@@ -133,9 +133,9 @@ WireSid DataplaneUnit::on_packet(const PacketView& pkt, std::uint16_t channel,
       if (config_.hardware_faithful) {
         // One stateful update only: book into the *current* slot, whose
         // channel state therefore stays exact; contributions to the
-        // intermediate snapshots (v+1 .. old_sid-1) are unrecoverable and
-        // those ids were already marked inconsistent when the sid advanced
-        // past them.
+        // intermediate snapshots (v+1 .. old_sid-1) are unrecoverable, and
+        // the control plane reports every id the sid advanced past before
+        // its channel state was final inconsistent.
         return regs_.with_value_slot(
             std::move(t_sid), old_sid,
             [&](SlotValue& s) { s.channel_value += channel_add_(pkt); });

@@ -81,8 +81,7 @@ class FlowletBalancer final : public LoadBalancer {
   static_assert((kTableSize & (kTableSize - 1)) == 0,
                 "the flowlet table is indexed with a mask");
 
-  FlowletBalancer(std::uint64_t salt, sim::Duration gap, sim::Rng rng)
-      : ecmp_(salt), gap_(gap), rng_(rng) {}
+  FlowletBalancer(sim::Duration gap, sim::Rng rng) : gap_(gap), rng_(rng) {}
 
   net::PortId choose(const net::Packet& pkt,
                      std::span<const net::PortId> candidates,
@@ -170,7 +169,6 @@ class FlowletBalancer final : public LoadBalancer {
     claimed_ = kept;
   }
 
-  EcmpBalancer ecmp_;
   sim::Duration gap_;
   sim::Rng rng_;
   std::vector<Entry> slots_;
@@ -180,13 +178,14 @@ class FlowletBalancer final : public LoadBalancer {
 
 enum class LoadBalancerKind : std::uint8_t { Ecmp, Flowlet };
 
-/// Factory used by switch configuration.
+/// Factory used by switch configuration. `salt` seeds ECMP's flow hash;
+/// flowlet decisions draw from `rng` alone.
 [[nodiscard]] inline std::unique_ptr<LoadBalancer> make_load_balancer(
     LoadBalancerKind kind, std::uint64_t salt, sim::Duration flowlet_gap,
     sim::Rng rng) {
   if (kind == LoadBalancerKind::Flowlet) {
     // speedlight-lint: allow(datapath-alloc) configuration-time factory.
-    return std::make_unique<FlowletBalancer>(salt, flowlet_gap, rng);
+    return std::make_unique<FlowletBalancer>(flowlet_gap, rng);
   }
   // speedlight-lint: allow(datapath-alloc) configuration-time factory.
   return std::make_unique<EcmpBalancer>(salt);

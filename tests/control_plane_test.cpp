@@ -103,18 +103,19 @@ struct ReportCapture {
 };
 
 struct Fixture {
-  explicit Fixture(SnapshotConfig config,
-                   ControlPlane::Options extra = {}) {
+  explicit Fixture(SnapshotConfig config, ControlPlane::Options extra = {},
+                   std::uint16_t data_channels = 1) {
     timing.reinitiation_timeout = sim::msec(1);
     ControlPlane::Options options = extra;
     options.snapshot = config;
     cp = std::make_unique<ControlPlane>(sim, 7, "sw7", timing, options,
                                         sim::Rng(11));
-    // One unit: data channel 0, CPU channel 1.
+    // One unit: data channels 0 .. data_channels - 1, then the CPU channel.
     unit = std::make_unique<FakeUnit>(
-        sim, net::UnitId{7, 0, net::Direction::Ingress}, config, 2, 1);
+        sim, net::UnitId{7, 0, net::Direction::Ingress}, config,
+        data_channels + 1, data_channels);
     unit->notify = [this](const Notification& n) { cp->on_notification(n); };
-    cp->add_unit(unit.get(), {true, true});
+    cp->add_unit(unit.get(), std::vector<bool>(data_channels + 1, true));
     capture = std::make_unique<ReportCapture>(sim, *cp);
   }
 
@@ -196,6 +197,53 @@ TEST(ControlPlaneCs, SkippedIdsMarkedInconsistent) {
   ASSERT_NE(r3, nullptr);
   EXPECT_TRUE(r3->consistent);
   EXPECT_EQ(r3->local_value, 42u);
+}
+
+TEST(ControlPlaneCs, JumpPastEverySlotMarksEverySkippedId) {
+  // Figure 7 marks every id a unit advances past before its channel state
+  // is final, however far one notification moves it. The unit jumps from
+  // 1 to 7 while a packet sent before snapshot 1 is still in flight on its
+  // other channel, and that packet is booked into id 7. With 2^32 ids the
+  // verdicts must not depend on how many value slots the unit has.
+  for (const std::size_t slots : {4, 64}) {
+    SnapshotConfig config = cs_config();
+    config.value_slots = slots;
+    ControlPlane::Options opts;
+    opts.auto_reinitiate = false;
+    Fixture f(config, opts, /*data_channels=*/2);
+    f.unit->state = 5;
+    f.unit->packet(1, 0);  // Channel 0's neighbor reaches 1 ...
+    f.unit->packet(7, 0);  // ... then 7, in one jump.
+    f.unit->packet(0, 1);  // In flight on channel 1 since before snapshot 1.
+    f.unit->packet(7, 1);  // Channel 1 catches up: ids 1..7 are final.
+    f.sim.run_until(sim::msec(5));
+    for (VirtualSid i = 1; i <= 7; ++i) {
+      const UnitReport* r = f.report_for(i);
+      ASSERT_NE(r, nullptr) << "slots " << slots << ", id " << i;
+      EXPECT_EQ(r->consistent, i == 7) << "slots " << slots << ", id " << i;
+    }
+    EXPECT_EQ(f.report_for(7)->channel_value, 1u) << "slots " << slots;
+  }
+}
+
+TEST(ControlPlaneCs, AdvanceTimeIsTheNotificationThatPassedTheId) {
+  // The completion floor lags across two advances; each id's advance_time
+  // is the timestamp of the notification that advanced the unit past it.
+  ControlPlane::Options opts;
+  opts.auto_reinitiate = false;
+  Fixture f(cs_config(), opts);
+  f.sim.run_until(sim::usec(10));
+  f.unit->dp_.on_initiation(2, f.sim.now());  // 0 -> 2 at 10 us.
+  f.sim.run_until(sim::usec(30));
+  f.unit->dp_.on_initiation(5, f.sim.now());  // 2 -> 5 at 30 us.
+  f.sim.run_until(sim::usec(50));
+  f.unit->packet(5, 0);  // Last Seen catches up: ids 1..5 are final.
+  f.sim.run_until(sim::msec(5));
+  for (VirtualSid i = 1; i <= 5; ++i) {
+    const UnitReport* r = f.report_for(i);
+    ASSERT_NE(r, nullptr) << i;
+    EXPECT_EQ(r->advance_time, i <= 2 ? sim::usec(10) : sim::usec(30)) << i;
+  }
 }
 
 TEST(ControlPlaneNoCs, CompleteOnAdvance) {

@@ -1,4 +1,4 @@
-// Links (FIFO, serialization, propagation, loss) and hosts.
+// Packets, links (FIFO, serialization, propagation, loss) and hosts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -201,6 +201,20 @@ TEST(Host, IgnoresProbes) {
   host.receive(std::move(p), 0);
   EXPECT_EQ(callbacks, 0);
   EXPECT_EQ(host.packets_received(), 0u);
+}
+
+TEST(Packet, KindPredicates) {
+  Packet p;
+  EXPECT_TRUE(p.is_data());
+  EXPECT_TRUE(p.counts_for_metrics());
+  p.snap.present = true;
+  p.snap.kind = PacketKind::Initiation;
+  EXPECT_TRUE(p.is_initiation());
+  EXPECT_FALSE(p.is_data());
+  EXPECT_FALSE(p.counts_for_metrics());
+  p.snap.kind = PacketKind::Probe;
+  EXPECT_TRUE(p.is_probe());
+  EXPECT_FALSE(p.counts_for_metrics());
 }
 
 }  // namespace

@@ -235,7 +235,8 @@ TEST(SnapshotIntegration, HungDeviceExcludedAtTimeout) {
   // finish the snapshot without them.
   NetworkOptions opt = cs_options();
   opt.control.auto_reinitiate = false;
-  opt.force_probe_liveness = false;
+  opt.control.probe_on_initiate = false;
+  opt.control.probe_on_reinitiate = false;
   opt.observer.completion_timeout = sim::msec(30);
   Network net(net::make_line(2), opt);
   const snap::GlobalSnapshot* snap = net.take_snapshot(sim::msec(1), sim::msec(100));

@@ -143,7 +143,7 @@ TEST(LoadBalancer, EcmpSpreadsFlows) {
 }
 
 TEST(LoadBalancer, FlowletSticksWithinGap) {
-  sw::FlowletBalancer lb(42, sim::usec(100), sim::Rng(1));
+  sw::FlowletBalancer lb(sim::usec(100), sim::Rng(1));
   net::Packet p;
   p.flow = 9;
   const std::vector<net::PortId> candidates{0, 1, 2};
@@ -156,7 +156,7 @@ TEST(LoadBalancer, FlowletSticksWithinGap) {
 }
 
 TEST(LoadBalancer, FlowletRepicksAfterGap) {
-  sw::FlowletBalancer lb(42, sim::usec(100), sim::Rng(1));
+  sw::FlowletBalancer lb(sim::usec(100), sim::Rng(1));
   net::Packet p;
   p.flow = 9;
   const std::vector<net::PortId> candidates{0, 1};
@@ -206,7 +206,7 @@ class DenseFlowletTable {
 // Both tables fed the same packets; counts every decision that differs.
 struct FlowletTwins {
   explicit FlowletTwins(sim::Duration gap)
-      : live(42, gap, sim::Rng(5)), dense(gap, sim::Rng(5)) {}
+      : live(gap, sim::Rng(5)), dense(gap, sim::Rng(5)) {}
 
   void send(net::FlowId flow, std::span<const net::PortId> candidates,
             sim::SimTime now) {
