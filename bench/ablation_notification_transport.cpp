@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   std::cout << "\nSnapshot collection latency (fire -> observer complete):\n"
             << "  raw socket:    " << raw_lat << " ms\n"
             << "  digest stream: " << digest_lat << " ms\n";
+  report.metric("raw.completion_ms", raw_lat);
+  report.metric("digest.completion_ms", digest_lat);
 
   std::cout << "\nMax sustained snapshot rate (Hz):\n  ports   raw     digest\n";
   double raw_rate[2];
@@ -89,6 +91,13 @@ int main(int argc, char** argv) {
     digest_rate[i] = max_rate(snap::NotificationMode::Digest, ports[i]);
     std::cout << "  " << ports[i] << "\t" << raw_rate[i] << "\t"
               << digest_rate[i] << "\n";
+    // Append, not operator+: GCC 12's -Wrestrict false-positives on the
+    // `"lit" + std::string&&` chain at -O2.
+    std::string suffix = ".max_rate_hz_";
+    suffix += std::to_string(ports[i]);
+    suffix += "_ports";
+    report.metric("raw" + suffix, raw_rate[i]);
+    report.metric("digest" + suffix, digest_rate[i]);
   }
   std::cout << "\n";
 

@@ -21,14 +21,18 @@
 // (`fat_tree.k<k>.register_bytes`: flowlet tables plus Snapshot Value
 // arrays, both sized by what the run made live): deterministic counts that
 // CI gates exactly.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
@@ -105,34 +109,41 @@ double full_sim_sync_us(std::size_t routers, std::size_t snapshots,
 //   * snapshot spread (advance_span, the Figure 11 quantity),
 //   * a collection-time breakdown: capture phase (scheduled -> last unit
 //     advance) vs assembly tail (last advance -> observer completion),
-//   * memory accounting from the SoA/lazy-port core: RSS growth across
-//     construction, process peak RSS, and how many ports a workload-free
-//     snapshot round actually materializes,
+//   * memory accounting from the SoA/lazy-port core: anonymous RSS growth
+//     across construction (heap, not code pages), peak RSS, and how many
+//     ports a workload-free snapshot round actually materializes,
 //   * streaming-assembly accounting (DESIGN.md section 16.4): the observer
 //     folds unit reports into per-device digests as they arrive, so a
 //     round's assembly state is one entry per switch and the assembly tail
 //     stays flat as the fabric grows.
+// Trivially copyable: a forked child sends it to the parent as raw bytes.
 struct FatTreeRound {
-  double spread_us = 0;
-  double assemble_us = 0;
+  std::size_t switches = 0;
+  std::size_t hosts = 0;
+  std::size_t ports = 0;
   std::size_t completed = 0;
   std::size_t mat_before = 0;
-  std::size_t switches = 0;
-  std::size_t units = 0;                     ///< Snapshot units in the fabric.
-  std::size_t assembly_entries_per_round = 0;  ///< Observer digest entries.
+  std::size_t mat_after = 0;
+  std::size_t assembly_entries = 0;  ///< Observer digest entries, all rounds.
   /// Metrics registry size after the campaign.
   std::size_t registry_entries = 0;
-};
+  std::size_t register_bytes = 0;
+  std::uint64_t events = 0;
+  std::uint64_t construct_rss_kb = 0;
+  std::uint64_t peak_rss_kb = 0;
+  double spread_us = 0;
+  double capture_us = 0;
+  double assemble_us = 0;
 
-FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
-                            bench::JsonReport& report) {
-  const std::string prefix = "fat_tree.k" + std::to_string(k);
-  // Hand the heap earlier sizes freed back to the system first, so the
-  // build below is measured instead of served from their leftovers.
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
-  const std::uint64_t rss_before = obs::current_rss_kb();
+  [[nodiscard]] std::size_t units() const { return 2 * ports; }
+  [[nodiscard]] std::size_t assembly_entries_per_round() const {
+    return completed == 0 ? 0 : assembly_entries / completed;
+  }
+};
+static_assert(std::is_trivially_copyable_v<FatTreeRound>);
+
+FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots) {
+  const std::uint64_t rss_before = obs::current_anon_rss_kb();
 
   core::NetworkOptions opt;
   opt.seed = 818;
@@ -143,72 +154,113 @@ FatTreeRound fat_tree_round(std::size_t k, std::size_t snapshots,
   opt.observer.retain_unit_reports = false;
   core::Network net(net::make_fat_tree(k), opt);
 
-  const std::uint64_t rss_built = obs::current_rss_kb();
   FatTreeRound out;
+  out.construct_rss_kb = obs::current_anon_rss_kb() - rss_before;
   out.mat_before = net.materialized_ports();
 
   const auto campaign =
       core::run_snapshot_campaign(net, snapshots, sim::msec(2));
 
   stats::Summary spread, capture, assemble;
-  std::size_t assembly_entries = 0;
   for (const auto* snap : campaign.results(net)) {
     spread.add(sim::to_usec(snap->advance_span()));
     const sim::SimTime last_advance =
         std::max(snap->scheduled_at, snap->latest_advance());
     capture.add(sim::to_usec(last_advance - snap->scheduled_at));
     assemble.add(sim::to_usec(snap->completed_at - last_advance));
-    for (const auto& shard : snap->digests) assembly_entries += shard.size();
+    for (const auto& shard : snap->digests) {
+      out.assembly_entries += shard.size();
+    }
     ++out.completed;
   }
   out.spread_us = spread.mean();
+  out.capture_us = capture.mean();
   out.assemble_us = assemble.mean();
   out.switches = net.spec().switches.size();
-  if (out.completed > 0) {
-    out.assembly_entries_per_round = assembly_entries / out.completed;
-  }
-
-  std::size_t total_ports = 0;
-  for (const auto& sw : net.spec().switches) total_ports += sw.num_ports;
-  out.units = 2 * total_ports;
+  out.hosts = net.num_hosts();
+  for (const auto& sw : net.spec().switches) out.ports += sw.num_ports;
+  out.mat_after = net.materialized_ports();
+  out.events = net.simulator().stats().executed;
   out.registry_entries = net.metrics().size();
+  out.register_bytes = net.register_bytes();
+  out.peak_rss_kb = obs::peak_rss_kb();
+  return out;
+}
 
-  report.metric(prefix + ".switches",
-                static_cast<double>(net.spec().switches.size()));
-  report.metric(prefix + ".hosts", static_cast<double>(net.num_hosts()));
-  report.metric(prefix + ".ports", static_cast<double>(total_ports));
-  report.metric(prefix + ".completed", static_cast<double>(out.completed));
-  report.metric(prefix + ".spread_us", out.spread_us);
-  report.metric(prefix + ".capture_us", capture.mean());
-  report.metric(prefix + ".assemble_us", assemble.mean());
+/// Runs fat_tree_round in a forked child and reads its result back over a
+/// pipe, so each fabric is built on a heap nothing else has used: reused
+/// free memory would hide part of what construction costs. Forked before
+/// main() simulates anything, a child's construct_rss_kb equals that of
+/// the same fabric built alone in a fresh process.
+FatTreeRound fat_tree_round_in_child(std::size_t k, std::size_t snapshots) {
+  int fds[2];
+  if (pipe(fds) != 0) throw std::runtime_error("fig11: pipe() failed");
+  std::cout.flush();  // The child must not inherit unwritten output.
+  const pid_t pid = fork();
+  if (pid < 0) throw std::runtime_error("fig11: fork() failed");
+  if (pid == 0) {
+    // The child never returns into main().
+    close(fds[0]);
+    bool sent = false;
+    try {
+      const FatTreeRound r = fat_tree_round(k, snapshots);
+      sent = write(fds[1], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+    } catch (const std::exception& e) {
+      std::cerr << "fig11: k=" << k << ": " << e.what() << "\n";
+    }
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  // A pipe write of at most PIPE_BUF bytes arrives whole, so one read
+  // returns all of it or nothing.
+  static_assert(sizeof(FatTreeRound) <= PIPE_BUF);
+  FatTreeRound r;
+  const bool got = read(fds[0], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error("fig11: the k=" + std::to_string(k) +
+                             " child failed");
+  }
+  return r;
+}
+
+void report_fat_tree_round(std::size_t k, std::size_t snapshots,
+                           const FatTreeRound& r, bench::JsonReport& report) {
+  const std::string prefix = "fat_tree.k" + std::to_string(k);
+  report.metric(prefix + ".switches", static_cast<double>(r.switches));
+  report.metric(prefix + ".hosts", static_cast<double>(r.hosts));
+  report.metric(prefix + ".ports", static_cast<double>(r.ports));
+  report.metric(prefix + ".completed", static_cast<double>(r.completed));
+  report.metric(prefix + ".spread_us", r.spread_us);
+  report.metric(prefix + ".capture_us", r.capture_us);
+  report.metric(prefix + ".assemble_us", r.assemble_us);
   report.metric(prefix + ".construct_rss_kb",
-                static_cast<double>(rss_built - rss_before));
-  report.metric(prefix + ".peak_rss_kb",
-                static_cast<double>(obs::peak_rss_kb()));
+                static_cast<double>(r.construct_rss_kb));
+  report.metric(prefix + ".peak_rss_kb", static_cast<double>(r.peak_rss_kb));
   report.metric(prefix + ".materialized_ports_before",
-                static_cast<double>(out.mat_before));
+                static_cast<double>(r.mat_before));
   report.metric(prefix + ".materialized_ports_after",
-                static_cast<double>(net.materialized_ports()));
+                static_cast<double>(r.mat_after));
   // Streaming assembly: per-round observer state is one digest per device
   // (units fold in and are dropped), so entries == switches x rounds.
   report.metric(prefix + ".assembly_entries_per_round",
-                out.completed == 0
+                r.completed == 0
                     ? 0.0
-                    : static_cast<double>(assembly_entries) /
-                          static_cast<double>(out.completed));
-  report.metric(prefix + ".events",
-                static_cast<double>(net.simulator().stats().executed));
+                    : static_cast<double>(r.assembly_entries) /
+                          static_cast<double>(r.completed));
+  report.metric(prefix + ".events", static_cast<double>(r.events));
   report.metric(prefix + ".registry_entries",
-                static_cast<double>(out.registry_entries));
+                static_cast<double>(r.registry_entries));
   report.metric(prefix + ".register_bytes",
-                static_cast<double>(net.register_bytes()));
+                static_cast<double>(r.register_bytes));
 
-  std::cout << "  k=" << k << "\t" << net.spec().switches.size()
-            << " switches\t" << out.completed << "/" << snapshots
-            << " snapshots\tspread " << out.spread_us << " us\tcapture "
-            << capture.mean() / 1e3 << " ms\tassemble " << assemble.mean()
-            << " us\tRSS +" << (rss_built - rss_before) / 1024 << " MB\n";
-  return out;
+  std::cout << "  k=" << k << "\t" << r.switches << " switches\t"
+            << r.completed << "/" << snapshots << " snapshots\tspread "
+            << r.spread_us << " us\tcapture " << r.capture_us / 1e3
+            << " ms\tassemble " << r.assemble_us << " us\tRSS +"
+            << r.construct_rss_kb / 1024 << " MB\n";
 }
 
 int main(int argc, char** argv) {
@@ -225,6 +277,20 @@ int main(int argc, char** argv) {
     }
   }
   bench::JsonReport report("fig11_scalability");
+
+  // Past paper scale: whole fat-tree fabrics through the full simulator.
+  // k=4/8 always; k=16 (320 switches / 1,024 hosts) under --large or in a
+  // full run; k=32 (1,280 switches / 8,192 hosts) only in a full --large
+  // run — it is the documented upper bound, not a CI default. Each fabric
+  // runs in its own child, forked before this process has simulated
+  // anything, and is reported below.
+  std::vector<std::size_t> ks = {4, 8};
+  if (large || !bench::g_smoke) ks.push_back(16);
+  if (large && !bench::g_smoke) ks.push_back(32);
+  const std::size_t rounds = bench::scaled<std::size_t>(3, 2);
+  std::vector<FatTreeRound> ft;
+  for (const auto k : ks) ft.push_back(fat_tree_round_in_child(k, rounds));
+
   bench::banner(
       "Figure 11 — average synchronization vs number of routers",
       "64-port routers, no channel state: sync grows slowly with network "
@@ -265,18 +331,10 @@ int main(int argc, char** argv) {
   bench::check(simulated > 0.5 * model && simulated < 2.0 * model,
                "full-simulation sync agrees with the sampled model within 2x");
 
-  // Past paper scale: whole fat-tree fabrics through the full simulator.
-  // k=4/8 always; k=16 (320 switches / 1,024 hosts) under --large or in a
-  // full run; k=32 (1,280 switches / 8,192 hosts) only in a full --large
-  // run — it is the documented upper bound, not a CI default.
-  std::vector<std::size_t> ks = {4, 8};
-  if (large || !bench::g_smoke) ks.push_back(16);
-  if (large && !bench::g_smoke) ks.push_back(32);
-  const std::size_t rounds = bench::scaled<std::size_t>(3, 2);
-
   std::cout << "\nFull-fabric fat-tree sweep:\n";
-  std::vector<FatTreeRound> ft;
-  for (const auto k : ks) ft.push_back(fat_tree_round(k, rounds, report));
+  for (std::size_t i = 0; i < ft.size(); ++i) {
+    report_fat_tree_round(ks[i], rounds, ft[i], report);
+  }
   for (std::size_t i = 0; i < ft.size(); ++i) {
     bench::check(ft[i].completed == rounds,
                  "k=" + std::to_string(ks[i]) +
@@ -287,7 +345,7 @@ int main(int argc, char** argv) {
     bench::check(ft[i].spread_us > 0.0 && ft[i].spread_us < 500.0,
                  "k=" + std::to_string(ks[i]) +
                      ": full-fabric spread positive and under 500us");
-    bench::check(ft[i].assembly_entries_per_round == ft[i].switches,
+    bench::check(ft[i].assembly_entries_per_round() == ft[i].switches,
                  "k=" + std::to_string(ks[i]) +
                      ": assembly state is O(devices) per round (one digest "
                      "per switch, no retained unit reports)");
@@ -306,7 +364,7 @@ int main(int argc, char** argv) {
     const auto& lo = ft.front();
     const auto& hi = ft.back();
     const double unit_ratio =
-        static_cast<double>(hi.units) / static_cast<double>(lo.units);
+        static_cast<double>(hi.units()) / static_cast<double>(lo.units());
     const double assemble_ratio = hi.assemble_us / std::max(lo.assemble_us, 1.0);
     bench::check(assemble_ratio < unit_ratio / 2.0,
                  "assembly tail grows sublinearly in unit count (" +

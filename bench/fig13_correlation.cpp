@@ -14,6 +14,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -191,6 +192,17 @@ int main(int argc, char** argv) {
   std::cout << "Min same-leaf uplink-pair rho: snapshots "
             << snap_a.min_uplink_pair_rho << ", polling "
             << poll_a.min_uplink_pair_rho << "\n\n";
+
+  report.metric("pairs_total", static_cast<double>(pairs_total));
+  const auto emit = [&report](const std::string& side, const Analysis& a) {
+    report.metric(side + ".significant_pairs",
+                  static_cast<double>(a.significant_pairs));
+    report.metric(side + ".master_significant",
+                  static_cast<double>(a.master_significant));
+    report.metric(side + ".min_uplink_pair_rho", a.min_uplink_pair_rho);
+  };
+  emit("snapshot", snap_a);
+  emit("polling", poll_a);
 
   bench::check(snap_a.significant_pairs >
                    static_cast<std::size_t>(poll_a.significant_pairs * 1.2),

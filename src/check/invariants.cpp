@@ -14,13 +14,10 @@ std::string unit_str(const net::UnitId& u) {
   return os.str();
 }
 
+/// Packet and byte counts only ever count up, and channel state conserves
+/// them; gauges and EWMAs legitimately fall.
 bool flow_metric(sw::MetricKind m) {
   return m == sw::MetricKind::PacketCount || m == sw::MetricKind::ByteCount;
-}
-
-/// Metrics that only ever count up; gauges and EWMAs legitimately fall.
-bool counter_metric(sw::MetricKind m) {
-  return flow_metric(m) || m == sw::MetricKind::EcnMarkCount;
 }
 
 }  // namespace
@@ -55,7 +52,7 @@ std::vector<Violation> ConsistencyChecker::check_all(
     }
   }
 
-  const bool counts_up = counter_metric(net_.options().metric);
+  const bool counts_up = flow_metric(net_.options().metric);
   const snap::GlobalSnapshot* prev = nullptr;
   for (const auto* s : results) {
     check_structure(*s, out);

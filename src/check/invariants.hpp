@@ -9,8 +9,8 @@
 //                       plus channel state, modulo audited wire drops
 //                       (channel-state runs with a flow metric only);
 //   * monotonicity    — per-unit counter values never decrease across
-//                       consecutive snapshots (counter metrics: packets,
-//                       bytes, ECN marks);
+//                       consecutive snapshots (counter metrics: packets
+//                       and bytes);
 //   * advance order   — per-unit local snapshot instants never decrease in
 //                       id order (sid monotonicity, observed in time);
 //   * sync span       — local snapshot instants of one id stay within a

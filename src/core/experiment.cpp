@@ -107,35 +107,6 @@ bool extract_values(const poll::PollSweep& sweep,
   return true;
 }
 
-std::vector<UnitDelta> snapshot_deltas(const snap::GlobalSnapshot& from,
-                                       const snap::GlobalSnapshot& to) {
-  std::vector<UnitDelta> out;
-  const double window_sec =
-      sim::to_sec(to.scheduled_at - from.scheduled_at);
-  for (const auto& [unit, after] : to.reports) {
-    if (!after.consistent) continue;
-    const auto it = from.reports.find(unit);
-    if (it == from.reports.end() || !it->second.consistent) continue;
-    if (after.local_value < it->second.local_value) continue;  // Not monotone.
-    UnitDelta d;
-    d.unit = unit;
-    d.delta = after.local_value - it->second.local_value;
-    d.rate_per_sec =
-        window_sec > 0.0 ? static_cast<double>(d.delta) / window_sec : 0.0;
-    out.push_back(d);
-  }
-  std::sort(out.begin(), out.end(), [](const UnitDelta& a, const UnitDelta& b) {
-    return a.unit < b.unit;
-  });
-  return out;
-}
-
-namespace {
-const char* direction_name(net::Direction d) {
-  return d == net::Direction::Ingress ? "ingress" : "egress";
-}
-}  // namespace
-
 void write_snapshot_csv(std::ostream& os,
                         const std::vector<const snap::GlobalSnapshot*>& snaps) {
   os << "snapshot_id,scheduled_ms,switch,port,direction,consistent,inferred,"
@@ -149,26 +120,13 @@ void write_snapshot_csv(std::ostream& os,
     for (const auto& unit : units) {
       const auto& r = s->reports.at(unit);
       os << s->id << ',' << sim::to_msec(s->scheduled_at) << ',' << unit.node
-         << ',' << unit.port << ',' << direction_name(unit.direction) << ','
+         << ',' << unit.port << ','
+         << (unit.direction == net::Direction::Ingress ? "ingress" : "egress")
+         << ','
          << (r.consistent ? 1 : 0) << ',' << (r.inferred ? 1 : 0) << ','
          << r.local_value << ',' << r.channel_value << ','
          << sim::to_usec(r.advance_time) << "\n";
     }
-  }
-}
-
-void write_polling_csv(std::ostream& os,
-                       const std::vector<poll::PollSweep>& sweeps) {
-  os << "sweep,read_ms,switch,port,direction,value\n";
-  std::size_t sweep_index = 0;
-  for (const auto& sweep : sweeps) {
-    for (const auto& sample : sweep.samples) {
-      os << sweep_index << ',' << sim::to_msec(sample.time) << ','
-         << sample.unit.node << ',' << sample.unit.port << ','
-         << direction_name(sample.unit.direction) << ',' << sample.value
-         << "\n";
-    }
-    ++sweep_index;
   }
 }
 

@@ -3,7 +3,6 @@
 // per-unit time series.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -67,27 +66,10 @@ bool extract_values(const poll::PollSweep& sweep,
                     const std::vector<net::UnitId>& units,
                     std::vector<double>& out);
 
-/// Per-unit deltas between two *consistent* snapshots of a monotone
-/// counter metric: because both cuts are causally consistent, the delta is
-/// the exact number of events each unit processed in the window — the
-/// consistent utilization/rate measurement polling cannot provide.
-/// Units missing or inconsistent in either snapshot are omitted.
-struct UnitDelta {
-  net::UnitId unit;
-  std::uint64_t delta = 0;       ///< Counter growth across the window.
-  double rate_per_sec = 0.0;     ///< delta / window.
-};
-[[nodiscard]] std::vector<UnitDelta> snapshot_deltas(
-    const snap::GlobalSnapshot& from, const snap::GlobalSnapshot& to);
-
 /// CSV export for offline analysis: one row per (snapshot, unit) with
 /// header `snapshot_id,scheduled_ms,switch,port,direction,consistent,
 /// inferred,value,channel_value,advance_us`.
 void write_snapshot_csv(std::ostream& os,
                         const std::vector<const snap::GlobalSnapshot*>& snaps);
-
-/// One row per (sweep, sample): `sweep,read_ms,switch,port,direction,value`.
-void write_polling_csv(std::ostream& os,
-                       const std::vector<poll::PollSweep>& sweeps);
 
 }  // namespace speedlight::core

@@ -67,11 +67,9 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
         " is not 0 or a power of two >= 2");
   }
 
-  // Struct-of-arrays topology core: the CSR index and the shared interned
-  // route base are built once and consumed by the per-switch routing
-  // tables and any diagnostic that walks the topology.
-  index_ = net::build_topology_index(spec_);
-  routes_ = net::compute_compact_routes(spec_, index_);
+  // The shared interned route base is built once, from the CSR topology
+  // index, and every switch's routing table points into it.
+  routes_ = net::compute_compact_routes(spec_);
 
   // The RNG fork chain ("network", then "switch<i>", "link<i>", "ptp",
   // "poller" in construction order) is digest-load-bearing.
@@ -96,7 +94,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     so.queue_capacity = options_.queue_capacity;
     so.fabric_delay = options_.fabric_delay;
     so.notification_mode = options_.notification_mode;
-    so.ecn_threshold = options_.ecn_threshold;
     so.control = options_.control;
     so.wire = options_.wire;
     so.wire_stats = &wire_stats_;

@@ -65,9 +65,6 @@ struct NetworkOptions {
   /// (frame bytes, fallback and drop counters) register on every network.
   snap::WireOptions wire;
 
-  /// ECN marking threshold in packets (0 = off), applied on all switches.
-  std::size_t ecn_threshold = 0;
-
   snap::Observer::Options observer;
   /// Every control plane's options. With `proactive_register_poll` set,
   /// each snapshot-enabled control plane starts its register-poll loop as
@@ -115,14 +112,6 @@ class Network {
     return hosts_.at(i).id();
   }
   [[nodiscard]] const net::TopologySpec& spec() const { return spec_; }
-  /// The struct-of-arrays topology view and the shared interned route base
-  /// every switch's RoutingTable points into (src/net/soa.hpp).
-  [[nodiscard]] const net::TopologyIndex& topology_index() const {
-    return index_;
-  }
-  [[nodiscard]] const net::CompactRoutes& compact_routes() const {
-    return routes_;
-  }
 
   /// Ports across the fabric whose snapshot state machines or queue rings
   /// have materialized — the scale tests assert this stays O(ports
@@ -160,22 +149,17 @@ class Network {
   // --- Measurement services ----------------------------------------------------
   [[nodiscard]] snap::Observer& observer() { return *observer_; }
   [[nodiscard]] poll::PollingObserver& poller() { return *poller_; }
-  [[nodiscard]] snap::PtpService& ptp() { return *ptp_; }
   [[nodiscard]] const NetworkOptions& options() const { return options_; }
 
   /// Fabric-wide wire accounting.
   [[nodiscard]] snap::WireStats wire_stats_total() const { return wire_stats_; }
 
-  /// Mutable view of the live timing model. Every component holds a
-  /// reference into it, so mutation takes effect immediately — the
-  /// fault-injection hook behind notification drop bursts and CPU
-  /// service-time spikes in src/check. Parameters sampled once at
-  /// construction (clock drift rates, buffer capacities) are unaffected.
-  [[nodiscard]] sim::TimingModel& mutable_timing() { return timing_; }
-
   /// Apply `fn` to the timing model at simulated time `when` (>= now). The
   /// mutation is one event under its own fresh merge key, so its order
   /// among other events at `when` is fixed by construction order.
+  /// Components hold references into the live model, so it takes effect at
+  /// once; values sampled at construction (clock drift rates, buffer
+  /// capacities) do not change.
   void mutate_timing_at(sim::SimTime when,
                         std::function<void(sim::TimingModel&)> fn);
 
@@ -216,10 +200,9 @@ class Network {
 
   NetworkOptions options_;
   net::TopologySpec spec_;
-  /// Struct-of-arrays topology core. Declared before the device arenas:
-  /// every switch's RoutingTable points into routes_, so the route base
-  /// must outlive the switches (members destroy in reverse order).
-  net::TopologyIndex index_;
+  /// The shared interned route base (src/net/soa.hpp). Declared before the
+  /// device arenas: every switch's RoutingTable points into it, so it must
+  /// outlive the switches (members destroy in reverse order).
   net::CompactRoutes routes_;
   /// Declared before everything that holds a reference to them.
   sim::Simulator sim_;

@@ -42,11 +42,6 @@ struct Packet {
 
   SnapshotHeader snap;
 
-  /// ECN congestion-experienced bit: set by a switch whose egress queue
-  /// exceeded its marking threshold (Section 2 cites ECN among the
-  /// path-level signals Speedlight complements).
-  bool ecn_ce = false;
-
   /// Switch-internal metadata: ingress port the packet entered through
   /// (becomes the Channel ID for the egress unit).
   PortId meta_ingress_port = kInvalidPort;

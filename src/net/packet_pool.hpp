@@ -37,8 +37,6 @@ class PacketPool {
   [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
   /// Freelist hits over the pool's lifetime.
   [[nodiscard]] std::uint64_t recycled() const { return recycled_; }
-  /// Packets currently parked in the freelist.
-  [[nodiscard]] std::size_t free_count() const { return free_.size(); }
 
  private:
   std::vector<std::unique_ptr<Packet>> free_;

@@ -32,6 +32,13 @@ inline std::uint64_t proc_status_kb(const char* key) {
   return detail::proc_status_kb("VmRSS:");
 }
 
+/// Resident anonymous memory (heap and anonymous mappings) in KiB (0 when
+/// unavailable). Unlike current_rss_kb() it leaves out code pages, which a
+/// forked child faults back in as it runs.
+[[nodiscard]] inline std::uint64_t current_anon_rss_kb() {
+  return detail::proc_status_kb("RssAnon:");
+}
+
 /// Peak resident set size (high-water mark) in KiB (0 when unavailable).
 [[nodiscard]] inline std::uint64_t peak_rss_kb() {
   return detail::proc_status_kb("VmHWM:");

@@ -102,12 +102,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 Rng Rng::fork(std::uint64_t salt) noexcept {
   std::uint64_t x = (*this)() ^ (salt * 0x9E3779B97f4A7C15ULL);
   return Rng(splitmix64(x));

@@ -37,8 +37,6 @@ class Rng {
   double lognormal(double mu, double sigma) noexcept;
   /// Exponential with the given mean (mean = 1/lambda).
   double exponential(double mean) noexcept;
-  /// Pareto with scale xm and shape alpha (heavy tail for flow sizes).
-  double pareto(double xm, double alpha) noexcept;
 
   /// Derive an independent child stream; `salt` distinguishes siblings.
   Rng fork(std::uint64_t salt) noexcept;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace speedlight::snap {
@@ -21,8 +22,12 @@ ControlPlane::ControlPlane(sim::Simulator& sim, net::NodeId device,
       track_(obs::cpu_track(device)) {}
 
 void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask) {
-  assert(unit != nullptr);
-  assert(completion_mask.size() == unit->num_channels());
+  if (unit == nullptr) {
+    throw std::invalid_argument(name_ + ": add_unit(nullptr)");
+  }
+  if (completion_mask.size() != unit->num_channels()) {
+    throw std::invalid_argument(name_ + ": wrong completion mask length");
+  }
   // The CPU pseudo-channel never gates completion (Section 6).
   completion_mask[unit->cpu_channel()] = false;
 

@@ -63,7 +63,9 @@ class ControlPlane {
   /// Register a data-plane unit. `completion_mask[ch]` marks the channels
   /// whose Last Seen gates completion; the CPU channel and host-facing
   /// channels are masked out (Section 6: "operators can configure the
-  /// removal of non-utilized upstream neighbors").
+  /// removal of non-utilized upstream neighbors"). A null `unit`, or a mask
+  /// whose length is not the unit's channel count, throws
+  /// std::invalid_argument.
   void add_unit(UnitHandle* unit, std::vector<bool> completion_mask);
 
   /// Receiver of encoded report frames (the observer side of the report

@@ -46,7 +46,7 @@ class NotificationTransport {
   /// controller's view past wire sids it has yet to service, and those
   /// can only unroll as huge forward jumps (the wire space has no
   /// "behind").
-  [[nodiscard]] virtual std::size_t in_flight() const { return backlog(); }
+  [[nodiscard]] virtual std::size_t in_flight() const = 0;
   virtual std::size_t max_backlog() const = 0;
 
  protected:

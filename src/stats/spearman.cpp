@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <numeric>
 
 namespace speedlight::stats {
@@ -130,53 +129,6 @@ std::optional<Correlation> spearman(const std::vector<double>& xs,
     p = t_two_sided_p(t, df);
   }
   return Correlation{r, p};
-}
-
-std::optional<Correlation> kendall(const std::vector<double>& xs,
-                                   const std::vector<double>& ys) {
-  const std::size_t n = xs.size();
-  if (ys.size() != n || n < 4) return std::nullopt;
-
-  // O(n^2) concordance count with tie bookkeeping; fine for the series
-  // lengths the snapshot analyses use (hundreds of samples).
-  std::int64_t concordant = 0;
-  std::int64_t discordant = 0;
-  std::int64_t ties_x = 0;   // Pairs tied in x only.
-  std::int64_t ties_y = 0;   // Pairs tied in y only.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = xs[i] - xs[j];
-      const double dy = ys[i] - ys[j];
-      if (dx == 0.0 && dy == 0.0) continue;  // Tied in both: excluded.
-      if (dx == 0.0) {
-        ++ties_x;
-      } else if (dy == 0.0) {
-        ++ties_y;
-      } else if ((dx > 0.0) == (dy > 0.0)) {
-        ++concordant;
-      } else {
-        ++discordant;
-      }
-    }
-  }
-  const double n0 = static_cast<double>(n) * (n - 1) / 2.0;
-  // tau-b denominator: sqrt((n0 - Tx)(n0 - Ty)) where Tx/Ty count pairs
-  // tied in that variable (including both-tied pairs).
-  const auto both_tied =
-      static_cast<std::int64_t>(n0) - concordant - discordant - ties_x - ties_y;
-  const double tx = static_cast<double>(ties_x + both_tied);
-  const double ty = static_cast<double>(ties_y + both_tied);
-  const double denom = std::sqrt((n0 - tx) * (n0 - ty));
-  if (denom <= 0.0) return std::nullopt;  // Constant input.
-  const double tau =
-      std::clamp(static_cast<double>(concordant - discordant) / denom, -1.0, 1.0);
-
-  // Normal approximation for the null distribution of (C - D).
-  const auto dn = static_cast<double>(n);
-  const double sigma = std::sqrt(dn * (dn - 1.0) * (2.0 * dn + 5.0) / 18.0);
-  const double z = static_cast<double>(concordant - discordant) / sigma;
-  const double p = std::erfc(std::fabs(z) / std::sqrt(2.0));
-  return Correlation{tau, p};
 }
 
 }  // namespace speedlight::stats

@@ -27,10 +27,4 @@ struct Correlation {
 [[nodiscard]] std::optional<Correlation> spearman(
     const std::vector<double>& xs, const std::vector<double>& ys);
 
-/// Kendall's tau-b (tie-corrected) with a normal-approximation two-sided
-/// p-value — the other rank test the paper's reference [12] covers.
-/// Returns nullopt when undefined (constant input or fewer than 4 samples).
-[[nodiscard]] std::optional<Correlation> kendall(
-    const std::vector<double>& xs, const std::vector<double>& ys);
-
 }  // namespace speedlight::stats

@@ -23,55 +23,12 @@ double Summary::variance() const noexcept {
   return n_ >= 1 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double Summary::sample_variance() const noexcept {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double Summary::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Summary::sample_stddev() const noexcept {
-  return std::sqrt(sample_variance());
-}
-
-void Summary::merge(const Summary& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double stddev_of(const std::vector<double>& xs) noexcept {
   Summary s;
   for (double x : xs) s.add(x);
   return s.stddev();
-}
-
-double mean_of(const std::vector<double>& xs) noexcept {
-  Summary s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace speedlight::stats

@@ -1,4 +1,4 @@
-// Streaming summary statistics (Welford) plus batch percentile helpers.
+// Streaming summary statistics (Welford) plus a batch standard deviation.
 #pragma once
 
 #include <cstddef>
@@ -15,16 +15,10 @@ class Summary {
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
   /// Population variance (divide by n). Returns 0 for n < 1.
   [[nodiscard]] double variance() const noexcept;
-  /// Sample variance (divide by n-1). Returns 0 for n < 2.
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double sample_stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
-
-  /// Merge another summary into this one (parallel Welford).
-  void merge(const Summary& other) noexcept;
 
  private:
   std::size_t n_ = 0;
@@ -37,12 +31,5 @@ class Summary {
 
 /// Population standard deviation of a batch of samples.
 [[nodiscard]] double stddev_of(const std::vector<double>& xs) noexcept;
-
-/// Mean of a batch.
-[[nodiscard]] double mean_of(const std::vector<double>& xs) noexcept;
-
-/// q-th quantile (0 <= q <= 1) by linear interpolation. The input need not
-/// be sorted; a sorted copy is made. Returns 0 on empty input.
-[[nodiscard]] double quantile(std::vector<double> xs, double q);
 
 }  // namespace speedlight::stats

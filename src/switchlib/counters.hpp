@@ -41,8 +41,6 @@ class CounterSet {
       }
       case MetricKind::ForwardingVersion:
         return fib_version_;
-      case MetricKind::EcnMarkCount:
-        return ecn_marks_;
     }
     return 0;
   }
@@ -56,10 +54,6 @@ class CounterSet {
   /// Section 10: the FIB rule version applied to the last packet.
   void stamp_fib_version(std::uint64_t v) { fib_version_ = v; }
 
-  /// An ECN congestion-experienced mark was applied at this unit.
-  void count_ecn_mark() { ++ecn_marks_; }
-  [[nodiscard]] std::uint64_t ecn_marks() const { return ecn_marks_; }
-
   [[nodiscard]] std::uint64_t packets() const { return packets_; }
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
   [[nodiscard]] double ewma_interarrival_ns() const { return ewma_.value(); }
@@ -68,7 +62,6 @@ class CounterSet {
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t fib_version_ = 0;
-  std::uint64_t ecn_marks_ = 0;
   stats::TwoPhaseInterarrivalEwma ewma_;
   mutable sim::InplaceFunction<std::uint64_t()> queue_depth_;
 };

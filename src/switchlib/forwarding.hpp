@@ -4,9 +4,9 @@
 // Production-scale storage: the fabric-wide shortest-path sets live in one
 // shared, interned net::CompactRoutes (a few MB for a k=32 fat-tree); each
 // switch's table is a pointer into it plus a small per-destination override
-// map for runtime FIB edits (set_route/remove_route keep their per-entity
-// semantics, including version bumps). Small hand-built configurations that
-// never install a compact base behave exactly as the old per-entity table.
+// map for runtime FIB edits (set_route bumps the version). Small hand-built
+// configurations that never install a compact base route from the overrides
+// alone.
 #pragma once
 
 #include <cstdint>
@@ -36,28 +36,15 @@ class RoutingTable {
   /// Install (or replace) the candidate out-port set for a destination
   /// host. Bumps the table version.
   void set_route(net::NodeId dst_host, std::vector<net::PortId> ports) {
-    overrides_[dst_host] = {std::move(ports), /*present=*/true};
+    overrides_[dst_host] = std::move(ports);
     ++version_;
-  }
-
-  void remove_route(net::NodeId dst_host) {
-    const bool had_route = [&] {
-      const auto it = overrides_.find(dst_host);
-      if (it != overrides_.end()) return it->second.present;
-      return !base_lookup(dst_host).empty();
-    }();
-    overrides_[dst_host] = {{}, /*present=*/false};
-    if (had_route) ++version_;
   }
 
   /// Candidate ports for a destination; empty if unroutable.
   [[nodiscard]] std::span<const net::PortId> lookup(net::NodeId dst) const {
     if (!overrides_.empty()) {
       const auto it = overrides_.find(dst);
-      if (it != overrides_.end()) {
-        return it->second.present ? std::span<const net::PortId>(it->second.ports)
-                                  : std::span<const net::PortId>{};
-      }
+      if (it != overrides_.end()) return it->second;
     }
     return base_lookup(dst);
   }
@@ -67,25 +54,7 @@ class RoutingTable {
   /// version into the processing unit's state.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Destinations with a (possibly overridden) non-empty candidate set.
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n =
-        base_ == nullptr ? 0 : base_->routable_destinations(self_switch_);
-    for (const auto& [dst, ov] : overrides_) {
-      const bool base_routable = !base_lookup(dst).empty();
-      const bool now_routable = ov.present && !ov.ports.empty();
-      if (now_routable && !base_routable) ++n;
-      if (!now_routable && base_routable) --n;
-    }
-    return n;
-  }
-
  private:
-  struct Override {
-    std::vector<net::PortId> ports;
-    bool present = false;  ///< false: tombstone from remove_route().
-  };
-
   [[nodiscard]] std::span<const net::PortId> base_lookup(net::NodeId dst) const {
     if (base_ == nullptr || dst < first_host_id_) return {};
     const std::size_t host = dst - first_host_id_;
@@ -96,7 +65,7 @@ class RoutingTable {
   const net::CompactRoutes* base_ = nullptr;
   std::size_t self_switch_ = 0;
   net::NodeId first_host_id_ = 0;
-  std::unordered_map<net::NodeId, Override> overrides_;
+  std::unordered_map<net::NodeId, std::vector<net::PortId>> overrides_;
   std::uint64_t version_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace speedlight::sw {
 
@@ -16,14 +15,7 @@ enum class MetricKind : std::uint8_t {
   EwmaInterarrival,  ///< Section 8's two-phase EWMA of interarrival time.
   EwmaPacketRate,    ///< Derived packets-per-second rate (Section 8.4).
   ForwardingVersion, ///< FIB version tag last applied (Section 10).
-  EcnMarkCount,      ///< Packets ECN-marked at this egress.
 };
-
-/// Whether channel (in-flight) state is meaningful for a metric: flow
-/// quantities accumulate in-flight contributions; gauges do not.
-[[nodiscard]] constexpr bool metric_has_channel_state(MetricKind m) {
-  return m == MetricKind::PacketCount || m == MetricKind::ByteCount;
-}
 
 /// Contribution of one in-flight packet to a channel-state accumulator.
 [[nodiscard]] constexpr std::uint64_t metric_channel_add(MetricKind m,
@@ -36,26 +28,6 @@ enum class MetricKind : std::uint8_t {
     default:
       return 0;
   }
-}
-
-[[nodiscard]] constexpr std::string_view metric_name(MetricKind m) {
-  switch (m) {
-    case MetricKind::PacketCount:
-      return "packet_count";
-    case MetricKind::ByteCount:
-      return "byte_count";
-    case MetricKind::QueueDepth:
-      return "queue_depth";
-    case MetricKind::EwmaInterarrival:
-      return "ewma_interarrival_ns";
-    case MetricKind::EwmaPacketRate:
-      return "ewma_packet_rate";
-    case MetricKind::ForwardingVersion:
-      return "forwarding_version";
-    case MetricKind::EcnMarkCount:
-      return "ecn_mark_count";
-  }
-  return "unknown";
 }
 
 }  // namespace speedlight::sw

@@ -167,7 +167,10 @@ Switch::Switch(sim::Simulator& sim, net::NodeId id, std::string name,
 Switch::~Switch() = default;
 
 void Switch::attach_link(net::PortId port, net::Link* link, bool to_host) {
-  assert(!finalized_ && "attach_link must precede finalize()");
+  // finalize() derives each unit's completion mask from the attached links.
+  if (finalized_) {
+    throw std::logic_error(name() + ": attach_link after finalize()");
+  }
   Port& p = ports_.at(port);
   p.link = link;
   p.to_host = to_host;
@@ -175,7 +178,9 @@ void Switch::attach_link(net::PortId port, net::Link* link, bool to_host) {
 }
 
 void Switch::set_ingress_neighbor_enabled(net::PortId port, bool enabled) {
-  assert(!finalized_);
+  if (finalized_) {
+    throw std::logic_error(name() + ": neighbor override after finalize()");
+  }
   ports_.at(port).ingress_neighbor_enabled = enabled;
 }
 
@@ -184,7 +189,8 @@ void Switch::set_route(net::NodeId dst_host, std::vector<net::PortId> ports) {
 }
 
 void Switch::finalize() {
-  assert(!finalized_);
+  // A second call would replace a control plane an observer may hold.
+  if (finalized_) throw std::logic_error(name() + ": finalize() called twice");
   finalized_ = true;
 
   snap::ControlPlane::Options cp_options = options_.control;
@@ -393,12 +399,6 @@ void Switch::process_egress(net::PortId out, net::Packet& pkt,
     pkt.audit_virtual_sid = dp.virtual_sid();
   }
   port.egress.counters().on_packet(pkt, now);
-
-  if (options_.ecn_threshold > 0 && pkt.is_data() &&
-      port.queue.size() >= options_.ecn_threshold && !pkt.ecn_ce) {
-    pkt.ecn_ce = true;
-    port.egress.counters().count_ecn_mark();
-  }
 }
 
 void Switch::transmit(net::PortId out, net::PooledPacket pkt,

@@ -100,10 +100,6 @@ struct SwitchOptions {
   snap::WireOptions wire;
   snap::WireStats* wire_stats = nullptr;
 
-  /// ECN: mark data packets (congestion experienced) when their egress
-  /// queue exceeds this many packets at dequeue time. 0 disables.
-  std::size_t ecn_threshold = 0;
-
   snap::ControlPlane::Options control;
 };
 
@@ -113,7 +109,7 @@ class Switch final : public net::Node {
          const sim::TimingModel& timing, SwitchOptions options, sim::Rng rng);
   ~Switch() override;
 
-  // --- Wiring (all before finalize()) --------------------------------------
+  // --- Wiring (all before finalize(); after it they throw std::logic_error) --
   /// Attach the outgoing link of `port`. `to_host` marks host-facing ports:
   /// snapshot headers are stripped on egress and the ingress external
   /// channel is excluded from completion (hosts never carry markers).
@@ -125,8 +121,9 @@ class Switch final : public net::Node {
 
   void set_route(net::NodeId dst_host, std::vector<net::PortId> ports);
 
-  /// Build processing units and the control plane. Must be called exactly
-  /// once, after attach_link()/set_ingress_neighbor_enabled().
+  /// Build processing units and the control plane, after
+  /// attach_link()/set_ingress_neighbor_enabled(). A second call throws
+  /// std::logic_error.
   void finalize();
 
   // --- Data path ------------------------------------------------------------

@@ -1,6 +1,5 @@
-// Elementary traffic generators: constant bit-rate, Poisson, and bursty
-// on/off. Used directly in tests and composed by the application-level
-// generators.
+// Elementary traffic generators: constant bit-rate and Poisson. Used
+// directly in tests and composed by the application-level generators.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +8,6 @@
 #include "net/host.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "workload/flow.hpp"
 
 namespace speedlight::wl {
 
@@ -89,51 +87,6 @@ class PoissonGenerator final : public Generator {
   std::vector<net::NodeId> dsts_;
   double mean_gap_ns_;
   std::uint32_t packet_size_;
-  sim::Rng rng_;
-  net::FlowId next_flow_ = 1;
-};
-
-/// Alternating bursts (one flow at a high rate) and silences.
-class OnOffGenerator final : public Generator {
- public:
-  struct Options {
-    double burst_rate_bps = 10e9;
-    std::uint64_t burst_bytes_mean = 512 * 1024;
-    sim::Duration idle_mean = sim::msec(1.0);
-    std::uint32_t packet_size = 1500;
-  };
-
-  OnOffGenerator(sim::Simulator& sim, net::Host& src, net::NodeId dst,
-                 Options options, sim::Rng rng)
-      : sim_(sim), src_(src), dst_(dst), options_(options), rng_(rng) {}
-
-  void start(sim::SimTime at) override {
-    mark_running();
-    sim_.at(at, [this]() { burst(); });
-  }
-
- private:
-  void burst() {
-    if (!running()) return;
-    FlowSpec spec;
-    spec.dst = dst_;
-    spec.flow = next_flow_++;
-    spec.bytes = 1 + static_cast<std::uint64_t>(
-                         rng_.exponential(static_cast<double>(
-                             options_.burst_bytes_mean)));
-    spec.rate_bps = options_.burst_rate_bps;
-    spec.packet_size = options_.packet_size;
-    launch_flow(sim_, src_, spec, sim_.now(), [this]() {
-      sim_.after(static_cast<sim::Duration>(rng_.exponential(
-                     static_cast<double>(options_.idle_mean))),
-                 [this]() { burst(); });
-    });
-  }
-
-  sim::Simulator& sim_;
-  net::Host& src_;
-  net::NodeId dst_;
-  Options options_;
   sim::Rng rng_;
   net::FlowId next_flow_ = 1;
 };

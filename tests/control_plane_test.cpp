@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -144,6 +145,27 @@ SnapshotConfig nocs_config() {
   SnapshotConfig c;
   c.value_slots = 64;
   return c;
+}
+
+TEST(ControlPlane, AddUnitRejectsNullHandleAndWrongMaskLength) {
+  // add_unit writes the CPU channel's mask bit and sizes per-channel state
+  // from the handle, so a bad argument must not get that far.
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  ControlPlane::Options options;
+  options.snapshot = cs_config();
+  ControlPlane cp(sim, 7, "sw7", timing, options, sim::Rng(11));
+  FakeUnit unit(sim, net::UnitId{7, 0, net::Direction::Ingress}, cs_config(),
+                /*channels=*/3, /*cpu=*/2);
+  EXPECT_THROW(cp.add_unit(nullptr, std::vector<bool>(3, true)),
+               std::invalid_argument);
+  EXPECT_THROW(cp.add_unit(&unit, std::vector<bool>(2, true)),
+               std::invalid_argument);
+  EXPECT_THROW(cp.add_unit(&unit, std::vector<bool>(4, true)),
+               std::invalid_argument);
+  EXPECT_TRUE(cp.unit_ids().empty());
+  cp.add_unit(&unit, std::vector<bool>(3, true));
+  EXPECT_EQ(cp.unit_ids().size(), 1u);
 }
 
 TEST(ControlPlaneCs, CompletesWhenLastSeenCatchesUp) {

@@ -120,27 +120,6 @@ TEST(Campaign, ExtractValuesFromSnapshots) {
       *snap, {{3, 0, net::Direction::Ingress}}, out));
 }
 
-TEST(Campaign, SnapshotDeltasGiveExactWindowCounts) {
-  Network net(net::make_star(2), NetworkOptions{});
-  const auto* first = net.take_snapshot();
-  ASSERT_NE(first, nullptr);
-  const auto first_id = first->id;
-  // Exactly 11 packets between the two snapshots.
-  for (int i = 0; i < 11; ++i) net.host(0).send(net.host_id(1), 1, 100);
-  net.run_for(sim::msec(1));
-  const auto* second = net.take_snapshot();
-  ASSERT_NE(second, nullptr);
-  const auto deltas = core::snapshot_deltas(
-      *net.observer().result(first_id), *second);
-  ASSERT_EQ(deltas.size(), 4u);
-  std::uint64_t total = 0;
-  for (const auto& d : deltas) {
-    total += d.delta;
-    EXPECT_GE(d.rate_per_sec, 0.0);
-  }
-  EXPECT_EQ(total, 22u);  // 11 at ingress 0 + 11 at egress 1.
-}
-
 TEST(Campaign, SnapshotCsvExport) {
   Network net(net::make_star(2), NetworkOptions{});
   for (int i = 0; i < 3; ++i) net.host(0).send(net.host_id(1), 1, 100);
@@ -156,17 +135,6 @@ TEST(Campaign, SnapshotCsvExport) {
   EXPECT_NE(csv.find("egress"), std::string::npos);
   // The 3 packets show up in the ingress value column of some row.
   EXPECT_NE(csv.find(",1,0,3,"), std::string::npos);
-}
-
-TEST(Campaign, PollingCsvExport) {
-  Network net(net::make_star(2), NetworkOptions{});
-  net.register_all_units_for_polling();
-  const auto sweeps = core::run_polling_campaign(net, 2, sim::msec(2));
-  std::ostringstream os;
-  core::write_polling_csv(os, sweeps);
-  const std::string csv = os.str();
-  EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 9);
-  EXPECT_NE(csv.find("sweep,read_ms"), std::string::npos);
 }
 
 TEST(Campaign, PollingCampaignProducesSweeps) {

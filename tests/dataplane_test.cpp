@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "snapshot/dataplane.hpp"
-#include "snapshot/ideal.hpp"
 
 namespace speedlight::snap {
 namespace {
@@ -325,37 +324,6 @@ TEST(Dataplane, IdealOracleSeesEverySlot) {
     EXPECT_EQ(h.unit.read_slot(i).wire_sid, i) << i;
     EXPECT_EQ(h.unit.read_slot(i).local_value, 3u) << i;
   }
-}
-
-TEST(IdealUnit, Figure3Semantics) {
-  std::uint64_t state = 0;
-  IdealUnit u(2, /*channel_state=*/true, [&]() { return state; });
-  state = 5;
-  EXPECT_EQ(u.on_receive(1, 0, 1), 1u);
-  EXPECT_EQ(u.snaps().at(1).local_value, 5u);
-  state = 9;
-  EXPECT_EQ(u.on_receive(0, 1, 1), 1u);  // In-flight from channel 1.
-  EXPECT_EQ(u.snaps().at(1).channel_value, 1u);
-  // Complete through min(lastSeen) = 0 until channel 1 catches up.
-  EXPECT_EQ(u.complete_through(), 0u);
-  u.on_receive(1, 1, 1);
-  EXPECT_EQ(u.complete_through(), 1u);
-}
-
-TEST(IdealUnit, JumpFillsAllSnapshots) {
-  std::uint64_t state = 77;
-  IdealUnit u(1, true, [&]() { return state; });
-  u.on_receive(4, 0, 1);
-  for (VirtualSid i = 1; i <= 4; ++i) {
-    EXPECT_EQ(u.snaps().at(i).local_value, 77u);
-  }
-}
-
-TEST(IdealUnit, NoChannelStateCompleteOnAdvance) {
-  std::uint64_t state = 0;
-  IdealUnit u(1, false, [&]() { return state; });
-  u.initiate(3);
-  EXPECT_EQ(u.complete_through(), 3u);
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(Scale, FatTree6Conservation) {
   EXPECT_LT(snap->advance_span(), sim::usec(100));
 }
 
-/// CoS + ECN + channel-state snapshots + flowlet + small wire-id space,
+/// CoS + channel-state snapshots + flowlet + small wire-id space,
 /// simultaneously, over the given notification transport: features must
 /// not interfere with the protocol's guarantees.
 void run_everything_on_at_once(snap::NotificationMode transport) {
@@ -116,7 +116,6 @@ void run_everything_on_at_once(snap::NotificationMode transport) {
   opt.classifier = [](const net::Packet& p) {
     return static_cast<std::size_t>(p.flow % 2);
   };
-  opt.ecn_threshold = 16;
   Network net(check::make_topo(check::TopoKind::LeafSpine, 2, 2, 3), opt);
 
   std::vector<std::unique_ptr<wl::Generator>> gens;

@@ -368,13 +368,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 4.0, 0.15);
 }
 
-TEST(Rng, ParetoBounds) {
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(Rng, ForkedStreamsIndependent) {
   Rng parent(42);
   Rng a = parent.fork("alpha");

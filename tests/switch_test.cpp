@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,35 @@ namespace {
 
 using core::Network;
 using core::NetworkOptions;
+
+TEST(SwitchWiring, AttachAfterFinalizeThrows) {
+  // finalize() built the completion masks from the links attached then; a
+  // later link would leave them stale, so it is refused and changes nothing.
+  Network net(net::make_star(2), NetworkOptions{});
+  net::Link extra(net.simulator(), 1e9, 0, sim::Rng(1));
+  const net::PortId port = net.spec().hosts[1].switch_port;
+  EXPECT_THROW(net.switch_at(0).attach_link(port, &extra, /*to_host=*/true),
+               std::logic_error);
+  net.host(0).send(net.host_id(1), 1, 100);
+  net.run_for(sim::msec(1));
+  EXPECT_EQ(net.host(1).packets_received(), 1u);
+  EXPECT_EQ(extra.packets_sent(), 0u);
+}
+
+TEST(SwitchWiring, NeighborOverrideAfterFinalizeThrows) {
+  Network net(net::make_line(2), NetworkOptions{});
+  EXPECT_THROW(net.switch_at(0).set_ingress_neighbor_enabled(0, false),
+               std::logic_error);
+}
+
+TEST(SwitchWiring, FinalizeTwiceThrows) {
+  // A second finalize() would replace the control plane the observer holds.
+  Network net(net::make_star(2), NetworkOptions{});
+  const snap::ControlPlane* cp = &net.switch_at(0).control_plane();
+  EXPECT_THROW(net.switch_at(0).finalize(), std::logic_error);
+  EXPECT_EQ(&net.switch_at(0).control_plane(), cp);
+  EXPECT_NE(net.take_snapshot(), nullptr);
+}
 
 TEST(SwitchForwarding, StarDeliversBetweenHosts) {
   Network net(net::make_star(3), NetworkOptions{});

@@ -83,30 +83,6 @@ TEST(Poisson, MeanRateRespected) {
   EXPECT_GT(net.host(2).packets_received(), 1500u);
 }
 
-TEST(OnOff, AlternatesBurstsAndSilence) {
-  Network net(net::make_star(2), NetworkOptions{});
-  wl::OnOffGenerator::Options opts;
-  opts.burst_rate_bps = 20e9;
-  opts.burst_bytes_mean = 150000;
-  opts.idle_mean = sim::msec(1);
-  wl::OnOffGenerator gen(net.simulator(), net.host(0), net.host_id(1), opts,
-                         sim::Rng(7));
-  gen.start(net.now());
-
-  // Record interarrival gaps at the receiver.
-  std::vector<sim::SimTime> arrivals;
-  net.host(1).set_receive_callback(
-      [&](const net::Packet&, sim::SimTime t) { arrivals.push_back(t); });
-  net.run_for(sim::msec(50));
-  gen.stop();
-  ASSERT_GT(arrivals.size(), 100u);
-  std::size_t long_gaps = 0;
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    if (arrivals[i] - arrivals[i - 1] > sim::usec(300)) ++long_gaps;
-  }
-  EXPECT_GT(long_gaps, 5u);  // Real silences exist.
-}
-
 TEST(Hadoop, MappersShuffleToAllReducers) {
   Network net(net::make_leaf_spine(2, 2, 3), NetworkOptions{});
   std::vector<net::Host*> mappers{&net.host(0), &net.host(1), &net.host(2)};
