@@ -101,6 +101,13 @@ class JsonReport {
     fields_.emplace_back(key, std::move(quoted));
   }
 
+  /// Write `objects` (each one rendered JSON object) as the top-level array
+  /// `key`, after "metrics". benchdiff flattens its numeric fields like any
+  /// other path. Call once per key.
+  void array(const std::string& key, std::vector<std::string> objects) {
+    arrays_.emplace_back(key, std::move(objects));
+  }
+
   /// Snapshot the flight recorder's registry into the report. The dump is
   /// rendered immediately (readers are cheap, cold-path), so call this while
   /// the simulation that owns the registry is still alive. Last call wins.
@@ -143,6 +150,13 @@ class JsonReport {
           << "\": " << fields_[i].second;
     }
     out << (fields_.empty() ? "},\n" : "\n  },\n");
+    for (const auto& [key, objects] : arrays_) {
+      out << "  \"" << escaped(key) << "\": [";
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        out << (i == 0 ? "\n    " : ",\n    ") << objects[i];
+      }
+      out << (objects.empty() ? "],\n" : "\n  ],\n");
+    }
     out << "  \"registry\": " << (registry_.empty() ? "{}" : registry_) << "\n"
         << "}\n";
     std::cout << "Wrote " << path << "\n";
@@ -162,6 +176,7 @@ class JsonReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::vector<std::pair<std::string, std::string>> fields_;
+  std::vector<std::pair<std::string, std::vector<std::string>>> arrays_;
   std::string registry_;  ///< Pre-rendered registry JSON, "" when not embedded.
 };
 

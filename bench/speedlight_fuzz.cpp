@@ -27,7 +27,10 @@
 //                     encode/decode equivalence check across the whole
 //                     fault schedule. Any divergence or guarded
 //                     data-path allocation fails the whole run. Doubles the
-//                     cost.
+//                     cost. The --json-out report lists every seed's
+//                     digest, twin digest (hex strings) and snapshot and
+//                     violation counts under "seeds", so two builds'
+//                     reports diff seed by seed.
 //   --inject-bug      Self-test: disable the conservation checker's
 //                     channel-state term, prove the loop finds the
 //                     resulting violation and shrinks it to <= 4 switches,
@@ -41,8 +44,11 @@
 // 2 on an unknown flag or a missing flag value.
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "check/fuzzer.hpp"
@@ -105,6 +111,28 @@ void print_violations(const check::RunResult& r) {
     std::cout << "  [" << v.invariant << "] snapshot " << v.snapshot << ": "
               << v.detail << "\n";
   }
+}
+
+/// A 64-bit digest as 16 hex digits. The report writes digests as strings:
+/// a JSON number (a double) cannot hold 64 bits.
+std::string hex64(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << v;
+  return os.str();
+}
+
+/// One "seeds" entry of the --digest report.
+std::string seed_record(std::uint64_t seed, const check::RunResult& r,
+                        const check::RunResult& twin) {
+  std::ostringstream os;
+  os << "{\"seed\": " << seed;
+  os << ", \"digest\": \"" << hex64(r.digest) << '"';
+  os << ", \"twin_digest\": \"" << hex64(twin.digest) << '"';
+  os << ", \"requested\": " << r.requested;
+  os << ", \"skipped\": " << r.skipped;
+  os << ", \"completed\": " << r.completed;
+  os << ", \"violations\": " << r.violations.size() << '}';
+  return os.str();
 }
 
 std::string fail_path(const Args& args, std::uint64_t seed) {
@@ -197,6 +225,7 @@ int main(int argc, char** argv) {
     rc = inject_bug(args, stats);
   } else {
     std::size_t failures = 0;
+    std::vector<std::string> seed_records;
     std::size_t i = 0;
     for (; i < args.runs; ++i) {
       if (args.time_budget_s > 0 &&
@@ -220,6 +249,7 @@ int main(int argc, char** argv) {
             s, {.with_oracle = args.with_oracle,
                 .wire = check::WireMode::FullV2});
         ++stats.digest_runs;
+        seed_records.push_back(seed_record(s.seed, r, twin));
         if (twin.digest != r.digest ||
             twin.tie_fingerprint != r.tie_fingerprint) {
           ++stats.digest_divergences;
@@ -267,6 +297,7 @@ int main(int argc, char** argv) {
                    "no allocations inside data-path scopes");
     }
     rc = (failures == 0 && bench::g_checks_failed == 0) ? 0 : 1;
+    if (args.digest) report.array("seeds", std::move(seed_records));
   }
 
   report.metric("runs", static_cast<double>(stats.runs));

@@ -51,7 +51,6 @@ core::NetworkOptions Scenario::network_options() const {
     if (f.kind == FaultKind::NotifDropBurst ||
         f.kind == FaultKind::CpuBacklogSpike) {
       opt.control.proactive_register_poll = true;
-      opt.control.register_poll_interval = sim::msec(2);
       break;
     }
   }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/chrome_trace.hpp"
-#include "snapshot/ids.hpp"
 
 namespace speedlight::core {
 
@@ -60,12 +59,6 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
         "wire_fast_path is false: the control plane has one wire path");
   }
   spec_.validate();
-  if (!snap::SidSpace::valid_modulus(options_.snapshot.wire_id_modulus)) {
-    throw std::invalid_argument(
-        "wire_id_modulus " +
-        std::to_string(options_.snapshot.wire_id_modulus) +
-        " is not 0 or a power of two >= 2");
-  }
 
   // The shared interned route base is built once, from the CSR topology
   // index, and every switch's routing table points into it.
@@ -82,24 +75,12 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
   hosts_.reset(spec_.hosts.size());
   links_.reset(2 * spec_.hosts.size() + 2 * spec_.trunks.size());
   for (std::size_t i = 0; i < s; ++i) {
-    sw::SwitchOptions so;
-    so.num_ports = spec_.switches[i].num_ports;
-    so.snapshot_enabled = spec_.switches[i].snapshot_enabled;
-    so.snapshot = options_.snapshot;
-    so.metric = options_.metric;
-    so.load_balancer = options_.load_balancer;
-    so.flowlet_gap = options_.flowlet_gap;
-    so.cos_classes = options_.cos_classes;
-    so.classifier = options_.classifier;
-    so.queue_capacity = options_.queue_capacity;
-    so.fabric_delay = options_.fabric_delay;
-    so.notification_mode = options_.notification_mode;
-    so.control = options_.control;
-    so.wire = options_.wire;
-    so.wire_stats = &wire_stats_;
+    const sw::SwitchOptions so{spec_.switches[i].num_ports,
+                               spec_.switches[i].snapshot_enabled};
     switches_.emplace_back(sim_, static_cast<net::NodeId>(i),
-                           spec_.switches[i].name, timing_, so,
-                           master.fork("switch" + std::to_string(i)));
+                           spec_.switches[i].name, timing_, options_, so,
+                           master.fork("switch" + std::to_string(i)),
+                           &wire_stats_);
   }
   for (std::size_t i = 0; i < spec_.hosts.size(); ++i) {
     hosts_.emplace_back(sim_, static_cast<net::NodeId>(s + i),
@@ -166,15 +147,9 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
 
   // Measurement services.
   ptp_ = std::make_unique<snap::PtpService>(sim_, timing_, master.fork("ptp"));
-  // The observer's snapshot config and wire format always mirror the data
-  // plane's; the completion timeout and report retention are taken from the
-  // caller's observer options.
-  snap::Observer::Options obs_options = options_.observer;
-  obs_options.snapshot = options_.snapshot;
-  obs_options.wire = options_.wire;
-  obs_options.wire_stats = &wire_stats_;
-  observer_ = std::make_unique<snap::Observer>(sim_, timing_,
-                                               std::move(obs_options));
+  observer_ = std::make_unique<snap::Observer>(sim_, timing_, options_.snapshot,
+                                               options_.wire, &wire_stats_,
+                                               options_.observer);
   poller_ = std::make_unique<poll::PollingObserver>(sim_, timing_,
                                                     master.fork("poller"));
 

@@ -36,42 +36,23 @@
 
 namespace speedlight::core {
 
-struct NetworkOptions {
+/// A Network's configuration. The settings every switch shares
+/// (sw::FabricOptions: snapshot variant, metric, load balancer, CoS, queue
+/// capacity, notification transport, wire format, control-plane liveness)
+/// are declared once, in the base; the observer and every control plane
+/// run the fabric's snapshot variant and wire format.
+struct NetworkOptions : sw::FabricOptions {
   std::uint64_t seed = 1;
+  /// Every latency constant, the switch pipeline's included.
   sim::TimingModel timing;
-
-  snap::SnapshotConfig snapshot;
-  sw::MetricKind metric = sw::MetricKind::PacketCount;
-
-  sw::LoadBalancerKind load_balancer = sw::LoadBalancerKind::Ecmp;
-  sim::Duration flowlet_gap = sim::usec(50);
-
-  std::size_t cos_classes = 1;
-  /// Maps packets to CoS classes (null = class 0); applied on every switch.
-  std::function<std::size_t(const net::Packet&)> classifier;
-  std::size_t queue_capacity = 4096;
-  /// Every switch's SwitchOptions::fabric_delay: pipeline latency, charged
-  /// on the inbound wire before the ingress unit.
-  sim::Duration fabric_delay = sim::nsec(400);
-  snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
   /// Must be true: notifications and unit reports always cross process
   /// boundaries as v2 wire frames. false makes the constructor throw
   /// std::invalid_argument. Kept so callers that still set it keep
   /// compiling.
   bool wire_fast_path = true;
-  /// Control-plane wire format (DESIGN.md section 16) of every
-  /// notification transport and report link. Its `wire.*` metrics series
-  /// (frame bytes, fallback and drop counters) register on every network.
-  snap::WireOptions wire;
 
   snap::Observer::Options observer;
-  /// Every control plane's options. With `proactive_register_poll` set,
-  /// each snapshot-enabled control plane starts its register-poll loop as
-  /// the network is built. Channel-state snapshots stall on traffic-less
-  /// channels, so `probe_on_initiate` and `probe_on_reinitiate` default to
-  /// Section 6's broadcast injection; clear them to study the failure mode.
-  snap::ControlPlane::Options control;
 
   /// Partial deployment (Section 10): when true, channels that traverse a
   /// snapshot-disabled transit switch still gate completion and carry

@@ -1,6 +1,7 @@
-// Calibrated timing/latency model for everything that is not pure packet
-// forwarding: clock synchronization quality, control-plane scheduling
-// jitter, CPU<->ASIC channel latencies, and the polling baseline.
+// Calibrated timing/latency model: the switch pipeline latency, clock
+// synchronization quality, control-plane scheduling jitter, CPU<->ASIC
+// channel latencies, and the polling baseline. Link bandwidths and
+// propagation delays belong to the topology (net::TopologySpec).
 //
 // Defaults are calibrated so the headline results land in the ranges the
 // paper reports (see DESIGN.md section 5):
@@ -17,6 +18,13 @@
 namespace speedlight::sim {
 
 struct TimingModel {
+  // --- Switch pipeline -----------------------------------------------------
+  /// Pipeline latency, charged before the ingress unit (on inbound links
+  /// and after probes' CPU path) or, for initiations, which skip the
+  /// queue, between the ingress and egress units. Links sample it when
+  /// they connect.
+  Duration fabric_delay = nsec(400);
+
   // --- Clock synchronization (PTP) ---------------------------------------
   /// Standard deviation of the residual offset right after a PTP sync.
   Duration ptp_residual_stddev = nsec(2'200);

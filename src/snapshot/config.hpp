@@ -20,24 +20,25 @@ struct SnapshotConfig {
   /// paper's "+ Wrap Around" variant.
   std::uint32_t wire_id_modulus = 0;
 
-  /// Snapshot Value register array length per unit. Must be >= 1; when the
-  /// wire space is bounded it defaults to the modulus (one slot per live
-  /// id), the layout the paper uses.
-  std::size_t value_slots = 64;
-
   /// When true (the Speedlight data plane), an id jump > 1 cannot back-fill
   /// intermediate snapshot slots (Section 5.3) and the control plane marks
   /// them inconsistent. When false, the idealized Figure 3 algorithm runs
   /// (used as the test oracle).
   bool hardware_faithful = true;
 
+  /// Snapshot Value register array length per unit in the full 2^32 id
+  /// space. A bounded wire space has one slot per live id instead (the
+  /// modulus), the layout the paper uses.
+  static constexpr std::size_t kValueSlots = 64;
+
+  /// Throws std::invalid_argument unless the modulus is 0 or a power of
+  /// two >= 2 (SidSpace).
   [[nodiscard]] SidSpace sid_space() const {
     return SidSpace(wire_id_modulus);
   }
 
   [[nodiscard]] std::size_t slots() const {
-    if (wire_id_modulus != 0) return wire_id_modulus;
-    return value_slots == 0 ? 1 : value_slots;
+    return wire_id_modulus != 0 ? wire_id_modulus : kValueSlots;
   }
 };
 

@@ -6,18 +6,22 @@
 #include <stdexcept>
 #include <utility>
 
+#include "snapshot/notification_transport.hpp"
+
 namespace speedlight::snap {
 
 ControlPlane::ControlPlane(sim::Simulator& sim, net::NodeId device,
                            std::string name, const sim::TimingModel& timing,
-                           Options options, sim::Rng rng)
+                           const SnapshotConfig& snapshot, Options options,
+                           sim::Rng rng)
     : sim_(sim),
       device_(device),
       name_(std::move(name)),
       timing_(timing),
+      snapshot_(snapshot),
       options_(options),
       rng_(rng),
-      space_(options.snapshot.sid_space()),
+      space_(snapshot.sid_space()),
       report_ep_(sim::Endpoint::local(sim, 0)),
       track_(obs::cpu_track(device)) {}
 
@@ -59,7 +63,7 @@ void ControlPlane::schedule_snapshot(VirtualSid id, sim::SimTime local_fire_time
   if (fire < sim_.now()) fire = sim_.now();
   sim_.at(fire, [this, id]() {
     initiate_now(id);
-    if (options_.auto_reinitiate) arm_reinitiation(id, 0);
+    arm_reinitiation(id, 0);
   });
 }
 
@@ -79,7 +83,7 @@ void ControlPlane::initiate_now(VirtualSid id) {
     sim_.after(offset, [handle, wire]() { handle->inject_initiation(wire); });
     ++initiations_sent_;
   }
-  if (options_.snapshot.channel_state && options_.probe_on_initiate) {
+  if (snapshot_.channel_state && options_.probe_on_initiate) {
     // Probes follow the initiations, picking up the freshly advanced ids
     // and flooding them across every channel.
     for (auto& u : units_) {
@@ -94,7 +98,7 @@ void ControlPlane::initiate_now(VirtualSid id) {
 void ControlPlane::arm_reinitiation(VirtualSid id, int attempt) {
   sim_.after(timing_.reinitiation_timeout, [this, id, attempt]() {
     if (locally_complete(id)) return;
-    if (attempt >= options_.max_reinitiations) return;
+    if (attempt >= kMaxReinitiations) return;
     ++reinit_rounds_;
     sim_.tracer().instant(obs::Category::ControlPlane,
                           obs::EventName::CpReinitiate, track_, sim_.now(),
@@ -103,7 +107,7 @@ void ControlPlane::arm_reinitiation(VirtualSid id, int attempt) {
     // monotonic, and advancing a lagging unit past `id` resolves `id` too
     // (by marking or inference).
     initiate_now(latest_initiated_);
-    if (options_.snapshot.channel_state && options_.probe_on_reinitiate) {
+    if (snapshot_.channel_state && options_.probe_on_reinitiate) {
       for (auto& u : units_) {
         if (u.handle->is_ingress()) u.handle->inject_probe();
       }
@@ -123,7 +127,7 @@ void ControlPlane::on_notification(const Notification& n) {
       slot_pos_[slot] == kNoUnit) {
     return;
   }
-  if (options_.snapshot.channel_state) {
+  if (snapshot_.channel_state) {
     handle_notification_cs(slot_pos_[slot], n);
   } else {
     handle_notification_nocs(slot_pos_[slot], n);
@@ -197,14 +201,13 @@ void ControlPlane::handle_notification_nocs(std::size_t pos,
 
 void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
   UnitState& u = units_[pos];
-  const VirtualSid floor = options_.snapshot.channel_state
-                               ? completion_floor(u)
-                               : u.ctrl_sid;
+  const VirtualSid floor =
+      snapshot_.channel_state ? completion_floor(u) : u.ctrl_sid;
   if (floor <= u.last_read) return;
   const VirtualSid from = u.last_read + 1;
   u.last_read = floor;
 
-  if (options_.snapshot.channel_state) {
+  if (snapshot_.channel_state) {
     // Figure 7 marks every id the unit advanced past before its channel
     // state was final: in-flight packets for it are booked into a later
     // id. Every notification ends here with last_read >= the completion
@@ -225,7 +228,7 @@ void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
     sim_.after(timing_.register_read_latency, [this, pos, from, floor,
                                                finalize_ts]() {
       UnitState* up = &units_[pos];
-      const std::size_t slots = options_.snapshot.slots();
+      const std::size_t slots = snapshot_.slots();
       std::vector<SlotValue> values;
       values.reserve(static_cast<std::size_t>(floor - from + 1));
       for (VirtualSid i = from; i <= floor; ++i) {
@@ -273,7 +276,7 @@ void ControlPlane::read_and_report(std::size_t pos, VirtualSid sid,
                                              finalize_ts]() {
     const UnitState* up = &units_[pos];
     const SlotValue sv =
-        up->handle->read_value_slot(sid % options_.snapshot.slots());
+        up->handle->read_value_slot(sid % snapshot_.slots());
     UnitReport r;
     r.device = device_;
     r.unit = up->handle->unit_id();
@@ -356,7 +359,7 @@ void ControlPlane::ship(const UnitReport& r, std::size_t pos) {
 void ControlPlane::start_register_poll() {
   if (poll_running_ || !options_.proactive_register_poll) return;
   poll_running_ = true;
-  sim_.after(options_.register_poll_interval, [this]() { register_poll_tick(); });
+  sim_.after(kRegisterPollInterval, [this]() { register_poll_tick(); });
 }
 
 void ControlPlane::register_poll_tick() {
@@ -365,9 +368,8 @@ void ControlPlane::register_poll_tick() {
   // controller view past them would make their wire sids unroll as huge
   // forward jumps when they drain (the wire space cannot express "behind").
   // A lost notification leaves the path quiet, so recovery still triggers.
-  if (in_flight_ && in_flight_() > 0) {
-    sim_.after(options_.register_poll_interval,
-               [this]() { register_poll_tick(); });
+  if (transport_ != nullptr && transport_->in_flight() > 0) {
+    sim_.after(kRegisterPollInterval, [this]() { register_poll_tick(); });
     return;
   }
   for (auto& u : units_) {
@@ -382,7 +384,7 @@ void ControlPlane::register_poll_tick() {
       n.timestamp = sim_.now();
       on_notification(n);
     }
-    if (options_.snapshot.channel_state) {
+    if (snapshot_.channel_state) {
       for (std::uint16_t ch = 0; ch < u.handle->num_channels(); ++ch) {
         const WireSid ls_reg = u.handle->read_last_seen_register(ch);
         const VirtualSid ls_now =
@@ -400,7 +402,7 @@ void ControlPlane::register_poll_tick() {
       }
     }
   }
-  sim_.after(options_.register_poll_interval, [this]() { register_poll_tick(); });
+  sim_.after(kRegisterPollInterval, [this]() { register_poll_tick(); });
 }
 
 }  // namespace speedlight::snap

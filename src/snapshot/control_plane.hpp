@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,13 +28,13 @@
 
 namespace speedlight::snap {
 
+class NotificationTransport;
+
 class ControlPlane {
  public:
+  /// The liveness choices (Section 6). The snapshot variant is not among
+  /// them: a control plane always runs its data plane's SnapshotConfig.
   struct Options {
-    SnapshotConfig snapshot;
-    /// Resend initiations for snapshots that have not completed locally.
-    bool auto_reinitiate = true;
-    int max_reinitiations = 8;
     /// Flood probes on re-initiation (unblocks channel-state snapshots
     /// that stall because a channel carries no traffic). Both probe flags
     /// apply only with channel state: a probe moves Last Seen entries, and
@@ -48,14 +47,20 @@ class ControlPlane {
     /// up-down routing as the canonical case). The alternative is masking
     /// those channels out of completion by hand.
     bool probe_on_initiate = true;
-    /// Periodically read data-plane registers to recover from lost
-    /// notifications.
+    /// Periodically (kRegisterPollInterval) read data-plane registers to
+    /// recover from lost notifications.
     bool proactive_register_poll = false;
-    sim::Duration register_poll_interval = sim::msec(10);
   };
 
+  /// Re-initiation rounds per snapshot, kept while it is locally
+  /// incomplete, one reinitiation_timeout apart.
+  static constexpr int kMaxReinitiations = 8;
+  /// Period of the proactive register poll.
+  static constexpr sim::Duration kRegisterPollInterval = sim::msec(2);
+
   ControlPlane(sim::Simulator& sim, net::NodeId device, std::string name,
-               const sim::TimingModel& timing, Options options, sim::Rng rng);
+               const sim::TimingModel& timing, const SnapshotConfig& snapshot,
+               Options options, sim::Rng rng);
 
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
@@ -98,13 +103,14 @@ class ControlPlane {
   /// observer_rpc_latency after ship time.
   void set_report_endpoint(sim::Endpoint ep) { report_ep_ = ep; }
 
-  /// Wire the notification transport's in_flight() so the proactive
-  /// register poll can tell whether the notification path is quiet. The
-  /// poll must not fast-forward the controller's view while notifications
-  /// are still in flight: their (older) wire sids would later unroll as
-  /// near-modulus forward jumps, corrupting ctrl_sid/ctrl_last_seen.
-  void set_in_flight_probe(std::function<std::size_t()> probe) {
-    in_flight_ = std::move(probe);
+  /// The notification transport feeding this control plane, whose
+  /// in_flight() tells the proactive register poll whether the path is
+  /// quiet. The poll must not fast-forward the controller's view while
+  /// notifications are still in flight: their (older) wire sids would later
+  /// unroll as near-modulus forward jumps, corrupting
+  /// ctrl_sid/ctrl_last_seen. Unset, the path counts as quiet.
+  void set_transport(const NotificationTransport* transport) {
+    transport_ = transport;
   }
 
   /// This device's clock; the PTP service periodically re-aligns it.
@@ -186,6 +192,7 @@ class ControlPlane {
   net::NodeId device_;
   std::string name_;
   const sim::TimingModel& timing_;
+  SnapshotConfig snapshot_;
   Options options_;
   sim::Rng rng_;
   SidSpace space_;
@@ -213,7 +220,7 @@ class ControlPlane {
   std::uint64_t reports_sent_ = 0;
   std::uint64_t reports_filtered_ = 0;
   bool poll_running_ = false;
-  std::function<std::size_t()> in_flight_;  ///< Transport quiescence probe.
+  const NotificationTransport* transport_ = nullptr;
 };
 
 }  // namespace speedlight::snap

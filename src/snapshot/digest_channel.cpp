@@ -22,13 +22,7 @@ sim::Duration DigestChannel::cost_of(const Digest& digest) const {
 }
 
 void DigestChannel::push(const Notification& n) {
-  if (timing_.notification_drop_probability > 0.0 &&
-      rng_.chance(timing_.notification_drop_probability)) {
-    ++dropped_random_;
-    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                    track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
-    return;
-  }
+  if (drop_at_random(n)) return;
   if (accumulating_.size() == accumulating_.capacity()) {
     // Amortized warm-up: the digest buffer grows to one batch once and is
     // then recycled through drain(), so steady-state pushes never allocate.

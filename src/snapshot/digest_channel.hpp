@@ -37,30 +37,14 @@ class DigestChannel final : public NotificationTransport {
   DigestChannel(sim::Simulator& sim, const sim::TimingModel& timing,
                 sim::Rng rng, Sink sink, net::NodeId device,
                 const WireOptions& wire, WireStats* wire_stats)
-      : NotificationTransport(sim, device, wire, wire_stats,
-                              /*transit_latency=*/0),
-        sim_(sim),
-        timing_(timing),
-        rng_(rng),
-        sink_(std::move(sink)),
+      : NotificationTransport(sim, timing, rng, std::move(sink), device, wire,
+                              wire_stats, /*transit_latency=*/0),
         digest_batch_(sim.metrics().histogram("fabric.notif.digest_batch")) {}
-
-  DigestChannel(const DigestChannel&) = delete;
-  DigestChannel& operator=(const DigestChannel&) = delete;
 
   void push(const Notification& n) override;
 
-  [[nodiscard]] std::uint64_t delivered() const override { return delivered_; }
-  [[nodiscard]] std::uint64_t dropped_overflow() const override {
-    return dropped_overflow_;
-  }
-  [[nodiscard]] std::uint64_t dropped_random() const override {
-    return dropped_random_;
-  }
   /// Backlog in notifications (pending digests + the accumulating one).
   [[nodiscard]] std::size_t backlog() const override;
-  [[nodiscard]] std::size_t max_backlog() const override { return max_backlog_; }
-  [[nodiscard]] std::size_t in_flight() const override { return pending_; }
 
   [[nodiscard]] std::uint64_t digests_flushed() const { return digests_; }
 
@@ -76,11 +60,6 @@ class DigestChannel final : public NotificationTransport {
   void drain();
   [[nodiscard]] sim::Duration cost_of(const Digest& digest) const;
 
-  sim::Simulator& sim_;
-  const sim::TimingModel& timing_;
-  sim::Rng rng_;
-  Sink sink_;
-
   Digest accumulating_;
   /// Storage recycled from drained digests: flush() hands accumulating_'s
   /// buffer to the in-flight digest and takes this one, so the ASIC-side
@@ -91,14 +70,7 @@ class DigestChannel final : public NotificationTransport {
   bool flush_armed_ = false;
 
   std::deque<Digest> cpu_queue_;
-  std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.
-  bool draining_ = false;
-
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_overflow_ = 0;
-  std::uint64_t dropped_random_ = 0;
   std::uint64_t digests_ = 0;
-  std::size_t max_backlog_ = 0;
   obs::Histogram& digest_batch_;
 };
 

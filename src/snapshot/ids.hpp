@@ -17,8 +17,9 @@
 //    bounded by modulus/2 - 1, enforced by the observer out-of-band).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace speedlight::snap {
 
@@ -39,11 +40,15 @@ class SidSpace {
   }
 
   /// `modulus` = size of the wire id space; 0 means the full 2^32 space.
-  /// Precondition: valid_modulus(modulus). Configuration entry points
-  /// (core::Network, check::load_scenario) reject anything else.
-  explicit constexpr SidSpace(std::uint32_t modulus = 0) noexcept
+  /// Any modulus valid_modulus() rejects throws std::invalid_argument in
+  /// every build type: masking with it would alias ids. Every data-plane
+  /// unit, control plane and observer builds one, once.
+  explicit constexpr SidSpace(std::uint32_t modulus = 0)
       : mask_(modulus == 0 ? std::uint64_t{0xffffffffu} : modulus - 1u) {
-    assert(valid_modulus(modulus) && "wire id modulus must be a power of two");
+    if (!valid_modulus(modulus)) {
+      throw std::invalid_argument("wire_id_modulus " + std::to_string(modulus) +
+                                  " is not 0 or a power of two >= 2");
+    }
   }
 
   [[nodiscard]] constexpr std::uint64_t modulus() const noexcept {

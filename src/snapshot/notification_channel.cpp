@@ -5,13 +5,7 @@
 namespace speedlight::snap {
 
 void NotificationChannel::push(const Notification& n) {
-  if (timing_.notification_drop_probability > 0.0 &&
-      rng_.chance(timing_.notification_drop_probability)) {
-    ++dropped_random_;
-    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
-                    track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
-    return;
-  }
+  if (drop_at_random(n)) return;
   ++pending_;
   Frame f;
   f.len = wire_.encode(n, f.bytes.data());

@@ -38,31 +38,15 @@ class NotificationChannel final : public NotificationTransport {
   NotificationChannel(sim::Simulator& sim, const sim::TimingModel& timing,
                       sim::Rng rng, Sink sink, net::NodeId device,
                       const WireOptions& wire, WireStats* wire_stats)
-      : NotificationTransport(sim, device, wire, wire_stats,
-                              timing.notification_pcie_latency),
-        sim_(sim),
-        timing_(timing),
-        rng_(rng),
-        sink_(std::move(sink)),
+      : NotificationTransport(sim, timing, rng, std::move(sink), device, wire,
+                              wire_stats, timing.notification_pcie_latency),
         queue_delay_(sim.metrics().histogram("fabric.notif.queue_delay_ns")) {}
-
-  NotificationChannel(const NotificationChannel&) = delete;
-  NotificationChannel& operator=(const NotificationChannel&) = delete;
 
   /// Called synchronously by the data plane when a unit makes progress.
   void push(const Notification& n) override;
 
-  // --- Introspection (Figure 10's "queue buildup" detector) ---------------
-  [[nodiscard]] std::uint64_t delivered() const override { return delivered_; }
-  [[nodiscard]] std::uint64_t dropped_overflow() const override {
-    return dropped_overflow_;
-  }
-  [[nodiscard]] std::uint64_t dropped_random() const override {
-    return dropped_random_;
-  }
+  /// Frames in the socket buffer.
   [[nodiscard]] std::size_t backlog() const override { return buffer_.size(); }
-  [[nodiscard]] std::size_t max_backlog() const override { return max_backlog_; }
-  [[nodiscard]] std::size_t in_flight() const override { return pending_; }
 
  private:
   /// An encoded frame (fits the inline event capture). `arrived` is its
@@ -81,20 +65,8 @@ class NotificationChannel final : public NotificationTransport {
     return wire_.service(timing_.notification_service_time, f.len);
   }
 
-  sim::Simulator& sim_;
-  const sim::TimingModel& timing_;
-  sim::Rng rng_;
-  Sink sink_;
-
   std::deque<Frame> buffer_;
-  std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.
-  bool draining_ = false;
   obs::Histogram& queue_delay_;
-
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_overflow_ = 0;
-  std::uint64_t dropped_random_ = 0;
-  std::size_t max_backlog_ = 0;
 };
 
 }  // namespace speedlight::snap

@@ -15,10 +15,13 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "net/types.hpp"
 #include "obs/trace.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timing_model.hpp"
 #include "snapshot/notification.hpp"
 #include "snapshot/wire.hpp"
 
@@ -30,14 +33,22 @@ class NotificationTransport {
 
   virtual ~NotificationTransport() = default;
 
+  NotificationTransport(const NotificationTransport&) = delete;
+  NotificationTransport& operator=(const NotificationTransport&) = delete;
+
   /// Called synchronously by the data plane on unit progress.
   virtual void push(const Notification& n) = 0;
 
   // --- Stats (the Figure 10 "queue buildup" detectors) ---------------------
-  virtual std::uint64_t delivered() const = 0;
-  virtual std::uint64_t dropped_overflow() const = 0;
-  virtual std::uint64_t dropped_random() const = 0;
-  virtual std::size_t backlog() const = 0;
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  [[nodiscard]] std::uint64_t dropped_overflow() const {
+    return dropped_overflow_;
+  }
+  [[nodiscard]] std::uint64_t dropped_random() const { return dropped_random_; }
+  /// Notifications queued for the CPU, in the transport's own terms.
+  [[nodiscard]] virtual std::size_t backlog() const = 0;
+  /// High-water mark of backlog(), sampled where each transport grows it.
+  [[nodiscard]] std::size_t max_backlog() const { return max_backlog_; }
 
   /// Notifications accepted by push() but not yet handed to the sink —
   /// includes PCIe-in-flight entries that backlog() (buffer occupancy)
@@ -46,8 +57,7 @@ class NotificationTransport {
   /// controller's view past wire sids it has yet to service, and those
   /// can only unroll as huge forward jumps (the wire space has no
   /// "behind").
-  [[nodiscard]] virtual std::size_t in_flight() const = 0;
-  virtual std::size_t max_backlog() const = 0;
+  [[nodiscard]] std::size_t in_flight() const { return pending_; }
 
  protected:
   /// The v2 wire model (DESIGN.md section 16): notifications are encoded at
@@ -57,13 +67,31 @@ class NotificationTransport {
   /// `transit_latency` is the fixed encode-to-recovery delay the compact
   /// timestamps must clear; `stats` may be null. Trace records go to
   /// `sim`'s tracer on the device's notification lane.
-  NotificationTransport(sim::Simulator& sim, net::NodeId device,
+  NotificationTransport(sim::Simulator& sim, const sim::TimingModel& timing,
+                        sim::Rng rng, Sink sink, net::NodeId device,
                         const WireOptions& opts, WireStats* stats,
                         sim::Duration transit_latency)
-      : wire_{device, opts.charge_bytes, stats,
+      : sim_(sim),
+        timing_(timing),
+        rng_(rng),
+        sink_(std::move(sink)),
+        wire_{device, opts.charge_bytes, stats,
               NotificationCodec(opts, transit_latency)},
         tracer_(sim.tracer()),
         track_(obs::notif_track(device)) {}
+
+  /// Random loss at the head of push() (notification_drop_probability):
+  /// true when `n` is lost, counted and traced.
+  [[nodiscard]] bool drop_at_random(const Notification& n) {
+    if (timing_.notification_drop_probability <= 0.0 ||
+        !rng_.chance(timing_.notification_drop_probability)) {
+      return false;
+    }
+    ++dropped_random_;
+    tracer_.instant(obs::Category::NotifChannel, obs::EventName::NotifDrop,
+                    track_, sim_.now(), /*a0=*/1, obs::pack_unit(n.unit));
+    return true;
+  }
 
   struct Wire {
     net::NodeId device;
@@ -98,9 +126,20 @@ class NotificationTransport {
     }
   };
 
+  sim::Simulator& sim_;
+  const sim::TimingModel& timing_;
+  sim::Rng rng_;
+  Sink sink_;
   Wire wire_;
   obs::Tracer& tracer_;
   std::uint64_t track_;
+
+  std::size_t pending_ = 0;  ///< push()ed, not yet delivered or dropped.
+  bool draining_ = false;    ///< A service completion is scheduled.
+  std::uint64_t delivered_ = 0;
+  std::uint64_t dropped_overflow_ = 0;
+  std::uint64_t dropped_random_ = 0;
+  std::size_t max_backlog_ = 0;
 };
 
 enum class NotificationMode : std::uint8_t {

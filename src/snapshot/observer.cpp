@@ -93,11 +93,14 @@ std::uint64_t GlobalSnapshot::total_value(bool include_channel) const {
 }
 
 Observer::Observer(sim::Simulator& sim, const sim::TimingModel& timing,
-                   Options options)
+                   const SnapshotConfig& snapshot, const WireOptions& wire,
+                   WireStats* wire_stats, Options options)
     : sim_(sim),
       timing_(timing),
-      options_(std::move(options)),
-      space_(options_.snapshot.sid_space()) {
+      options_(options),
+      wire_(wire),
+      wire_stats_(wire_stats),
+      max_spread_(snapshot.sid_space().max_spread(snapshot.channel_state)) {
   using obs::MetricKind;
   auto& reg = sim_.metrics();
   reg.register_reader("observer.requested", MetricKind::Counter, [this] {
@@ -128,7 +131,7 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   dev.first_slot = total_slots_;
   dev.relevant_units = dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
-  dev.decoder.configure(options_.wire, cp->device(), options_.wire_stats);
+  dev.decoder.configure(wire_, cp->device(), wire_stats_);
   std::size_t slots = 0;
   for (const auto& u : dev.units) {
     slots = std::max(slots, net::unit_slot(u) + 1);
@@ -140,8 +143,8 @@ void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
   // plane never received a mask, so it ships every unit.
   if (!relevant_.empty()) relevant_.resize(total_slots_, true);
   dev.decoder.begin_session(session_);
-  cp->set_report_link(this, &Observer::report_frame_thunk, dev_index,
-                      options_.wire, options_.wire_stats);
+  cp->set_report_link(this, &Observer::report_frame_thunk, dev_index, wire_,
+                      wire_stats_);
   devices_.push_back(std::move(dev));
 }
 
@@ -149,8 +152,7 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Out-of-band rollover enforcement (Section 5.3): never let the live id
   // spread exceed what the wire id space can disambiguate. The spread runs
   // from the oldest incomplete round to the id this request would take.
-  if (rounds_.size() - oldest_incomplete_ >=
-      space_.max_spread(options_.snapshot.channel_state)) {
+  if (rounds_.size() - oldest_incomplete_ >= max_spread_) {
     return std::nullopt;
   }
   const VirtualSid id = rounds_.size() + 1;

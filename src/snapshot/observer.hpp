@@ -107,23 +107,24 @@ struct GlobalSnapshot {
 
 class Observer {
  public:
+  /// What the caller chooses. The snapshot variant and the wire format are
+  /// not among them: an observer always runs its data plane's.
   struct Options {
-    SnapshotConfig snapshot;
     /// Devices missing reports this long after the scheduled fire time are
     /// excluded from the global snapshot.
     sim::Duration completion_timeout = sim::msec(100);
-    /// Wire format for the report links (encoded frames + per-link decoder,
-    /// DESIGN.md section 16).
-    WireOptions wire;
-    /// Fabric-wide wire accounting sink shared by the report links; may be
-    /// null.
-    WireStats* wire_stats = nullptr;
     /// Keep per-unit reports in GlobalSnapshot::reports. Off = digests
     /// only: O(devices) assembly memory per round.
     bool retain_unit_reports = true;
   };
 
-  Observer(sim::Simulator& sim, const sim::TimingModel& timing, Options options);
+  /// `snapshot` and `wire` are the data plane's variant and the report
+  /// links' format (encoded frames + per-link decoder, DESIGN.md section
+  /// 16); `wire_stats` is the fabric-wide wire accounting sink the report
+  /// links share, and may be null.
+  Observer(sim::Simulator& sim, const sim::TimingModel& timing,
+           const SnapshotConfig& snapshot, const WireOptions& wire,
+           WireStats* wire_stats, Options options);
 
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
@@ -206,7 +207,10 @@ class Observer {
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
   Options options_;
-  SidSpace space_;
+  WireOptions wire_;
+  WireStats* wire_stats_;
+  /// Largest live id spread the wire id space disambiguates (Section 5.3).
+  std::uint64_t max_spread_;
 
   std::vector<Device> devices_;
   std::size_t total_units_ = 0;

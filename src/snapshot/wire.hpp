@@ -52,8 +52,8 @@ enum class WireEncoding : std::uint8_t {
   DeltaV2,  ///< Delta/varint frames (the default).
 };
 
-/// Control-plane wire configuration, plumbed NetworkOptions -> SwitchOptions
-/// -> notification transport, and NetworkOptions -> Observer -> report links.
+/// Control-plane wire configuration, declared once in sw::FabricOptions: every
+/// switch's notification transport and the Observer's report links read it.
 /// The defaults are the production posture; uncharged service is the
 /// fixed-cost compatibility baseline the fuzzer and the calibrated ablations
 /// run.

@@ -43,7 +43,7 @@ class Switch::PortUnit final : public snap::UnitHandle {
     return dir_ == net::Direction::Ingress
                ? 2
                : static_cast<std::uint16_t>(sw_.options_.num_ports *
-                                                sw_.options_.cos_classes +
+                                                sw_.fabric_.cos_classes +
                                             1);
   }
   [[nodiscard]] std::uint16_t cpu_channel() const override {
@@ -77,7 +77,7 @@ class Switch::PortUnit final : public snap::UnitHandle {
     return dp_ ? dp_->last_seen_register(channel) : 0;
   }
   [[nodiscard]] std::uint64_t read_live_counter() const override {
-    return counters_.read(sw_.options_.metric);
+    return counters_.read(sw_.fabric_.metric);
   }
 
   [[nodiscard]] snap::DataplaneUnit* dataplane() { return dp_.get(); }
@@ -100,10 +100,10 @@ class Switch::PortUnit final : public snap::UnitHandle {
   /// not per-packet work.
   void materialize() {
     sim::det::DetAllow allow_unit_materialization;
-    const MetricKind metric = sw_.options_.metric;
+    const MetricKind metric = sw_.fabric_.metric;
     // speedlight-lint: allow(datapath-alloc) one-off unit materialization.
     dp_ = std::make_unique<snap::DataplaneUnit>(
-        unit_id(), sw_.options_.snapshot, num_channels(), cpu_channel(),
+        unit_id(), sw_.fabric_.snapshot, num_channels(), cpu_channel(),
         [this, metric]() { return counters_.read(metric); },
         [metric](const snap::PacketView& v) {
           return metric_channel_add(metric, v.size_bytes);
@@ -141,26 +141,29 @@ struct Switch::Port {
 // ---------------------------------------------------------------------------
 
 Switch::Switch(sim::Simulator& sim, net::NodeId id, std::string name,
-               const sim::TimingModel& timing, SwitchOptions options,
-               sim::Rng rng)
+               const sim::TimingModel& timing, const FabricOptions& fabric,
+               SwitchOptions options, sim::Rng rng, snap::WireStats* wire_stats)
     : net::Node(id, std::move(name)),
       sim_(sim),
       timing_(timing),
-      options_(std::move(options)),
-      rng_(rng) {
+      fabric_(fabric),
+      options_(options),
+      rng_(rng),
+      wire_stats_(wire_stats) {
   if (options_.num_ports == 0) {
     throw std::invalid_argument("switch needs at least one port");
   }
-  if (options_.cos_classes == 0) options_.cos_classes = 1;
-  lb_ = make_load_balancer(options_.load_balancer, id * 0x9E3779B9u + 7,
-                           options_.flowlet_gap, rng_.fork("lb"));
+  if (fabric_.cos_classes == 0) {
+    throw std::invalid_argument("switch needs at least one CoS class");
+  }
+  lb_ = make_load_balancer(fabric_.load_balancer, id * 0x9E3779B9u + 7,
+                           fabric_.flowlet_gap, rng_.fork("lb"));
   // One contiguous arena for every port record; the heavyweight members
   // (snapshot register files, queue rings) stay unmaterialized until the
   // port is actually touched.
   ports_.reset(options_.num_ports);
   for (net::PortId p = 0; p < options_.num_ports; ++p) {
-    ports_.emplace_back(*this, p, options_.cos_classes,
-                        options_.queue_capacity);
+    ports_.emplace_back(*this, p, fabric_.cos_classes, fabric_.queue_capacity);
   }
 }
 
@@ -193,24 +196,23 @@ void Switch::finalize() {
   if (finalized_) throw std::logic_error(name() + ": finalize() called twice");
   finalized_ = true;
 
-  snap::ControlPlane::Options cp_options = options_.control;
-  cp_options.snapshot = options_.snapshot;
   // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
   cp_ = std::make_unique<snap::ControlPlane>(sim_, id(), name(), timing_,
-                                             cp_options, rng_.fork("cp"));
+                                             fabric_.snapshot, fabric_.control,
+                                             rng_.fork("cp"));
   auto sink = [this](const snap::Notification& n) { cp_->on_notification(n); };
-  if (options_.notification_mode == snap::NotificationMode::Digest) {
+  if (fabric_.notification_mode == snap::NotificationMode::Digest) {
     // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
     notif_ = std::make_unique<snap::DigestChannel>(
-        sim_, timing_, rng_.fork("notif"), sink, id(), options_.wire,
-        options_.wire_stats);
+        sim_, timing_, rng_.fork("notif"), sink, id(), fabric_.wire,
+        wire_stats_);
   } else {
     // speedlight-lint: allow(datapath-alloc) finalize()-time wiring.
     notif_ = std::make_unique<snap::NotificationChannel>(
-        sim_, timing_, rng_.fork("notif"), sink, id(), options_.wire,
-        options_.wire_stats);
+        sim_, timing_, rng_.fork("notif"), sink, id(), fabric_.wire,
+        wire_stats_);
   }
-  cp_->set_in_flight_probe([this]() { return notif_->in_flight(); });
+  cp_->set_transport(notif_.get());
 
   if (!options_.snapshot_enabled) return;
 
@@ -248,7 +250,7 @@ void Switch::finalize() {
 
 std::size_t Switch::classify(const net::Packet& pkt) const {
   // Out-of-range classes are clamped in enqueue() (CosQueueSet::clamp).
-  return options_.classifier ? options_.classifier(pkt) : 0;
+  return fabric_.classifier ? fabric_.classifier(pkt) : 0;
 }
 
 void Switch::receive(net::PooledPacket pkt, net::PortId in_port) {
@@ -427,7 +429,7 @@ void Switch::do_inject_initiation(net::PortId port_id, snap::WireSid sid) {
     Port& port = ports_.at(port_id);
     const snap::WireSid stamped =
         port.ingress.ensure_dataplane().on_initiation(sid, sim_.now());
-    sim_.after(options_.fabric_delay, [this, port_id, stamped]() {
+    sim_.after(timing_.fabric_delay, [this, port_id, stamped]() {
       Port& p = ports_.at(port_id);
       p.egress.ensure_dataplane().on_initiation(stamped, sim_.now());
       // The initiation is dropped after processing.
@@ -441,7 +443,7 @@ void Switch::do_inject_probe(net::PortId port_id) {
   // to direct neighbors (Section 6, liveness without traffic). Like data on
   // its sub-channels, it pays the pipeline latency before the ingress unit.
   const sim::Duration latency =
-      timing_.cpu_to_dataplane_latency + options_.fabric_delay;
+      timing_.cpu_to_dataplane_latency + timing_.fabric_delay;
   sim_.after(latency, [this, port_id]() {
     if (!options_.snapshot_enabled) return;
     Port& port = ports_.at(port_id);
@@ -469,7 +471,7 @@ void Switch::do_inject_probe(net::PortId port_id) {
     // Figure 2 needs its own marker, or completion stalls on classes that
     // happen to carry no traffic.
     for (net::PortId out = 0; out < options_.num_ports; ++out) {
-      for (std::size_t cls = 0; cls < options_.cos_classes; ++cls) {
+      for (std::size_t cls = 0; cls < fabric_.cos_classes; ++cls) {
         enqueue(out, probe.clone(), cls);
       }
     }

@@ -64,11 +64,10 @@ class SwitchAudit {
   }
 };
 
-struct SwitchOptions {
-  std::uint16_t num_ports = 0;
-  /// Partial deployment: a disabled switch forwards packets (and any
-  /// snapshot headers) untouched.
-  bool snapshot_enabled = true;
+/// The settings every switch of a fabric shares, each declared once:
+/// core::NetworkOptions extends this struct, and every switch reads the one
+/// copy its Network holds.
+struct FabricOptions {
   snap::SnapshotConfig snapshot;
   MetricKind metric = MetricKind::PacketCount;
 
@@ -76,37 +75,52 @@ struct SwitchOptions {
   sim::Duration flowlet_gap = sim::usec(50);
 
   /// Class-of-service sub-channels per internal channel (Section 4.1).
+  /// Must be >= 1.
   std::size_t cos_classes = 1;
   /// Maps a packet to its class in [0, cos_classes). Null = class 0.
-  /// SwitchOptions must stay copyable, which rules out InplaceFunction
+  /// The options must stay copyable, which rules out InplaceFunction
   /// (move-only); the classifier is invoked only when cos_classes > 1.
   // speedlight-lint: allow(std-function-in-datapath) copyable options struct.
   std::function<std::size_t(const net::Packet&)> classifier;
 
-  std::size_t queue_capacity = 1024;       ///< Packets per class per port.
-  /// Pipeline latency, charged before the ingress unit (on inbound links
-  /// and after probes' CPU path) or, for initiations, which skip the
-  /// queue, between the ingress and egress units.
-  sim::Duration fabric_delay = sim::nsec(400);
+  std::size_t queue_capacity = 4096;  ///< Packets per class per port.
 
   /// ASIC->CPU notification path: raw-socket DMA (the paper's choice) or
   /// the batched digest stream it rejected (kept for the ablation bench).
   snap::NotificationMode notification_mode = snap::NotificationMode::RawSocket;
 
-  /// Wire format of the notification transport (DESIGN.md section 16):
-  /// notifications cross PCIe as encoded frames and, when charging bytes,
-  /// service time scales with frame size. Applied at finalize();
-  /// `wire_stats` (may be null) must outlive the switch.
+  /// Control-plane wire format (DESIGN.md section 16) of every
+  /// notification transport and report link: notifications cross PCIe as
+  /// encoded frames and, when charging bytes, service time scales with
+  /// frame size.
   snap::WireOptions wire;
-  snap::WireStats* wire_stats = nullptr;
 
+  /// Every control plane's liveness options. With `proactive_register_poll`
+  /// set, each snapshot-enabled control plane starts its register-poll loop
+  /// as the network is built. Channel-state snapshots stall on traffic-less
+  /// channels, so `probe_on_initiate` and `probe_on_reinitiate` default to
+  /// Section 6's broadcast injection; clear them to study the failure mode.
   snap::ControlPlane::Options control;
+};
+
+/// What differs from one switch to the next.
+struct SwitchOptions {
+  std::uint16_t num_ports = 0;
+  /// Partial deployment: a disabled switch forwards packets (and any
+  /// snapshot headers) untouched.
+  bool snapshot_enabled = true;
 };
 
 class Switch final : public net::Node {
  public:
+  /// `timing` and `fabric` are shared by the whole fabric and must outlive
+  /// the switch, as must `wire_stats` (the wire accounting its notification
+  /// transport writes; may be null). A fabric with no CoS class throws
+  /// std::invalid_argument.
   Switch(sim::Simulator& sim, net::NodeId id, std::string name,
-         const sim::TimingModel& timing, SwitchOptions options, sim::Rng rng);
+         const sim::TimingModel& timing, const FabricOptions& fabric,
+         SwitchOptions options, sim::Rng rng,
+         snap::WireStats* wire_stats = nullptr);
   ~Switch() override;
 
   // --- Wiring (all before finalize(); after it they throw std::logic_error) --
@@ -130,7 +144,7 @@ class Switch final : public net::Node {
   void receive(net::PooledPacket pkt, net::PortId port) override;
   [[nodiscard]] bool is_host() const override { return false; }
   [[nodiscard]] sim::Duration pipeline_latency() const override {
-    return options_.fabric_delay;
+    return timing_.fabric_delay;
   }
 
   // --- Access ----------------------------------------------------------------
@@ -170,11 +184,11 @@ class Switch final : public net::Node {
   /// Egress channel index for a packet from `in_port` in CoS class `cls`.
   [[nodiscard]] std::uint16_t egress_channel(net::PortId in_port,
                                              std::size_t cls) const {
-    return static_cast<std::uint16_t>(in_port * options_.cos_classes + cls);
+    return static_cast<std::uint16_t>(in_port * fabric_.cos_classes + cls);
   }
   [[nodiscard]] std::uint16_t egress_cpu_channel() const {
     return static_cast<std::uint16_t>(options_.num_ports *
-                                      options_.cos_classes);
+                                      fabric_.cos_classes);
   }
 
  private:
@@ -201,8 +215,10 @@ class Switch final : public net::Node {
 
   sim::Simulator& sim_;
   const sim::TimingModel& timing_;
+  const FabricOptions& fabric_;
   SwitchOptions options_;
   sim::Rng rng_;
+  snap::WireStats* wire_stats_;
   bool finalized_ = false;
 
   /// Contiguous id-indexed port records (one arena allocation, no

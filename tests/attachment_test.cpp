@@ -24,7 +24,7 @@ class MiniDevice {
   MiniDevice(sim::Simulator& sim, const sim::TimingModel& timing,
              net::NodeId id, const SnapshotConfig& config)
       : unit_(sim, id, config), cp_(sim, id, "dev" + std::to_string(id),
-                                    timing, options_for(config), sim::Rng(id)) {
+                                    timing, config, {}, sim::Rng(id)) {
     unit_.notify = [this](const Notification& n) { cp_.on_notification(n); };
     cp_.add_unit(&unit_, {false, false});
   }
@@ -35,12 +35,6 @@ class MiniDevice {
   [[nodiscard]] VirtualSid sid() const { return unit_.dp().virtual_sid(); }
 
  private:
-  static ControlPlane::Options options_for(const SnapshotConfig& config) {
-    ControlPlane::Options o;
-    o.snapshot = config;
-    return o;
-  }
-
   class Unit final : public UnitHandle {
    public:
     Unit(sim::Simulator& sim, net::NodeId id, const SnapshotConfig& config)
@@ -98,9 +92,8 @@ TEST(NodeAttachment, LateDeviceJoinsNextSnapshot) {
   sim::TimingModel timing;
   SnapshotConfig config;  // No channel state: completion on advance.
   Observer::Options obs_options;
-  obs_options.snapshot = config;
   obs_options.completion_timeout = sim::msec(100);
-  Observer observer(sim, timing, obs_options);
+  Observer observer(sim, timing, config, WireOptions{}, nullptr, obs_options);
 
   MiniDevice a(sim, timing, 1, config);
   observer.register_device(&a.cp());
@@ -143,9 +136,8 @@ TEST(NodeAttachment, OutstandingSnapshotUnaffectedByAttachment) {
   sim::TimingModel timing;
   SnapshotConfig config;
   Observer::Options obs_options;
-  obs_options.snapshot = config;
   obs_options.completion_timeout = sim::msec(100);
-  Observer observer(sim, timing, obs_options);
+  Observer observer(sim, timing, config, WireOptions{}, nullptr, obs_options);
   MiniDevice a(sim, timing, 1, config);
   observer.register_device(&a.cp());
 
@@ -170,9 +162,8 @@ TEST(NodeAttachment, DeviceAttachedAfterScopeChangeJoinsSyncGroup) {
   sim::TimingModel timing;
   SnapshotConfig config;
   Observer::Options obs_options;
-  obs_options.snapshot = config;
   obs_options.completion_timeout = sim::msec(100);
-  Observer observer(sim, timing, obs_options);
+  Observer observer(sim, timing, config, WireOptions{}, nullptr, obs_options);
   MiniDevice a(sim, timing, 1, config);
   observer.register_device(&a.cp());
   observer.set_scope([](const net::UnitId&) { return true; });

@@ -174,18 +174,18 @@ TEST(CosChannels, TwoClassSnapshotStaysConsistent) {
 TEST(CosChannels, PriorityClassesDrainFirstEndToEnd) {
   // Verify CoS scheduling itself through a switch under contention: the
   // high-priority class suffers much less queueing delay.
+  sw::FabricOptions fabric;
+  fabric.cos_classes = 2;
+  fabric.classifier = [](const net::Packet& p) {
+    return static_cast<std::size_t>(p.flow % 2);  // odd flows: class 1
+  };
   sw::SwitchOptions so;
   so.num_ports = 3;
   so.snapshot_enabled = false;
-  so.cos_classes = 2;
-  so.classifier = [](const net::Packet& p) {
-    return static_cast<std::size_t>(p.flow % 2);  // odd flows: class 1
-  };
-  so.queue_capacity = 4096;
 
   sim::Simulator sim;
   sim::TimingModel timing;
-  sw::Switch swch(sim, 0, "s", timing, so, sim::Rng(1));
+  sw::Switch swch(sim, 0, "s", timing, fabric, so, sim::Rng(1));
   net::Host fast(sim, 10, "fast");
   net::Host slow(sim, 11, "slow");
   net::Host sink(sim, 12, "sink");

@@ -104,12 +104,10 @@ struct ReportCapture {
 };
 
 struct Fixture {
-  explicit Fixture(SnapshotConfig config, ControlPlane::Options extra = {},
+  explicit Fixture(SnapshotConfig config, ControlPlane::Options options = {},
                    std::uint16_t data_channels = 1) {
     timing.reinitiation_timeout = sim::msec(1);
-    ControlPlane::Options options = extra;
-    options.snapshot = config;
-    cp = std::make_unique<ControlPlane>(sim, 7, "sw7", timing, options,
+    cp = std::make_unique<ControlPlane>(sim, 7, "sw7", timing, config, options,
                                         sim::Rng(11));
     // One unit: data channels 0 .. data_channels - 1, then the CPU channel.
     unit = std::make_unique<FakeUnit>(
@@ -137,24 +135,17 @@ struct Fixture {
 SnapshotConfig cs_config() {
   SnapshotConfig c;
   c.channel_state = true;
-  c.value_slots = 64;
   return c;
 }
 
-SnapshotConfig nocs_config() {
-  SnapshotConfig c;
-  c.value_slots = 64;
-  return c;
-}
+SnapshotConfig nocs_config() { return SnapshotConfig{}; }
 
 TEST(ControlPlane, AddUnitRejectsNullHandleAndWrongMaskLength) {
   // add_unit writes the CPU channel's mask bit and sizes per-channel state
   // from the handle, so a bad argument must not get that far.
   sim::Simulator sim;
   sim::TimingModel timing;
-  ControlPlane::Options options;
-  options.snapshot = cs_config();
-  ControlPlane cp(sim, 7, "sw7", timing, options, sim::Rng(11));
+  ControlPlane cp(sim, 7, "sw7", timing, cs_config(), {}, sim::Rng(11));
   FakeUnit unit(sim, net::UnitId{7, 0, net::Direction::Ingress}, cs_config(),
                 /*channels=*/3, /*cpu=*/2);
   EXPECT_THROW(cp.add_unit(nullptr, std::vector<bool>(3, true)),
@@ -202,9 +193,7 @@ TEST(ControlPlaneCs, InFlightPacketsInChannelValue) {
 }
 
 TEST(ControlPlaneCs, SkippedIdsMarkedInconsistent) {
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(cs_config(), opts);
+  Fixture f(cs_config());
   // The unit jumps straight to 3 via a data packet (e.g. its initiations
   // were lost but a neighbor advanced).
   f.unit->state = 42;
@@ -223,37 +212,32 @@ TEST(ControlPlaneCs, SkippedIdsMarkedInconsistent) {
 
 TEST(ControlPlaneCs, JumpPastEverySlotMarksEverySkippedId) {
   // Figure 7 marks every id a unit advances past before its channel state
-  // is final, however far one notification moves it. The unit jumps from
-  // 1 to 7 while a packet sent before snapshot 1 is still in flight on its
-  // other channel, and that packet is booked into id 7. With 2^32 ids the
-  // verdicts must not depend on how many value slots the unit has.
-  for (const std::size_t slots : {4, 64}) {
-    SnapshotConfig config = cs_config();
-    config.value_slots = slots;
-    ControlPlane::Options opts;
-    opts.auto_reinitiate = false;
-    Fixture f(config, opts, /*data_channels=*/2);
-    f.unit->state = 5;
-    f.unit->packet(1, 0);  // Channel 0's neighbor reaches 1 ...
-    f.unit->packet(7, 0);  // ... then 7, in one jump.
-    f.unit->packet(0, 1);  // In flight on channel 1 since before snapshot 1.
-    f.unit->packet(7, 1);  // Channel 1 catches up: ids 1..7 are final.
-    f.sim.run_until(sim::msec(5));
-    for (VirtualSid i = 1; i <= 7; ++i) {
-      const UnitReport* r = f.report_for(i);
-      ASSERT_NE(r, nullptr) << "slots " << slots << ", id " << i;
-      EXPECT_EQ(r->consistent, i == 7) << "slots " << slots << ", id " << i;
-    }
-    EXPECT_EQ(f.report_for(7)->channel_value, 1u) << "slots " << slots;
+  // is final, however far one notification moves it. With 2^32 ids the
+  // unit jumps from 1 to 70, past all 64 value slots (id 70 reuses skipped
+  // id 6's slot), while a packet sent before snapshot 1 is still in flight
+  // on its other channel; that packet is booked into id 70.
+  constexpr VirtualSid kTo = SnapshotConfig::kValueSlots + 6;
+  const auto to = static_cast<WireSid>(kTo);
+  Fixture f(cs_config(), {}, /*data_channels=*/2);
+  f.unit->state = 5;
+  f.unit->packet(1, 0);   // Channel 0's neighbor reaches 1 ...
+  f.unit->packet(to, 0);  // ... then 70, in one jump.
+  f.unit->packet(0, 1);   // In flight on channel 1 since before snapshot 1.
+  f.unit->packet(to, 1);  // Channel 1 catches up: ids 1..70 are final.
+  f.sim.run_until(sim::msec(5));
+  for (VirtualSid i = 1; i <= kTo; ++i) {
+    const UnitReport* r = f.report_for(i);
+    ASSERT_NE(r, nullptr) << i;
+    EXPECT_EQ(r->consistent, i == kTo) << i;
   }
+  EXPECT_EQ(f.report_for(kTo)->local_value, 5u);
+  EXPECT_EQ(f.report_for(kTo)->channel_value, 1u);
 }
 
 TEST(ControlPlaneCs, AdvanceTimeIsTheNotificationThatPassedTheId) {
   // The completion floor lags across two advances; each id's advance_time
   // is the timestamp of the notification that advanced the unit past it.
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(cs_config(), opts);
+  Fixture f(cs_config());
   f.sim.run_until(sim::usec(10));
   f.unit->dp_.on_initiation(2, f.sim.now());  // 0 -> 2 at 10 us.
   f.sim.run_until(sim::usec(30));
@@ -281,9 +265,7 @@ TEST(ControlPlaneNoCs, CompleteOnAdvance) {
 }
 
 TEST(ControlPlaneNoCs, SkippedIdsInferred) {
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(nocs_config(), opts);
+  Fixture f(nocs_config());
   f.unit->state = 77;
   f.unit->packet(3, 0);  // Jump 0 -> 3.
   f.sim.run_until(sim::msec(800));
@@ -307,13 +289,13 @@ TEST(ControlPlane, ReinitiationRecoversLostInitiation) {
 }
 
 TEST(ControlPlane, ReinitiationStopsAfterMaxAttempts) {
-  ControlPlane::Options opts;
-  opts.max_reinitiations = 3;
-  Fixture f(cs_config(), opts);
+  Fixture f(cs_config());
   f.unit->drop_initiations = 1000;  // Permanently broken.
   f.cp->schedule_snapshot(1, 0);
   f.sim.run_until(sim::sec(1));
-  EXPECT_LE(f.unit->initiations, 1 + 3);
+  EXPECT_EQ(f.unit->initiations, 1 + ControlPlane::kMaxReinitiations);
+  EXPECT_EQ(f.cp->reinitiation_rounds(),
+            std::uint64_t{ControlPlane::kMaxReinitiations});
 }
 
 TEST(ControlPlane, ProbesFloodOnReinitiationWhenEnabled) {
@@ -330,8 +312,6 @@ TEST(ControlPlane, ProbesFloodOnReinitiationWhenEnabled) {
 TEST(ControlPlane, RegisterPollRecoversLostNotifications) {
   ControlPlane::Options opts;
   opts.proactive_register_poll = true;
-  opts.register_poll_interval = sim::msec(1);
-  opts.auto_reinitiate = false;
   Fixture f(nocs_config(), opts);
   f.cp->start_register_poll();
   // Cut the notification path entirely.
@@ -350,8 +330,6 @@ TEST(ControlPlane, RegisterPollRecoversChannelStateToo) {
   // registers, or completion would hang after a dropped notification.
   ControlPlane::Options opts;
   opts.proactive_register_poll = true;
-  opts.register_poll_interval = sim::msec(1);
-  opts.auto_reinitiate = false;
   Fixture f(cs_config(), opts);
   f.cp->start_register_poll();
   f.unit->notify = nullptr;  // Every notification lost.
@@ -385,9 +363,7 @@ TEST(ControlPlaneNoCs, InferenceAcrossWraparound) {
   // Skipped ids spanning a wire rollover still infer correctly.
   SnapshotConfig config = nocs_config();
   config.wire_id_modulus = 8;  // Serial window: ids within +/-3.
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(config, opts);
+  Fixture f(config);
   // Walk to virtual 7 (wire 7), then jump to virtual 9 (wire 1): virtual 8
   // (wire 0) is skipped across the rollover.
   for (WireSid i = 1; i <= 7; ++i) {
@@ -411,9 +387,7 @@ TEST(ControlPlaneNoCs, InferenceAcrossWraparound) {
 }
 
 TEST(ControlPlane, DuplicateNotificationsIdempotent) {
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(nocs_config(), opts);
+  Fixture f(nocs_config());
   Notification n;
   n.unit = f.unit->unit_id();
   n.old_sid = 0;
@@ -435,9 +409,7 @@ TEST(ControlPlane, MaskedChannelDoesNotGateCompletion) {
   SnapshotConfig config = cs_config();
   sim::Simulator sim;
   sim::TimingModel timing;
-  ControlPlane::Options options;
-  options.snapshot = config;
-  ControlPlane cp(sim, 1, "sw", timing, options, sim::Rng(2));
+  ControlPlane cp(sim, 1, "sw", timing, config, {}, sim::Rng(2));
   FakeUnit unit(sim, net::UnitId{1, 0, net::Direction::Ingress}, config, 2, 1);
   unit.notify = [&](const Notification& n) { cp.on_notification(n); };
   cp.add_unit(&unit, {false, false});  // External channel masked out.
@@ -453,9 +425,7 @@ TEST(ControlPlane, MaskedChannelDoesNotGateCompletion) {
 TEST(ControlPlane, WraparoundNotificationsUnrolled) {
   SnapshotConfig config = cs_config();
   config.wire_id_modulus = 4;
-  ControlPlane::Options opts;
-  opts.auto_reinitiate = false;
-  Fixture f(config, opts);
+  Fixture f(config);
   // Walk through 10 snapshots in a 2-bit wire space.
   for (VirtualSid i = 1; i <= 10; ++i) {
     f.unit->state = i;

@@ -37,7 +37,6 @@ SnapshotConfig cs_config(std::uint32_t modulus = 0, bool hardware = true) {
   c.channel_state = true;
   c.wire_id_modulus = modulus;
   c.hardware_faithful = hardware;
-  c.value_slots = 64;
   return c;
 }
 

@@ -1,7 +1,19 @@
 // Snapshot-id arithmetic: wire<->virtual mapping and rollover handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
+#include "sim/timing_model.hpp"
+#include "snapshot/config.hpp"
+#include "snapshot/control_plane.hpp"
+#include "snapshot/dataplane.hpp"
 #include "snapshot/ids.hpp"
+#include "snapshot/observer.hpp"
+#include "snapshot/wire.hpp"
 
 namespace speedlight::snap {
 namespace {
@@ -107,6 +119,29 @@ TEST(SidSpace, ModulusMustBeAPowerOfTwo) {
   for (const std::uint32_t m : {1u, 3u, 6u, 12u, 100u, 0xffffffffu}) {
     EXPECT_FALSE(SidSpace::valid_modulus(m)) << m;
   }
+}
+
+TEST(SidSpace, UnitControlPlaneAndObserverRejectNonPowerOfTwoModulus) {
+  // Wire ids are masked, so modulus 3 would mask with 2 and alias ids.
+  // Each component that builds an id space refuses it in every build type,
+  // not only where asserts are compiled in.
+  SnapshotConfig config;
+  config.wire_id_modulus = 3;
+  sim::Simulator sim;
+  sim::TimingModel timing;
+  const auto make_unit = [&config] {
+    return std::make_unique<DataplaneUnit>(
+        net::UnitId{0, 0, net::Direction::Ingress}, config, 2, 1,
+        [] { return std::uint64_t{0}; },
+        [](const PacketView&) { return std::uint64_t{1}; },
+        [](const Notification&) {});
+  };
+  EXPECT_THROW(SidSpace(3), std::invalid_argument);
+  EXPECT_THROW(make_unit(), std::invalid_argument);
+  EXPECT_THROW(ControlPlane(sim, 0, "sw", timing, config, {}, sim::Rng(1)),
+               std::invalid_argument);
+  EXPECT_THROW(Observer(sim, timing, config, WireOptions{}, nullptr, {}),
+               std::invalid_argument);
 }
 
 TEST(SidSpace, MaskedArithmeticMatchesModuloDefinition) {

@@ -221,7 +221,6 @@ TEST_P(FaultLiveness, SnapshotsCompleteUnderNotificationLoss) {
   opt.seed = 42;
   opt.timing.notification_drop_probability = GetParam();
   opt.control.proactive_register_poll = true;
-  opt.control.register_poll_interval = sim::msec(2);
   opt.observer.completion_timeout = sim::msec(80);
   Network net(net::make_leaf_spine(2, 2, 2), opt);
   auto gens = start_traffic(net, 42);
@@ -251,7 +250,6 @@ TEST_P(LossyCorrectness, ConsistentReportsRemainExact) {
   opt.snapshot.channel_state = true;
   opt.timing.notification_drop_probability = GetParam();
   opt.control.proactive_register_poll = true;
-  opt.control.register_poll_interval = sim::msec(2);
   opt.observer.completion_timeout = sim::msec(120);
   Network net(net::make_leaf_spine(2, 2, 2), opt);
   auto gens = start_traffic(net, 71);

@@ -157,7 +157,6 @@ TEST(SnapshotIntegration, NotificationLossRecoveredByRegisterPoll) {
   NetworkOptions opt;  // No channel state: simpler completion.
   opt.timing.notification_drop_probability = 0.3;
   opt.control.proactive_register_poll = true;
-  opt.control.register_poll_interval = sim::msec(2);
   Network net(net::make_leaf_spine(2, 2, 3), opt);
   auto gens = start_all_to_all(net);
   net.run_for(sim::msec(2));
@@ -230,11 +229,11 @@ TEST(SnapshotIntegration, PartialDeploymentCsChainConservation) {
 }
 
 TEST(SnapshotIntegration, HungDeviceExcludedAtTimeout) {
-  // With probes and re-initiation disabled and zero traffic, channel-state
-  // completion stalls forever: the observer must exclude the devices and
-  // finish the snapshot without them.
+  // With probes disabled and zero traffic, channel-state completion stalls
+  // forever (re-initiation resends initiations, which carry no marker
+  // across a link): the observer must exclude the devices and finish the
+  // snapshot without them.
   NetworkOptions opt = cs_options();
-  opt.control.auto_reinitiate = false;
   opt.control.probe_on_initiate = false;
   opt.control.probe_on_reinitiate = false;
   opt.observer.completion_timeout = sim::msec(30);

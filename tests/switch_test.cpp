@@ -374,7 +374,7 @@ TEST(SwitchCos, ClassifierSeparatesTraffic) {
 /// and enqueues it.
 sim::SimTime first_enqueue(Network& net) {
   return net.host_uplink(0).serialization_delay(1500) +
-         net.spec().host_link_propagation + net.options().fabric_delay;
+         net.spec().host_link_propagation + net.options().timing.fabric_delay;
 }
 
 TEST(SwitchEgress, IdleHopSchedulesOneEventAtTheSwitch) {
@@ -501,7 +501,7 @@ TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
   const sim::SimTime departure = dequeued + trunk.serialization_delay(1500);
   const sim::SimTime inject = departure -
                               net.options().timing.cpu_to_dataplane_latency -
-                              net.options().fabric_delay;
+                              net.options().timing.fabric_delay;
   ASSERT_GT(inject, 0);
   ASSERT_LT(inject, dequeued);
   sim::Simulator& sim = net.simulator();
@@ -561,7 +561,7 @@ TEST(SwitchEgress, ProbeAndDataLeaveInIngressOrder) {
   sw::Switch& s0 = net.switch_at(0);
   snap::UnitHandle* ingress = s0.unit(0, net::Direction::Ingress);
   const sim::Duration cpu = opt.timing.cpu_to_dataplane_latency;
-  const sim::Duration pipeline = opt.fabric_delay;
+  const sim::Duration pipeline = opt.timing.fabric_delay;
   const sim::SimTime T = sim::usec(20);
   const sim::Duration to_ingress = net.host_uplink(0).serialization_delay(64) +
                                    net.spec().host_link_propagation +
@@ -677,7 +677,7 @@ TEST(SwitchPassThrough, ProbeFloodClassOneWaitsForTheWakeUp) {
   sim::Simulator& sim = net.simulator();
   const sim::SimTime inject = sim::usec(10);
   const sim::SimTime flood =
-      inject + opt.timing.cpu_to_dataplane_latency + opt.fabric_delay;
+      inject + opt.timing.cpu_to_dataplane_latency + opt.timing.fabric_delay;
   const sim::Duration ser = trunk.serialization_delay(64);
   // Snapshot 1 first, so the probe carries id 1 onto the sub-channels.
   sim.at(sim::usec(1), [ingress] { ingress->inject_initiation(1); });
