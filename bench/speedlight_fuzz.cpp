@@ -9,7 +9,7 @@
 //
 // Usage:
 //   speedlight_fuzz [--seed S] [--runs N] [--time-budget SECONDS]
-//                   [--replay FILE] [--no-oracle] [--digest]
+//                   [--replay FILE] [--digest]
 //                   [--inject-bug] [--out DIR] [--smoke] [--json-out PATH]
 //
 //   --seed S          Base seed; run i uses seed S+i (default 1).
@@ -18,7 +18,6 @@
 //                     unlimited; the nightly CI job sets this).
 //   --replay FILE     Run one saved .scenario instead of fuzzing; exit 1
 //                     if it violates any invariant.
-//   --no-oracle       Skip the idealized twin run (halves the cost).
 //   --digest          Determinism + codec backstop: run every seed twice and
 //                     demand bit-identical end-state digests and (under
 //                     SPEEDLIGHT_CHECK_DETERMINISM) tie-break fingerprints.
@@ -63,7 +62,6 @@ struct Args {
   double time_budget_s = 0;  // 0 = unlimited.
   std::string replay;
   std::string out_dir = ".";
-  bool with_oracle = true;
   bool digest = false;
   bool inject_bug = false;
 };
@@ -88,8 +86,6 @@ Args parse(int argc, char** argv) {
       a.replay = next("--replay");
     } else if (std::strcmp(argv[i], "--out") == 0) {
       a.out_dir = next("--out");
-    } else if (std::strcmp(argv[i], "--no-oracle") == 0) {
-      a.with_oracle = false;
     } else if (std::strcmp(argv[i], "--digest") == 0) {
       a.digest = true;
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {
@@ -142,8 +138,7 @@ std::string fail_path(const Args& args, std::uint64_t seed) {
 int replay_one(const Args& args, check::FuzzStats& stats) {
   const check::Scenario s = check::load_scenario(args.replay);
   std::cout << "Replaying " << args.replay << ": " << s.label() << "\n";
-  const check::RunResult r =
-      check::run_scenario(s, {.with_oracle = args.with_oracle});
+  const check::RunResult r = check::run_scenario(s);
   ++stats.replays;
   stats.account(r);
   std::cout << "  " << r.completed << "/" << r.requested
@@ -234,8 +229,7 @@ int main(int argc, char** argv) {
         break;
       }
       const check::Scenario s = check::generate_scenario(args.seed + i);
-      const check::RunResult r =
-          check::run_scenario(s, {.with_oracle = args.with_oracle});
+      const check::RunResult r = check::run_scenario(s);
       stats.account(r);
 
       if (args.digest) {
@@ -245,9 +239,8 @@ int main(int argc, char** argv) {
         // tie-breaks) that the invariants alone would never notice. The
         // twin flips the wire encoding (delta+compact vs full frames), so
         // a divergence also convicts a lossy codec round-trip.
-        const check::RunResult twin = check::run_scenario(
-            s, {.with_oracle = args.with_oracle,
-                .wire = check::WireMode::FullV2});
+        const check::RunResult twin =
+            check::run_scenario(s, {.wire = check::WireMode::FullV2});
         ++stats.digest_runs;
         seed_records.push_back(seed_record(s.seed, r, twin));
         if (twin.digest != r.digest ||
@@ -268,8 +261,7 @@ int main(int argc, char** argv) {
       std::cout << "FAIL seed " << s.seed << " (" << s.label() << "), "
                 << r.violations.size() << " violation(s):\n";
       print_violations(r);
-      const check::ShrinkResult shrunk = check::shrink_scenario(
-          s, {.with_oracle = args.with_oracle});
+      const check::ShrinkResult shrunk = check::shrink_scenario(s, {});
       stats.shrink_attempts += shrunk.attempts;
       stats.shrink_steps += shrunk.steps;
       const std::string path = fail_path(args, s.seed);

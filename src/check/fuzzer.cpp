@@ -45,15 +45,59 @@ std::uint64_t report_hash(const snap::UnitReport& r) {
 /// Step of the settle check after a snapshot train's last fire time.
 constexpr sim::Duration kSettleWindow = sim::usec(100);
 
-struct SingleRun {
-  RunResult result;  ///< Violations from the run's own invariants.
-  /// Completed snapshots, copied out so the oracle comparison can outlive
-  /// the network.
-  std::map<snap::VirtualSid, snap::GlobalSnapshot> completed;
-};
+using Snapshots = std::map<snap::VirtualSid, snap::GlobalSnapshot>;
 
-SingleRun run_once(const Scenario& s, const RunOptions& opts,
-                   bool hardware_faithful) {
+/// Rolling end-state digest of a run's completed snapshots and totals:
+/// ordered over snapshot ids (std::map), with the per-report hashes folded
+/// commutatively (XOR) so the unordered report map's iteration order
+/// cannot leak into the digest.
+std::uint64_t run_digest(const Snapshots& completed, const RunResult& totals,
+                         std::uint64_t conservation_checked) {
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const auto& [id, snap] : completed) {
+    digest = mix64(digest, id);
+    digest = mix64(digest, static_cast<std::uint64_t>(snap.completed_at));
+    digest = mix64(digest, snap.complete ? 1 : 0);
+    std::uint64_t reports = 0;
+    for (const auto& [unit, report] : snap.reports) {
+      reports ^= report_hash(report);
+    }
+    digest = mix64(digest, reports);
+  }
+  digest = mix64(digest, totals.requested);
+  digest = mix64(digest, totals.skipped);
+  digest = mix64(digest, conservation_checked);
+  digest = mix64(digest, totals.link_drops);
+  return digest;
+}
+
+/// The completed snapshots as the idealized Figure 3 data plane would have
+/// produced them. Its event stream is the hardware run's (only the Snapshot
+/// Value contents differ, and report bytes cross the wire at fixed cost),
+/// so each snapshot assembles the same (unit, id) reports, each replaced by
+/// the oracle report its control plane built at the same read. A unit
+/// reports an id at most once.
+Snapshots ideal_snapshots(core::Network& net, const Snapshots& completed) {
+  Snapshots ideal = completed;
+  for (std::size_t i = 0; i < net.num_switches(); ++i) {
+    for (const snap::UnitReport& r :
+         net.switch_at(i).control_plane().oracle_reports()) {
+      const auto snap = ideal.find(r.sid);
+      if (snap == ideal.end()) continue;
+      const auto report = snap->second.reports.find(r.unit);
+      if (report != snap->second.reports.end()) report->second = r;
+    }
+  }
+  return ideal;
+}
+
+}  // namespace
+
+RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
+  if (opts.shards != 1) {
+    throw std::invalid_argument("RunOptions::shards " +
+                                std::to_string(opts.shards) + " is not 1");
+  }
   // Every run doubles as a determinism audit: the auditor fingerprints
   // same-timestamp event pairs touching a common unit, and the allocation
   // guard counts data-path allocations (both no-ops unless the build sets
@@ -63,7 +107,7 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
   const std::uint64_t allocs_before = sim::det::datapath_allocs();
 
   core::NetworkOptions nopt = s.network_options();
-  nopt.snapshot.hardware_faithful = hardware_faithful;
+  nopt.snapshot.oracle = opts.with_oracle;
   // Uncharged service: the codecs must be behaviorally invisible, so the
   // digest doubles as a byte-exact encode/decode round-trip check over the
   // whole fault schedule.
@@ -242,70 +286,44 @@ SingleRun run_once(const Scenario& s, const RunOptions& opts,
       s.faults.empty() && s.transport == snap::NotificationMode::RawSocket;
   ConsistencyChecker checker(net, copt);
 
-  SingleRun out;
-  out.result.violations = checker.check_all(campaign);
-  out.result.requested = campaign.ids.size();
-  out.result.skipped = campaign.skipped;
-  out.result.conservation_checked = checker.conservation_checked();
+  RunResult result;
+  result.violations = checker.check_all(campaign);
+  result.requested = campaign.ids.size();
+  result.skipped = campaign.skipped;
+  result.conservation_checked = checker.conservation_checked();
+  Snapshots completed;
   for (const auto* snap : campaign.results(net)) {
-    out.completed.emplace(snap->id, *snap);
+    completed.emplace(snap->id, *snap);
   }
-  out.result.completed = out.completed.size();
-  out.result.simulated = net.now();
+  result.completed = completed.size();
+  result.simulated = net.now();
   for (std::size_t t = 0; t < num_trunks; ++t) {
-    out.result.link_drops += net.trunk_link(t, true).packets_dropped();
-    out.result.link_drops += net.trunk_link(t, false).packets_dropped();
+    result.link_drops += net.trunk_link(t, true).packets_dropped();
+    result.link_drops += net.trunk_link(t, false).packets_dropped();
   }
-  for (const auto& fl : flappers) out.result.flaps += fl->flaps();
+  for (const auto& fl : flappers) result.flaps += fl->flaps();
 
   auditor.uninstall();
-  out.result.tie_fingerprint = auditor.fingerprint();
-  out.result.tie_pairs = auditor.tie_pairs();
-  out.result.datapath_allocs = sim::det::datapath_allocs() - allocs_before;
+  result.tie_fingerprint = auditor.fingerprint();
+  result.tie_pairs = auditor.tie_pairs();
+  result.datapath_allocs = sim::det::datapath_allocs() - allocs_before;
 
-  // Rolling end-state digest: ordered over snapshot ids (std::map), with
-  // the per-report hashes folded commutatively (XOR) so the unordered
-  // report map's iteration order cannot leak into the digest.
-  std::uint64_t digest = 14695981039346656037ull;
-  for (const auto& [id, snap] : out.completed) {
-    digest = mix64(digest, id);
-    digest = mix64(digest, static_cast<std::uint64_t>(snap.completed_at));
-    digest = mix64(digest, snap.complete ? 1 : 0);
-    std::uint64_t reports = 0;
-    for (const auto& [unit, report] : snap.reports) {
-      reports ^= report_hash(report);
-    }
-    digest = mix64(digest, reports);
-  }
-  digest = mix64(digest, out.result.requested);
-  digest = mix64(digest, out.result.skipped);
-  digest = mix64(digest, out.result.conservation_checked);
-  digest = mix64(digest, out.result.link_drops);
-  out.result.digest = digest;
-  return out;
-}
-
-}  // namespace
-
-RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
-  if (opts.shards != 1) {
-    throw std::invalid_argument("RunOptions::shards " +
-                                std::to_string(opts.shards) + " is not 1");
-  }
-  SingleRun hw = run_once(s, opts, /*hardware_faithful=*/true);
-  RunResult result = std::move(hw.result);
+  result.digest =
+      run_digest(completed, result, result.conservation_checked);
   if (opts.with_oracle) {
-    const SingleRun ideal = run_once(s, opts, /*hardware_faithful=*/false);
-    ConsistencyChecker::check_oracle(hw.completed, ideal.completed,
-                                     result.violations);
-    // Fold the twin into the run's identity so --digest also pins down the
-    // idealized path, and aggregate its audit counters.
-    result.digest = mix64(result.digest, ideal.result.digest);
-    result.tie_fingerprint =
-        mix64(result.tie_fingerprint, ideal.result.tie_fingerprint);
-    result.tie_pairs += ideal.result.tie_pairs;
-    result.simulated += ideal.result.simulated;
-    result.datapath_allocs += ideal.result.datapath_allocs;
+    const Snapshots ideal = ideal_snapshots(net, completed);
+    ConsistencyChecker::check_oracle(completed, ideal, result.violations);
+    // The ideal run's own conservation count, on the same links.
+    ConsistencyChecker ideal_checker(net, copt);
+    std::vector<Violation> unused;
+    for (const auto& [id, snap] : ideal) {
+      ideal_checker.check_conservation(snap, unused);
+    }
+    // Fold the oracle into the run's identity so --digest also pins down
+    // the idealized path.
+    result.digest = mix64(
+        result.digest,
+        run_digest(ideal, result, ideal_checker.conservation_checked()));
   }
   return result;
 }

@@ -1,9 +1,9 @@
 // The scenario fuzzer's engine: run one scenario end-to-end (build the
 // network, drive the workload, apply the fault schedule, take the snapshot
-// train, run the ConsistencyChecker, optionally cross-check against an
-// idealized Figure 3 twin of the same event stream), and shrink failing
-// scenarios to minimal reproducers by delta-debugging over the scenario
-// description. The CLI front-end is bench/speedlight_fuzz.cpp; replay
+// train, run the ConsistencyChecker, optionally cross-check against the
+// idealized Figure 3 reports the same run's oracle arrays yield), and
+// shrink failing scenarios to minimal reproducers by delta-debugging over
+// the scenario description. The CLI front-end is bench/speedlight_fuzz.cpp; replay
 // regression tests live in tests/check_replay_test.cpp.
 #pragma once
 
@@ -31,9 +31,10 @@ enum class WireMode : std::uint8_t {
 };
 
 struct RunOptions {
-  /// Run an idealized (hardware_faithful = false) twin of the same seeded
-  /// event stream and require mutually consistent reports to match exactly.
-  /// Doubles the cost of a run.
+  /// Keep the idealized Figure 3 oracle beside the hardware data plane
+  /// (SnapshotConfig::oracle) in the same simulation, require reports
+  /// consistent under both to match exactly, and fold the oracle's digest
+  /// into the run's.
   bool with_oracle = true;
 
   /// Wire encoding for the network under test (see WireMode).
@@ -57,8 +58,7 @@ struct RunResult {
   std::uint64_t link_drops = 0;  ///< Wire drops across all links.
   std::uint64_t flaps = 0;       ///< LinkFlapper transitions observed.
   /// Simulated time covered: from zero to the instant the run settled or
-  /// reached its deadline, summed over the hardware run and its oracle
-  /// twin.
+  /// reached its deadline. One simulation, with or without the oracle.
   sim::Duration simulated = 0;
 
   /// Order-independent digest of the run's observable end state (every
@@ -69,7 +69,7 @@ struct RunResult {
   /// Determinism-audit results (active only under
   /// SPEEDLIGHT_CHECK_DETERMINISM; zero otherwise). The fingerprint folds
   /// every same-timestamp event pair that touched a common processing unit;
-  /// twin runs must agree or the tie-break order is racy.
+  /// `--digest` twin runs must agree or the tie-break order is racy.
   std::uint64_t tie_fingerprint = 0;
   std::uint64_t tie_pairs = 0;
   /// Allocations flagged inside data-path scopes during the run.

@@ -17,9 +17,10 @@
 //                       scenario-derived bound (Section 3's guarantee);
 //   * liveness        — when nothing adversarial is configured, every
 //                       accepted request completes with no exclusions;
-//   * oracle          — values of reports consistent in both a
-//                       hardware-faithful and an idealized (Figure 3) run
-//                       of the same event stream match exactly.
+//   * oracle          — values of reports consistent both as shipped by
+//                       the hardware data plane and as its idealized
+//                       (Figure 3) oracle arrays yield them at the same
+//                       reads (SnapshotConfig::oracle) match exactly.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +84,8 @@ class ConsistencyChecker {
                                   const snap::GlobalSnapshot& cur,
                                   std::vector<Violation>& out);
 
-  /// Hardware-vs-ideal oracle: for every snapshot id completed in both runs
-  /// and every unit whose report is consistent (and not inferred) in both,
+  /// Hardware-vs-ideal oracle: for every snapshot id in both maps and
+  /// every unit whose report is consistent (and not inferred) in both,
   /// local and channel values must match exactly.
   static void check_oracle(
       const std::map<snap::VirtualSid, snap::GlobalSnapshot>& hardware,

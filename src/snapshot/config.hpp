@@ -20,11 +20,14 @@ struct SnapshotConfig {
   /// paper's "+ Wrap Around" variant.
   std::uint32_t wire_id_modulus = 0;
 
-  /// When true (the Speedlight data plane), an id jump > 1 cannot back-fill
-  /// intermediate snapshot slots (Section 5.3) and the control plane marks
-  /// them inconsistent. When false, the idealized Figure 3 algorithm runs
-  /// (used as the test oracle).
-  bool hardware_faithful = true;
+  /// Every unit runs the Speedlight data plane: an id jump > 1 cannot
+  /// back-fill intermediate snapshot slots (Section 5.3), and the control
+  /// plane marks or infers them. When true, each unit also keeps the
+  /// idealized Figure 3 algorithm's Snapshot Value array beside its own,
+  /// and each control plane builds the reports that array yields at the
+  /// same reads (ControlPlane::oracle_reports(), the fuzzer's oracle). The
+  /// oracle moves no event, counter or shipped byte.
+  bool oracle = false;
 
   /// Snapshot Value register array length per unit in the full 2^32 id
   /// space. A bounded wire space has one slot per live id instead (the

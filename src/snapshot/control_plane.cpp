@@ -222,76 +222,81 @@ void ControlPlane::advance_reads(std::size_t pos, sim::SimTime finalize_ts) {
     }
     u.trim_advances(floor);
   } else {
-    // Batched register read, then the downward value-inference walk. The
-    // unit is captured by position: units_ may reallocate if units are added
-    // after wiring (it is not, but cheap insurance).
-    sim_.after(timing_.register_read_latency, [this, pos, from, floor,
-                                               finalize_ts]() {
-      UnitState* up = &units_[pos];
-      const std::size_t slots = snapshot_.slots();
-      std::vector<SlotValue> values;
-      values.reserve(static_cast<std::size_t>(floor - from + 1));
-      for (VirtualSid i = from; i <= floor; ++i) {
-        values.push_back(up->handle->read_value_slot(i % slots));
-      }
-      // Walk downward: skipped slots inherit the next valid value.
-      std::uint64_t valid_value = 0;
-      bool have_valid = false;
-      std::vector<UnitReport> reports(values.size());
-      for (VirtualSid i = floor; i >= from; --i) {
-        const std::size_t idx = static_cast<std::size_t>(i - from);
-        const SlotValue& sv = values[idx];
-        const bool fresh = sv.initialized && sv.wire_sid == space_.to_wire(i);
-        UnitReport r;
-        r.device = device_;
-        r.unit = up->handle->unit_id();
-        r.sid = i;
-        if (fresh) {
-          valid_value = sv.local_value;
-          have_valid = true;
-          r.local_value = sv.local_value;
-          r.advance_time = sv.saved_at;
-        } else if (have_valid) {
-          r.local_value = valid_value;
-          r.inferred = true;
-          r.advance_time = up->advance_time(i);
-        } else {
-          r.consistent = false;  // No valid reference: conservative.
-        }
-        r.finalize_time =
-            r.advance_time != 0 ? r.advance_time : finalize_ts;
-        reports[idx] = r;
-        if (i == from) break;  // VirtualSid is unsigned.
-      }
-      for (const auto& r : reports) ship(r, pos);
-      up->trim_advances(floor);
-    });
+    // Batched register read, then the downward value-inference walk.
+    sim_.after(timing_.register_read_latency,
+               [this, pos, from, floor, finalize_ts]() {
+                 read_and_ship(pos, from, floor, /*advance_ts=*/0, finalize_ts);
+                 units_[pos].trim_advances(floor);
+               });
   }
 }
 
 void ControlPlane::read_and_report(std::size_t pos, VirtualSid sid,
                                    sim::SimTime finalize_ts) {
   const sim::SimTime advance_ts = units_[pos].advance_time(sid);
-  sim_.after(timing_.register_read_latency, [this, pos, sid, advance_ts,
-                                             finalize_ts]() {
-    const UnitState* up = &units_[pos];
-    const SlotValue sv =
-        up->handle->read_value_slot(sid % snapshot_.slots());
-    UnitReport r;
+  sim_.after(timing_.register_read_latency,
+             [this, pos, sid, advance_ts, finalize_ts]() {
+               read_and_ship(pos, sid, sid, advance_ts, finalize_ts);
+             });
+}
+
+void ControlPlane::read_and_ship(std::size_t pos, VirtualSid from,
+                                 VirtualSid through, sim::SimTime advance_ts,
+                                 sim::SimTime finalize_ts) {
+  build_reports(pos, from, through, advance_ts, finalize_ts, /*oracle=*/false);
+  for (const UnitReport& r : read_reports_) ship(r, pos);
+  if (snapshot_.oracle) {
+    build_reports(pos, from, through, advance_ts, finalize_ts, /*oracle=*/true);
+    oracle_reports_.insert(oracle_reports_.end(), read_reports_.begin(),
+                           read_reports_.end());
+  }
+}
+
+void ControlPlane::build_reports(std::size_t pos, VirtualSid from,
+                                 VirtualSid through, sim::SimTime advance_ts,
+                                 sim::SimTime finalize_ts, bool oracle) {
+  const UnitState& u = units_[pos];
+  const std::size_t slots = snapshot_.slots();
+  read_reports_.assign(static_cast<std::size_t>(through - from + 1),
+                       UnitReport{});
+  // Walk downward: without channel state, a skipped slot inherits the next
+  // valid value (Figure 7 lines 19-21). With channel state a read covers
+  // one id, stamped with the advance the caller looked up.
+  std::uint64_t valid_value = 0;
+  bool have_valid = false;
+  for (VirtualSid i = through;; --i) {
+    const SlotValue sv = oracle ? u.handle->read_oracle_slot(i % slots)
+                                : u.handle->read_value_slot(i % slots);
+    const bool fresh = sv.initialized && sv.wire_sid == space_.to_wire(i);
+    UnitReport& r = read_reports_[static_cast<std::size_t>(i - from)];
     r.device = device_;
-    r.unit = up->handle->unit_id();
-    r.sid = sid;
-    const bool fresh = sv.initialized && sv.wire_sid == space_.to_wire(sid);
-    if (!fresh) {
-      r.consistent = false;
+    r.unit = u.handle->unit_id();
+    r.sid = i;
+    if (snapshot_.channel_state) {
+      r.consistent = fresh;
+      if (fresh) {
+        r.local_value = sv.local_value;
+        r.channel_value = sv.channel_value;
+      }
+      r.advance_time = advance_ts;
+      r.finalize_time = finalize_ts;
     } else {
-      r.local_value = sv.local_value;
-      r.channel_value = sv.channel_value;
+      if (fresh) {
+        valid_value = sv.local_value;
+        have_valid = true;
+        r.local_value = sv.local_value;
+        r.advance_time = sv.saved_at;
+      } else if (have_valid) {
+        r.local_value = valid_value;
+        r.inferred = true;
+        r.advance_time = u.advance_time(i);
+      } else {
+        r.consistent = false;  // No valid reference: conservative.
+      }
+      r.finalize_time = r.advance_time != 0 ? r.advance_time : finalize_ts;
     }
-    r.advance_time = advance_ts;
-    r.finalize_time = finalize_ts;
-    ship(r, pos);
-  });
+    if (i == from) break;  // VirtualSid is unsigned.
+  }
 }
 
 void ControlPlane::report_inconsistent(std::size_t pos, VirtualSid sid) {
@@ -304,6 +309,8 @@ void ControlPlane::report_inconsistent(std::size_t pos, VirtualSid sid) {
   r.advance_time = u.advance_time(sid);
   r.finalize_time = sim_.now();
   ship(r, pos);
+  // No slot is read, so the oracle reports the same.
+  if (snapshot_.oracle) oracle_reports_.push_back(r);
 }
 
 void ControlPlane::set_report_link(void* ctx, ReportFrameFn fn,

@@ -141,6 +141,15 @@ class ControlPlane {
     return reports_filtered_;
   }
 
+  /// With SnapshotConfig::oracle: for every report this control plane
+  /// built, in build order, the report the units' Figure 3 oracle slots
+  /// yield at the same read. Never shipped: no event, no wire byte, no
+  /// counter. A report that reads no slot (an id marked inconsistent) is
+  /// its own oracle report. Empty without the oracle.
+  [[nodiscard]] const std::vector<UnitReport>& oracle_reports() const {
+    return oracle_reports_;
+  }
+
  private:
   /// One notification that moved ctrl_sid: the unit advanced through
   /// `through` at data-plane time `at`.
@@ -183,6 +192,18 @@ class ControlPlane {
   [[nodiscard]] VirtualSid completion_floor(const UnitState& u) const;
   void read_and_report(std::size_t pos, VirtualSid sid,
                        sim::SimTime finalize_ts);
+  /// A register read event: ship the reports for ids [from, through]
+  /// built from the unit's slots, then, with the oracle, keep the reports
+  /// its oracle slots yield.
+  void read_and_ship(std::size_t pos, VirtualSid from, VirtualSid through,
+                     sim::SimTime advance_ts, sim::SimTime finalize_ts);
+  /// Build the reports for ids [from, through] into read_reports_ from the
+  /// unit's Snapshot Value slots (its oracle slots when `oracle`): with
+  /// channel state, the one id read and stamped `advance_ts`; without, the
+  /// downward value-inference walk.
+  void build_reports(std::size_t pos, VirtualSid from, VirtualSid through,
+                     sim::SimTime advance_ts, sim::SimTime finalize_ts,
+                     bool oracle);
   void report_inconsistent(std::size_t pos, VirtualSid sid);
   void ship(const UnitReport& r, std::size_t pos);
   void register_poll_tick();
@@ -212,6 +233,10 @@ class ControlPlane {
   ReportEncoder report_enc_;
   /// Sync-group relevancy by local unit index; empty = all relevant.
   std::vector<bool> scope_;
+
+  /// build_reports' output, reused by every read.
+  std::vector<UnitReport> read_reports_;
+  std::vector<UnitReport> oracle_reports_;
 
   VirtualSid latest_initiated_ = 0;
   std::uint64_t track_ = 0;  ///< Flight-recorder lane (obs::cpu_track).

@@ -18,7 +18,8 @@ DataplaneUnit::DataplaneUnit(net::UnitId id, const SnapshotConfig& config,
       read_state_(std::move(read_state)),
       channel_add_(std::move(channel_add)),
       notify_(std::move(notify)),
-      regs_(num_channels, config.slots()) {
+      regs_(num_channels, config.slots()),
+      oracle_(config.oracle ? config.slots() : 0) {
   assert(cpu_channel < num_channels);
   assert(read_state_ && notify_);
 }
@@ -106,52 +107,56 @@ WireSid DataplaneUnit::on_packet(const PacketView& pkt, std::uint16_t channel,
   // Stage 3 — Snapshot Value: exactly one of {capture, in-flight booking,
   // no match}. The hardware writes exactly one register slot per packet, so
   // on a jump > 1 the intermediate ids cannot be back-filled (the control
-  // plane marks or infers them); the idealized Figure-3 oracle loops over
-  // them via the loudly-named whole-array accessor.
+  // plane marks or infers them).
+  const bool in_flight = v < old_sid && cs && pkt.counts_for_metrics;
+  SlotValue captured;
+  std::uint64_t booked = 0;
   auto t_val = [&] {
     if (advanced) {
-      if (config_.hardware_faithful) {
-        return regs_.with_value_slot(
-            std::move(t_sid), v,
-            [&](SlotValue& s) { capture_into(s, v, now); });
-      }
-      // Idealized back-fill, bounded by the slot count: older slots would
-      // be overwritten anyway, and the bound also contains the damage from
-      // a corrupt/forged header.
-      return regs_.with_value_array_oracle(
-          std::move(t_sid), [&](std::vector<SlotValue>& slots) {
-            VirtualSid first = old_sid + 1;
-            if (v - old_sid > slots.size()) first = v - slots.size() + 1;
-            for (VirtualSid i = first; i <= v; ++i) {
-              capture_into(slots[i % slots.size()], i, now);
-            }
-          });
+      return regs_.with_value_slot(std::move(t_sid), v, [&](SlotValue& s) {
+        capture_into(s, v, now);
+        captured = s;
+      });
     }
-    if (v < old_sid && cs && pkt.counts_for_metrics) {
+    if (in_flight) {
       // In-flight packet: sent before snapshot old_sid, received after.
-      // Control messages are never treated as in-flight (Section 6).
-      if (config_.hardware_faithful) {
-        // One stateful update only: book into the *current* slot, whose
-        // channel state therefore stays exact; contributions to the
-        // intermediate snapshots (v+1 .. old_sid-1) are unrecoverable, and
-        // the control plane reports every id the sid advanced past before
-        // its channel state was final inconsistent.
-        return regs_.with_value_slot(
-            std::move(t_sid), old_sid,
-            [&](SlotValue& s) { s.channel_value += channel_add_(pkt); });
-      }
-      return regs_.with_value_array_oracle(
-          std::move(t_sid), [&](std::vector<SlotValue>& slots) {
-            VirtualSid first = v + 1;
-            if (old_sid - v > slots.size()) first = old_sid - slots.size() + 1;
-            for (VirtualSid i = first; i <= old_sid; ++i) {
-              slots[i % slots.size()].channel_value += channel_add_(pkt);
-            }
-          });
+      // Control messages are never treated as in-flight (Section 6). One
+      // stateful update only: book into the *current* slot, whose channel
+      // state therefore stays exact; contributions to the intermediate
+      // snapshots (v+1 .. old_sid-1) are unrecoverable, and the control
+      // plane reports every id the sid advanced past before its channel
+      // state was final inconsistent.
+      return regs_.with_value_slot(std::move(t_sid), old_sid,
+                                   [&](SlotValue& s) {
+                                     booked = channel_add_(pkt);
+                                     s.channel_value += booked;
+                                   });
     }
     return regs_.skip<Reg::Value>(std::move(t_sid));
   }();
   retire(std::move(t_val));
+
+  // The Figure 3 oracle does what the hardware cannot: it captures every id
+  // the jump passed and books an in-flight packet into every snapshot it
+  // missed. Both loops are bounded by the slot count: older slots would be
+  // overwritten anyway, and the bound also contains the damage from a
+  // corrupt/forged header.
+  if (!oracle_.empty()) {
+    const VirtualSid slots = oracle_.size();
+    if (advanced) {
+      const VirtualSid first = v - old_sid > slots ? v - slots + 1 : old_sid + 1;
+      for (VirtualSid i = first; i <= v; ++i) {
+        SlotValue& o = oracle_[i % slots];
+        o = captured;
+        o.wire_sid = space_.to_wire(i);
+      }
+    } else if (in_flight) {
+      const VirtualSid first = old_sid - v > slots ? old_sid - slots + 1 : v + 1;
+      for (VirtualSid i = first; i <= old_sid; ++i) {
+        oracle_[i % slots].channel_value += booked;
+      }
+    }
+  }
 
   if (advanced) ++advances_;
 

@@ -6,15 +6,17 @@
 // and provides callbacks for reading the target state and emitting
 // notifications.
 //
-// Two operating modes:
-//  * hardware_faithful (Speedlight): on an id jump > 1 the intermediate
-//    snapshot slots cannot be back-filled at line rate; the local value is
-//    saved only for the new id and in-flight packets are booked only into
-//    the *current* slot. The control plane (Figure 7) marks the skipped ids
-//    inconsistent (channel-state variant) or infers their values
-//    (no-channel-state variant).
-//  * idealized (Figure 3 verbatim): loops over intermediate ids, used as
-//    the oracle in property tests.
+// A unit always runs the Speedlight data plane: on an id jump > 1 the
+// intermediate snapshot slots cannot be back-filled at line rate; the local
+// value is saved only for the new id and in-flight packets are booked only
+// into the *current* slot. The control plane (Figure 7) marks the skipped
+// ids inconsistent (channel-state variant) or infers their values
+// (no-channel-state variant). With SnapshotConfig::oracle set, the unit also
+// keeps a second Snapshot Value array that the idealized Figure 3 algorithm
+// writes verbatim (it loops over the intermediate ids): the fuzzer's oracle,
+// read through read_oracle_slot(). It is not a hardware register, so it lives
+// outside the RegisterFile, and its writes count no captures and record no
+// trace events.
 //
 // Register discipline: the stateful registers live in a RegisterFile whose
 // only mutating access is through StageToken-gated accessors (one RMW per
@@ -111,18 +113,6 @@ class RegisterFile {
     return {};
   }
 
-  /// Snapshot Value array, idealized Figure-3 oracle ONLY: hands out the
-  /// whole array so intermediate ids can be back-filled. No hardware can do
-  /// this at line rate; the loud name keeps it out of faithful paths.
-  template <unsigned M, typename F>
-    requires CanAccess<StageToken<M>, Reg::Value>
-  [[nodiscard]] AfterAccess<M, Reg::Value> with_value_array_oracle(
-      StageToken<M>, F&& f) {
-    if (slots_.size() < num_slots_) store_through(num_slots_ - 1);
-    f(slots_);
-    return {};
-  }
-
   /// Account for a register the pass does not touch (the matching table is
   /// not executed for this packet). Advances the token without access.
   template <Reg R, unsigned M>
@@ -200,8 +190,14 @@ class DataplaneUnit {
   [[nodiscard]] const SlotValue& read_slot(std::size_t index) const {
     return regs_.slot(index);
   }
+  /// The Figure 3 oracle's slot `index % num_slots()`; SlotValue{} when the
+  /// unit keeps no oracle (SnapshotConfig::oracle unset).
+  [[nodiscard]] SlotValue read_oracle_slot(std::size_t index) const {
+    return oracle_.empty() ? SlotValue{} : oracle_[index % oracle_.size()];
+  }
   [[nodiscard]] std::size_t num_slots() const { return regs_.num_slots(); }
-  /// Bytes held by the Snapshot Value array (only the slots written so far).
+  /// Bytes held by the Snapshot Value array (only the slots written so far;
+  /// the oracle's array is not a hardware register and is not counted).
   [[nodiscard]] std::size_t value_bytes() const { return regs_.value_bytes(); }
   [[nodiscard]] WireSid sid_register() const {
     return space_.to_wire(regs_.sid());
@@ -253,6 +249,10 @@ class DataplaneUnit {
   NotifySink notify_;
 
   RegisterFile regs_;
+  /// The idealized Figure 3 Snapshot Value array: slots() entries with
+  /// SnapshotConfig::oracle, sized at construction so on_packet() never
+  /// allocates for it; empty otherwise.
+  std::vector<SlotValue> oracle_;
 
   obs::Tracer* tracer_ = nullptr;  // null until attach_observability()
   std::uint64_t track_ = 0;

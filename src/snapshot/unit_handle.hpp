@@ -34,6 +34,9 @@ class UnitHandle {
   // Register reads. The control plane accounts for PCIe read latency; these
   // return the register contents at call time.
   [[nodiscard]] virtual SlotValue read_value_slot(std::size_t index) const = 0;
+  /// The same slot of the unit's Figure 3 oracle array
+  /// (SnapshotConfig::oracle); not a hardware register.
+  [[nodiscard]] virtual SlotValue read_oracle_slot(std::size_t index) const = 0;
   [[nodiscard]] virtual WireSid read_sid_register() const = 0;
   [[nodiscard]] virtual WireSid read_last_seen_register(
       std::uint16_t channel) const = 0;

@@ -69,6 +69,10 @@ class Switch::PortUnit final : public snap::UnitHandle {
   [[nodiscard]] snap::SlotValue read_value_slot(std::size_t index) const override {
     return dp_ ? dp_->read_slot(index) : snap::SlotValue{};
   }
+  [[nodiscard]] snap::SlotValue read_oracle_slot(
+      std::size_t index) const override {
+    return dp_ ? dp_->read_oracle_slot(index) : snap::SlotValue{};
+  }
   [[nodiscard]] snap::WireSid read_sid_register() const override {
     return dp_ ? dp_->sid_register() : 0;
   }

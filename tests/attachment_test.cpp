@@ -58,6 +58,9 @@ class MiniDevice {
     [[nodiscard]] SlotValue read_value_slot(std::size_t i) const override {
       return dp_.read_slot(i);
     }
+    [[nodiscard]] SlotValue read_oracle_slot(std::size_t i) const override {
+      return dp_.read_oracle_slot(i);
+    }
     [[nodiscard]] WireSid read_sid_register() const override {
       return dp_.sid_register();
     }

@@ -73,10 +73,9 @@ TEST(Fuzzer, RunEndsWhenItsFaultWindowCloses) {
   const auto hw = check::run_scenario(s, {.with_oracle = false});
   EXPECT_GE(hw.simulated, window_end);
   EXPECT_LT(hw.simulated, full_end);
-  // With the oracle, the reported time covers the idealized twin too.
+  // The oracle rides the same simulation: it covers no extra time.
   const auto both = check::run_scenario(s, {});
-  EXPECT_GE(both.simulated, 2 * window_end);
-  EXPECT_LT(both.simulated, 2 * full_end);
+  EXPECT_EQ(both.simulated, hw.simulated);
 
   check::FuzzStats stats;
   stats.account(both);

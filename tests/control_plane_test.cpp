@@ -52,6 +52,9 @@ class FakeUnit final : public UnitHandle {
   [[nodiscard]] SlotValue read_value_slot(std::size_t index) const override {
     return dp_.read_slot(index);
   }
+  [[nodiscard]] SlotValue read_oracle_slot(std::size_t index) const override {
+    return dp_.read_oracle_slot(index);
+  }
   [[nodiscard]] WireSid read_sid_register() const override {
     return dp_.sid_register();
   }
@@ -125,6 +128,13 @@ struct Fixture {
     return nullptr;
   }
 
+  const UnitReport* oracle_report_for(VirtualSid sid) const {
+    for (const auto& r : cp->oracle_reports()) {
+      if (r.sid == sid) return &r;
+    }
+    return nullptr;
+  }
+
   sim::Simulator sim;
   sim::TimingModel timing;
   std::unique_ptr<ControlPlane> cp;
@@ -139,6 +149,11 @@ SnapshotConfig cs_config() {
 }
 
 SnapshotConfig nocs_config() { return SnapshotConfig{}; }
+
+SnapshotConfig with_oracle(SnapshotConfig c) {
+  c.oracle = true;
+  return c;
+}
 
 TEST(ControlPlane, AddUnitRejectsNullHandleAndWrongMaskLength) {
   // add_unit writes the CPU channel's mask bit and sizes per-channel state
@@ -275,6 +290,80 @@ TEST(ControlPlaneNoCs, SkippedIdsInferred) {
     EXPECT_TRUE(r->consistent) << i;
     EXPECT_EQ(r->local_value, 77u) << i;
     EXPECT_EQ(r->inferred, i != 3) << i;
+  }
+}
+
+TEST(ControlPlaneCs, OracleReportCarriesTheBackfilledValue) {
+  // A read of an id the unit jumped past: the controller's view (delivered
+  // by hand) has the unit reach id 1 while it went from 0 straight to 3.
+  // The same read yields an inconsistent shipped report (the hardware slot
+  // was never written) and a consistent oracle report holding the
+  // back-filled value.
+  Fixture f(with_oracle(cs_config()));
+  f.unit->notify = nullptr;
+  f.unit->state = 42;
+  f.unit->packet(3, 0);
+  const auto deliver = [&](WireSid from, WireSid to) {
+    Notification n;
+    n.unit = f.unit->unit_id();
+    n.old_sid = n.old_last_seen = from;
+    n.new_sid = n.new_last_seen = to;
+    n.channel = 0;
+    n.timestamp = f.sim.now();
+    f.cp->on_notification(n);
+    f.sim.run_until(f.sim.now() + sim::msec(1));
+  };
+  deliver(0, 1);
+  const UnitReport* shipped = f.report_for(1);
+  const UnitReport* oracle = f.oracle_report_for(1);
+  ASSERT_NE(shipped, nullptr);
+  ASSERT_NE(oracle, nullptr);
+  EXPECT_FALSE(shipped->consistent);
+  EXPECT_TRUE(oracle->consistent);
+  EXPECT_EQ(oracle->local_value, 42u);
+  EXPECT_EQ(oracle->advance_time, shipped->advance_time);
+  EXPECT_EQ(oracle->finalize_time, shipped->finalize_time);
+
+  // The view catches up: id 2 is marked without a read, so its oracle
+  // report is the shipped one; id 3 reads the same from both arrays.
+  deliver(1, 3);
+  ASSERT_EQ(f.capture->reports.size(), 3u);
+  ASSERT_EQ(f.cp->oracle_reports().size(), 3u);
+  EXPECT_FALSE(f.report_for(2)->consistent);
+  EXPECT_FALSE(f.oracle_report_for(2)->consistent);
+  EXPECT_EQ(f.oracle_report_for(2)->advance_time,
+            f.report_for(2)->advance_time);
+  for (const UnitReport* r : {f.report_for(3), f.oracle_report_for(3)}) {
+    EXPECT_TRUE(r->consistent);
+    EXPECT_EQ(r->local_value, 42u);
+  }
+  // Oracle reports are never shipped.
+  EXPECT_EQ(f.cp->reports_sent(), 3u);
+}
+
+TEST(ControlPlaneNoCs, OracleWalkReadsWhatHardwareInfers) {
+  // A jump from 0 to 3: the hardware walk infers ids 1 and 2 from id 3,
+  // while the oracle walk at the same read finds them fresh.
+  Fixture f(with_oracle(nocs_config()));
+  f.sim.run_until(sim::usec(10));
+  f.unit->state = 77;
+  f.unit->packet(3, 0);
+  f.sim.run_until(sim::msec(5));
+  ASSERT_EQ(f.capture->reports.size(), 3u);
+  ASSERT_EQ(f.cp->oracle_reports().size(), 3u);
+  EXPECT_EQ(f.cp->reports_sent(), 3u);
+  for (VirtualSid i = 1; i <= 3; ++i) {
+    const UnitReport* shipped = f.report_for(i);
+    const UnitReport* oracle = f.oracle_report_for(i);
+    ASSERT_NE(shipped, nullptr) << i;
+    ASSERT_NE(oracle, nullptr) << i;
+    EXPECT_EQ(shipped->inferred, i != 3) << i;
+    EXPECT_FALSE(oracle->inferred) << i;
+    for (const UnitReport* r : {shipped, oracle}) {
+      EXPECT_TRUE(r->consistent) << i;
+      EXPECT_EQ(r->local_value, 77u) << i;
+      EXPECT_EQ(r->advance_time, sim::usec(10)) << i;
+    }
   }
 }
 

@@ -32,16 +32,15 @@ struct Harness {
   }
 };
 
-SnapshotConfig cs_config(std::uint32_t modulus = 0, bool hardware = true) {
+SnapshotConfig cs_config(std::uint32_t modulus = 0) {
   SnapshotConfig c;
   c.channel_state = true;
   c.wire_id_modulus = modulus;
-  c.hardware_faithful = hardware;
   return c;
 }
 
-SnapshotConfig nocs_config(std::uint32_t modulus = 0, bool hardware = true) {
-  SnapshotConfig c = cs_config(modulus, hardware);
+SnapshotConfig nocs_config(std::uint32_t modulus = 0) {
+  SnapshotConfig c = cs_config(modulus);
   c.channel_state = false;
   return c;
 }
@@ -165,25 +164,6 @@ TEST(Dataplane, HardwareJumpSkipsIntermediateSlots) {
   }
 }
 
-TEST(Dataplane, IdealJumpFillsIntermediateSlots) {
-  Harness h(cs_config(0, /*hardware=*/false));
-  h.state = 7;
-  h.packet(5, 0);
-  for (VirtualSid i = 1; i <= 5; ++i) {
-    EXPECT_TRUE(h.unit.read_slot(i).initialized) << i;
-    EXPECT_EQ(h.unit.read_slot(i).local_value, 7u);
-  }
-}
-
-TEST(Dataplane, IdealInFlightUpdatesAllCoveredSlots) {
-  Harness h(cs_config(0, /*hardware=*/false));
-  h.unit.on_initiation(3, 0);  // Advance via CPU so channel 0 stays behind.
-  h.packet(0, 0);              // In-flight for snapshots 1..3.
-  for (VirtualSid i = 1; i <= 3; ++i) {
-    EXPECT_EQ(h.unit.read_slot(i).channel_value, 1u) << i;
-  }
-}
-
 TEST(Dataplane, InitiationAdvancesViaCpuChannel) {
   Harness h(cs_config());
   h.state = 99;
@@ -245,32 +225,6 @@ TEST(Dataplane, NoCsSerialArithmeticHandlesBehindPackets) {
   EXPECT_EQ(h.unit.virtual_sid(), 9u);
 }
 
-TEST(Dataplane, HardwareMatchesIdealWithoutSkips) {
-  // Two executions of the same +1-at-a-time script must agree exactly.
-  Harness hw(cs_config(0, true));
-  Harness ideal(cs_config(0, false));
-  const struct {
-    WireSid sid;
-    std::uint16_t ch;
-  } script[] = {{1, 0}, {1, 0}, {0, 0}, {1, 0}, {2, 0}, {1, 0}, {2, 0}, {3, 0}};
-  std::uint64_t state = 0;
-  for (const auto& step : script) {
-    ++state;
-    hw.state = ideal.state = state;
-    hw.packet(step.sid, step.ch);
-    ideal.packet(step.sid, step.ch);
-  }
-  EXPECT_EQ(hw.unit.virtual_sid(), ideal.unit.virtual_sid());
-  for (VirtualSid i = 1; i <= 3; ++i) {
-    EXPECT_EQ(hw.unit.read_slot(i).local_value,
-              ideal.unit.read_slot(i).local_value)
-        << i;
-    EXPECT_EQ(hw.unit.read_slot(i).channel_value,
-              ideal.unit.read_slot(i).channel_value)
-        << i;
-  }
-}
-
 TEST(Dataplane, ValueArrayStoresOnlyWrittenSlots) {
   Harness h(cs_config());
   ASSERT_EQ(h.unit.num_slots(), 64u);
@@ -311,18 +265,80 @@ TEST(Dataplane, ValueArrayStoresOnlyWrittenSlots) {
   EXPECT_EQ(h.unit.read_slot(6).wire_sid, 70u);
 }
 
-TEST(Dataplane, IdealOracleSeesEverySlot) {
-  // A jump past the slot count back-fills the last slots() ids: the oracle
-  // pass is handed all 64 slots, not the prefix written so far.
-  Harness h(cs_config(0, /*hardware=*/false));
-  h.state = 3;
-  h.packet(100, 0);
-  EXPECT_EQ(h.unit.value_bytes(), 64 * sizeof(SlotValue));
-  for (VirtualSid i = 100 - 63; i <= 100; ++i) {
-    EXPECT_TRUE(h.unit.read_slot(i).initialized) << i;
-    EXPECT_EQ(h.unit.read_slot(i).wire_sid, i) << i;
-    EXPECT_EQ(h.unit.read_slot(i).local_value, 3u) << i;
+TEST(Dataplane, OracleBackfillsWhatHardwareSkips) {
+  // One unit keeps both Snapshot Value arrays: the hardware's, which a jump
+  // > 1 cannot back-fill, and the Figure 3 oracle's, written by the
+  // idealized loops. Data channels 0 and 1, CPU channel 2.
+  SnapshotConfig config = cs_config();
+  config.oracle = true;
+  Harness h(config, /*channels=*/3, /*cpu=*/2);
+  // The oracle array is not a hardware register: it is not counted.
+  EXPECT_EQ(h.unit.value_bytes(), 0u);
+
+  // A jump from 1 to 4: the hardware captures id 4 only, the oracle ids 2-4.
+  h.state = 7;
+  h.unit.on_initiation(1, 0);
+  h.state = 9;
+  h.packet(4, /*channel=*/0, /*counts=*/true, /*now=*/20);
+  EXPECT_EQ(h.unit.captures(), 2u);  // Oracle writes count no captures.
+  for (VirtualSid i = 2; i <= 3; ++i) {
+    const SlotValue& hw = h.unit.read_slot(i);
+    EXPECT_FALSE(hw.initialized) << i;
+    EXPECT_EQ(hw.local_value, 0u) << i;
+    EXPECT_EQ(hw.wire_sid, 0u) << i;
+    const SlotValue oracle = h.unit.read_oracle_slot(i);
+    EXPECT_TRUE(oracle.initialized) << i;
+    EXPECT_EQ(oracle.local_value, 9u) << i;
+    EXPECT_EQ(oracle.wire_sid, i) << i;
+    EXPECT_EQ(oracle.saved_at, 20) << i;
   }
+  EXPECT_EQ(h.unit.read_oracle_slot(1).local_value, 7u);
+  EXPECT_EQ(h.unit.read_slot(4).local_value, 9u);
+  EXPECT_EQ(h.unit.read_oracle_slot(4).local_value, 9u);
+
+  // A packet in flight on channel 1 since before snapshot 1: the hardware
+  // books it into the current id only, the oracle into every id it missed.
+  h.packet(0, /*channel=*/1);
+  EXPECT_EQ(h.unit.read_slot(4).channel_value, 1u);
+  for (VirtualSid i = 1; i <= 3; ++i) {
+    EXPECT_EQ(h.unit.read_slot(i).channel_value, 0u) << i;
+  }
+  for (VirtualSid i = 1; i <= 4; ++i) {
+    EXPECT_EQ(h.unit.read_oracle_slot(i).channel_value, 1u) << i;
+  }
+
+  // Without skips the two arrays agree exactly.
+  const struct {
+    WireSid sid;
+    std::uint16_t ch;
+  } script[] = {{5, 0}, {4, 1}, {5, 1}, {6, 0}, {5, 1}, {6, 1}, {7, 0}};
+  for (const auto& step : script) {
+    ++h.state;
+    h.packet(step.sid, step.ch);
+  }
+  EXPECT_EQ(h.unit.virtual_sid(), 7u);
+  for (VirtualSid i = 5; i <= 7; ++i) {
+    const SlotValue& hw = h.unit.read_slot(i);
+    const SlotValue oracle = h.unit.read_oracle_slot(i);
+    EXPECT_TRUE(hw.initialized) << i;
+    EXPECT_EQ(hw.local_value, oracle.local_value) << i;
+    EXPECT_EQ(hw.channel_value, oracle.channel_value) << i;
+    EXPECT_EQ(hw.wire_sid, oracle.wire_sid) << i;
+  }
+  EXPECT_EQ(h.unit.read_slot(5).channel_value, 1u);
+
+  // A jump past the slot count back-fills the last slots() ids: the oracle
+  // holds all 64 slots, whatever the hardware has written.
+  h.state = 3;
+  h.packet(107, 0);
+  for (VirtualSid i = 107 - 63; i <= 107; ++i) {
+    const SlotValue oracle = h.unit.read_oracle_slot(i);
+    EXPECT_TRUE(oracle.initialized) << i;
+    EXPECT_EQ(oracle.wire_sid, i) << i;
+    EXPECT_EQ(oracle.local_value, 3u) << i;
+  }
+  EXPECT_FALSE(h.unit.read_slot(106).initialized);
+  EXPECT_EQ(h.unit.captures(), 6u);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // EXPERIMENTS.md's measured cells against the committed BENCH_*.json files
 // they are read from: every number a checked cell prints must be its
 // metric rounded to the number's own printed precision. Covered: Table 1,
-// Figure 9, Figure 10's byte-charged column and Figure 12. Figure 10's
-// fixed-cost column has no JSON source at 4-32 ports and is not checked.
+// Figure 9, both measured columns of Figure 10 and Figure 12.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -177,6 +176,17 @@ TEST(ExperimentsTables, Figure10ByteChargedColumnMatchesItsJson) {
     ASSERT_EQ(cells.size(), 3u) << ports;
     expect_cell(ports + " ports", cells[2], json,
                 {"metrics.max_rate_hz_" + ports + "_ports"});
+  }
+}
+
+TEST(ExperimentsTables, Figure10FixedCostColumnMatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  const Metrics json = metrics_of("BENCH_fig10_snapshot_rate.json");
+  for (const std::string ports : {"4", "8", "16", "32", "64"}) {
+    const auto cells = row_cells(doc, "## Figure 10", ports);
+    ASSERT_EQ(cells.size(), 3u) << ports;
+    expect_cell(ports + " ports", cells[1], json,
+                {"metrics.fixed_cost_max_rate_hz_" + ports + "_ports"});
   }
 }
 

@@ -121,18 +121,5 @@ TEST(RegisterFile, SkipsRetireWithoutTouchingState) {
   EXPECT_FALSE(rf.slot(0).initialized);
 }
 
-TEST(RegisterFile, OracleAccessorSeesWholeArray) {
-  RegisterFile rf(1, 3);
-  StageToken<0> pass;
-  auto t = rf.with_value_array_oracle(pass, [](std::vector<SlotValue>& slots) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      slots[i].local_value = i + 1;
-    }
-  });
-  retire(rf.skip<Reg::Sid>(rf.skip<Reg::LastSeen>(std::move(t))));
-  EXPECT_EQ(rf.slot(0).local_value, 1u);
-  EXPECT_EQ(rf.slot(2).local_value, 3u);
-}
-
 }  // namespace
 }  // namespace speedlight::snap
