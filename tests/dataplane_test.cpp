@@ -45,6 +45,21 @@ SnapshotConfig nocs_config(std::uint32_t modulus = 0) {
   return c;
 }
 
+// A unit that also keeps the Figure 3 oracle array beside the hardware one.
+SnapshotConfig oracle_config() {
+  SnapshotConfig c = cs_config();
+  c.oracle = true;
+  return c;
+}
+
+void expect_unwritten(const SlotValue& slot, VirtualSid id) {
+  EXPECT_FALSE(slot.initialized) << id;
+  EXPECT_EQ(slot.local_value, 0u) << id;
+  EXPECT_EQ(slot.channel_value, 0u) << id;
+  EXPECT_EQ(slot.wire_sid, 0u) << id;
+  EXPECT_EQ(slot.saved_at, 0) << id;
+}
+
 TEST(Dataplane, AdvanceSavesStateBeforeCounting) {
   Harness h(cs_config());
   h.state = 42;
@@ -164,6 +179,54 @@ TEST(Dataplane, HardwareJumpSkipsIntermediateSlots) {
   }
 }
 
+TEST(Dataplane, IdealJumpFillsIntermediateSlots) {
+  // A jump from 1 to 4: the hardware captures id 4 only, the oracle array
+  // back-fills ids 2-3 with the state at the jump.
+  Harness h(oracle_config());
+  Harness plain(cs_config());
+  for (Harness* u : {&h, &plain}) {
+    u->state = 7;
+    u->unit.on_initiation(1, 0);
+    u->state = 9;
+    u->packet(4, /*channel=*/0, /*counts=*/true, /*now=*/20);
+  }
+  for (VirtualSid i = 2; i <= 3; ++i) {
+    expect_unwritten(h.unit.read_slot(i), i);
+    const SlotValue oracle = h.unit.read_oracle_slot(i);
+    EXPECT_TRUE(oracle.initialized) << i;
+    EXPECT_EQ(oracle.local_value, 9u) << i;
+    EXPECT_EQ(oracle.wire_sid, i) << i;
+    EXPECT_EQ(oracle.saved_at, 20) << i;
+  }
+  EXPECT_EQ(h.unit.read_slot(1).local_value, 7u);
+  EXPECT_EQ(h.unit.read_oracle_slot(1).local_value, 7u);
+  EXPECT_EQ(h.unit.read_slot(4).local_value, 9u);
+  EXPECT_EQ(h.unit.read_oracle_slot(4).local_value, 9u);
+  // Oracle writes count no captures, and the oracle array is not a
+  // hardware register: the unit's footprint is the plain unit's.
+  EXPECT_EQ(h.unit.captures(), 2u);
+  EXPECT_EQ(h.unit.captures(), plain.unit.captures());
+  EXPECT_EQ(h.unit.value_bytes(), plain.unit.value_bytes());
+  // A unit without the oracle has no oracle array to read.
+  expect_unwritten(plain.unit.read_oracle_slot(1), 1);
+}
+
+TEST(Dataplane, IdealInFlightUpdatesAllCoveredSlots) {
+  // A packet in flight on channel 0 since before snapshot 1: the hardware
+  // books it into the current id only, the oracle into every id it covers.
+  Harness h(oracle_config());
+  h.unit.on_initiation(3, 0);  // Advance via CPU so channel 0 stays behind.
+  h.packet(0, 0);              // In-flight for snapshots 1..3.
+  EXPECT_EQ(h.unit.read_slot(3).channel_value, 1u);
+  for (VirtualSid i = 1; i <= 2; ++i) {
+    EXPECT_EQ(h.unit.read_slot(i).channel_value, 0u) << i;
+  }
+  for (VirtualSid i = 1; i <= 3; ++i) {
+    EXPECT_EQ(h.unit.read_oracle_slot(i).channel_value, 1u) << i;
+  }
+  EXPECT_EQ(h.unit.captures(), 1u);
+}
+
 TEST(Dataplane, InitiationAdvancesViaCpuChannel) {
   Harness h(cs_config());
   h.state = 99;
@@ -225,6 +288,37 @@ TEST(Dataplane, NoCsSerialArithmeticHandlesBehindPackets) {
   EXPECT_EQ(h.unit.virtual_sid(), 9u);
 }
 
+TEST(Dataplane, HardwareMatchesIdealWithoutSkips) {
+  // A +1-at-a-time script: the oracle array agrees with the hardware one
+  // exactly, and keeping it leaves the hardware program untouched.
+  Harness h(oracle_config());
+  Harness plain(cs_config());
+  const struct {
+    WireSid sid;
+    std::uint16_t ch;
+  } script[] = {{1, 0}, {1, 0}, {0, 0}, {1, 0}, {2, 0}, {1, 0}, {2, 0}, {3, 0}};
+  std::uint64_t state = 0;
+  for (const auto& step : script) {
+    ++state;
+    h.state = plain.state = state;
+    h.packet(step.sid, step.ch);
+    plain.packet(step.sid, step.ch);
+  }
+  EXPECT_EQ(h.unit.virtual_sid(), plain.unit.virtual_sid());
+  EXPECT_EQ(h.notifications.size(), plain.notifications.size());
+  EXPECT_EQ(h.unit.captures(), plain.unit.captures());
+  for (VirtualSid i = 1; i <= 3; ++i) {
+    const SlotValue& hw = h.unit.read_slot(i);
+    const SlotValue oracle = h.unit.read_oracle_slot(i);
+    EXPECT_TRUE(hw.initialized) << i;
+    EXPECT_EQ(hw.local_value, oracle.local_value) << i;
+    EXPECT_EQ(hw.channel_value, oracle.channel_value) << i;
+    EXPECT_EQ(hw.wire_sid, oracle.wire_sid) << i;
+    EXPECT_EQ(hw.local_value, plain.unit.read_slot(i).local_value) << i;
+    EXPECT_EQ(hw.channel_value, plain.unit.read_slot(i).channel_value) << i;
+  }
+}
+
 TEST(Dataplane, ValueArrayStoresOnlyWrittenSlots) {
   Harness h(cs_config());
   ASSERT_EQ(h.unit.num_slots(), 64u);
@@ -265,80 +359,26 @@ TEST(Dataplane, ValueArrayStoresOnlyWrittenSlots) {
   EXPECT_EQ(h.unit.read_slot(6).wire_sid, 70u);
 }
 
-TEST(Dataplane, OracleBackfillsWhatHardwareSkips) {
-  // One unit keeps both Snapshot Value arrays: the hardware's, which a jump
-  // > 1 cannot back-fill, and the Figure 3 oracle's, written by the
-  // idealized loops. Data channels 0 and 1, CPU channel 2.
-  SnapshotConfig config = cs_config();
-  config.oracle = true;
-  Harness h(config, /*channels=*/3, /*cpu=*/2);
-  // The oracle array is not a hardware register: it is not counted.
-  EXPECT_EQ(h.unit.value_bytes(), 0u);
-
-  // A jump from 1 to 4: the hardware captures id 4 only, the oracle ids 2-4.
-  h.state = 7;
-  h.unit.on_initiation(1, 0);
-  h.state = 9;
-  h.packet(4, /*channel=*/0, /*counts=*/true, /*now=*/20);
-  EXPECT_EQ(h.unit.captures(), 2u);  // Oracle writes count no captures.
-  for (VirtualSid i = 2; i <= 3; ++i) {
-    const SlotValue& hw = h.unit.read_slot(i);
-    EXPECT_FALSE(hw.initialized) << i;
-    EXPECT_EQ(hw.local_value, 0u) << i;
-    EXPECT_EQ(hw.wire_sid, 0u) << i;
-    const SlotValue oracle = h.unit.read_oracle_slot(i);
-    EXPECT_TRUE(oracle.initialized) << i;
-    EXPECT_EQ(oracle.local_value, 9u) << i;
-    EXPECT_EQ(oracle.wire_sid, i) << i;
-    EXPECT_EQ(oracle.saved_at, 20) << i;
-  }
-  EXPECT_EQ(h.unit.read_oracle_slot(1).local_value, 7u);
-  EXPECT_EQ(h.unit.read_slot(4).local_value, 9u);
-  EXPECT_EQ(h.unit.read_oracle_slot(4).local_value, 9u);
-
-  // A packet in flight on channel 1 since before snapshot 1: the hardware
-  // books it into the current id only, the oracle into every id it missed.
-  h.packet(0, /*channel=*/1);
-  EXPECT_EQ(h.unit.read_slot(4).channel_value, 1u);
-  for (VirtualSid i = 1; i <= 3; ++i) {
-    EXPECT_EQ(h.unit.read_slot(i).channel_value, 0u) << i;
-  }
-  for (VirtualSid i = 1; i <= 4; ++i) {
-    EXPECT_EQ(h.unit.read_oracle_slot(i).channel_value, 1u) << i;
-  }
-
-  // Without skips the two arrays agree exactly.
-  const struct {
-    WireSid sid;
-    std::uint16_t ch;
-  } script[] = {{5, 0}, {4, 1}, {5, 1}, {6, 0}, {5, 1}, {6, 1}, {7, 0}};
-  for (const auto& step : script) {
-    ++h.state;
-    h.packet(step.sid, step.ch);
-  }
-  EXPECT_EQ(h.unit.virtual_sid(), 7u);
-  for (VirtualSid i = 5; i <= 7; ++i) {
-    const SlotValue& hw = h.unit.read_slot(i);
-    const SlotValue oracle = h.unit.read_oracle_slot(i);
-    EXPECT_TRUE(hw.initialized) << i;
-    EXPECT_EQ(hw.local_value, oracle.local_value) << i;
-    EXPECT_EQ(hw.channel_value, oracle.channel_value) << i;
-    EXPECT_EQ(hw.wire_sid, oracle.wire_sid) << i;
-  }
-  EXPECT_EQ(h.unit.read_slot(5).channel_value, 1u);
-
+TEST(Dataplane, IdealOracleSeesEverySlot) {
   // A jump past the slot count back-fills the last slots() ids: the oracle
-  // holds all 64 slots, whatever the hardware has written.
-  h.state = 3;
-  h.packet(107, 0);
-  for (VirtualSid i = 107 - 63; i <= 107; ++i) {
+  // array holds all 64 slots, whatever prefix the hardware has written.
+  Harness h(oracle_config());
+  Harness plain(cs_config());
+  h.state = plain.state = 3;
+  h.packet(100, 0);
+  plain.packet(100, 0);
+  for (VirtualSid i = 100 - 63; i <= 100; ++i) {
     const SlotValue oracle = h.unit.read_oracle_slot(i);
     EXPECT_TRUE(oracle.initialized) << i;
     EXPECT_EQ(oracle.wire_sid, i) << i;
     EXPECT_EQ(oracle.local_value, 3u) << i;
   }
-  EXPECT_FALSE(h.unit.read_slot(106).initialized);
-  EXPECT_EQ(h.unit.captures(), 6u);
+  EXPECT_TRUE(h.unit.read_slot(100).initialized);
+  for (VirtualSid i = 100 - 63; i < 100; ++i) {
+    EXPECT_FALSE(h.unit.read_slot(i).initialized) << i;
+  }
+  EXPECT_EQ(h.unit.captures(), 1u);
+  EXPECT_EQ(h.unit.value_bytes(), plain.unit.value_bytes());
 }
 
 }  // namespace
