@@ -1,21 +1,19 @@
 // Event-core performance harness: the new slab/4-ary-heap EventQueue versus
 // the seed implementation (std::priority_queue + unordered_map callbacks,
-// reproduced verbatim below as LegacyEventQueue), on the workloads that
-// dominate every figure reproduction:
-//   1. mixed    — steady-state schedule/cancel/pop lifecycles at ~10k
-//                 pending events: execute, schedule the next arrival, and
-//                 re-arm a protocol timeout (a loaded simulation run); the
-//                 >= 2x check compares best-of-5 alternating repetitions;
-//   2. rearm    — a periodic timer that is cancelled and re-armed over and
-//                 over (the snapshot re-initiation pattern that leaked
-//                 stale heap entries in the seed queue);
-//   3. simulator — end-to-end Simulator::after() self-rescheduling timers,
+// reproduced below as LegacyEventQueue, without the cancel() nothing calls
+// any more), on the workloads that dominate every figure reproduction:
+//   1. mixed    — steady-state pop/execute/schedule lifecycles at ~10k
+//                 pending events: execute one event and schedule its
+//                 replacement, the next arrival (a loaded simulation run);
+//                 the >= 2x check compares best-of-5 alternating
+//                 repetitions;
+//   2. simulator — end-to-end Simulator::after() self-rescheduling timers,
 //                 exercising InplaceCallback and the stats counters;
-//   4. hold     — the queue shape of the Hadoop testbed: a few dozen
+//   3. hold     — the queue shape of the Hadoop testbed: a few dozen
 //                 far-future timers under packet chains whose next hop is
 //                 0.5-8 us ahead, so nearly every new event lands among the
 //                 earliest pending ones (the near tier's case; workloads 1
-//                 and 3 insert deep).
+//                 and 2 insert deep).
 //
 // speedlight-lint: allow-file(wall-clock) throughput harness: events/second
 // needs real elapsed time.
@@ -46,25 +44,15 @@ class LegacyEventQueue {
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
 
-  EventId schedule(sim::SimTime when, Callback fn) {
+  void schedule(sim::SimTime when, Callback fn) {
     const EventId id = next_id_++;
     heap_.push(Entry{when, id});
     callbacks_.emplace(id, std::move(fn));
     ++live_count_;
-    return id;
-  }
-
-  bool cancel(EventId id) {
-    const auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
-    --live_count_;
-    return true;
   }
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
   struct Popped {
     sim::SimTime time;
@@ -91,6 +79,8 @@ class LegacyEventQueue {
     }
   };
 
+  /// The seed's pop paid this lookup on every event; with no cancel() left
+  /// it never drops anything, but it stays part of the baseline's cost.
   void drop_cancelled() {
     while (!heap_.empty() &&
            callbacks_.find(heap_.top().id) == callbacks_.end()) {
@@ -127,12 +117,10 @@ struct MixedResult {
   std::size_t peak_depth = 0;
 };
 
-/// The event lifecycle mix a loaded simulation run executes: pop + execute
-/// one event, schedule its replacement (the next hop / next arrival), and
-/// re-arm one protocol timeout (schedule a far-future event, cancel the
-/// previously armed one -- most timeouts never fire). Both implementations
-/// replay the identical deterministic sequence; "events" counts completed
-/// lifecycles (an executed event, or a timeout scheduled+cancelled).
+/// The event lifecycle a loaded simulation run executes: pop + execute one
+/// event and schedule its replacement (the next hop / next arrival). Both
+/// implementations replay the identical deterministic sequence; "events"
+/// counts executed events, the drain included.
 template <typename Queue>
 MixedResult run_mixed(std::size_t depth, std::size_t iters) {
   Queue q;
@@ -140,17 +128,11 @@ MixedResult run_mixed(std::size_t depth, std::size_t iters) {
   std::uint64_t executed = 0;
   sim::SimTime now = 0;
   std::uint64_t x = 88172645463325252ull;  // xorshift64 state
-  constexpr std::size_t kTimeoutRing = 512;
-  std::vector<std::uint64_t> timeouts(kTimeoutRing);  // EventId is uint64
 
   MixedResult res;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < depth; ++i) {
     q.schedule(static_cast<sim::SimTime>(i), Payload{&sink, {1, 0, 0, 0}});
-  }
-  for (std::size_t i = 0; i < kTimeoutRing; ++i) {
-    timeouts[i] = q.schedule(1'000'000'000 + static_cast<sim::SimTime>(i),
-                             Payload{&sink, {1, 0, 0, 0}});
   }
   for (std::size_t i = 0; i < iters; ++i) {
     x ^= x << 13;
@@ -162,9 +144,6 @@ MixedResult run_mixed(std::size_t depth, std::size_t iters) {
     ++executed;
     q.schedule(now + 1 + static_cast<sim::SimTime>(x % 8192),
                Payload{&sink, {1, 0, 0, 0}});
-    const std::size_t slot = i & (kTimeoutRing - 1);
-    q.cancel(timeouts[slot]);
-    timeouts[slot] = q.schedule(now + 1'000'000'000, Payload{&sink, {1, 0, 0, 0}});
     if ((i & 1023) == 0 && q.size() > res.peak_depth) res.peak_depth = q.size();
   }
   // Drain so both implementations pay their full cleanup cost.
@@ -174,30 +153,9 @@ MixedResult run_mixed(std::size_t depth, std::size_t iters) {
     ++executed;
   }
   res.wall_s = seconds_since(t0);
-  res.events_per_sec = static_cast<double>(2 * iters) / res.wall_s;
+  res.events_per_sec = static_cast<double>(executed) / res.wall_s;
   res.executed = executed + sink * 0;  // keep `sink` alive
   return res;
-}
-
-/// The snapshot re-arm pattern: one shot is pending at any time; each tick
-/// cancels it and schedules a replacement. The seed queue only trimmed
-/// stale entries at the top of the heap, so its heap grew by one entry per
-/// re-arm, without bound.
-template <typename Queue>
-std::pair<double, std::size_t> run_rearm(std::size_t rearms) {
-  Queue q;
-  std::uint64_t sink = 0;
-  std::size_t peak_heap = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto pending = q.schedule(1'000'000, Payload{&sink, {1, 0, 0, 0}});
-  for (std::size_t i = 0; i < rearms; ++i) {
-    const auto fresh = q.schedule(
-        1'000'000 + static_cast<sim::SimTime>(i), Payload{&sink, {1, 0, 0, 0}});
-    q.cancel(pending);
-    pending = fresh;
-    if (q.heap_entries() > peak_heap) peak_heap = q.heap_entries();
-  }
-  return {seconds_since(t0), peak_heap};
 }
 
 /// One event of the hold workload: tells the workload loop which event ran.
@@ -212,17 +170,15 @@ struct HoldResult {
   double wall_s = 0.0;
   double events_per_sec = 0.0;
   std::uint64_t executed = 0;
-  std::uint64_t cancelled = 0;
   std::size_t peak_depth = 0;
   std::uint64_t depth_sum = 0;  ///< Queue depth summed after every event.
 };
 
 /// The recorded testbed queue, in miniature: 32 far timers re-armed 20 us
-/// to 1 ms ahead (every fourth firing also cancels and re-arms another
-/// timer, like a protocol timeout), under 4-88 packet chains that hop
-/// 0.5-8 us ahead; a firing timer starts 0-3 chains (a flow's burst), and a
-/// hop ends its chain with odds 1/8 or forks a new one with odds 1/16.
-/// Pending events average ~41 (peak 69), near the testbed's median of 37.
+/// to 1 ms ahead as they fire, under 4-88 packet chains that hop 0.5-8 us
+/// ahead; a firing timer starts 0-3 chains (a flow's burst), and a hop
+/// ends its chain with odds 1/8 or forks a new one with odds 1/16. Pending
+/// events stay near the testbed's median of 37.
 template <typename Queue>
 HoldResult run_hold(std::size_t events) {
   constexpr int kHop = -1;
@@ -239,13 +195,12 @@ HoldResult run_hold(std::size_t events) {
     return x;
   };
   auto hop = [&ran] { return HoldEvent{&ran, kHop, {0, 0, 0}}; };
-  std::vector<std::uint64_t> timers(kTimers);  // EventId is uint64
 
   HoldResult res;
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < kTimers; ++t) {
-    timers[t] = q.schedule(20'000 + static_cast<sim::SimTime>(next() % 980'000),
-                           HoldEvent{&ran, t, {0, 0, 0}});
+    q.schedule(20'000 + static_cast<sim::SimTime>(next() % 980'000),
+               HoldEvent{&ran, t, {0, 0, 0}});
   }
   std::size_t chains = kMinChains;
   for (std::size_t c = 0; c < chains; ++c) {
@@ -272,20 +227,8 @@ HoldResult run_hold(std::size_t events) {
                    hop());
       }
     } else {
-      const int t = ran;
-      timers[t] = q.schedule(now + 20'000 + static_cast<sim::SimTime>(next() %
-                                                                       980'000),
-                             HoldEvent{&ran, t, {0, 0, 0}});
-      if ((res.executed & 3) == 0) {
-        const int other = static_cast<int>(next() % kTimers);
-        if (other != t && q.cancel(timers[other])) {
-          ++res.cancelled;
-          timers[other] =
-              q.schedule(now + 20'000 + static_cast<sim::SimTime>(
-                                            next() % 980'000),
-                         HoldEvent{&ran, other, {0, 0, 0}});
-        }
-      }
+      q.schedule(now + 20'000 + static_cast<sim::SimTime>(next() % 980'000),
+                 HoldEvent{&ran, ran, {0, 0, 0}});
       for (std::uint64_t burst = next() % 4; burst > 0; --burst) {
         if (chains >= kMaxChains) break;
         ++chains;
@@ -311,7 +254,7 @@ int main(int argc, char** argv) {
       "not a paper figure — the engineering floor under every figure "
       "reproduction (millions of packet events per evaluation run)");
 
-  // --- Workload 1: mixed schedule/cancel/pop lifecycles -------------------
+  // --- Workload 1: mixed pop/execute/schedule lifecycles ------------------
   const std::size_t kIters = bench::scaled<std::size_t>(2'000'000, 300'000);
   constexpr std::size_t kDepth = 10'000;
 
@@ -349,25 +292,7 @@ int main(int argc, char** argv) {
   bench::check(speedup >= 2.0,
                "new queue is >= 2x the legacy queue on the mixed workload");
 
-  // --- Workload 2: cancel/re-arm churn (the stale-entry leak) -------------
-  const std::size_t kRearms = bench::scaled<std::size_t>(1'000'000, 200'000);
-  const auto [legacy_rearm_s, legacy_peak_heap] =
-      run_rearm<LegacyEventQueue>(kRearms);
-  const auto [fresh_rearm_s, fresh_peak_heap] =
-      run_rearm<sim::EventQueue>(kRearms);
-
-  std::cout << "\nre-arm churn (" << kRearms << " cancel+reschedule):\n"
-            << "  legacy: " << legacy_rearm_s << " s, peak heap "
-            << legacy_peak_heap << " entries (1 live event)\n"
-            << "  new:    " << fresh_rearm_s << " s, peak heap "
-            << fresh_peak_heap << " entries\n";
-
-  bench::check(legacy_peak_heap >= kRearms / 2,
-               "seed queue leaks stale heap entries under re-arm churn");
-  bench::check(fresh_peak_heap <= 4,
-               "new queue heap stays O(live) under re-arm churn");
-
-  // --- Workload 3: Simulator end-to-end -----------------------------------
+  // --- Workload 2: Simulator end-to-end -----------------------------------
   // static: the local Timer struct below names it, which requires a
   // variable with static storage, not a stack local.
   static const std::uint64_t kSimEvents =
@@ -407,15 +332,15 @@ int main(int argc, char** argv) {
             << " s = " << sim_rate / 1e6 << " M events/s (peak pending "
             << peak_pending << ")\n"
             << "  stats: scheduled " << s.stats().scheduled << ", executed "
-            << s.stats().executed << ", cancelled " << s.stats().cancelled
-            << ", clamped " << s.stats().clamped_schedules << "\n";
+            << s.stats().executed << ", clamped "
+            << s.stats().clamped_schedules << "\n";
 
   bench::check(s.stats().clamped_schedules == 16,
                "clamped past-time schedules are counted and visible");
   bench::check(s.stats().executed >= kSimEvents,
                "simulator executed the full event budget");
 
-  // --- Workload 4: the testbed's queue shape ------------------------------
+  // --- Workload 3: the testbed's queue shape ------------------------------
   const std::size_t kHoldEvents =
       bench::scaled<std::size_t>(4'000'000, 400'000);
   const HoldResult hold_legacy = run_hold<LegacyEventQueue>(kHoldEvents);
@@ -432,36 +357,28 @@ int main(int argc, char** argv) {
             << hold_fresh.peak_depth << ", mean depth "
             << static_cast<double>(hold_fresh.depth_sum) /
                    static_cast<double>(hold_fresh.executed)
-            << ", " << hold_fresh.cancelled
-            << " timer re-arms)\n"
+            << ")\n"
             << "  speedup: " << hold_speedup << "x\n";
 
-  bench::check(hold_legacy.executed == hold_fresh.executed &&
-                   hold_legacy.cancelled == hold_fresh.cancelled,
-               "hold: identical events and re-arms in both implementations");
+  bench::check(hold_legacy.executed == hold_fresh.executed,
+               "hold: identical events in both implementations");
   bench::check(hold_legacy.peak_depth == hold_fresh.peak_depth &&
                    hold_legacy.depth_sum == hold_fresh.depth_sum,
                "hold: identical queue depths (same pending-set evolution)");
 
-  report.metric("mixed_lifecycles", static_cast<double>(2 * kIters));
+  report.metric("mixed_lifecycles", static_cast<double>(kIters));
   report.metric("mixed_events_per_sec_legacy", legacy.events_per_sec);
   report.metric("mixed_events_per_sec_new", fresh.events_per_sec);
   report.metric("mixed_speedup", speedup);
   report.metric("mixed_wall_s_legacy", legacy.wall_s);
   report.metric("mixed_wall_s_new", fresh.wall_s);
   report.metric("peak_queue_depth", static_cast<double>(fresh.peak_depth));
-  report.metric("rearm_peak_heap_entries_legacy",
-                static_cast<double>(legacy_peak_heap));
-  report.metric("rearm_peak_heap_entries_new",
-                static_cast<double>(fresh_peak_heap));
   report.metric("sim_events_per_sec", sim_rate);
   report.metric("sim_peak_pending", static_cast<double>(peak_pending));
   report.metric("sim_executed", static_cast<double>(s.stats().executed));
   report.metric("sim_clamped_schedules",
                 static_cast<double>(s.stats().clamped_schedules));
-  report.metric("sim_cancelled", static_cast<double>(s.stats().cancelled));
   report.metric("hold_events", static_cast<double>(hold_fresh.executed));
-  report.metric("hold_rearms", static_cast<double>(hold_fresh.cancelled));
   report.metric("hold_peak_depth", static_cast<double>(hold_fresh.peak_depth));
   report.metric("hold_mean_depth",
                 static_cast<double>(hold_fresh.depth_sum) /

@@ -3,7 +3,16 @@
 #include <cassert>
 #include <utility>
 
+#include "net/host.hpp"
+
 namespace speedlight::net {
+
+void Link::connect(Node* dst, PortId dst_port) {
+  dst_ = dst;
+  dst_port_ = dst_port;
+  sink_ = dst->is_host() ? static_cast<Host*>(dst) : nullptr;
+  arrival_delay_ = propagation_ + dst->pipeline_latency();
+}
 
 void Link::send(PooledPacket pkt) {
   const sim::SimTime start =
@@ -31,6 +40,10 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
   ++packets_sent_;
   const sim::SimTime arrives = departed + arrival_delay_;
   if (on_depart_) on_depart_(*pkt, departed);
+  if (sink_ != nullptr && !on_arrive_ && sink_->books_deliveries()) {
+    sink_->book(*pkt, arrives);
+    return;  // Nothing runs at the arrival; the handle recycles the packet.
+  }
 
   auto arrival = [this, pkt = std::move(pkt), arrives]() mutable {
     if (on_arrive_) on_arrive_(*pkt, arrives);

@@ -5,6 +5,10 @@
 // connect the egress unit of one port to an ingress unit of another device.
 // FIFO ordering is guaranteed by construction (serialization is sequential
 // and propagation delay is constant).
+//
+// A delivery into a host with no receive callback runs nothing at arrival,
+// so it schedules nothing: the host books it (net/host.hpp), and the packet
+// goes back to the pool at hand-over.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,8 @@
 #include "sim/simulator.hpp"
 
 namespace speedlight::net {
+
+class Host;
 
 class Link {
  public:
@@ -39,11 +45,7 @@ class Link {
 
   /// Attach the receiving end. Must be called before send(). Frames reach
   /// it propagation plus its pipeline latency after they depart.
-  void connect(Node* dst, PortId dst_port) {
-    dst_ = dst;
-    dst_port_ = dst_port;
-    arrival_delay_ = propagation_ + dst->pipeline_latency();
-  }
+  void connect(Node* dst, PortId dst_port);
 
   /// Transmit a packet: waits for the transmitter to be idle, serializes at
   /// the link rate, then propagates. May drop (loss model).
@@ -81,7 +83,8 @@ class Link {
   /// fully left the sender); arrival is delivery at the far end, after the
   /// receiver's pipeline latency (see Node::pipeline_latency). The depart
   /// tap fires at hand-over with the departure time, which for a switch
-  /// port is the dequeue.
+  /// port is the dequeue. The arrive tap runs in an arrival event, so a
+  /// link with one posts an event even into a host that books deliveries.
   void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
@@ -115,6 +118,7 @@ class Link {
   sim::Rng rng_;
 
   Node* dst_ = nullptr;
+  Host* sink_ = nullptr;  ///< dst_, when it is a host; connect().
   PortId dst_port_ = kInvalidPort;
   bool dynamic_loss_ = false;
   /// serialization_delay()'s last result: 0 bytes take 0 ns. Packed with

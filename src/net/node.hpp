@@ -1,9 +1,10 @@
 // Abstract network device: anything that can terminate a link.
 //
 // speedlight-lint: allow-file(virtual-in-datapath) the one sanctioned
-// data-path interface: links dispatch to host-or-switch exactly once per
-// delivery, and both overriders are final classes the optimizer can
-// devirtualize at the call sites that matter.
+// data-path interface: a link dispatches to host-or-switch once per arrival
+// event, and not at all for a delivery a host books (net/host.hpp); both
+// overriders are final classes the optimizer can devirtualize at the call
+// sites that matter.
 #pragma once
 
 #include <string>

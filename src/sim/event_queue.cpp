@@ -15,16 +15,15 @@ std::uint32_t EventQueue::acquire_slot() {
     free_.pop_back();
     return idx;
   }
-  assert(generations_.size() < 0xffffffffu && "event slab exhausted");
-  // Slab growth is amortized infrastructure: steady state recycles slots
-  // and stops growing. Exempt from the data-path allocation guard.
-  det::DetAllow allow_growth;
-  const auto idx = static_cast<std::uint32_t>(generations_.size());
+  assert(slab_slots_ < 0xffffffffu && "event slab exhausted");
+  const std::uint32_t idx = slab_slots_++;
   if ((idx & (kChunkSlots - 1)) == 0) {
+    // Slab growth is amortized infrastructure: steady state recycles slots
+    // and stops growing. Exempt from the data-path allocation guard.
+    det::DetAllow allow_growth;
     chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
     free_.reserve(chunks_.size() * kChunkSlots);
   }
-  generations_.push_back(1);
   return idx;
 }
 
@@ -38,28 +37,24 @@ inline void EventQueue::push_heap(Entry e) {
   sift_up(heap_.size() - 1);
 }
 
-EventId EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
-                         std::uint32_t idx) {
+void EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
+                      std::uint32_t idx) {
   assert(callback(idx) && "cannot schedule an empty callback");
-  const std::uint32_t gen = generations_[idx];
-  // Form the id before the insert, and keep the entry in registers until
-  // it is stored into its slot: a value stored narrow and read back wide
-  // (an entry staged on the stack and copied with 16-byte loads, a 32-bit
-  // generation spilled across the insert and reloaded as 64 bits) stalls
-  // store-to-load forwarding.
-  const EventId id = (static_cast<EventId>(gen) << 32) | idx;
-  const Entry e{when, seq, idx, gen, key};
+  // Keep the entry in registers until it is stored into its slot: a value
+  // stored narrow and read back wide (an entry staged on the stack and
+  // copied with 16-byte loads) stalls store-to-load forwarding.
+  const Entry e{when, seq, idx, key};
   if (++live_count_ > peak_size_) peak_size_ = live_count_;
   if (!heap_.empty() && !e.before(heap_.front())) {
     push_heap(e);
-    return id;
+    return;
   }
   if (near_.size() == kNearCapacity) {
     // Full: the latest of the near tier's entries and `e` goes to the heap.
     // It precedes every heap entry, so the heap takes it as its new top.
     if (!e.before(near_.front())) {
       push_heap(e);
-      return id;
+      return;
     }
     push_heap(near_.front());
     near_.erase(near_.begin());
@@ -71,24 +66,9 @@ EventId EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
   near_.emplace_back();
   for (; i > 0 && near_[i - 1].before(e); --i) near_[i] = near_[i - 1];
   near_[i] = e;
-  return id;
 }
 
-bool EventQueue::cancel(EventId id) {
-  const auto idx = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (idx >= generations_.size() || generations_[idx] != gen) return false;
-  retire(idx);  // O(1); the tier entry goes stale.
-  recycle(idx);
-  --live_count_;
-  // Keep stale entries at no more than half of all entries: compaction is
-  // O(n) but amortizes to O(1) per cancel, and bounds entries at 2x live.
-  const std::size_t entries = heap_entries();
-  if (entries - live_count_ > entries / 2) compact();
-  return true;
-}
-
-void EventQueue::sift_up(std::size_t i) const {
+void EventQueue::sift_up(std::size_t i) {
   Entry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
@@ -99,7 +79,7 @@ void EventQueue::sift_up(std::size_t i) const {
   heap_[i] = e;
 }
 
-void EventQueue::sift_down(std::size_t i) const {
+void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
   Entry e = heap_[i];
   for (;;) {
@@ -117,37 +97,18 @@ void EventQueue::sift_down(std::size_t i) const {
   heap_[i] = e;
 }
 
-void EventQueue::remove_top() const {
+void EventQueue::remove_top() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
 }
 
-void EventQueue::purge_stale_tops() const {
-  while (!near_.empty() && stale(near_.back())) near_.pop_back();
-  if (near_.empty()) {
-    while (!heap_.empty() && stale(heap_.front())) remove_top();
-  }
-}
-
-void EventQueue::compact() {
-  std::erase_if(near_, [this](const Entry& e) { return stale(e); });
-  std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
-  const std::size_t n = heap_.size();
-  if (n > 1) {
-    for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i);
-  }
-  ++compactions_;
-}
-
 SimTime EventQueue::next_time() const {
-  purge_stale_tops();
   assert(!near_.empty() || !heap_.empty());
   return near_.empty() ? heap_.front().time : near_.back().time;
 }
 
 inline bool EventQueue::take(SimTime last, Entry& out) {
-  purge_stale_tops();
   if (!near_.empty()) {
     if (near_.back().time > last) return false;
     out = near_.back();
@@ -157,7 +118,6 @@ inline bool EventQueue::take(SimTime last, Entry& out) {
     out = heap_.front();
     remove_top();
   }
-  retire(out.slot);
   --live_count_;
   return true;
 }

@@ -1,6 +1,6 @@
-// The discrete-event core: a slab of generation-counted event slots indexed
-// by two tiers of ordering entries, a small sorted near tier in front of an
-// explicit 4-ary min-heap.
+// The discrete-event core: a slab of event slots indexed by two tiers of
+// ordering entries, a small sorted near tier in front of an explicit 4-ary
+// min-heap.
 //
 // Events at the same timestamp run in (merge key, schedule order): an
 // explicit 32-bit merge key ranks first and a monotonically increasing
@@ -16,8 +16,8 @@
 //    returned. Slots live in fixed 64-slot chunks, so a running callback
 //    never moves when it schedules more events. Freed slot indices are kept
 //    on a freelist, so steady-state schedule/pop touches no allocator.
-//  - Both tiers order lightweight (time, key, seq, slot, generation)
-//    entries; no hashing anywhere on the hot path.
+//  - Both tiers order lightweight 24-byte (time, key, seq, slot) entries;
+//    no hashing anywhere on the hot path.
 //  - Two tiers, one order. An entry that precedes the heap's top, or arrives
 //    while the heap is empty, goes into the near tier: at most kNearCapacity
 //    entries kept sorted latest-first, so the earliest pops off the end with
@@ -31,13 +31,9 @@
 //  - A sequence number can be reserved without scheduling anything and used
 //    later (schedule_reserved): an event that may turn out to be unneeded
 //    keeps the exact place in the order it would have had.
-//  - cancel() is O(1): it destroys the callback, bumps the slot generation
-//    (invalidating the tier entry and the EventId), and recycles the slot.
-//    Stale entries are removed lazily at the top of either tier, and both
-//    tiers are compacted (filter, then re-heapify the heap) whenever stale
-//    entries exceed half of all entries — bounding the entries at 2x the
-//    live event count no matter how adversarial the schedule/cancel churn
-//    is (e.g. periodic snapshot re-arms).
+//  - A scheduled event always runs; there is no cancellation. A timer that
+//    may become moot captures an epoch and returns early when it no longer
+//    matches (DESIGN.md section 8), so every entry in either tier is live.
 #pragma once
 
 #include <cassert>
@@ -52,13 +48,6 @@
 
 namespace speedlight::sim {
 
-/// Handle used to cancel a scheduled event: (slot generation << 32) | slot
-/// index. Generations start at 1, so 0 is never a valid handle and may be
-/// used as a "no event" sentinel.
-using EventId = std::uint64_t;
-
-inline constexpr EventId kInvalidEvent = 0;
-
 /// Same-timestamp merge rank. 0 (the default) sorts before every channel
 /// key, so purely local events keep schedule order among themselves.
 using MergeKey = std::uint32_t;
@@ -67,7 +56,7 @@ class EventQueue {
  public:
   using Callback = InplaceCallback;
 
-  /// Near-tier capacity (4 KB of entries). The Hadoop testbed peaks at 120
+  /// Near-tier capacity (3 KB of entries). The Hadoop testbed peaks at 120
   /// pending events, so its whole queue fits; a new entry shifts only the
   /// entries due before it, which for a packet hop are the few earliest.
   static constexpr std::size_t kNearCapacity = 128;
@@ -77,20 +66,19 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `fn` to run at absolute time `when`. Returns a handle that can
-  /// be passed to cancel(). `when` may not be in the past relative to the
-  /// last popped event.
+  /// Schedule `fn` to run at absolute time `when`. `when` may not be in the
+  /// past relative to the last popped event.
   template <typename F>
-  EventId schedule(SimTime when, F&& fn) {
-    return schedule_reserved(when, 0, next_seq_++, std::forward<F>(fn));
+  void schedule(SimTime when, F&& fn) {
+    schedule_reserved(when, 0, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule with an explicit same-timestamp merge key: events at equal
   /// times run in (key, schedule order). Cross-component channels use their
   /// channel id so delivery interleaving is a property of the channel.
   template <typename F>
-  EventId schedule_keyed(SimTime when, MergeKey key, F&& fn) {
-    return schedule_reserved(when, key, next_seq_++, std::forward<F>(fn));
+  void schedule_keyed(SimTime when, MergeKey key, F&& fn) {
+    schedule_reserved(when, key, next_seq_++, std::forward<F>(fn));
   }
 
   /// Take the next sequence number without scheduling anything.
@@ -99,29 +87,25 @@ class EventQueue {
   /// Schedule at (when, key, seq) with a `seq` from reserve_seq(). Each
   /// reserved number may be used at most once.
   template <typename F>
-  EventId schedule_reserved(SimTime when, MergeKey key, std::uint64_t seq,
-                            F&& fn) {
+  void schedule_reserved(SimTime when, MergeKey key, std::uint64_t seq,
+                         F&& fn) {
     assert(seq < next_seq_ && "sequence number was never reserved");
     const std::uint32_t idx = acquire_slot();
     callback(idx).emplace(std::forward<F>(fn));
-    return push(when, key, seq, idx);
+    push(when, key, seq, idx);
   }
 
   /// The sequence number the next schedule or reservation will take. Every
   /// number below it has been handed out.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Cancel a previously scheduled event. Cancelling an already-executed or
-  /// unknown event is a no-op; returns whether anything was cancelled.
-  bool cancel(EventId id);
-
-  /// True if no runnable (non-cancelled) events remain.
+  /// True if no events are pending.
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
 
-  /// Number of runnable events.
+  /// Number of pending events: the entries in both tiers.
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Timestamp of the next runnable event. Precondition: !empty().
+  /// Timestamp of the next event. Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
 
   /// Only the queue builds a Popped (std::optional constructs it in place).
@@ -130,11 +114,10 @@ class EventQueue {
     PopKey() = default;
   };
 
-  /// The event a pop took off its tier. Its id is already retired (cancel()
-  /// on it is a no-op), and its callback `fn` stays in its slab slot, where
-  /// it is run; the slot is recycled when this handle is destroyed. `seq`
-  /// is the schedule-order tie-break, exposed so the determinism auditor
-  /// can fingerprint tie pairs.
+  /// The event a pop took off its tier. Its callback `fn` stays in its slab
+  /// slot, where it is run; the slot is recycled when this handle is
+  /// destroyed. `seq` is the schedule-order tie-break, exposed so the
+  /// determinism auditor can fingerprint tie pairs.
   class Popped {
    public:
     SimTime time;
@@ -155,40 +138,28 @@ class EventQueue {
     std::uint32_t slot_;
   };
 
-  /// Pop the next runnable event if it is due at or before `last`, else
+  /// Pop the next event if it is due at or before `last`, else
   /// nothing: the bounded pop a run loop makes once per event, instead of
   /// next_time() followed by pop().
   std::optional<Popped> pop_until(SimTime last);
 
-  /// Pop the next runnable event. Precondition: !empty().
+  /// Pop the next event. Precondition: !empty().
   Popped pop();
 
   // --- Introspection (tests and the perf harness) ---------------------------
-  /// Entries in both tiers, including cancelled-but-not-yet-removed ones.
-  /// At most 2 * size() after every cancel, through lazy compaction (the
-  /// stale-entry leak regression).
-  [[nodiscard]] std::size_t heap_entries() const {
-    return near_.size() + heap_.size();
-  }
-  /// The near tier's share of heap_entries(). These are the earliest
-  /// entries: every one precedes every entry in the heap.
+  /// The near tier's share of size(). These are the earliest entries: every
+  /// one precedes every entry in the heap.
   [[nodiscard]] std::size_t near_entries() const { return near_.size(); }
   /// High-water mark of size(): the deepest the queue has been.
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
   /// Slots ever allocated in the slab (high-water mark of concurrent events).
-  [[nodiscard]] std::size_t slab_slots() const { return generations_.size(); }
-  /// Number of compactions (of both tiers) triggered by cancellation churn.
-  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+  [[nodiscard]] std::size_t slab_slots() const { return slab_slots_; }
 
  private:
-  /// Entries carry their own ordering key so a cancelled slot can be
-  /// recycled immediately: the stale entry keeps comparing with the key it
-  /// was scheduled with until lazy removal gets rid of it.
   struct Entry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
     MergeKey key;
 
     [[nodiscard]] bool before(const Entry& o) const {
@@ -197,6 +168,7 @@ class EventQueue {
       return seq < o.seq;
     }
   };
+  static_assert(sizeof(Entry) == 24);
 
   static constexpr std::size_t kArity = 4;
   /// 64 slots per chunk: the fuzzer builds thousands of short-lived
@@ -207,54 +179,36 @@ class EventQueue {
   [[nodiscard]] Callback& callback(std::uint32_t idx) {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
   }
-  [[nodiscard]] bool stale(const Entry& e) const {
-    return generations_[e.slot] != e.generation;
-  }
-
   [[nodiscard]] std::uint32_t acquire_slot();
   /// Enter slot `idx` (callback already built) into the order: into the
   /// near tier if it precedes the heap's top, else into the heap. The one
   /// insert path.
-  EventId push(SimTime when, MergeKey key, std::uint64_t seq,
-               std::uint32_t idx);
+  void push(SimTime when, MergeKey key, std::uint64_t seq, std::uint32_t idx);
   void push_heap(Entry e);
-  /// Take the earliest live entry off its tier into `out` and retire its
-  /// slot, if that entry is due at or before `last`. The one pop path.
+  /// Take the earliest entry off its tier into `out`, if that entry is due
+  /// at or before `last`. The one pop path.
   bool take(SimTime last, Entry& out);
-  /// Invalidate the slot's id and any tier entry still naming it.
-  void retire(std::uint32_t idx) {
-    if (++generations_[idx] == 0) ++generations_[idx];  // Ids stay non-zero.
-  }
   /// Destroy the slot's callback and return the slot to the freelist. The
   /// freelist's capacity follows the slab, so this never allocates.
   void recycle(std::uint32_t idx) noexcept {
     callback(idx).reset();
     free_.push_back(idx);
   }
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
-  /// Remove the root entry (stale or live) and restore the heap property.
-  void remove_top() const;
-  /// Drop stale entries from the near tier's top, then, if that empties the
-  /// tier, from the heap's top: afterwards the earliest entry is live.
-  void purge_stale_tops() const;
-  /// Filter out every stale entry from both tiers and re-heapify; O(entries).
-  void compact();
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Remove the root entry and restore the heap property.
+  void remove_top();
 
   std::vector<std::unique_ptr<Callback[]>> chunks_;
-  /// Per-slot generation, dense so stale checks stay cache-friendly.
-  std::vector<std::uint32_t> generations_;
   std::vector<std::uint32_t> free_;
-  // `mutable` because next_time() lazily sheds stale top entries, exactly
-  // like the old implementation's drop_cancelled().
   /// The near tier: sorted latest-first, so the earliest entry is back().
   /// Capacity kNearCapacity, reserved at construction.
-  mutable std::vector<Entry> near_;
-  mutable std::vector<Entry> heap_;
+  std::vector<Entry> near_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   std::size_t peak_size_ = 0;
-  std::uint64_t compactions_ = 0;
+  std::uint32_t slab_slots_ = 0;
 };
 
 }  // namespace speedlight::sim

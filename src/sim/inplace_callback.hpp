@@ -73,7 +73,7 @@ class InplaceFunction<R(Args...)> {
     return ops_ != nullptr;
   }
 
-  /// Drop the stored callable (used by the event queue on cancellation).
+  /// Drop the stored callable (the event queue recycles a slot this way).
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);

@@ -23,15 +23,19 @@ std::size_t Simulator::run_until(SimTime until) {
   running_ = kBetweenRuns;
   stats_.executed += executed;
   // Even when nothing remains to execute, time advances to the horizon so
-  // back-to-back run_until() calls behave like one continuous run.
-  if (until != std::numeric_limits<SimTime>::max() && now_ < until) {
-    now_ = until;
-  }
+  // back-to-back run_until() calls behave like one continuous run. A drain
+  // has no horizon and ends where the last event or booking happened.
+  const SimTime end =
+      until != std::numeric_limits<SimTime>::max() ? until : booked_until_;
+  if (now_ < end) now_ = end;
   return executed;
 }
 
 bool Simulator::step() {
-  if (!run_next(std::numeric_limits<SimTime>::max())) return false;
+  if (!run_next(std::numeric_limits<SimTime>::max())) {
+    if (now_ < booked_until_) now_ = booked_until_;
+    return false;
+  }
   running_ = kBetweenRuns;
   ++stats_.executed;
   return true;

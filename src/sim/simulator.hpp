@@ -30,7 +30,9 @@ struct Reservation {
 struct SimulatorStats {
   std::uint64_t scheduled = 0;          ///< at()/after() calls.
   std::uint64_t executed = 0;           ///< Callbacks run.
-  std::uint64_t cancelled = 0;          ///< Successful cancel() calls.
+  /// Always 0: events cannot be cancelled. Kept only because the frozen
+  /// repository benchmark (perfbench/) reads it.
+  std::uint64_t cancelled = 0;
   std::uint64_t clamped_schedules = 0;  ///< Past timestamps clamped to now.
 };
 
@@ -43,8 +45,6 @@ class Simulator {
                              [this] { return stats_.scheduled; });
     metrics_.register_reader("sim.events.executed", obs::MetricKind::Counter,
                              [this] { return stats_.executed; });
-    metrics_.register_reader("sim.events.cancelled", obs::MetricKind::Counter,
-                             [this] { return stats_.cancelled; });
     metrics_.register_reader("sim.events.clamped_schedules",
                              obs::MetricKind::Counter,
                              [this] { return stats_.clamped_schedules; });
@@ -76,25 +76,26 @@ class Simulator {
   /// Schedule `fn` at absolute time `when` (clamped to now if in the past).
   /// The callable is constructed directly in its event slot.
   template <typename F>
-  EventId at(SimTime when, F&& fn) {
+  void at(SimTime when, F&& fn) {
     ++stats_.scheduled;
     if (when < now_) {
       ++stats_.clamped_schedules;
       when = now_;
     }
-    return queue_.schedule(when, std::forward<F>(fn));
+    queue_.schedule(when, std::forward<F>(fn));
   }
 
   /// Schedule `fn` after a relative delay. Negative delays clamp to now and
   /// count as clamped_schedules, same as a past-time at().
   template <typename F>
-  EventId after(Duration delay, F&& fn) {
+  void after(Duration delay, F&& fn) {
     if (delay < 0) {
       ++stats_.scheduled;
       ++stats_.clamped_schedules;
-      return queue_.schedule(now_, std::forward<F>(fn));
+      queue_.schedule(now_, std::forward<F>(fn));
+      return;
     }
-    return at(now_ + delay, std::forward<F>(fn));
+    at(now_ + delay, std::forward<F>(fn));
   }
 
   /// at() with an explicit same-timestamp merge key (see
@@ -102,13 +103,13 @@ class Simulator {
   /// with their channel id so equal-time interleaving at the destination is
   /// a property of the channel, not of scheduling order.
   template <typename F>
-  EventId at_keyed(SimTime when, MergeKey key, F&& fn) {
+  void at_keyed(SimTime when, MergeKey key, F&& fn) {
     ++stats_.scheduled;
     if (when < now_) {
       ++stats_.clamped_schedules;
       when = now_;
     }
-    return queue_.schedule_keyed(when, key, std::forward<F>(fn));
+    queue_.schedule_keyed(when, key, std::forward<F>(fn));
   }
 
   /// Take the place in the (time, key 0, seq) order that at(`when`, ...)
@@ -123,10 +124,10 @@ class Simulator {
   /// Schedule `fn` at a reserved place. Precondition: !passed(r), and `r`
   /// is used at most once.
   template <typename F>
-  EventId at_reserved(const Reservation& r, F&& fn) {
+  void at_reserved(const Reservation& r, F&& fn) {
     assert(!passed(r) && "the reserved place has already gone by");
     ++stats_.scheduled;
-    return queue_.schedule_reserved(r.time, 0, r.seq, std::forward<F>(fn));
+    queue_.schedule_reserved(r.time, 0, r.seq, std::forward<F>(fn));
   }
 
   /// Whether execution has gone past reservation `r`: an event scheduled
@@ -139,24 +140,26 @@ class Simulator {
     return running_.key != 0 || r.seq < running_.seq;
   }
 
-  /// Cancel a pending event.
-  bool cancel(EventId id) {
-    const bool cancelled = queue_.cancel(id);
-    if (cancelled) ++stats_.cancelled;
-    return cancelled;
+  /// Note something that happens at `when` without an event of its own (a
+  /// delivery a host books, net/host.hpp). A run that drains the queue then
+  /// ends no earlier than `when`, as it would have after an event there.
+  void book(SimTime when) {
+    if (when > booked_until_) booked_until_ = when;
   }
 
   /// Run until the queue drains or virtual time would exceed `until`.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed. With a horizon, now() ends at
+  /// `until`; a drain ends at the last event or booking, whichever is later.
   std::size_t run_until(SimTime until = std::numeric_limits<SimTime>::max());
 
-  /// Run exactly one event if available; returns whether one ran.
+  /// Run exactly one event if available; returns whether one ran. A step
+  /// that finds the queue empty advances now() to the last booking.
   bool step();
 
   /// Pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
-  /// Lifetime event accounting (scheduled/executed/cancelled/clamped).
+  /// Lifetime event accounting (scheduled/executed/clamped).
   [[nodiscard]] const SimulatorStats& stats() const { return stats_; }
 
   /// Read-only queue access (heap/slab introspection for benches).
@@ -195,6 +198,7 @@ class Simulator {
 
   EventQueue queue_;
   SimTime now_ = 0;
+  SimTime booked_until_ = 0;  ///< The latest book() time.
   Running running_ = kBetweenRuns;
   Rng rng_;
   SimulatorStats stats_;

@@ -46,18 +46,15 @@ void DigestChannel::push(const Notification& n) {
     flush();
   } else if (!flush_armed_) {
     flush_armed_ = true;
-    flush_timer_ = sim_.after(timing_.digest_flush_timeout, [this]() {
-      flush_armed_ = false;
-      flush();
+    sim_.after(timing_.digest_flush_timeout, [this, epoch = flush_epoch_]() {
+      if (epoch == flush_epoch_) flush();
     });
   }
 }
 
 void DigestChannel::flush() {
-  if (flush_armed_) {
-    sim_.cancel(flush_timer_);
-    flush_armed_ = false;
-  }
+  ++flush_epoch_;
+  flush_armed_ = false;
   if (accumulating_.empty()) return;
   ++digests_;
   digest_batch_.record(accumulating_.size());

@@ -66,8 +66,11 @@ class DigestChannel final : public NotificationTransport {
   /// accumulation never reallocates in steady state (push() runs on the
   /// data path; see sim/determinism.hpp).
   Digest spare_;
-  sim::EventId flush_timer_ = 0;
+  /// A live flush timer is pending. It captures flush_epoch_ when armed, and
+  /// every flush() bumps the epoch, so a timer that a size-triggered flush
+  /// beat runs as a no-op at its old time.
   bool flush_armed_ = false;
+  std::uint64_t flush_epoch_ = 0;
 
   std::deque<Digest> cpu_queue_;
   std::uint64_t digests_ = 0;

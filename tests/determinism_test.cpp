@@ -6,7 +6,8 @@
 // (std::priority_queue + unordered_map) before the slab/4-ary-heap rewrite,
 // so this test also pins that the rewrite preserved the exact event order —
 // including timestamp collisions, zero-delay self-scheduling, past-time
-// clamping, and cancel/re-arm churn.
+// clamping, and timer re-arm churn (cancelled in the seed, epoch-guarded
+// no-ops since the event core dropped cancellation).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,14 +27,19 @@ namespace {
 std::vector<std::pair<sim::SimTime, int>> run_scenario() {
   sim::Simulator s;
   std::vector<std::pair<sim::SimTime, int>> log;
-  std::vector<sim::EventId> ids;
 
-  // Phase 1: colliding timestamps with interleaved cancellations.
+  // Phase 1: colliding timestamps with interleaved withdrawals. The event
+  // core has no cancellation: a withdrawn event still runs, guarded into a
+  // no-op that logs nothing, so the trace is the one the seed
+  // implementation recorded when these events were cancelled.
+  auto withdrawn = std::make_shared<std::vector<bool>>(60, false);
   for (int i = 0; i < 60; ++i) {
     const sim::SimTime t = (i * 7) % 40;
-    ids.push_back(s.at(t, [&log, &s, i] { log.emplace_back(s.now(), i); }));
+    s.at(t, [&log, &s, withdrawn, i] {
+      if (!(*withdrawn)[i]) log.emplace_back(s.now(), i);
+    });
   }
-  for (int i = 0; i < 60; i += 3) s.cancel(ids[i]);
+  for (int i = 0; i < 60; i += 3) (*withdrawn)[i] = true;
 
   // Phase 2: events scheduling events, zero delays, past-time clamping.
   s.at(35, [&] {
@@ -43,15 +49,20 @@ std::vector<std::pair<sim::SimTime, int>> run_scenario() {
     s.after(5, [&] { log.emplace_back(s.now(), 1003); });
   });
 
-  // Phase 3: a periodically re-armed timer (schedule + cancel churn).
-  auto shadow = std::make_shared<sim::EventId>(
-      s.at(500, [&log, &s] { log.emplace_back(s.now(), 2000); }));
+  // Phase 3: a periodically re-armed timer. Each re-arm bumps the epoch,
+  // so only the latest shadow timer logs (the epoch rule, DESIGN.md
+  // section 8).
+  auto epoch = std::make_shared<int>(0);
+  s.at(500, [&log, &s, epoch] {
+    if (*epoch == 0) log.emplace_back(s.now(), 2000);
+  });
   for (int i = 0; i < 20; ++i) {
-    s.at(100 + i, [&log, &s, shadow, i] {
+    s.at(100 + i, [&log, &s, epoch, i] {
       log.emplace_back(s.now(), 3000 + i);
-      s.cancel(*shadow);
-      *shadow =
-          s.at(500 + i, [&log, &s, i] { log.emplace_back(s.now(), 2100 + i); });
+      const int mine = ++*epoch;
+      s.at(500 + i, [&log, &s, epoch, mine, i] {
+        if (*epoch == mine) log.emplace_back(s.now(), 2100 + i);
+      });
     });
   }
 

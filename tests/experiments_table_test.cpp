@@ -1,7 +1,7 @@
 // EXPERIMENTS.md's measured cells against the committed BENCH_*.json files
 // they are read from: every number a checked cell prints must be its
 // metric rounded to the number's own printed precision. Covered: Table 1,
-// Figure 9, both measured columns of Figure 10 and Figure 12.
+// Figure 9, both measured columns of Figure 10, Figure 12 and Figure 13.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -208,6 +208,45 @@ TEST(ExperimentsTables, Figure12MatchesItsJson) {
                    "_median_" + unit});
     }
   }
+}
+
+TEST(ExperimentsTables, Figure13MatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  Metrics json = metrics_of("BENCH_fig13_correlation.json");
+  const std::string kFigure = "## Figure 13";
+  const std::string snap = "metrics.snapshot.";
+  const std::string poll = "metrics.polling.";
+
+  // "70 vs 28 of 91 (+150%)": the gain is snapshots over polling, in
+  // percent of polling's count.
+  const double snap_pairs = json[snap + "significant_pairs"];
+  const double poll_pairs = json[poll + "significant_pairs"];
+  ASSERT_GT(poll_pairs, 0);
+  json["derived.gain_pct"] = (snap_pairs - poll_pairs) / poll_pairs * 100;
+  const auto pairs =
+      row_cells(doc, kFigure, "significant pairs, snapshots vs polling");
+  ASSERT_EQ(pairs.size(), 2u);
+  expect_cell("significant pairs", pairs[1], json,
+              {snap + "significant_pairs", poll + "significant_pairs",
+               "metrics.pairs_total", "derived.gain_pct"});
+
+  // "0 (both)": one count printed for both sides.
+  const auto master =
+      row_cells(doc, kFigure, "master-server port correlations");
+  ASSERT_EQ(master.size(), 2u);
+  EXPECT_NE(master[1].find("(both)"), std::string::npos) << master[1];
+  expect_cell("master-server, snapshots", master[1], json,
+              {snap + "master_significant"});
+  expect_cell("master-server, polling", master[1], json,
+              {poll + "master_significant"});
+
+  // "ρ ≥ 0.21, all significant": the smallest uplink-pair rho, which reads
+  // 0 when a pair is not significant.
+  const auto uplinks = row_cells(doc, kFigure, "same-leaf ECMP uplink pairs");
+  ASSERT_EQ(uplinks.size(), 2u);
+  expect_cell("uplink pairs", uplinks[1], json,
+              {snap + "min_uplink_pair_rho"});
+  EXPECT_GT(json[snap + "min_uplink_pair_rho"], 0);
 }
 
 }  // namespace

@@ -203,6 +203,88 @@ TEST(Host, IgnoresProbes) {
   EXPECT_EQ(host.packets_received(), 0u);
 }
 
+/// A host behind a 1 Gbps, 1 us link: a 1250-byte packet sent at 0 arrives
+/// at 11 us (10 us serialization plus propagation).
+struct Downlink {
+  static constexpr sim::SimTime kArrival = sim::usec(11);
+  sim::Simulator sim;
+  Host host{sim, 5, "h5"};
+  Link link{sim, 1e9, sim::usec(1), sim::Rng(1)};
+  Downlink() { link.connect(&host, 0); }
+};
+
+TEST(Host, BookedDeliverySchedulesNothing) {
+  Downlink d;
+  Packet p = make_packet(1250);
+  p.snap.present = true;  // A leaked header is counted with the delivery.
+  d.link.send(std::move(p));
+  EXPECT_EQ(d.sim.pending(), 0u);
+  EXPECT_EQ(d.sim.stats().scheduled, 0u);
+  EXPECT_EQ(d.link.packets_sent(), 1u);
+  d.sim.run_until(Downlink::kArrival - 1);
+  EXPECT_EQ(d.host.packets_received(), 0u);
+  EXPECT_EQ(d.host.bytes_received(), 0u);
+  EXPECT_EQ(d.host.header_leaks(), 0u);
+  d.sim.run_until(Downlink::kArrival);
+  EXPECT_EQ(d.host.packets_received(), 1u);
+  EXPECT_EQ(d.host.bytes_received(), 1250u);
+  EXPECT_EQ(d.host.header_leaks(), 1u);
+  EXPECT_EQ(d.sim.stats().executed, 0u);
+}
+
+TEST(Host, DrainEndsAtTheLastBookedDelivery) {
+  // A run without a horizon ends where an arrival event would have run.
+  Downlink d;
+  d.link.send(make_packet(1250));
+  d.link.send(make_packet(1250));
+  d.sim.run_until();
+  EXPECT_EQ(d.sim.now(), Downlink::kArrival + sim::usec(10));
+  EXPECT_EQ(d.host.packets_received(), 2u);
+}
+
+TEST(Host, BookedProbesAreNotCounted) {
+  Downlink d;
+  Packet p = make_packet(64);
+  p.snap.present = true;
+  p.snap.kind = PacketKind::Probe;
+  d.link.send(std::move(p));
+  d.link.send(make_packet(1250));
+  d.sim.run_until(sim::sec(1));
+  EXPECT_EQ(d.host.packets_received(), 1u);
+  EXPECT_EQ(d.host.bytes_received(), 1250u);
+  EXPECT_EQ(d.host.header_leaks(), 0u);
+}
+
+TEST(Host, ReceiveCallbackKeepsTheArrivalEvent) {
+  Downlink d;
+  sim::SimTime seen = -1;
+  d.host.set_receive_callback(
+      [&seen](const Packet&, sim::SimTime t) { seen = t; });
+  d.link.send(make_packet(1250));
+  EXPECT_EQ(d.sim.pending(), 1u);
+  d.sim.run_until(sim::sec(1));
+  EXPECT_EQ(seen, Downlink::kArrival);
+  EXPECT_EQ(d.sim.stats().executed, 1u);
+  EXPECT_EQ(d.host.packets_received(), 1u);
+}
+
+TEST(Host, ArriveTapKeepsTheArrivalEvent) {
+  Downlink d;
+  sim::SimTime tapped = -1;
+  std::uint64_t counted_at_tap = 1;
+  d.link.set_arrive_tap([&](const Packet&, sim::SimTime t) {
+    tapped = t;
+    counted_at_tap = d.host.packets_received();
+  });
+  d.link.send(make_packet(1250));
+  EXPECT_EQ(d.sim.pending(), 1u);
+  d.sim.run_until(sim::sec(1));
+  EXPECT_EQ(tapped, Downlink::kArrival);
+  EXPECT_EQ(counted_at_tap, 0u);  // The tap runs before receive().
+  EXPECT_EQ(d.sim.stats().executed, 1u);
+  EXPECT_EQ(d.host.packets_received(), 1u);
+}
+
 TEST(Packet, KindPredicates) {
   Packet p;
   EXPECT_TRUE(p.is_data());

@@ -151,6 +151,29 @@ TEST(DigestChannel, FlushesImmediatelyWhenFull) {
             f.timing.digest_flush_timeout + sim::msec(10));
 }
 
+TEST(DigestChannel, StaleFlushTimerDoesNotFlushTheNextBatch) {
+  // A full batch flushes at once and leaves its flush timer pending (events
+  // cannot be cancelled). That stale timer must not flush the next partial
+  // batch early: the partial batch waits for its own timeout.
+  DigestFixture f;
+  const sim::Duration timeout = f.timing.digest_flush_timeout;
+  for (std::size_t i = 0; i < f.timing.digest_batch_size; ++i) {
+    f.channel.push(make_notification(static_cast<WireSid>(i)));
+  }
+  EXPECT_EQ(f.channel.digests_flushed(), 1u);  // Size-triggered, at 0.
+  const sim::SimTime second = timeout / 2;
+  f.sim.at(second, [&f] { f.channel.push(make_notification(99)); });
+  f.sim.run_until(timeout);  // The stale timer runs here.
+  EXPECT_EQ(f.channel.digests_flushed(), 1u);
+  f.sim.run_until(second + timeout - 1);
+  EXPECT_EQ(f.channel.digests_flushed(), 1u);
+  f.sim.run_until(second + timeout);
+  EXPECT_EQ(f.channel.digests_flushed(), 2u);
+  f.sim.run_until(sim::sec(1));
+  ASSERT_EQ(f.delivered.size(), f.timing.digest_batch_size + 1);
+  EXPECT_EQ(f.delivered.back().first, 99u);
+}
+
 TEST(DigestChannel, PreservesOrderAcrossDigests) {
   DigestFixture f;
   for (WireSid i = 0; i < 100; ++i) f.channel.push(make_notification(i));

@@ -48,65 +48,6 @@ TEST(EventQueue, ReportsNextTime) {
   EXPECT_EQ(q.next_time(), 100);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(10, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(id));  // Second cancel is a no-op.
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelledEventsSkippedInPop) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(10, [&] { order.push_back(1); });
-  const EventId id = q.schedule(20, [&] { order.push_back(2); });
-  q.schedule(30, [&] { order.push_back(3); });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, StaleEntriesNeverLeak) {
-  // Regression for the seed implementation's unbounded growth: cancelled
-  // events stayed in the heap until they surfaced at the top, so a
-  // periodically re-armed timer (the snapshot re-initiation pattern) grew
-  // the heap by one entry per re-arm, forever. The slab queue compacts
-  // whenever stale entries exceed half the heap, pinning heap size to at
-  // most live events x 2.
-  EventQueue q;
-  EventId pending = q.schedule(1'000'000, [] {});
-  for (int i = 0; i < 100'000; ++i) {
-    const EventId fresh = q.schedule(1'000'000 + i, [] {});
-    EXPECT_TRUE(q.cancel(pending));
-    pending = fresh;
-    ASSERT_LE(q.heap_entries(), 2 * q.size());
-  }
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_LE(q.heap_entries(), 2u);
-  EXPECT_GT(q.compactions(), 0u);
-  // The slab itself also stays O(live): slots recycle through the freelist.
-  EXPECT_LE(q.slab_slots(), 4u);
-}
-
-TEST(EventQueue, EventIdsAreNeverReusedOrZero) {
-  EventQueue q;
-  // kInvalidEvent (0) is the "no event" sentinel used across the codebase
-  // (e.g. digest flush timers); cancelling it must always be a safe no-op.
-  EXPECT_FALSE(q.cancel(kInvalidEvent));
-  std::vector<EventId> seen;
-  for (int round = 0; round < 1000; ++round) {
-    const EventId id = q.schedule(round, [] {});
-    EXPECT_NE(id, kInvalidEvent);
-    for (const EventId old : seen) EXPECT_NE(id, old);
-    seen.push_back(id);
-    q.cancel(id);  // Recycles the slot; the next id must still be fresh.
-  }
-}
-
 TEST(InplaceCallback, StoresMoveOnlyCapturesInline) {
   auto payload = std::make_unique<int>(41);
   InplaceCallback cb = [p = std::move(payload)]() mutable { ++*p; };
@@ -147,18 +88,15 @@ TEST(Simulator, StatsCountersTrackLifecycle) {
   Simulator sim;
   int ran = 0;
   sim.at(10, [&] { ++ran; });
-  const EventId doomed = sim.at(20, [&] { ++ran; });
+  sim.at(20, [&] { ++ran; });
   sim.at(30, [&] {
     ++ran;
     sim.at(5, [&] { ++ran; });  // Past time: clamped to now.
   });
-  EXPECT_TRUE(sim.cancel(doomed));
-  EXPECT_FALSE(sim.cancel(doomed));  // No-op does not double count.
   sim.run_until(100);
-  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(ran, 4);
   EXPECT_EQ(sim.stats().scheduled, 4u);
-  EXPECT_EQ(sim.stats().executed, 3u);
-  EXPECT_EQ(sim.stats().cancelled, 1u);
+  EXPECT_EQ(sim.stats().executed, 4u);
   EXPECT_EQ(sim.stats().clamped_schedules, 1u);
 }
 
@@ -220,16 +158,6 @@ TEST(Simulator, CallbacksRunInPlaceWhileTheSlabGrows) {
   sim.run_until();
   EXPECT_EQ(fired, 1000);
   EXPECT_GE(sim.queue().slab_slots(), 1000u);
-}
-
-TEST(Simulator, CancellingTheRunningEventIsANoOp) {
-  Simulator sim;
-  EventId self = kInvalidEvent;
-  bool cancelled = true;
-  self = sim.at(5, [&] { cancelled = sim.cancel(self); });
-  sim.run_until();
-  EXPECT_FALSE(cancelled);
-  EXPECT_EQ(sim.stats().cancelled, 0u);
 }
 
 TEST(Simulator, ReservedEventRunsAtItsReservedPlace) {

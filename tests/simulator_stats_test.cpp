@@ -1,6 +1,6 @@
-// SimulatorStats accounting: scheduled / executed / cancelled /
-// clamped_schedules, including the silent past-time clamp, plus the
-// counters' surface through the metrics registry.
+// SimulatorStats accounting: scheduled / executed / clamped_schedules,
+// including the silent past-time clamp, plus the counters' surface through
+// the metrics registry.
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
@@ -23,24 +23,6 @@ TEST(SimulatorStats, CountsScheduledAndExecuted) {
   EXPECT_EQ(sim.stats().executed, 3u);
   EXPECT_EQ(sim.stats().cancelled, 0u);
   EXPECT_EQ(sim.stats().clamped_schedules, 0u);
-}
-
-TEST(SimulatorStats, CountsCancellations) {
-  sim::Simulator sim;
-  int ran = 0;
-  const sim::EventId a = sim.at(sim::usec(1), [&ran]() { ++ran; });
-  sim.at(sim::usec(2), [&ran]() { ++ran; });
-
-  EXPECT_TRUE(sim.cancel(a));
-  EXPECT_EQ(sim.stats().cancelled, 1u);
-  // Cancelling twice fails and must not double-count.
-  EXPECT_FALSE(sim.cancel(a));
-  EXPECT_EQ(sim.stats().cancelled, 1u);
-
-  sim.run_until(sim::sec(1));
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(sim.stats().scheduled, 2u);
-  EXPECT_EQ(sim.stats().executed, 1u);
 }
 
 TEST(SimulatorStats, ClampsPastTimeSchedulesToNow) {
@@ -73,8 +55,7 @@ TEST(SimulatorStats, NegativeRelativeDelaysClamp) {
 TEST(SimulatorStats, SurfacedThroughMetricsRegistry) {
   sim::Simulator sim;
   sim.at(sim::usec(1), []() {});
-  const sim::EventId b = sim.at(sim::usec(2), []() {});
-  sim.cancel(b);
+  sim.at(sim::usec(2), []() {});
   sim.run_until(sim::sec(1));
 
   const auto samples = sim.metrics().collect();
@@ -86,11 +67,10 @@ TEST(SimulatorStats, SurfacedThroughMetricsRegistry) {
     return 0;
   };
   EXPECT_EQ(value_of("sim.events.scheduled"), 2u);
-  EXPECT_EQ(value_of("sim.events.executed"), 1u);
-  EXPECT_EQ(value_of("sim.events.cancelled"), 1u);
+  EXPECT_EQ(value_of("sim.events.executed"), 2u);
   EXPECT_EQ(value_of("sim.events.clamped_schedules"), 0u);
   EXPECT_EQ(value_of("sim.events.pending"), 0u);
-  // The high-water mark remembers both events, pending before the cancel.
+  // The high-water mark remembers both events, pending before the run.
   EXPECT_EQ(value_of("sim.events.peak_pending"), 2u);
 }
 
