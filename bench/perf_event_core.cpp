@@ -1,12 +1,13 @@
-// Event-core performance harness: the new slab/4-ary-heap EventQueue versus
-// the seed implementation (std::priority_queue + unordered_map callbacks,
-// reproduced below as LegacyEventQueue, without the cancel() nothing calls
-// any more), on the workloads that dominate every figure reproduction:
+// Event-core performance harness: the slab EventQueue (near tier, heap and
+// time buckets; DESIGN.md section 8) versus the seed implementation
+// (std::priority_queue + unordered_map callbacks, reproduced below as
+// LegacyEventQueue, without the cancel() nothing calls any more), on the
+// workloads that dominate every figure reproduction:
 //   1. mixed    — steady-state pop/execute/schedule lifecycles at ~10k
 //                 pending events: execute one event and schedule its
 //                 replacement, the next arrival (a loaded simulation run);
-//                 the >= 2x check compares best-of-5 alternating
-//                 repetitions;
+//                 nearly every entry waits in the time buckets; the >= 2x
+//                 check compares best-of-5 alternating repetitions;
 //   2. simulator — end-to-end Simulator::after() self-rescheduling timers,
 //                 exercising InplaceCallback and the stats counters;
 //   3. hold     — the queue shape of the Hadoop testbed: a few dozen
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::JsonReport report("perf_event_core");
   bench::banner(
-      "Event-core performance: slab/4-ary heap vs priority_queue+hash-map",
+      "Event-core performance: slab queue vs priority_queue+hash-map",
       "not a paper figure — the engineering floor under every figure "
       "reproduction (millions of packet events per evaluation run)");
 

@@ -272,8 +272,8 @@ const snap::GlobalSnapshot* Network::take_snapshot(sim::Duration lead,
   while (sim_.now() < deadline) {
     const snap::GlobalSnapshot* snap = observer_->result(*id);
     if (snap != nullptr && snap->complete) return snap;
-    if (sim_.pending() == 0) break;
-    sim_.step();
+    // A step that finds the queue empty ends at the last booked delivery.
+    if (!sim_.step()) break;
   }
   return observer_->result(*id);
 }

@@ -10,7 +10,7 @@ namespace speedlight::net {
 void Link::connect(Node* dst, PortId dst_port) {
   dst_ = dst;
   dst_port_ = dst_port;
-  sink_ = dst->is_host() ? static_cast<Host*>(dst) : nullptr;
+  dst_is_host_ = dst->is_host();
   arrival_delay_ = propagation_ + dst->pipeline_latency();
 }
 
@@ -40,9 +40,12 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
   ++packets_sent_;
   const sim::SimTime arrives = departed + arrival_delay_;
   if (on_depart_) on_depart_(*pkt, departed);
-  if (sink_ != nullptr && !on_arrive_ && sink_->books_deliveries()) {
-    sink_->book(*pkt, arrives);
-    return;  // Nothing runs at the arrival; the handle recycles the packet.
+  if (dst_is_host_ && !on_arrive_) {
+    Host& host = static_cast<Host&>(*dst_);
+    if (host.books_deliveries()) {
+      host.book(*pkt, arrives);
+      return;  // Nothing runs at the arrival; the handle recycles the packet.
+    }
   }
 
   auto arrival = [this, pkt = std::move(pkt), arrives]() mutable {

@@ -23,8 +23,6 @@
 
 namespace speedlight::net {
 
-class Host;
-
 class Link {
  public:
   /// Observer hooks for audit/instrumentation: called with the packet and
@@ -118,11 +116,11 @@ class Link {
   sim::Rng rng_;
 
   Node* dst_ = nullptr;
-  Host* sink_ = nullptr;  ///< dst_, when it is a host; connect().
   PortId dst_port_ = kInvalidPort;
   bool dynamic_loss_ = false;
+  bool dst_is_host_ = false;  ///< dst_ is a Host; connect().
   /// serialization_delay()'s last result: 0 bytes take 0 ns. Packed with
-  /// the two fields above, so the cache does not grow the link.
+  /// the three fields above, so the cache does not grow the link.
   mutable std::uint32_t last_bytes_ = 0;
   mutable sim::Duration last_delay_ = 0;
   sim::Duration arrival_delay_ = 0;  ///< Departure to receive(); connect().

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -27,14 +28,72 @@ std::uint32_t EventQueue::acquire_slot() {
   return idx;
 }
 
-// `inline`, like take() below, so the heap path keeps the call depth of a
-// heap-only queue: nearly every entry of a k=32 round takes it. By value,
-// so that push() never takes the address of the entry it builds.
-inline void EventQueue::push_heap(Entry e) {
-  // Heap growth is amortized infrastructure, like the slab.
+inline int EventQueue::bucket_of(SimTime t) const {
+  return static_cast<int>(
+             std::bit_width(static_cast<std::uint64_t>(t ^ base_))) - 1;
+}
+
+inline void EventQueue::file(Entry e) {
+  // Bucket growth is amortized infrastructure, like the slab.
   det::DetAllow allow_growth;
+  if (e.time > base_) {
+    const int b = bucket_of(e.time);
+    buckets_[b].push_back(e);
+    occupied_ |= std::uint64_t{1} << b;
+    return;
+  }
+  if (e.time < base_) lower_base(e.time);
   heap_.push_back(e);
   sift_up(heap_.size() - 1);
+}
+
+void EventQueue::lower_base(SimTime t) {
+  // `t` and base_ agree above bit d, where t has a 0 and base_ a 1. Every
+  // far entry is due at or after base_, so bucket d is empty, and the
+  // heap's entries and those of the buckets below d, which all agree with
+  // base_ from bit d up, differ from `t` first at bit d. The buckets above
+  // d keep their entries.
+  const int d = bucket_of(t);
+  std::vector<Entry>& into = buckets_[d];
+  into.insert(into.end(), heap_.begin(), heap_.end());
+  heap_.clear();
+  for (std::uint64_t low = occupied_ & ((std::uint64_t{1} << d) - 1);
+       low != 0; low &= low - 1) {
+    std::vector<Entry>& bucket = buckets_[std::countr_zero(low)];
+    into.insert(into.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+  }
+  occupied_ = (occupied_ & ~((std::uint64_t{1} << d) - 1)) |
+              (std::uint64_t{1} << d);
+  base_ = t;
+}
+
+// `inline`, like take() below, so the far path keeps the call depth of a
+// heap-only queue: nearly every entry of a k=32 round takes it. By value,
+// so that push() never takes the address of the entry it builds.
+inline void EventQueue::push_far(Entry e) {
+  if (heap_.empty()) {
+    // The far part is empty, so `e` is its earliest entry.
+    base_ = e.time;
+    det::DetAllow allow_growth;
+    heap_.push_back(e);
+    return;
+  }
+  file(e);
+}
+
+void EventQueue::refill() {
+  const int b = std::countr_zero(occupied_);
+  occupied_ &= occupied_ - 1;
+  std::vector<Entry>& bucket = buckets_[b];
+  SimTime earliest = bucket.front().time;
+  for (const Entry& e : bucket) earliest = std::min(earliest, e.time);
+  // Every entry of the bucket is later than the old base_ and shares its
+  // bits above bit b, so against the new base_ each one files into a
+  // lower bucket or, at `earliest` itself, into the heap.
+  base_ = earliest;
+  for (const Entry& e : bucket) file(e);
+  bucket.clear();
 }
 
 void EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
@@ -46,17 +105,18 @@ void EventQueue::push(SimTime when, MergeKey key, std::uint64_t seq,
   const Entry e{when, seq, idx, key};
   if (++live_count_ > peak_size_) peak_size_ = live_count_;
   if (!heap_.empty() && !e.before(heap_.front())) {
-    push_heap(e);
+    push_far(e);
     return;
   }
   if (near_.size() == kNearCapacity) {
-    // Full: the latest of the near tier's entries and `e` goes to the heap.
-    // It precedes every heap entry, so the heap takes it as its new top.
+    // Full: the latest of the near tier's entries and `e` goes to the far
+    // part. It precedes every far entry, so it is due at or before base_
+    // and the heap takes it as its new top.
     if (!e.before(near_.front())) {
-      push_heap(e);
+      push_far(e);
       return;
     }
-    push_heap(near_.front());
+    push_far(near_.front());
     near_.erase(near_.begin());
   }
   // Insertion from the earliest end: a packet's next hop passes few
@@ -117,6 +177,7 @@ inline bool EventQueue::take(SimTime last, Entry& out) {
     if (heap_.empty() || heap_.front().time > last) return false;
     out = heap_.front();
     remove_top();
+    if (heap_.empty() && occupied_ != 0) refill();
   }
   --live_count_;
   return true;

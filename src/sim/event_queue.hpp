@@ -1,6 +1,6 @@
-// The discrete-event core: a slab of event slots indexed by two tiers of
-// ordering entries, a small sorted near tier in front of an explicit 4-ary
-// min-heap.
+// The discrete-event core: a slab of event slots indexed by ordering
+// entries in three tiers: a small sorted near tier, an explicit 4-ary
+// min-heap, and radix time buckets behind the heap.
 //
 // Events at the same timestamp run in (merge key, schedule order): an
 // explicit 32-bit merge key ranks first and a monotonically increasing
@@ -16,26 +16,41 @@
 //    returned. Slots live in fixed 64-slot chunks, so a running callback
 //    never moves when it schedules more events. Freed slot indices are kept
 //    on a freelist, so steady-state schedule/pop touches no allocator.
-//  - Both tiers order lightweight 24-byte (time, key, seq, slot) entries;
+//  - Every tier orders lightweight 24-byte (time, key, seq, slot) entries;
 //    no hashing anywhere on the hot path.
-//  - Two tiers, one order. An entry that precedes the heap's top, or arrives
-//    while the heap is empty, goes into the near tier: at most kNearCapacity
-//    entries kept sorted latest-first, so the earliest pops off the end with
-//    no sift. Every other entry takes the heap. Every near entry precedes
-//    every heap entry, so the earliest near entry is the earliest event and
-//    pops leave the exact (time, key, seq) order. A full near tier hands its
-//    latest entry to the heap, which keeps that invariant. A packet's next
-//    hop lands among the few earliest pending events while far-future
+//  - Near tier and far part, one order. An entry that precedes the far
+//    part's earliest entry (the heap's top), or arrives while the far part
+//    is empty, goes into the near tier: at most kNearCapacity entries kept
+//    sorted latest-first, so the earliest pops off the end with no sift.
+//    Every other entry takes the far part. Every near entry precedes every
+//    far entry, so the earliest near entry is the earliest event and pops
+//    leave the exact (time, key, seq) order. A full near tier hands its
+//    latest entry to the far part, which keeps that invariant. A packet's
+//    next hop lands among the few earliest pending events while far-future
 //    timers fill the rest of the queue (DESIGN.md section 8), so most
-//    entries never touch the heap.
+//    entries of a small queue never leave the near tier.
+//  - The far part is the heap of its entries due at a base time, its
+//    earliest, in front of 64 radix buckets of the later ones: an entry due
+//    after the base goes, with no comparison, into the bucket of the
+//    highest bit in which its time differs from the base. When the heap
+//    empties, the lowest non-empty bucket refills it: the base moves to
+//    that bucket's earliest time, its entries at that time enter the heap
+//    and the rest move to lower buckets. A near-tier eviction due before
+//    the base lowers the base to its time, and the heap's entries and those
+//    of the buckets below the highest bit in which the two bases differ
+//    move into that bit's bucket. Every bucket entry is later than every
+//    heap entry, so the heap's top is the far part's earliest entry, and a
+//    deep queue (a large fabric's round) sifts only the entries of one
+//    instant.
 //  - A sequence number can be reserved without scheduling anything and used
 //    later (schedule_reserved): an event that may turn out to be unneeded
 //    keeps the exact place in the order it would have had.
 //  - A scheduled event always runs; there is no cancellation. A timer that
 //    may become moot captures an epoch and returns early when it no longer
-//    matches (DESIGN.md section 8), so every entry in either tier is live.
+//    matches (DESIGN.md section 8), so every entry in every tier is live.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -102,7 +117,7 @@ class EventQueue {
   /// True if no events are pending.
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
 
-  /// Number of pending events: the entries in both tiers.
+  /// Number of pending events: the entries in every tier.
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
   /// Timestamp of the next event. Precondition: !empty().
@@ -148,7 +163,7 @@ class EventQueue {
 
   // --- Introspection (tests and the perf harness) ---------------------------
   /// The near tier's share of size(). These are the earliest entries: every
-  /// one precedes every entry in the heap.
+  /// one precedes every entry in the far part.
   [[nodiscard]] std::size_t near_entries() const { return near_.size(); }
   /// High-water mark of size(): the deepest the queue has been.
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
@@ -181,10 +196,23 @@ class EventQueue {
   }
   [[nodiscard]] std::uint32_t acquire_slot();
   /// Enter slot `idx` (callback already built) into the order: into the
-  /// near tier if it precedes the heap's top, else into the heap. The one
-  /// insert path.
+  /// near tier if it precedes the heap's top, else into the far part. The
+  /// one insert path.
   void push(SimTime when, MergeKey key, std::uint64_t seq, std::uint32_t idx);
-  void push_heap(Entry e);
+  /// Enter `e` into the far part, keeping the heap non-empty whenever the
+  /// far part is.
+  void push_far(Entry e);
+  /// The bucket of an entry due after base_ at `t`.
+  [[nodiscard]] int bucket_of(SimTime t) const;
+  /// Into its bucket if `e` is due after base_, else into the heap; an
+  /// entry due before base_ first lowers base_ to its time.
+  void file(Entry e);
+  /// Precondition: `t` < base_ and no far entry is due before `t`. Move
+  /// base_ down to `t`, and the heap's entries into the buckets.
+  void lower_base(SimTime t);
+  /// Precondition: the heap is empty and some bucket is not. Move base_ to
+  /// the lowest non-empty bucket's earliest time and re-file its entries.
+  void refill();
   /// Take the earliest entry off its tier into `out`, if that entry is due
   /// at or before `last`. The one pop path.
   bool take(SimTime last, Entry& out);
@@ -204,7 +232,14 @@ class EventQueue {
   /// The near tier: sorted latest-first, so the earliest entry is back().
   /// Capacity kNearCapacity, reserved at construction.
   std::vector<Entry> near_;
+  /// The far part. The heap holds its entries due at base_. Bucket b
+  /// holds those due after base_ whose time differs from base_ first in
+  /// bit b, and bit b of occupied_ is set while bucket b is non-empty. The
+  /// heap is empty only when every bucket is.
   std::vector<Entry> heap_;
+  std::array<std::vector<Entry>, 64> buckets_;
+  std::uint64_t occupied_ = 0;
+  SimTime base_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   std::size_t peak_size_ = 0;

@@ -1,11 +1,13 @@
-// Randomized differential test: the two-tier slab EventQueue against a
-// naive reference model, under ~100k mixed operations per seed. The test
-// uses every way the simulator enters and leaves the order: schedule(),
-// schedule_keyed(), reserve_seq() followed later by schedule_reserved(),
-// pop() and the bounded pop_until(). Verifies identical pop order,
-// timestamps, payloads and sizes. A hold-shaped profile (far timers under
-// packet chains, like the Hadoop testbed) drives the pending count across
-// the near tier's capacity in both directions and pops from both tiers.
+// Randomized differential test: the slab EventQueue (near tier, heap and
+// time buckets) against a naive reference model, under tens of thousands
+// of mixed operations per seed. The test uses every way the simulator
+// enters and leaves the order: schedule(), schedule_keyed(), reserve_seq()
+// followed later by schedule_reserved(), pop() and the bounded
+// pop_until(). Verifies identical pop order, timestamps, payloads and
+// sizes. A hold-shaped profile (far timers under packet chains, like the
+// Hadoop testbed) drives the pending count across the near tier's capacity
+// in both directions and pops from the near tier and the far part; a deep
+// profile keeps nearly every entry in the far part's buckets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,6 +149,7 @@ class Differential {
   void next_op() { ++op_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::size_t size() const { return q_.size(); }
+  [[nodiscard]] std::size_t near_entries() const { return q_.near_entries(); }
   [[nodiscard]] std::uint64_t near_pops() const { return near_pops_; }
   [[nodiscard]] std::uint64_t heap_pops() const { return heap_pops_; }
   [[nodiscard]] std::string where() const {
@@ -163,7 +166,7 @@ class Differential {
   Run run(int payload) { return Run{&last_payload_, payload}; }
 
   /// The near tier holds the earliest entries, so a pop takes from it
-  /// whenever it is non-empty, and from the heap otherwise.
+  /// whenever it is non-empty, and from the far part otherwise.
   void count_tier() {
     if (q_.near_entries() > 0) {
       ++near_pops_;
@@ -248,6 +251,71 @@ void run_differential(std::uint64_t seed, int ops) {
 TEST(EventQueueFuzz, DifferentialSeed1) { run_differential(1, 100'000); }
 TEST(EventQueueFuzz, DifferentialSeed42) { run_differential(42, 100'000); }
 TEST(EventQueueFuzz, DifferentialSeed2026) { run_differential(2026, 100'000); }
+
+/// The deep queue of a large fabric's round: ~`depth` pending events, far
+/// more than the near tier holds, each popped event replaced by one due
+/// 0-8 us later (coarse, so same-time ties are common), with keyed and
+/// reserved schedules and bursts of events at one instant. The far part
+/// behind the near tier then carries nearly every entry, and its time
+/// buckets split, refill and hand ties to the heap throughout.
+void run_deep(std::uint64_t seed, std::size_t depth, int ops) {
+  Rng rng(seed);
+  Differential d(seed);
+  auto later = [&] {
+    return d.now() + static_cast<SimTime>(rng.uniform_int(0, 8'191) / 8 * 8);
+  };
+  // Unsorted, so the far part also takes entries earlier than its base.
+  for (std::size_t i = 0; i < depth; ++i) d.schedule(later());
+  std::vector<std::pair<SimTime, Differential::Reserved>> reserved;
+  std::size_t deepest_far = 0;
+  for (int i = 0; i < ops; ++i) {
+    d.next_op();
+    const auto r = rng.uniform_int(0, 99);
+    const auto popped =
+        r < 20 ? d.pop_until(d.now() + static_cast<SimTime>(
+                                           rng.uniform_int(0, 64)))
+               : d.pop();
+    if (!popped) continue;
+    if (r < 60) {
+      d.schedule(later());
+    } else if (r < 80) {
+      d.schedule_keyed(later(), pick_key(rng));
+    } else if (r < 90) {
+      reserved.emplace_back(later(), d.reserve());
+      d.schedule(later());
+    } else if (r < 98) {
+      if (reserved.empty()) {
+        d.schedule(later());
+        continue;
+      }
+      const auto [at, res] = reserved.front();
+      reserved.erase(reserved.begin());
+      d.schedule_reserved(std::max(at, d.now()), 0, res);
+    } else {
+      // A burst at one instant, as a round's initiations are.
+      const SimTime at = later();
+      for (int b = 0; b < 64; ++b) {
+        if (rng.chance(0.5)) {
+          d.schedule(at);
+        } else {
+          d.schedule_keyed(at, pick_key(rng));
+        }
+        if (b > 0) {
+          d.next_op();
+          d.pop();
+        }
+      }
+    }
+    deepest_far = std::max(deepest_far, d.size() - d.near_entries());
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(deepest_far, depth / 2) << "the far part was never deep";
+  EXPECT_GT(d.heap_pops(), d.near_pops()) << "pops did not reach the far part";
+  d.drain();
+}
+
+TEST(EventQueueFuzz, DeepPendingSeed5) { run_deep(5, 2'000, 30'000); }
+TEST(EventQueueFuzz, DeepPendingSeed77) { run_deep(77, 500, 60'000); }
 
 /// The testbed's queue shape, pushed past the near tier's capacity and back:
 /// ~30 far timers re-armed 8-131 us ahead as they fire, under packet chains

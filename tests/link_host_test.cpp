@@ -242,6 +242,17 @@ TEST(Host, DrainEndsAtTheLastBookedDelivery) {
   EXPECT_EQ(d.host.packets_received(), 2u);
 }
 
+TEST(Host, EmptyStepEndsAtTheLastBookedDelivery) {
+  // Stepping until nothing is left ends where the last arrival event would
+  // have run, as a drain does; Network::take_snapshot stops this way.
+  Downlink d;
+  d.link.send(make_packet(1250));
+  d.link.send(make_packet(1250));
+  EXPECT_FALSE(d.sim.step());
+  EXPECT_EQ(d.sim.now(), Downlink::kArrival + sim::usec(10));
+  EXPECT_EQ(d.host.packets_received(), 2u);
+}
+
 TEST(Host, BookedProbesAreNotCounted) {
   Downlink d;
   Packet p = make_packet(64);

@@ -110,48 +110,52 @@ TEST_P(TestbedInstants, MatchPinnedValues) {
   EXPECT_EQ(deliveries.sum, pin.delivery_hash);
 }
 
+/// The Fig. 12 testbed with Hadoop traffic and four snapshots requested up
+/// front. With `callbacks`, a no-op receive callback on every host keeps
+/// the arrival event of every delivery; without, hosts book deliveries.
+struct TestbedRun {
+  std::unique_ptr<core::Network> net;
+  std::unique_ptr<wl::HadoopGenerator> gen;
+};
+
+TestbedRun build_testbed(bool callbacks) {
+  core::NetworkOptions opt;
+  opt.seed = 7;
+  opt.metric = sw::MetricKind::EwmaInterarrival;
+  opt.load_balancer = sw::LoadBalancerKind::Flowlet;
+  opt.flowlet_gap = sim::usec(50);
+  opt.snapshot.channel_state = true;
+  TestbedRun r;
+  r.net = std::make_unique<core::Network>(net::make_leaf_spine(2, 2, 3), opt);
+  core::Network& net = *r.net;
+  if (callbacks) {
+    for (std::size_t h = 0; h < net.num_hosts(); ++h) {
+      net.host(h).set_receive_callback([](const net::Packet&, sim::SimTime) {});
+    }
+  }
+  wl::HadoopGenerator::Options ho;
+  ho.shuffle_bytes_per_reducer = 256 * 1024;
+  ho.compute_mean = sim::msec(10);
+  r.gen = std::make_unique<wl::HadoopGenerator>(
+      net.simulator(),
+      std::vector<net::Host*>{&net.host(0), &net.host(1), &net.host(2)},
+      std::vector<net::Host*>{&net.host(3), &net.host(4), &net.host(5)}, ho,
+      sim::Rng(7));
+  r.gen->start(net.now());
+  for (int i = 1; i <= 4; ++i) {
+    net.observer().request_snapshot(sim::msec(8) * i);
+  }
+  return r;
+}
+
 TEST(TestbedDeliveries, BookedDeliveriesMatchArrivalEvents) {
   // Hosts with no receive callback book their deliveries instead of
   // running an arrival event for each. A no-op callback on every host
   // forces the event path; the two runs must agree on every host counter
   // at every 1 ms boundary, and the event path must cost exactly one more
   // event per delivered packet.
-  struct Run {
-    std::unique_ptr<core::Network> net;
-    std::unique_ptr<wl::HadoopGenerator> gen;
-  };
-  auto build = [](bool callbacks) {
-    core::NetworkOptions opt;
-    opt.seed = 7;
-    opt.metric = sw::MetricKind::EwmaInterarrival;
-    opt.load_balancer = sw::LoadBalancerKind::Flowlet;
-    opt.flowlet_gap = sim::usec(50);
-    opt.snapshot.channel_state = true;
-    Run r;
-    r.net = std::make_unique<core::Network>(net::make_leaf_spine(2, 2, 3), opt);
-    core::Network& net = *r.net;
-    if (callbacks) {
-      for (std::size_t h = 0; h < net.num_hosts(); ++h) {
-        net.host(h).set_receive_callback(
-            [](const net::Packet&, sim::SimTime) {});
-      }
-    }
-    wl::HadoopGenerator::Options ho;
-    ho.shuffle_bytes_per_reducer = 256 * 1024;
-    ho.compute_mean = sim::msec(10);
-    r.gen = std::make_unique<wl::HadoopGenerator>(
-        net.simulator(),
-        std::vector<net::Host*>{&net.host(0), &net.host(1), &net.host(2)},
-        std::vector<net::Host*>{&net.host(3), &net.host(4), &net.host(5)}, ho,
-        sim::Rng(7));
-    r.gen->start(net.now());
-    for (int i = 1; i <= 4; ++i) {
-      net.observer().request_snapshot(sim::msec(8) * i);
-    }
-    return r;
-  };
-  Run booked = build(false);
-  Run events = build(true);
+  TestbedRun booked = build_testbed(false);
+  TestbedRun events = build_testbed(true);
   std::uint64_t delivered = 0;
   for (int ms = 1; ms <= 40; ++ms) {
     booked.net->run_until(sim::msec(ms));
@@ -169,6 +173,33 @@ TEST(TestbedDeliveries, BookedDeliveriesMatchArrivalEvents) {
   EXPECT_GT(delivered, 1000u);
   EXPECT_EQ(events.net->simulator().stats().executed,
             booked.net->simulator().stats().executed + delivered);
+}
+
+TEST(TestbedDeliveries, CountsAfterAnUnfinishedSnapshotMatchArrivalEvents) {
+  // take_snapshot() steps event by event and stops at its deadline, here
+  // before the snapshot completes. Host counters read there must equal
+  // those of a run that keeps every arrival event and runs to that instant.
+  TestbedRun booked = build_testbed(false);
+  TestbedRun events = build_testbed(true);
+  booked.net->run_until(sim::msec(5));
+  events.net->run_until(sim::msec(5));
+  const snap::GlobalSnapshot* snap =
+      booked.net->take_snapshot(sim::usec(500), sim::usec(1));
+  ASSERT_NE(snap, nullptr);
+  EXPECT_FALSE(snap->complete);
+  // The request take_snapshot() made, at the same point of the run.
+  events.net->observer().request_snapshot(sim::msec(5) + sim::usec(500));
+  events.net->run_until(booked.net->now());
+  std::uint64_t delivered = 0;
+  for (std::size_t h = 0; h < booked.net->num_hosts(); ++h) {
+    const net::Host& a = booked.net->host(h);
+    const net::Host& b = events.net->host(h);
+    EXPECT_EQ(a.packets_received(), b.packets_received()) << h;
+    EXPECT_EQ(a.bytes_received(), b.bytes_received()) << h;
+    EXPECT_EQ(a.header_leaks(), b.header_leaks()) << h;
+    delivered += a.packets_received();
+  }
+  EXPECT_GT(delivered, 100u);
 }
 
 std::string pin_name(const ::testing::TestParamInfo<Pin>& param) {
