@@ -94,7 +94,7 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     // exactly — the RNG chain is digest-load-bearing.
     net::Link& link = links_.emplace_back(
         sim_, bw, prop, master.fork("link" + std::to_string(links_.size())));
-    link.set_arrival_endpoint(make_endpoint());
+    link.set_arrival_key(make_key());
     return &link;
   };
 
@@ -158,8 +158,8 @@ Network::Network(const net::TopologySpec& spec, NetworkOptions options)
     if (!swch.options().snapshot_enabled) continue;
     snap::ControlPlane& cp = swch.control_plane();
     // Report path first, then the request path: the key order is fixed.
-    cp.set_report_endpoint(make_endpoint());
-    observer_->register_device(&cp, make_endpoint());
+    cp.set_report_key(make_key());
+    observer_->register_device(&cp, make_key());
     ptp_->manage(&cp.clock());
     cp.start_register_poll();
   }
@@ -223,8 +223,8 @@ void Network::register_all_units_for_polling() {
     for (net::PortId p = 0; p < swch.options().num_ports; ++p) {
       for (const auto dir : {net::Direction::Ingress, net::Direction::Egress}) {
         // Read leg first, then the record leg: the key order is fixed.
-        const sim::Endpoint read = make_endpoint();
-        const sim::Endpoint record = make_endpoint();
+        const sim::MergeKey read = make_key();
+        const sim::MergeKey record = make_key();
         poller_->add_unit(swch.unit(p, dir), read, record);
       }
     }

@@ -27,7 +27,6 @@
 #include "net/topology.hpp"
 #include "obs/timeline.hpp"
 #include "polling/polling_observer.hpp"
-#include "sim/endpoint.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
 #include "snapshot/observer.hpp"
@@ -172,12 +171,10 @@ class Network {
   [[nodiscard]] obs::SnapshotTimeline snapshot_timeline(std::uint64_t id) const;
 
  private:
-  /// A keyed endpoint under the next merge key. Keys are handed out in
-  /// construction order, so a channel's key is a pure function of the
-  /// topology and the canonical (time, key, seq) order follows from it.
-  [[nodiscard]] sim::Endpoint make_endpoint() {
-    return sim::Endpoint::local(sim_, next_key_++);
-  }
+  /// The next channel merge key. Keys are handed out in construction
+  /// order, so a channel's key is a pure function of the topology and the
+  /// canonical (time, key, seq) order follows from it.
+  [[nodiscard]] sim::MergeKey make_key() { return next_key_++; }
 
   NetworkOptions options_;
   net::TopologySpec spec_;

@@ -48,13 +48,11 @@ void Link::deliver(PooledPacket pkt, sim::SimTime departed) {
     }
   }
 
-  auto arrival = [this, pkt = std::move(pkt), arrives]() mutable {
-    if (on_arrive_) on_arrive_(*pkt, arrives);
-    dst_->receive(std::move(pkt), dst_port_);
-  };
-  static_assert(sim::InplaceCallback::fits_inline<decltype(arrival)>,
-                "propagation event must not heap-allocate");
-  arrival_.post(arrives, std::move(arrival));
+  sim_.at_keyed(arrives, arrival_key_,
+                [this, pkt = std::move(pkt), arrives]() mutable {
+                  if (on_arrive_) on_arrive_(*pkt, arrives);
+                  dst_->receive(std::move(pkt), dst_port_);
+                });
 }
 
 }  // namespace speedlight::net

@@ -16,7 +16,6 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
-#include "sim/endpoint.hpp"
 #include "sim/inplace_callback.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -35,8 +34,7 @@ class Link {
       : sim_(sim),
         bandwidth_bps_(bandwidth_bps),
         propagation_(propagation),
-        rng_(rng),
-        arrival_(sim::Endpoint::local(sim, 0)) {}
+        rng_(rng) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -86,10 +84,10 @@ class Link {
   void set_depart_tap(Tap tap) { on_depart_ = std::move(tap); }
   void set_arrive_tap(Tap tap) { on_arrive_ = std::move(tap); }
 
-  /// Route arrivals through a keyed endpoint: gives the link an intrinsic
-  /// same-timestamp merge rank (the link id). The default endpoint posts at
-  /// key 0, in plain schedule order, which standalone tests rely on.
-  void set_arrival_endpoint(sim::Endpoint ep) { arrival_ = ep; }
+  /// Post arrivals under merge key `key`: gives the link an intrinsic
+  /// same-timestamp merge rank (the link id). The default key 0 posts in
+  /// plain schedule order, which standalone tests rely on.
+  void set_arrival_key(sim::MergeKey key) { arrival_key_ = key; }
 
   /// Time to put `bytes` on the wire. Most frames repeat the previous
   /// frame's size, so the last (bytes, delay) pair is kept and the division
@@ -133,7 +131,7 @@ class Link {
 
   Tap on_depart_;
   Tap on_arrive_;
-  sim::Endpoint arrival_;
+  sim::MergeKey arrival_key_ = 0;
 };
 
 }  // namespace speedlight::net

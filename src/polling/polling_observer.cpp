@@ -40,22 +40,26 @@ void PollingObserver::poll_next(
       std::max(timing_.sample_poll_latency(rng_), 2 * kMinPollHop);
   const sim::SimTime t_read = sim_.now() + rtt / 2;
   const sim::SimTime t_record = sim_.now() + rtt;
-  pu.read.post(t_read, [this, sweep, index, done, t_read, t_record]() {
-    // At the unit; units_ is construction-time constant.
-    PolledUnit& u = units_[index];
-    const std::uint64_t value = u.unit->read_live_counter();
-    const sim::SimTime read_at = t_read;
-    u.record.post(t_record, [this, sweep, index, done, value, read_at]() {
-      // Back at the poller.
-      PolledUnit& pu2 = units_[index];
-      sweep->samples.push_back({pu2.unit->unit_id(), value, read_at});
-      ++samples_;
-      sim_.tracer().instant(obs::Category::Observer, obs::EventName::PollRead,
-                            obs::poller_track(), read_at,
-                            obs::pack_unit(pu2.unit->unit_id()), value);
-      poll_next(sweep, index + 1, done);
-    });
-  });
+  sim_.at_keyed(
+      t_read, pu.read_key, [this, sweep, index, done, t_read, t_record]() {
+        // At the unit; units_ is construction-time constant.
+        PolledUnit& u = units_[index];
+        const std::uint64_t value = u.unit->read_live_counter();
+        const sim::SimTime read_at = t_read;
+        sim_.at_keyed(
+            t_record, u.record_key,
+            [this, sweep, index, done, value, read_at]() {
+              // Back at the poller.
+              PolledUnit& pu2 = units_[index];
+              sweep->samples.push_back({pu2.unit->unit_id(), value, read_at});
+              ++samples_;
+              sim_.tracer().instant(
+                  obs::Category::Observer, obs::EventName::PollRead,
+                  obs::poller_track(), read_at,
+                  obs::pack_unit(pu2.unit->unit_id()), value);
+              poll_next(sweep, index + 1, done);
+            });
+      });
 }
 
 }  // namespace speedlight::poll

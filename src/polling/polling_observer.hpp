@@ -9,11 +9,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "net/types.hpp"
-#include "sim/endpoint.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
@@ -66,17 +64,14 @@ class PollingObserver {
   static constexpr sim::Duration kMinPollHop = sim::usec(1);
 
   /// Add a unit to the poll schedule (sweeps read units in add order).
-  /// `read` posts the register read at the unit; `record` posts the
-  /// response back at the poller. The RTT is split: read at the unit at
-  /// t + rtt/2, record at the poller at t + rtt — the mid-flight read is
-  /// what a real agent responding at the far end does. Throws
-  /// std::invalid_argument if either endpoint is unwired.
-  void add_unit(snap::UnitHandle* unit, sim::Endpoint read,
-                sim::Endpoint record) {
-    if (!read.wired() || !record.wired()) {
-      throw std::invalid_argument("poll endpoints must both be wired");
-    }
-    units_.push_back(PolledUnit{unit, read, record});
+  /// The register read is posted at the unit under merge key `read_key`,
+  /// and the response back at the poller under `record_key`. The RTT is
+  /// split: read at the unit at t + rtt/2, record at the poller at t + rtt —
+  /// the mid-flight read is what a real agent responding at the far end
+  /// does.
+  void add_unit(snap::UnitHandle* unit, sim::MergeKey read_key,
+                sim::MergeKey record_key) {
+    units_.push_back(PolledUnit{unit, read_key, record_key});
   }
 
   [[nodiscard]] std::size_t num_units() const { return units_.size(); }
@@ -92,8 +87,8 @@ class PollingObserver {
 
   struct PolledUnit {
     snap::UnitHandle* unit;
-    sim::Endpoint read;    ///< Poller -> unit request leg.
-    sim::Endpoint record;  ///< Unit -> poller response leg.
+    sim::MergeKey read_key = 0;    ///< Poller -> unit request leg.
+    sim::MergeKey record_key = 0;  ///< Unit -> poller response leg.
   };
 
   sim::Simulator& sim_;

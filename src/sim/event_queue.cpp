@@ -186,8 +186,8 @@ inline bool EventQueue::take(SimTime last, Entry& out) {
 std::optional<EventQueue::Popped> EventQueue::pop_until(SimTime last) {
   Entry e{};
   if (!take(last, e)) return std::nullopt;
-  return std::optional<Popped>(std::in_place, PopKey{}, *this, e.time, e.key,
-                               e.seq, e.slot);
+  return std::optional<Popped>(std::in_place, PopKey{}, *this, e.time, e.seq,
+                               e.slot);
 }
 
 EventQueue::Popped EventQueue::pop() {
@@ -195,7 +195,7 @@ EventQueue::Popped EventQueue::pop() {
   [[maybe_unused]] const bool taken =
       take(std::numeric_limits<SimTime>::max(), e);
   assert(taken && "pop() on an empty queue");
-  return Popped(PopKey{}, *this, e.time, e.key, e.seq, e.slot);
+  return Popped(PopKey{}, *this, e.time, e.seq, e.slot);
 }
 
 }  // namespace speedlight::sim

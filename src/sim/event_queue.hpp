@@ -8,7 +8,7 @@
 // which reproduces pure schedule order. Cross-component deliveries (link
 // arrivals, observer RPCs, poll legs) carry an intrinsic channel key, so
 // the same-timestamp merge order at a destination is a property of the
-// channel, not of which component scheduled first (sim/endpoint.hpp).
+// channel, not of which component scheduled first (DESIGN.md section 8).
 //
 // Design (allocation-free in steady state):
 //  - Callbacks are constructed directly in a slab slot and run there: pop()
@@ -42,16 +42,12 @@
 //    heap entry, so the heap's top is the far part's earliest entry, and a
 //    deep queue (a large fabric's round) sifts only the entries of one
 //    instant.
-//  - A sequence number can be reserved without scheduling anything and used
-//    later (schedule_reserved): an event that may turn out to be unneeded
-//    keeps the exact place in the order it would have had.
 //  - A scheduled event always runs; there is no cancellation. A timer that
 //    may become moot captures an epoch and returns early when it no longer
 //    matches (DESIGN.md section 8), so every entry in every tier is live.
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -85,7 +81,7 @@ class EventQueue {
   /// past relative to the last popped event.
   template <typename F>
   void schedule(SimTime when, F&& fn) {
-    schedule_reserved(when, 0, next_seq_++, std::forward<F>(fn));
+    schedule_keyed(when, 0, std::forward<F>(fn));
   }
 
   /// Schedule with an explicit same-timestamp merge key: events at equal
@@ -93,26 +89,10 @@ class EventQueue {
   /// channel id so delivery interleaving is a property of the channel.
   template <typename F>
   void schedule_keyed(SimTime when, MergeKey key, F&& fn) {
-    schedule_reserved(when, key, next_seq_++, std::forward<F>(fn));
-  }
-
-  /// Take the next sequence number without scheduling anything.
-  std::uint64_t reserve_seq() { return next_seq_++; }
-
-  /// Schedule at (when, key, seq) with a `seq` from reserve_seq(). Each
-  /// reserved number may be used at most once.
-  template <typename F>
-  void schedule_reserved(SimTime when, MergeKey key, std::uint64_t seq,
-                         F&& fn) {
-    assert(seq < next_seq_ && "sequence number was never reserved");
     const std::uint32_t idx = acquire_slot();
     callback(idx).emplace(std::forward<F>(fn));
-    push(when, key, seq, idx);
+    push(when, key, next_seq_++, idx);
   }
-
-  /// The sequence number the next schedule or reservation will take. Every
-  /// number below it has been handed out.
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// True if no events are pending.
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
@@ -136,14 +116,12 @@ class EventQueue {
   class Popped {
    public:
     SimTime time;
-    MergeKey key;
     std::uint64_t seq;
     Callback& fn;
 
-    Popped(PopKey /*only the queue*/, EventQueue& q, SimTime t, MergeKey k,
+    Popped(PopKey /*only the queue*/, EventQueue& q, SimTime t,
            std::uint64_t s, std::uint32_t slot)
-        : time(t), key(k), seq(s), fn(q.callback(slot)), queue_(q),
-          slot_(slot) {}
+        : time(t), seq(s), fn(q.callback(slot)), queue_(q), slot_(slot) {}
     Popped(const Popped&) = delete;
     Popped& operator=(const Popped&) = delete;
     ~Popped() { queue_.recycle(slot_); }

@@ -1,17 +1,15 @@
-// A small-buffer-optimized, move-only callable for the event hot path.
+// An inline-only, move-only callable for the event hot path.
 //
 // std::function heap-allocates any capture list larger than (typically) two
 // pointers and requires copyability; every packet hop paid that allocation.
-// InplaceFunction<R(Args...)> stores up to kInlineBytes of capture state
-// inline, supports move-only captures (e.g. a PooledPacket handle), and
-// falls back to a single heap allocation only for oversized callables — hot
-// call sites static_assert fits_inline so the fallback can never silently
-// reappear there. InplaceCallback is the nullary void specialization the
-// event queue stores.
+// InplaceFunction<R(Args...)> stores its callable in a kInlineBytes buffer
+// and supports move-only captures (e.g. a PooledPacket handle). It never
+// allocates: building one from a callable that does not fit is a compile
+// error. InplaceCallback is the nullary void specialization the event queue
+// stores.
 //
-// speedlight-lint: allow-file(raw-new-delete) this IS the sanctioned
-// allocator shim: placement-new into the inline buffer, plus the owned
-// heap-fallback pair for oversized callables.
+// speedlight-lint: allow-file(raw-new-delete) placement-new constructs the
+// callable in the inline buffer; nothing here allocates.
 #pragma once
 
 #include <cassert>
@@ -34,7 +32,8 @@ class InplaceFunction<R(Args...)> {
   static constexpr std::size_t kInlineBytes = 64;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-  /// True when `F` is stored inline (no heap allocation on construction).
+  /// True when `F` can be stored: it fits the buffer's size and alignment
+  /// and moves without throwing.
   template <typename F>
   static constexpr bool fits_inline =
       sizeof(std::decay_t<F>) <= kInlineBytes &&
@@ -45,7 +44,8 @@ class InplaceFunction<R(Args...)> {
 
   template <typename F>
     requires(!std::is_same_v<std::decay_t<F>, InplaceFunction> &&
-             std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
+             std::is_invocable_r_v<R, std::decay_t<F>&, Args...> &&
+             fits_inline<F>)
   InplaceFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
     emplace(std::forward<F>(fn));
   }
@@ -94,13 +94,10 @@ class InplaceFunction<R(Args...)> {
       steal(fn);
     } else {
       static_assert(std::is_invocable_r_v<R, D&, Args...>);
-      if constexpr (fits_inline<D>) {
-        ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-        ops_ = &kInlineOps<D>;
-      } else {
-        ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
-        ops_ = &kHeapOps<D>;
-      }
+      static_assert(fits_inline<D>,
+                    "callable too large for the inline buffer: capture less");
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+      ops_ = &kOps<D>;
     }
   }
 
@@ -118,7 +115,7 @@ class InplaceFunction<R(Args...)> {
   }
 
   template <typename D>
-  static constexpr Ops kInlineOps{
+  static constexpr Ops kOps{
       [](void* p, Args&&... args) -> R {
         return (*as<D>(p))(std::forward<Args>(args)...);
       },
@@ -127,16 +124,6 @@ class InplaceFunction<R(Args...)> {
         as<D>(src)->~D();
       },
       [](void* p) noexcept { as<D>(p)->~D(); },
-  };
-
-  // The stored D* is trivially destructible; only the pointee needs care.
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      [](void* p, Args&&... args) -> R {
-        return (**as<D*>(p))(std::forward<Args>(args)...);
-      },
-      [](void* dst, void* src) noexcept { ::new (dst) D*(*as<D*>(src)); },
-      [](void* p) noexcept { delete *as<D*>(p); },
   };
 
   void steal(InplaceFunction& other) noexcept {

@@ -11,7 +11,6 @@ bool Simulator::run_next(SimTime last) {
   const std::optional<EventQueue::Popped> ev = queue_.pop_until(last);
   if (!ev) return false;
   now_ = ev->time;
-  running_ = Running{ev->key, ev->seq, queue_.next_seq()};
   det::EventScope audit(ev->time, ev->seq);
   ev->fn();
   return true;
@@ -20,7 +19,6 @@ bool Simulator::run_next(SimTime last) {
 std::size_t Simulator::run_until(SimTime until) {
   std::size_t executed = 0;
   while (run_next(until)) ++executed;
-  running_ = kBetweenRuns;
   stats_.executed += executed;
   // Even when nothing remains to execute, time advances to the horizon so
   // back-to-back run_until() calls behave like one continuous run. A drain
@@ -36,7 +34,6 @@ bool Simulator::step() {
     if (now_ < booked_until_) now_ = booked_until_;
     return false;
   }
-  running_ = kBetweenRuns;
   ++stats_.executed;
   return true;
 }

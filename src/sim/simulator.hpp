@@ -4,7 +4,6 @@
 // component reaches through its `sim::Simulator&`.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -17,13 +16,6 @@
 #include "sim/time.hpp"
 
 namespace speedlight::sim {
-
-/// A place in the canonical (time, merge key 0, seq) event order, taken
-/// with Simulator::reserve(). The default value lies before every event.
-struct Reservation {
-  SimTime time = std::numeric_limits<SimTime>::min();
-  std::uint64_t seq = 0;
-};
 
 /// Event accounting, exposed so harnesses can surface silent behaviours
 /// (e.g. past-time schedules being clamped to now) in their output.
@@ -85,23 +77,18 @@ class Simulator {
     queue_.schedule(when, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` after a relative delay. Negative delays clamp to now and
-  /// count as clamped_schedules, same as a past-time at().
+  /// Schedule `fn` after a relative delay. A negative delay is a past-time
+  /// at(): it clamps to now and counts as clamped.
   template <typename F>
   void after(Duration delay, F&& fn) {
-    if (delay < 0) {
-      ++stats_.scheduled;
-      ++stats_.clamped_schedules;
-      queue_.schedule(now_, std::forward<F>(fn));
-      return;
-    }
     at(now_ + delay, std::forward<F>(fn));
   }
 
   /// at() with an explicit same-timestamp merge key (see
-  /// EventQueue::schedule_keyed). Cross-node channels schedule deliveries
-  /// with their channel id so equal-time interleaving at the destination is
-  /// a property of the channel, not of scheduling order.
+  /// EventQueue::schedule_keyed). A channel (a link, an RPC path, a poll
+  /// leg) stores its key and posts every delivery under it, so equal-time
+  /// interleaving at the destination is a property of the channel, not of
+  /// scheduling order. Key 0 is at()'s own place in the order.
   template <typename F>
   void at_keyed(SimTime when, MergeKey key, F&& fn) {
     ++stats_.scheduled;
@@ -110,34 +97,6 @@ class Simulator {
       when = now_;
     }
     queue_.schedule_keyed(when, key, std::forward<F>(fn));
-  }
-
-  /// Take the place in the (time, key 0, seq) order that at(`when`, ...)
-  /// would take right now, without scheduling anything. An event that may
-  /// turn out to be unneeded (a switch port's wake-up) is then scheduled
-  /// there only when needed, and runs exactly where it would have run.
-  [[nodiscard]] Reservation reserve(SimTime when) {
-    assert(when >= now_ && "reservations cannot be in the past");
-    return Reservation{when, queue_.reserve_seq()};
-  }
-
-  /// Schedule `fn` at a reserved place. Precondition: !passed(r), and `r`
-  /// is used at most once.
-  template <typename F>
-  void at_reserved(const Reservation& r, F&& fn) {
-    assert(!passed(r) && "the reserved place has already gone by");
-    ++stats_.scheduled;
-    queue_.schedule_reserved(r.time, 0, r.seq, std::forward<F>(fn));
-  }
-
-  /// Whether execution has gone past reservation `r`: an event scheduled
-  /// there would already have run. Inside an event this compares with the
-  /// running event's place (a reservation the running event took itself is
-  /// still ahead); between runs everything at or before now() has run.
-  [[nodiscard]] bool passed(const Reservation& r) const {
-    if (r.time != now_) return r.time < now_;
-    if (r.seq >= running_.seq_floor) return false;
-    return running_.key != 0 || r.seq < running_.seq;
   }
 
   /// Note something that happens at `when` without an event of its own (a
@@ -178,19 +137,6 @@ class Simulator {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  /// The running event's place in the order, for passed(). `seq_floor` is
-  /// the first sequence number handed out after it started.
-  struct Running {
-    MergeKey key = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t seq_floor = 0;
-  };
-  /// Between runs: after everything, so every place up to now() has passed.
-  static constexpr Running kBetweenRuns{
-      std::numeric_limits<MergeKey>::max(),
-      std::numeric_limits<std::uint64_t>::max(),
-      std::numeric_limits<std::uint64_t>::max()};
-
   /// Pop the next event if it is due at or before `last` and run its
   /// callback in place; returns whether one ran. The one pop path shared by
   /// run_until() and step().
@@ -199,7 +145,6 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = 0;
   SimTime booked_until_ = 0;  ///< The latest book() time.
-  Running running_ = kBetweenRuns;
   Rng rng_;
   SimulatorStats stats_;
   obs::Tracer tracer_;

@@ -22,7 +22,6 @@ ControlPlane::ControlPlane(sim::Simulator& sim, net::NodeId device,
       options_(options),
       rng_(rng),
       space_(snapshot.sid_space()),
-      report_ep_(sim::Endpoint::local(sim, 0)),
       track_(obs::cpu_track(device)) {}
 
 void ControlPlane::add_unit(UnitHandle* unit, std::vector<bool> completion_mask) {
@@ -360,7 +359,7 @@ void ControlPlane::ship(const UnitReport& r, std::size_t pos) {
   s.dev = frame_dev_index_;
   s.len = static_cast<std::uint8_t>(
       report_enc_.encode(r, sim_.now(), s.bytes.data()));
-  report_ep_.post(sim_.now() + timing_.observer_rpc_latency, s);
+  sim_.at_keyed(sim_.now() + timing_.observer_rpc_latency, report_key_, s);
 }
 
 void ControlPlane::start_register_poll() {

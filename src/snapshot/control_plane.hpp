@@ -17,7 +17,6 @@
 
 #include "net/types.hpp"
 #include "sim/clock.hpp"
-#include "sim/endpoint.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
@@ -97,11 +96,10 @@ class ControlPlane {
   /// re-keyframe every unit (the restarted decoder starts empty).
   void on_observer_session(std::uint8_t session);
 
-  /// Route shipped reports through a keyed endpoint to the observer (the
-  /// report RPC). The default endpoint posts at key 0 on this control
-  /// plane's simulator, in plain schedule order. Either way the frame lands
-  /// observer_rpc_latency after ship time.
-  void set_report_endpoint(sim::Endpoint ep) { report_ep_ = ep; }
+  /// Post shipped reports to the observer (the report RPC) under merge key
+  /// `key`. The default key 0 posts in plain schedule order. Either way the
+  /// frame lands observer_rpc_latency after ship time.
+  void set_report_key(sim::MergeKey key) { report_key_ = key; }
 
   /// The notification transport feeding this control plane, whose
   /// in_flight() tells the proactive register poll whether the path is
@@ -224,7 +222,7 @@ class ControlPlane {
   std::vector<UnitState> units_;
   /// Position in units_ by net::unit_slot (kNoUnit where none registered).
   std::vector<std::uint32_t> slot_pos_;
-  sim::Endpoint report_ep_;
+  sim::MergeKey report_key_ = 0;
 
   // --- Report link (null fn = no observer yet) -----------------------------
   ReportFrameFn frame_fn_ = nullptr;

@@ -123,11 +123,11 @@ void Observer::report_frame_thunk(void* ctx, std::uint16_t dev_index,
   static_cast<Observer*>(ctx)->on_report_frame(dev_index, {bytes, len});
 }
 
-void Observer::register_device(ControlPlane* cp, sim::Endpoint rpc) {
+void Observer::register_device(ControlPlane* cp, sim::MergeKey rpc_key) {
   Device dev;
   dev.cp = cp;
   dev.units = cp->unit_ids();
-  dev.rpc = rpc.wired() ? rpc : sim::Endpoint::local(sim_, 0);
+  dev.rpc_key = rpc_key;
   dev.first_slot = total_slots_;
   dev.relevant_units = dev.units.size();
   const auto dev_index = static_cast<std::uint16_t>(devices_.size());
@@ -178,8 +178,8 @@ std::optional<VirtualSid> Observer::request_snapshot(sim::SimTime when) {
   // Register the event with every device control plane (one RPC each).
   for (auto& dev : devices_) {
     ControlPlane* cp = dev.cp;
-    dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                 [cp, id, when]() { cp->schedule_snapshot(id, when); });
+    sim_.at_keyed(sim_.now() + timing_.observer_rpc_latency, dev.rpc_key,
+                  [cp, id, when]() { cp->schedule_snapshot(id, when); });
   }
   const sim::SimTime deadline = when + options_.completion_timeout;
   sim_.at(deadline, [this, id]() { timeout_snapshot(id); });
@@ -215,8 +215,8 @@ void Observer::set_scope(const std::function<bool(const net::UnitId&)>& pred) {
     // The mask rides the same keyed channel as snapshot requests, so any
     // request made after this call is ordered behind it on every device.
     ControlPlane* cp = dev.cp;
-    dev.rpc.post(sim_.now() + timing_.observer_rpc_latency,
-                 [cp, mask]() { cp->set_report_scope(mask); });
+    sim_.at_keyed(sim_.now() + timing_.observer_rpc_latency, dev.rpc_key,
+                  [cp, mask]() { cp->set_report_scope(mask); });
   }
 }
 
@@ -229,8 +229,8 @@ void Observer::set_down(bool down) {
     ++session_;
     for (auto& dev : devices_) {
       dev.decoder.begin_session(session_);
-      dev.rpc.post(
-          sim_.now() + timing_.observer_rpc_latency,
+      sim_.at_keyed(
+          sim_.now() + timing_.observer_rpc_latency, dev.rpc_key,
           [cp = dev.cp, s = session_]() { cp->on_observer_session(s); });
     }
   }

@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/endpoint.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_model.hpp"
 #include "snapshot/config.hpp"
@@ -134,11 +133,9 @@ class Observer {
   /// snapshots already outstanding keep their original device set, and the
   /// new device participates from the next request on.
   ///
-  /// `rpc` is the keyed endpoint request RPCs travel through to reach the
-  /// device; unwired (the default) posts them at key 0 on the observer's
-  /// simulator, in plain schedule order. The device-side report encoder
-  /// accounts into `wire_stats`.
-  void register_device(ControlPlane* cp, sim::Endpoint rpc = {});
+  /// Request RPCs to the device are posted under merge key `rpc_key`; the
+  /// default key 0 posts them in plain schedule order.
+  void register_device(ControlPlane* cp, sim::MergeKey rpc_key = 0);
 
   /// Request a network-wide snapshot at true time `when` (the observer's
   /// clock is the reference). Returns the assigned id, or nullopt if the
@@ -189,7 +186,7 @@ class Observer {
   struct Device {
     ControlPlane* cp = nullptr;
     std::vector<net::UnitId> units;
-    sim::Endpoint rpc;  ///< Observer -> device request path.
+    sim::MergeKey rpc_key = 0;  ///< Observer -> device request path.
     std::size_t first_slot = 0;      ///< Global bit of this device's slot 0.
     std::size_t relevant_units = 0;  ///< In-scope units (== units.size()
                                      ///< without a sync-group filter).

@@ -135,10 +135,10 @@ struct Switch::Port {
   net::Link* link = nullptr;
   bool to_host = false;
   bool ingress_neighbor_enabled = true;
-  /// Where the last dequeued packet finishes serializing, as a place in
-  /// the event order. The port is busy until the simulator has passed it.
-  sim::Reservation serialized;
-  /// An event is scheduled at `serialized` and will dequeue the next packet.
+  /// When the last dequeued packet finishes serializing. The port is busy
+  /// until then, as a host uplink is until its Link's busy_until_.
+  sim::SimTime busy_until = 0;
+  /// An event is scheduled at `busy_until` and will dequeue the next packet.
   bool wake_pending = false;
 };
 
@@ -323,7 +323,7 @@ void Switch::enqueue(net::PortId out, net::PooledPacket pkt,
   Port& port = ports_.at(out);
   const std::size_t cls = port.queue.clamp(
       forced_class == kClassifyByPacket ? classify(*pkt) : forced_class);
-  if (!port.wake_pending && sim_.passed(port.serialized)) {
+  if (!port.wake_pending && port.busy_until <= sim_.now()) {
     // Idle port: the packet would be pushed and popped straight back in
     // this call, so it departs without entering the queue. Between events
     // a non-empty queue always has a wake-up pending.
@@ -363,7 +363,7 @@ void Switch::depart(net::PortId out, net::PooledPacket pkt, std::size_t cls) {
   const sim::Duration ser =
       port.link ? port.link->serialization_delay(pkt->size_bytes)
                 : sim::nsec(100);
-  port.serialized = sim_.reserve(sim_.now() + ser);
+  port.busy_until = sim_.now() + ser;
   if (port.link != nullptr && port.link->dynamic_loss()) {
     // The link's loss may change mid-serialization: decide it at departure.
     wake_at_departure(out, std::move(pkt));
@@ -371,20 +371,17 @@ void Switch::depart(net::PortId out, net::PooledPacket pkt, std::size_t cls) {
   }
   // The wire after the egress unit is a FIFO channel, so the packet is
   // handed over now with its departure time.
-  transmit(out, std::move(pkt), port.serialized.time);
+  transmit(out, std::move(pkt), port.busy_until);
 }
 
 void Switch::wake_at_departure(net::PortId out, net::PooledPacket pkt) {
   Port& port = ports_.at(out);
   port.wake_pending = true;
-  auto wake = [this, out, pkt = std::move(pkt)]() mutable {
+  sim_.at(port.busy_until, [this, out, pkt = std::move(pkt)]() mutable {
     ports_.at(out).wake_pending = false;
     if (pkt) transmit(out, std::move(pkt), sim_.now());
     start_transmission(out);
-  };
-  static_assert(sim::InplaceCallback::fits_inline<decltype(wake)>,
-                "egress wake-up must not heap-allocate");
-  sim_.at_reserved(port.serialized, std::move(wake));
+  });
 }
 
 void Switch::process_egress(net::PortId out, net::Packet& pkt,

@@ -1,13 +1,14 @@
 // Randomized differential test: the slab EventQueue (near tier, heap and
 // time buckets) against a naive reference model, under tens of thousands
 // of mixed operations per seed. The test uses every way the simulator
-// enters and leaves the order: schedule(), schedule_keyed(), reserve_seq()
-// followed later by schedule_reserved(), pop() and the bounded
-// pop_until(). Verifies identical pop order, timestamps, payloads and
-// sizes. A hold-shaped profile (far timers under packet chains, like the
-// Hadoop testbed) drives the pending count across the near tier's capacity
-// in both directions and pops from the near tier and the far part; a deep
-// profile keeps nearly every entry in the far part's buckets.
+// enters and leaves the order: schedule(), schedule_keyed(), pop() and the
+// bounded pop_until(). Some operations remember a time and schedule there
+// later, when execution may have come close to it. Verifies identical pop
+// order, timestamps, payloads and sizes. A hold-shaped profile (far timers
+// under packet chains, like the Hadoop testbed) drives the pending count
+// across the near tier's capacity in both directions and pops from the
+// near tier and the far part; a deep profile keeps nearly every entry in
+// the far part's buckets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,10 +27,8 @@ namespace {
 /// linear min-scan on (time, merge key, sequence number).
 class ReferenceQueue {
  public:
-  std::uint64_t reserve_seq() { return next_seq_++; }
-
-  void schedule(SimTime when, MergeKey key, std::uint64_t seq, int payload) {
-    entries_.push_back(Entry{when, key, seq, payload});
+  void schedule(SimTime when, MergeKey key, int payload) {
+    entries_.push_back(Entry{when, key, next_seq_++, payload});
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -83,17 +82,11 @@ class Differential {
  public:
   explicit Differential(std::uint64_t seed) : seed_(seed) {}
 
-  /// A sequence number reserved in both queues.
-  struct Reserved {
-    std::uint64_t q;
-    std::uint64_t ref;
-  };
-
   /// Schedule one logical event in both; returns its payload.
   int schedule(SimTime when) {
     const int payload = next_payload_++;
     q_.schedule(when, run(payload));
-    ref_.schedule(when, 0, ref_.reserve_seq(), payload);
+    ref_.schedule(when, 0, payload);
     check_sizes();
     return payload;
   }
@@ -101,17 +94,7 @@ class Differential {
   int schedule_keyed(SimTime when, MergeKey key) {
     const int payload = next_payload_++;
     q_.schedule_keyed(when, key, run(payload));
-    ref_.schedule(when, key, ref_.reserve_seq(), payload);
-    check_sizes();
-    return payload;
-  }
-
-  Reserved reserve() { return Reserved{q_.reserve_seq(), ref_.reserve_seq()}; }
-
-  int schedule_reserved(SimTime when, MergeKey key, const Reserved& r) {
-    const int payload = next_payload_++;
-    q_.schedule_reserved(when, key, r.q, run(payload));
-    ref_.schedule(when, key, r.ref, payload);
+    ref_.schedule(when, key, payload);
     check_sizes();
     return payload;
   }
@@ -213,8 +196,8 @@ MergeKey pick_key(Rng& rng) {
 void run_differential(std::uint64_t seed, int ops) {
   Rng rng(seed);
   Differential d(seed);
-  // Reservations waiting to be used, each with the time it was taken for.
-  std::vector<std::pair<SimTime, Differential::Reserved>> reserved;
+  // Times remembered for a later schedule.
+  std::vector<SimTime> remembered;
 
   for (int i = 0; i < ops; ++i) {
     d.next_op();
@@ -228,15 +211,15 @@ void run_differential(std::uint64_t seed, int ops) {
     } else if (r < 42) {
       d.schedule_keyed(when, pick_key(rng));
     } else if (r < 46) {
-      reserved.emplace_back(when, d.reserve());
+      remembered.push_back(when);
     } else if (r < 51) {
-      // Use a reservation, taking the place it was reserved for, unless
-      // execution has already gone past that time.
-      if (reserved.empty()) continue;
-      const auto pick = rng.uniform_int(0, reserved.size() - 1);
-      const auto [at, res] = reserved[pick];
-      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
-      if (at >= d.now()) d.schedule_reserved(at, 0, res);
+      // Schedule at a remembered time, unless execution has already gone
+      // past it.
+      if (remembered.empty()) continue;
+      const auto pick = rng.uniform_int(0, remembered.size() - 1);
+      const SimTime at = remembered[pick];
+      remembered.erase(remembered.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (at >= d.now()) d.schedule(at);
     } else if (r < 76) {
       d.pop();
     } else {
@@ -254,8 +237,9 @@ TEST(EventQueueFuzz, DifferentialSeed2026) { run_differential(2026, 100'000); }
 
 /// The deep queue of a large fabric's round: ~`depth` pending events, far
 /// more than the near tier holds, each popped event replaced by one due
-/// 0-8 us later (coarse, so same-time ties are common), with keyed and
-/// reserved schedules and bursts of events at one instant. The far part
+/// 0-8 us later (coarse, so same-time ties are common), with keyed
+/// schedules, schedules at remembered times and bursts of events at one
+/// instant. The far part
 /// behind the near tier then carries nearly every entry, and its time
 /// buckets split, refill and hand ties to the heap throughout.
 void run_deep(std::uint64_t seed, std::size_t depth, int ops) {
@@ -266,7 +250,7 @@ void run_deep(std::uint64_t seed, std::size_t depth, int ops) {
   };
   // Unsorted, so the far part also takes entries earlier than its base.
   for (std::size_t i = 0; i < depth; ++i) d.schedule(later());
-  std::vector<std::pair<SimTime, Differential::Reserved>> reserved;
+  std::vector<SimTime> remembered;
   std::size_t deepest_far = 0;
   for (int i = 0; i < ops; ++i) {
     d.next_op();
@@ -281,16 +265,16 @@ void run_deep(std::uint64_t seed, std::size_t depth, int ops) {
     } else if (r < 80) {
       d.schedule_keyed(later(), pick_key(rng));
     } else if (r < 90) {
-      reserved.emplace_back(later(), d.reserve());
+      remembered.push_back(later());
       d.schedule(later());
     } else if (r < 98) {
-      if (reserved.empty()) {
+      if (remembered.empty()) {
         d.schedule(later());
         continue;
       }
-      const auto [at, res] = reserved.front();
-      reserved.erase(reserved.begin());
-      d.schedule_reserved(std::max(at, d.now()), 0, res);
+      const SimTime at = remembered.front();
+      remembered.erase(remembered.begin());
+      d.schedule(std::max(at, d.now()));
     } else {
       // A burst at one instant, as a round's initiations are.
       const SimTime at = later();
@@ -319,8 +303,8 @@ TEST(EventQueueFuzz, DeepPendingSeed77) { run_deep(77, 500, 60'000); }
 
 /// The testbed's queue shape, pushed past the near tier's capacity and back:
 /// ~30 far timers re-armed 8-131 us ahead as they fire, under packet chains
-/// whose next hop is 0.5-8 us ahead. Some hops are keyed and some take a
-/// place reserved a few operations earlier. Chain counts swing between a
+/// whose next hop is 0.5-8 us ahead. Some hops are keyed and some go to a
+/// time remembered a few operations earlier. Chain counts swing between a
 /// few and ~200 in waves, so the pending count crosses kNearCapacity in
 /// both directions many times and pops come from both tiers.
 void run_hold(std::uint64_t seed, int events) {
@@ -341,7 +325,7 @@ void run_hold(std::uint64_t seed, int events) {
 
   std::vector<int> timers;  // The payload each timer's pending event has.
   for (int t = 0; t < kTimers; ++t) timers.push_back(d.schedule(far()));
-  std::vector<std::pair<SimTime, Differential::Reserved>> wakeups;
+  std::vector<SimTime> wakeups;
   std::size_t target = kHigh;  // Chain count the current wave heads for.
   std::size_t live_chains = 0;
   int above = 0;  // Crossings of kNear upward ...
@@ -363,13 +347,13 @@ void run_hold(std::uint64_t seed, int events) {
     }
     const auto r = rng.uniform_int(0, 99);
     if (r < 4) {
-      wakeups.emplace_back(hop(), d.reserve());
+      wakeups.push_back(hop());
     } else if (r < 8 && !wakeups.empty()) {
-      const auto [at, res] = wakeups.back();
+      const SimTime at = wakeups.back();
       wakeups.pop_back();
       if (at >= d.now()) {
         ++live_chains;
-        d.schedule_reserved(at, 0, res);
+        d.schedule(at);
       }
     } else {
       const auto payload =

@@ -1,7 +1,9 @@
 // EXPERIMENTS.md's measured cells against the committed BENCH_*.json files
 // they are read from: every number a checked cell prints must be its
 // metric rounded to the number's own printed precision. Covered: Table 1,
-// Figure 9, both measured columns of Figure 10, Figure 12 and Figure 13.
+// Figure 9, both measured columns of Figure 10, Figure 11's `--large`
+// fat-tree sweep, Figure 12, Figure 13, and the liveness, wraparound and
+// wire-encoding ablation tables.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -48,7 +50,8 @@ std::string trim(const std::string& s) {
 
 /// The data cells (label excluded) of the table row labelled `label` in the
 /// `## ` section whose heading starts with `heading`; empty, with a test
-/// failure, when there is no such row.
+/// failure, when there is no such row. A row may be indented (a table
+/// inside a list item), and its label may be set in backticks.
 std::vector<std::string> row_cells(const std::string& doc,
                                    const std::string& heading,
                                    const std::string& label) {
@@ -60,13 +63,15 @@ std::vector<std::string> row_cells(const std::string& doc,
   const auto end = doc.find("\n## ", start + 1);
   std::istringstream section(doc.substr(start, end - start));
   for (std::string line; std::getline(section, line);) {
-    if (line.empty() || line[0] != '|') continue;
+    const auto bar = line.find_first_not_of(' ');
+    if (bar == std::string::npos || line[bar] != '|') continue;
     std::vector<std::string> cells;
-    std::istringstream row(line.substr(1));
+    std::istringstream row(line.substr(bar + 1));
     for (std::string cell; std::getline(row, cell, '|');) {
       cells.push_back(trim(cell));
     }
-    if (!cells.empty() && cells[0] == label) {
+    if (!cells.empty() &&
+        (cells[0] == label || cells[0] == "`" + label + "`")) {
       cells.erase(cells.begin());
       return cells;
     }
@@ -75,13 +80,16 @@ std::vector<std::string> row_cells(const std::string& doc,
   return {};
 }
 
-/// Every number `cell` prints, as printed ("1.72", "4867", "18.8").
+/// Every number `cell` prints, as printed ("1.72", "4867", "18.8", "-1"),
+/// with thousands separators dropped ("1,280" is "1280").
 std::vector<std::string> numbers_in(const std::string& cell) {
-  static const std::regex kNumber("[0-9]+(\\.[0-9]+)?");
+  static const std::regex kNumber("-?[0-9]+(,[0-9]{3})*(\\.[0-9]+)?");
   std::vector<std::string> out;
   for (std::sregex_iterator it(cell.begin(), cell.end(), kNumber), end;
        it != end; ++it) {
-    out.push_back(it->str());
+    std::string number = it->str();
+    std::erase(number, ',');
+    out.push_back(number);
   }
   return out;
 }
@@ -247,6 +255,83 @@ TEST(ExperimentsTables, Figure13MatchesItsJson) {
   expect_cell("uplink pairs", uplinks[1], json,
               {snap + "min_uplink_pair_rho"});
   EXPECT_GT(json[snap + "min_uplink_pair_rho"], 0);
+}
+
+TEST(ExperimentsTables, Figure11LargeSweepMatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  const Metrics json = metrics_of("BENCH_fig11_scalability.json");
+  for (const std::string k : {"4", "8", "16", "32"}) {
+    const std::string label = "k=" + k;
+    const std::string m = "metrics.fat_tree.k" + k + ".";
+    const auto cells = row_cells(doc, "## Figure 11", label);
+    ASSERT_EQ(cells.size(), 6u) << label;
+    expect_cell(label + " switches / hosts", cells[0], json,
+                {m + "switches", m + "hosts"});
+    expect_cell(label + " spread", cells[1], json, {m + "spread_us"});
+    expect_cell(label + " capture", cells[2], json, {m + "capture_us"});
+    expect_cell(label + " assemble", cells[3], json, {m + "assemble_us"});
+    // RSS prints in MB of 1,024 kB.
+    expect_cell(label + " construct RSS", cells[4], json,
+                {m + "construct_rss_kb"}, /*scale=*/1.0 / 1024);
+    expect_cell(label + " peak RSS", cells[5], json, {m + "peak_rss_kb"},
+                /*scale=*/1.0 / 1024);
+  }
+}
+
+TEST(ExperimentsTables, LivenessAblationMatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  const Metrics json = metrics_of("BENCH_ablation_liveness.json");
+  const char* const kColumns[] = {"completed", "excluded_devices",
+                                  "mean_completion_ms"};
+  for (const std::string variant : {"at_init", "at_reinit", "none"}) {
+    const auto cells = row_cells(doc, "## Ablations", variant);
+    ASSERT_EQ(cells.size(), 3u) << variant;
+    // `none` completes no round without an exclusion: its mean completion
+    // is -1, printed "n/a (-1)".
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      expect_cell(variant + " " + kColumns[c], cells[c], json,
+                  {"metrics." + variant + "." + kColumns[c]});
+    }
+  }
+}
+
+TEST(ExperimentsTables, WraparoundAblationMatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  const Metrics json = metrics_of("BENCH_ablation_wraparound.json");
+  // The bench names the 2^32 id space m0.
+  const std::pair<const char*, const char*> kSpaces[] = {
+      {"4", "m4"}, {"8", "m8"}, {"16", "m16"}, {"64", "m64"}, {"2^32", "m0"}};
+  const char* const kColumns[] = {"accepted", "refused", "assembled",
+                                  "timed_out"};
+  for (const auto& [label, space] : kSpaces) {
+    const auto cells = row_cells(doc, "## Ablations", label);
+    ASSERT_EQ(cells.size(), 4u) << label;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      expect_cell(std::string(label) + " " + kColumns[c], cells[c], json,
+                  {std::string("metrics.") + space + "." + kColumns[c]});
+    }
+  }
+}
+
+TEST(ExperimentsTables, WireEncodingAblationMatchesItsJson) {
+  const std::string doc = read_repo_file("EXPERIMENTS.md");
+  const Metrics json = metrics_of("BENCH_ablation_wire_encoding.json");
+  const std::pair<const char*, const char*> kRungs[] = {
+      {"full v2 frames", "full"},
+      {"+ delta encoding", "delta"},
+      {"+ compact timestamps", "delta_compact"},
+      {"+ ingress-only sync group", "sync_group"}};
+  const char* const kColumns[] = {"notif_bytes_per_frame",
+                                  "report_bytes_per_frame", "completion_ms"};
+  for (const auto& [label, config] : kRungs) {
+    const auto cells = row_cells(doc, "## Ablations", label);
+    ASSERT_EQ(cells.size(), 3u) << label;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      expect_cell(std::string(label) + " " + kColumns[c], cells[c], json,
+                  {std::string("metrics.config.") + config + "." +
+                   kColumns[c]});
+    }
+  }
 }
 
 }  // namespace

@@ -461,8 +461,9 @@ TEST(SwitchEgress, FlapperGoingDownMidSerializationDropsThatPacket) {
 /// the high class, all to host 3 and all 1500 B. Flow 1 is sent at 0 and
 /// leaves the egress queue first. Flow 7 is sent one serialization time
 /// later, so it reaches the switch's queue exactly when flow 1 finishes
-/// serializing (the reserved place). Flow 2 is sent at `flow2_at`, a
-/// number of serialization times. Returns the flows in arrival order.
+/// serializing, the instant the port stops being busy. Flow 2 is sent at
+/// `flow2_at`, a number of serialization times. Returns the flows in
+/// arrival order.
 std::vector<net::FlowId> cos_arrival_order(double flow2_at) {
   NetworkOptions opt;
   opt.cos_classes = 2;
@@ -487,12 +488,13 @@ std::vector<net::FlowId> cos_arrival_order(double flow2_at) {
   return order;
 }
 
-TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
+TEST(SwitchEgress, ProbeAtTheDepartureInstantLeavesAtOnce) {
   // h0 -> s0 -> s1 -> h1. A packet leaves s0's idle trunk port at D and
-  // finishes serializing at D + ser. A probe injected before D floods at
-  // exactly D + ser, in an event ranked before the place reserved at D:
-  // its copy finds the port still busy and waits for the wake-up there,
-  // which a check ranked between the two sees.
+  // finishes serializing at D + ser, so the port is busy until then. A
+  // probe injected before D floods at exactly D + ser, in an event ranked
+  // before any wake-up scheduled at D would be: the port is idle at that
+  // instant whatever the event's place, so its copy departs in the flood
+  // event, and a check ranked after the flood finds the queue empty.
   Network net(net::make_line(2), NetworkOptions{});
   sw::Switch& s0 = net.switch_at(0);
   const net::PortId trunk_port = net.spec().trunks[0].port_a;
@@ -506,7 +508,7 @@ TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
   ASSERT_GT(inject, 0);
   ASSERT_LT(inject, dequeued);
   sim::Simulator& sim = net.simulator();
-  std::size_t waiting = 0;
+  std::size_t waiting = ~std::size_t{0};  // Set by the check.
   sim.at(inject, [&] {
     s0.unit(0, net::Direction::Ingress)->inject_probe();
     sim.at(departure, [&] { waiting = s0.queue_depth(trunk_port); });
@@ -517,26 +519,26 @@ TEST(SwitchEgress, EnqueueAtDepartureBeforeTheReservedSeqWaits) {
     handed_over.emplace_back(p.is_probe(), sim.now());
   });
   net.run_for(sim::msec(1));
-  EXPECT_EQ(waiting, 1u);
+  EXPECT_EQ(waiting, 0u);
   ASSERT_EQ(handed_over.size(), 2u);
   EXPECT_EQ(handed_over[0], std::make_pair(false, dequeued));
   EXPECT_EQ(handed_over[1], std::make_pair(true, departure));
 }
 
-TEST(SwitchEgress, EnqueueAtDepartureAfterTheReservedSeqLeavesAtOnce) {
-  // Flows 2 and 7 reach the queue in their arrival events, which follow
-  // flow 1's serialization-complete place: the port is idle, flow 2 leaves
-  // in the event that enqueued it, and flow 7 waits behind it despite its
-  // higher class.
+TEST(SwitchEgress, EnqueueAtTheDepartureInstantLeavesAtOnce) {
+  // Flows 2 and 7 reach the queue in their arrival events at the instant
+  // flow 1 finishes serializing. The port is busy only until that instant,
+  // so it is idle: flow 2 leaves in the event that enqueued it, and flow 7
+  // waits behind it despite its higher class.
   EXPECT_EQ(cos_arrival_order(1.0), (std::vector<net::FlowId>{1, 2, 7}));
 }
 
-TEST(SwitchEgress, WaitingPacketLeavesAtTheReservedPlace) {
-  // Flow 2 reaches the queue while flow 1 is still serializing, and flow
-  // 7 arrives at flow 1's departure. The wake-up runs at the place reserved
-  // at flow 1's dequeue, so it sends flow 2 before flow 7 enqueues; a
-  // wake-up scheduled only when flow 2 arrived would run after flow 7's
-  // arrival and send flow 7 first.
+TEST(SwitchEgress, WaitingPacketLeavesWhenThePortStopsBeingBusy) {
+  // Flow 2 reaches the queue while flow 1 is still serializing, so it
+  // waits, and a wake-up is scheduled at flow 1's serialization-complete
+  // instant. Flow 7 arrives at that same instant, but its arrival is keyed
+  // by its link and a wake-up has key 0, so the wake-up runs first and
+  // sends flow 2 before flow 7 enqueues.
   EXPECT_EQ(cos_arrival_order(0.5), (std::vector<net::FlowId>{1, 2, 7}));
 }
 
@@ -665,8 +667,8 @@ TEST(SwitchPassThrough, ProbeFloodClassOneWaitsForTheWakeUp) {
   // h0 -> s0 -> s1 -> h1 with two classes. A probe flood reaches s0's idle
   // trunk port with one copy per class: the class-0 copy leaves in the
   // flood's own event, and the class-1 copy waits for the wake-up at the
-  // place the first one reserved. Each copy is processed on its own
-  // egress sub-channel, egress_channel(ingress port, class).
+  // instant the first one finishes serializing. Each copy is processed on
+  // its own egress sub-channel, egress_channel(ingress port, class).
   NetworkOptions opt;
   opt.cos_classes = 2;
   opt.snapshot.channel_state = true;
